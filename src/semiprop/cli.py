@@ -8,8 +8,8 @@ Grammar:
 Every run writes ``report.json`` (stable key order) into the output
 directory, plus CSV tables where the check produces field or trajectory
 data.  Exit status is 0 iff every non-diagnostic record passes.  A
-``--sweep`` file lists one parameter set per line; the sets run
-concurrently, each into its own subdirectory.
+``--sweep`` file lists one parameter set per line; the sets run one
+after another, each into its own subdirectory.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__
 from .core import SpacetimeGrid, SpatialGrid, assemble_propagator, fit_loglog_slope
 from .cosmo import (
     ClassicalState,
@@ -62,12 +60,13 @@ from .oracle import (
     schrodinger_residual,
 )
 from .quadratic import (
+    PREFACTOR_CASES,
     QuadraticPotential,
     free_particle_factors,
     free_particle_identity_residuals,
     harmonic_factors,
     harmonic_identity_residuals,
-    riccati_tan_reference,
+    prefactor_error,
     solve_prefactor_odes,
     van_vleck_check,
 )
@@ -106,6 +105,19 @@ def _floor(name: str, value: float, tolerance: float, detail: str) -> CheckRecor
         value=float(value),
         tolerance=float(tolerance),
         passed=bool(value > tolerance),
+        detail=detail,
+    )
+
+
+def _target(
+    name: str, value: float, target: float, tolerance: float, detail: str
+) -> CheckRecord:
+    """Pass iff |value - target| <= tolerance; a NaN value fails."""
+    return CheckRecord(
+        name=name,
+        value=float(value),
+        tolerance=float(tolerance),
+        passed=bool(abs(value - target) <= tolerance),
         detail=detail,
     )
 
@@ -170,57 +182,14 @@ def _run_quadratic_van_vleck(params: dict, rng) -> RunnerOutput:
     return records, None, {}
 
 
-_PREFACTOR_CASES = {
-    # family -> (potential, init, window, t0, reference)
-    "free": (
-        QuadraticPotential(),
-        (0.0, -0.5, 0.8, 0.2),
-        (1.0, 2.0),
-        None,
-    ),
-    "harmonic": (
-        QuadraticPotential(g2=0.5),
-        (0.0, 0.0, 0.0, 0.0),
-        (math.pi / 4.0, 3.0 * math.pi / 4.0),
-        math.pi / 2.0,
-    ),
-    "driven": (
-        QuadraticPotential(g2=2.0, g0=0.5),
-        (0.0, 0.309336249609623233, 1.25610192184570272, 0.0),
-        (0.0, 0.5),
-        None,
-    ),
-}
-
-
-def _prefactor_error(family: str, sol) -> float:
-    """Max deviation of (R, dR, f1, f0) from the family's closed form."""
-    t = sol.t
-    if family == "free":
-        refs = (-0.5 * np.log(t), -0.5 / t, 0.8 / t, 0.2 - 0.32 * (1.0 - 1.0 / t))
-    elif family == "harmonic":
-        refs = (
-            -0.5 * np.log(np.sin(t)),
-            -0.5 * np.cos(t) / np.sin(t),
-            np.zeros_like(t),
-            np.zeros_like(t),
-        )
-    else:
-        refs = riccati_tan_reference(
-            t, _PREFACTOR_CASES["driven"][1], 0.0, 2.0, g0_const=0.5
-        )
-    series = (sol.R, sol.dR, sol.f1, sol.f0)
-    return max(float(np.max(np.abs(s - r))) for s, r in zip(series, refs))
-
-
 def _run_quadratic_prefactor(params: dict, rng) -> RunnerOutput:
     family = _family(params, ("free", "harmonic", "driven"))
-    pot, init, window, t0 = _PREFACTOR_CASES[family]
+    pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
-    records = [_bound("closed-form-deviation", _prefactor_error(family, sol), 1e-8)]
+    records = [_bound("closed-form-deviation", prefactor_error(family, sol), 1e-8)]
     steps = [0.02, 0.01, 0.005, 0.0025]
     errors = [
-        _prefactor_error(
+        prefactor_error(
             family, solve_prefactor_odes(pot, init, window, h, t0=t0)
         )
         for h in steps
@@ -229,12 +198,9 @@ def _run_quadratic_prefactor(params: dict, rng) -> RunnerOutput:
     orders = [r["observed_order"] for r in rows if r["observed_order"] is not None]
     if orders:
         records.append(
-            CheckRecord(
-                name="observed-order",
-                value=float(orders[-1]),
-                tolerance=0.5,
-                passed=bool(abs(orders[-1] - 4.0) <= 0.5),
-                detail="pass iff |value - 4| <= tolerance",
+            _target(
+                "observed-order", orders[-1], 4.0, 0.5,
+                "pass iff |value - 4| <= tolerance",
             )
         )
     return records, rows, {}
@@ -298,13 +264,7 @@ def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
     orders = [r["observed_order"] for r in rows if r["observed_order"] is not None]
     value = float(orders[-1]) if orders else float("nan")
     records = [
-        CheckRecord(
-            name="stencil-order",
-            value=value,
-            tolerance=0.3,
-            passed=bool(orders) and abs(value - 2.0) <= 0.3,
-            detail="pass iff |value - 2| <= tolerance",
-        ),
+        _target("stencil-order", value, 2.0, 0.3, "pass iff |value - 2| <= tolerance"),
     ]
     csv = {"propagator": (PROPAGATOR_HEADER, _propagator_rows(coarse_factors, coarse_grid))}
     return records, rows, csv
@@ -353,25 +313,10 @@ def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
         mass=params["mass"],
     )
     if report.vacuous:
-        records = [
-            CheckRecord(
-                name="imaginary-slope",
-                value=float("nan"),
-                tolerance=0.01,
-                passed=False,
-                detail="Im S vanished identically; slope undefined",
-            )
-        ]
+        slope, detail = float("nan"), "Im S vanished identically; slope undefined"
     else:
-        records = [
-            CheckRecord(
-                name="imaginary-slope",
-                value=float(report.slope),
-                tolerance=0.01,
-                passed=bool(abs(report.slope - 1.0) <= 0.01),
-                detail="pass iff |value - 1| <= tolerance",
-            )
-        ]
+        slope, detail = report.slope, "pass iff |value - 1| <= tolerance"
+    records = [_target("imaginary-slope", slope, 1.0, 0.01, detail)]
     return records, None, {}
 
 
@@ -380,6 +325,13 @@ def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
 
 def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
     family = _family(params, ("free", "harmonic"))
+    dt = params["dt"]
+    target = 1.0 if family == "free" else math.pi / 2.0
+    if not dt > 0 or round(target / dt) < 1:
+        raise ValueError(
+            "parameter 'dt' leaves no Crank-Nicolson step, got {!r}".format(dt)
+        )
+    n_steps = round(target / dt)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if family == "free":
@@ -390,8 +342,7 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
                 t_min=0.05, t_max=1.5, n_t=8,
             )
             factors = free_particle_factors(span, mass=1.0)
-            target = 1.0
-            via_cn = cn_evolve(psi0, 0.0, dt=params["dt"], n_steps=round(target / params["dt"]))
+            via_cn = cn_evolve(psi0, 0.0, dt=dt, n_steps=n_steps)
         else:
             grid = SpatialGrid(-6.0, 6.0, params["n_x"])
             psi0 = gaussian_state(grid, sigma0=1.0 / math.sqrt(2.0), x_center=1.0)
@@ -400,14 +351,10 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
                 t_min=0.05, t_max=2.0, n_t=8,
             )
             factors = harmonic_factors(span, mass=1.0, omega=1.0)
-            target = math.pi / 2.0
-            n_steps = round(target / params["dt"])
             via_cn = cn_evolve(psi0, QuadraticPotential(g2=0.5).value, dt=target / n_steps, n_steps=n_steps)
         via_kernel = kernel_propagate(psi0, factors, target, reference_time=1e-2)
     agreement = l2_difference(via_kernel, via_cn)
-    import dataclasses
-
-    perturbed = dataclasses.replace(
+    perturbed = replace(
         via_kernel, psi=via_kernel.psi * np.exp(0.01 * psi0.grid.x**2)
     )
     separation = l2_difference(perturbed, via_cn)
@@ -491,12 +438,9 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
     p_phi = traj.a**3 * traj.phi_dot
     drift = float(np.max(np.abs(p_phi - p_phi[0])) / abs(p_phi[0]))
     records = [
-        CheckRecord(
-            name="expansion-exponent",
-            value=float(slope),
-            tolerance=1e-3,
-            passed=bool(abs(slope - 1.0 / 3.0) <= 1e-3),
-            detail="pass iff |value - 1/3| <= tolerance",
+        _target(
+            "expansion-exponent", slope, 1.0 / 3.0, 1e-3,
+            "pass iff |value - 1/3| <= tolerance",
         ),
         _diagnostic(
             "momentum-drift",
@@ -511,7 +455,7 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
 # --------------------------------------------------------------- lattice
 
 
-def _lattice_config(params: dict, signature_key: str = "signature") -> LatticeConfig:
+def _lattice_config(params: dict) -> LatticeConfig:
     dims = params["dims"]
     if not dims or any(not isinstance(n, int) or n < 2 for n in dims):
         raise ValueError(
@@ -520,7 +464,7 @@ def _lattice_config(params: dict, signature_key: str = "signature") -> LatticeCo
     return LatticeConfig(
         dims=tuple(dims),
         spacing=params.get("spacing", 1.0),
-        signature=params.get(signature_key, "euclidean"),
+        signature=params.get("signature", "euclidean"),
         mass=params.get("mass", 1.0),
     )
 
@@ -815,26 +759,33 @@ def _merge_params(
     for name, value in merged.items():
         if ("tol" in name or name == "tolerance") and not value > 0:
             raise ValueError("parameter '{}' must be positive".format(name))
+        if name == "draws" and value < 1:
+            raise ValueError("parameter 'draws' must be at least 1")
     return merged
 
 
+def _content_lines(path: Path, kind: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank, non-comment line."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError("cannot read {} file: {}".format(kind, exc)) from None
+    lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), start=1)]
+    return [(no, line) for no, line in lines if line and not line.startswith("#")]
+
+
+def _assignment(text: str, where: str) -> tuple[str, object]:
+    if "=" not in text:
+        raise ValueError("{}: expected key=value, got {!r}".format(where, text))
+    key, _, raw = text.partition("=")
+    return key.strip(), _parse_value(raw.strip())
+
+
 def _read_key_value_file(path: Path) -> dict:
-    if not path.exists():
-        raise ValueError("config file {} does not exist".format(path))
-    values = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(
-                "config file {} line {}: expected key=value, got {!r}".format(
-                    path, line_no, stripped
-                )
-            )
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = _parse_value(raw.strip())
-    return values
+    return dict(
+        _assignment(line, "config file {} line {}".format(path, no))
+        for no, line in _content_lines(path, "config")
+    )
 
 
 def _parse_extra_flags(tokens: list[str]) -> dict:
@@ -859,6 +810,21 @@ def _parse_extra_flags(tokens: list[str]) -> dict:
         values[name] = _parse_value(tokens[i + 1])
         i += 2
     return values
+
+
+def _read_sweep(
+    path: Path, scenario: str, check: str, base_params: dict
+) -> list[dict]:
+    """One merged parameter set per line of a sweep file."""
+    param_sets = []
+    for no, line in _content_lines(path, "sweep"):
+        overrides = dict(
+            _assignment(token, "sweep line {}".format(no)) for token in line.split()
+        )
+        param_sets.append(_merge_params(scenario, check, dict(base_params), overrides))
+    if not param_sets:
+        raise ValueError("sweep file {} has no parameter lines".format(path))
+    return param_sets
 
 
 # ------------------------------------------------------------ execution
@@ -897,8 +863,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
     return report
 
 
-def _print_report(report: Report, out_dir: Path, label: str = "") -> None:
-    prefix = "[{}] ".format(label) if label else ""
+def _print_report(report: Report, out_dir: Path, prefix: str) -> None:
     for record in report.checks:
         if record.diagnostic:
             status = "diag"
@@ -932,7 +897,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--sweep", type=Path, default=None,
-        help="file of key=value lines, one concurrent run per line",
+        help="file of key=value lines, one run per line",
     )
     return parser
 
@@ -944,24 +909,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.scenario not in SCENARIOS:
-        parser.print_usage(sys.stderr)
-        print(
-            "semiprop: unknown scenario '{}' (choose from {})".format(
-                args.scenario, ", ".join(SCENARIOS)
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    checks = sorted(c for s, c in CHECKS if s == args.scenario)
     if (args.scenario, args.check) not in CHECKS:
+        if args.scenario not in SCENARIOS:
+            problem = "unknown scenario '{}' (choose from {})".format(
+                args.scenario, ", ".join(SCENARIOS)
+            )
+        else:
+            problem = "unknown check '{}' for scenario '{}' (choose from {})".format(
+                args.check,
+                args.scenario,
+                ", ".join(sorted(c for s, c in CHECKS if s == args.scenario)),
+            )
         parser.print_usage(sys.stderr)
-        print(
-            "semiprop: unknown check '{}' for scenario '{}' (choose from {})".format(
-                args.check, args.scenario, ", ".join(checks)
-            ),
-            file=sys.stderr,
-        )
+        print("semiprop: " + problem, file=sys.stderr)
         return 2
 
     try:
@@ -970,74 +930,36 @@ def main(argv: Optional[list[str]] = None) -> int:
         base_params = _merge_params(
             args.scenario, args.check, file_values, flag_values
         )
+        if args.sweep is None:
+            param_sets = [base_params]
+        else:
+            param_sets = _read_sweep(args.sweep, args.scenario, args.check, base_params)
     except ValueError as exc:
         print("semiprop: {}".format(exc), file=sys.stderr)
         return 2
 
-    if args.sweep is None:
+    status = 0
+    for index, params in enumerate(param_sets):
+        # a sweep run gets a label and its own subdirectory; a single run neither
+        label = "" if args.sweep is None else "run-{:03d}".format(index)
+        prefix = "[{}] ".format(label) if label else ""
         config = ScenarioConfig(
             scenario=args.scenario,
             check=args.check,
-            params=base_params,
-            out_dir=args.out,
+            params=params,
+            out_dir=args.out / label,
             seed=args.seed,
         )
         try:
             report = run_scenario(config)
         except ValueError as exc:
-            print("semiprop: {}".format(exc), file=sys.stderr)
-            return 2
-        _print_report(report, args.out)
-        return 0 if report.passed else 1
-
-    # sweep mode: one run per parameter line, concurrent, separate out dirs
-    try:
-        lines = [
-            (no, line.strip())
-            for no, line in enumerate(args.sweep.read_text().splitlines(), start=1)
-            if line.strip() and not line.strip().startswith("#")
-        ]
-    except OSError as exc:
-        print("semiprop: cannot read sweep file: {}".format(exc), file=sys.stderr)
-        return 2
-    if not lines:
-        print("semiprop: sweep file {} has no parameter lines".format(args.sweep), file=sys.stderr)
-        return 2
-
-    configs = []
-    try:
-        for index, (line_no, line) in enumerate(lines):
-            overrides = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise ValueError(
-                        "sweep line {}: expected key=value tokens, got {!r}".format(
-                            line_no, token
-                        )
-                    )
-                key, _, raw = token.partition("=")
-                overrides[key] = _parse_value(raw)
-            params = _merge_params(
-                args.scenario, args.check, dict(base_params), overrides
-            )
-            configs.append(
-                ScenarioConfig(
-                    scenario=args.scenario,
-                    check=args.check,
-                    params=params,
-                    out_dir=args.out / "run-{:03d}".format(index),
-                    seed=args.seed,
-                )
-            )
-    except ValueError as exc:
-        print("semiprop: {}".format(exc), file=sys.stderr)
-        return 2
-
-    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-        reports = list(pool.map(run_scenario, configs))
-    for config, report in zip(configs, reports):
-        _print_report(report, config.out_dir, label=config.out_dir.name)
-    return 0 if all(r.passed for r in reports) else 1
+            print("{}semiprop: {}".format(prefix, exc), file=sys.stderr)
+            status = 2
+            continue
+        _print_report(report, config.out_dir, prefix)
+        if not report.passed:
+            status = max(status, 1)
+    return status
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ h**4 refinement factors) rather than assumed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -213,9 +212,6 @@ def _require_finite(values: np.ndarray, mask: np.ndarray, grid: SpacetimeGrid, w
         )
 
 
-FieldLike = "ComplexField | Callable[[np.ndarray, np.ndarray], np.ndarray]"
-
-
 def evaluate_on_grid(obj, grid: SpacetimeGrid) -> ComplexField:
     """Coerce a field-like object (ComplexField or callable f(x, t)) to a field."""
     if isinstance(obj, ComplexField):
@@ -339,9 +335,18 @@ def finite_difference(field: ComplexField, axis: str, order: int) -> ComplexFiel
     if n < 4:
         raise ValueError(f"axis extent {n} too small for second-order stencils")
     h = field.grid.dx if ax == 0 else field.grid.dt
+    out, ok = _stencil(field.values, field.mask, h, ax, order)
+    return ComplexField(field.grid, np.where(ok, out, 0.0), ok)
 
-    v = np.moveaxis(field.values, ax, 0)
-    m = np.moveaxis(field.mask, ax, 0)
+
+def _stencil(
+    values: np.ndarray, mask: np.ndarray, h: float, axis: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-array form of ``finite_difference``: derivative values along
+    ``axis`` and the mask of nodes whose whole stencil reads valid samples.
+    Values at invalid nodes are left as computed."""
+    v = np.moveaxis(values, axis, 0)
+    m = np.moveaxis(mask, axis, 0)
     out = np.zeros_like(v)
     ok = np.zeros_like(m)
 
@@ -360,10 +365,7 @@ def finite_difference(field: ComplexField, axis: str, order: int) -> ComplexFiel
         ok[0] = m[0] & m[1] & m[2] & m[3]
         ok[-1] = m[-1] & m[-2] & m[-3] & m[-4]
 
-    out = np.moveaxis(out, 0, ax)
-    ok = np.moveaxis(ok, 0, ax)
-    out = np.where(ok, out, 0.0)
-    return ComplexField(field.grid, out, ok)
+    return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +527,3 @@ def observed_orders(hs: Sequence[float], errors: Sequence[float]) -> list[float]
             raise ValueError("degenerate refinement pair in convergence study")
         orders.append(math.log(e1 / e2) / math.log(h1 / h2))
     return orders
-
-
-def as_dict(obj) -> dict:
-    """dataclass -> plain dict helper used by the report writers."""
-    return dataclasses.asdict(obj)

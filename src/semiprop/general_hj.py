@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     ComplexField,
     SpacetimeGrid,
+    _stencil,
     cumulative_simpson,
     finite_difference,
     fit_loglog_slope,
@@ -106,15 +107,6 @@ def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
         )
 
 
-def _stencil_dt(r_all: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative along axis 1 (one-sided at the edges)."""
-    out = np.empty_like(r_all)
-    out[:, 1:-1] = (r_all[:, 2:] - r_all[:, :-2]) / (2.0 * dt)
-    out[:, 0] = (-3.0 * r_all[:, 0] + 4.0 * r_all[:, 1] - r_all[:, 2]) / (2.0 * dt)
-    out[:, -1] = (3.0 * r_all[:, -1] - 4.0 * r_all[:, -2] + r_all[:, -3]) / (2.0 * dt)
-    return out
-
-
 def build_S_from_R(
     ansatz: GeneralAnsatz, grid: SpacetimeGrid, n_panels: int | None = None
 ) -> ComplexField:
@@ -139,8 +131,8 @@ def build_S_from_R(
     f0_fn, f1_fn = _as_time_fn(ansatz.f0), _as_time_fn(ansatz.f1)
     tmask = grid.time_mask()
 
-    col_ok = tmask.copy()
     if ansatz.has_analytic_derivatives():
+        col_ok = tmask
         r_t = r_x = r_xx = None
     else:
         # sample R over all valid times once and difference in t; columns
@@ -153,21 +145,11 @@ def build_S_from_R(
         r_all[:, ~tmask] = 0.0
         if not np.all(np.isfinite(r_all[:, tmask])):
             raise ValueError("R is not finite on the working window")
-        for j in range(grid.n_t):
-            if not tmask[j]:
-                continue
-            if j == 0:
-                col_ok[j] = bool(tmask[1] and tmask[2])
-            elif j == grid.n_t - 1:
-                col_ok[j] = bool(tmask[-2] and tmask[-3])
-            else:
-                col_ok[j] = bool(tmask[j - 1] and tmask[j + 1])
-        r_t = _stencil_dt(r_all, grid.dt)
-        r_x = np.gradient(r_all, hs, axis=0, edge_order=2)
-        r_xx = np.empty_like(r_all)
-        r_xx[1:-1] = (r_all[2:] - 2.0 * r_all[1:-1] + r_all[:-2]) / hs**2
-        r_xx[0] = (2.0 * r_all[0] - 5.0 * r_all[1] + 4.0 * r_all[2] - r_all[3]) / hs**2
-        r_xx[-1] = (2.0 * r_all[-1] - 5.0 * r_all[-2] + 4.0 * r_all[-3] - r_all[-4]) / hs**2
+        valid = np.broadcast_to(tmask, r_all.shape)
+        r_t, t_ok = _stencil(r_all, valid, grid.dt, 1, 1)
+        col_ok = t_ok[0]
+        r_x, _ = _stencil(r_all, valid, hs, 0, 1)
+        r_xx, _ = _stencil(r_all, valid, hs, 0, 2)
 
     values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
     for j, t in enumerate(grid.t):

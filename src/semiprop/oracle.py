@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import ComplexField, PropagatorFactors, SpatialGrid, finite_difference
+from .core import (
+    ComplexField,
+    PropagatorFactors,
+    SpatialGrid,
+    finite_difference,
+    simpson_weights,
+)
 from .quadratic import QuadraticPotential
 
 __all__ = [
@@ -242,10 +248,7 @@ def _quadrature_weights(grid: SpatialGrid) -> np.ndarray:
     dx = grid.dx
     w = np.zeros(n)
     m = n if n % 2 == 1 else n - 1
-    w[:m] = 1.0
-    w[1:m - 1:2] = 4.0
-    w[2:m - 1:2] = 2.0
-    w[:m] *= dx / 3.0
+    w[:m] = simpson_weights(m, dx)
     if m != n:
         w[-2] += 0.5 * dx
         w[-1] += 0.5 * dx
@@ -299,6 +302,4 @@ def l2_difference(a: WaveState, b: WaveState) -> float:
     """Trapezoid-weighted L2 distance between two states on one grid."""
     if a.grid != b.grid:
         raise ValueError("states live on different grids")
-    dx = a.grid.dx
-    dens = np.abs(a.psi - b.psi) ** 2
-    return float(np.sqrt(dx * (dens.sum() - 0.5 * (dens[0] + dens[-1]))))
+    return WaveState(grid=a.grid, psi=a.psi - b.psi).norm()

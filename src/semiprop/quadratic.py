@@ -49,6 +49,8 @@ __all__ = [
     "quadratic_necessity_probe",
     "NecessityReport",
     "riccati_tan_reference",
+    "PREFACTOR_CASES",
+    "prefactor_error",
 ]
 
 # |dR/dt| beyond this is treated as a caustic approach and truncates the solve.
@@ -100,15 +102,6 @@ class PrefactorSolution:
     potential: QuadraticPotential
     step: float
     blow_up_time: float | None = None
-
-    def action_on(self, x: np.ndarray) -> np.ndarray:
-        """S(x_i, t_k) = f0 + f1 x - m dR x^2, shape (len(x), len(t))."""
-        x = np.asarray(x, dtype=float)[:, None]
-        return self.f0[None, :] + self.f1[None, :] * x - self.mass * self.dR[None, :] * x**2
-
-    def action_x_derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[:, None]
-        return self.f1[None, :] - 2.0 * self.mass * self.dR[None, :] * x
 
     def ode_residuals(self) -> dict[str, float]:
         """Max-abs residuals of the three ODEs with stencil time derivatives.
@@ -270,6 +263,45 @@ def riccati_tan_reference(
     return R, dR, f1, f0
 
 
+# Prefactor-ODE cases with closed-form solutions, shared by the CLI check
+# and the acceptance test: family -> (potential, init, window, t0).
+PREFACTOR_CASES = {
+    "free": (QuadraticPotential(), (0.0, -0.5, 0.8, 0.2), (1.0, 2.0), None),
+    "harmonic": (
+        QuadraticPotential(g2=0.5),
+        (0.0, 0.0, 0.0, 0.0),
+        (math.pi / 4.0, 3.0 * math.pi / 4.0),
+        math.pi / 2.0,
+    ),
+    "driven": (
+        QuadraticPotential(g2=2.0, g0=0.5),
+        (0.0, 0.309336249609623233, 1.25610192184570272, 0.0),
+        (0.0, 0.5),
+        None,
+    ),
+}
+
+
+def prefactor_error(family: str, sol: PrefactorSolution) -> float:
+    """Max deviation of (R, dR, f1, f0) from the family's closed form."""
+    t = sol.t
+    if family == "free":
+        refs = (-0.5 * np.log(t), -0.5 / t, 0.8 / t, 0.2 - 0.32 * (1.0 - 1.0 / t))
+    elif family == "harmonic":
+        refs = (
+            -0.5 * np.log(np.sin(t)),
+            -0.5 * np.cos(t) / np.sin(t),
+            np.zeros_like(t),
+            np.zeros_like(t),
+        )
+    else:
+        refs = riccati_tan_reference(
+            t, PREFACTOR_CASES["driven"][1], 0.0, 2.0, g0_const=0.5
+        )
+    series = (sol.R, sol.dR, sol.f1, sol.f0)
+    return max(float(np.max(np.abs(s - r))) for s, r in zip(series, refs))
+
+
 # ---------------------------------------------------------------------------
 # closed-form families
 # ---------------------------------------------------------------------------
@@ -405,6 +437,8 @@ def free_particle_identity_residuals(
     HJ:  dS/dt + (dS/dx)^2 / (2m) + V = 0  with V = 0.
     Consistency:  d2S/dx2 + 2 m dR/dt = 0.
     """
+    if not mass > 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
     s_t = -mass * (x - x0) ** 2 / (2.0 * t**2)
@@ -423,6 +457,8 @@ def harmonic_identity_residuals(
     grid: SpacetimeGrid, mass: float = 1.0, omega: float = 1.0, x0: float = 0.0
 ) -> dict[str, float]:
     """Analytic-derivative residuals for the oscillator family."""
+    if not mass > 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
     s, c = np.sin(omega * t), np.cos(omega * t)

@@ -10,18 +10,17 @@ of the same configuration diff clean.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
+from .core import observed_orders
 
 __all__ = [
     "CheckRecord",
     "Report",
     "build_convergence_rows",
-    "emit_convergence_table",
     "format_float",
     "write_csv",
 ]
@@ -129,29 +128,7 @@ def build_convergence_rows(
     for i in range(1, len(hs)):
         if min(residuals[i], residuals[i - 1]) <= PLATEAU_FLOOR:
             order = None
-        elif hs[i] == hs[i - 1]:
-            raise ValueError("refinement levels must be distinct")
         else:
-            order = math.log(residuals[i - 1] / residuals[i]) / math.log(
-                hs[i - 1] / hs[i]
-            )
+            (order,) = observed_orders(hs[i - 1 : i + 1], residuals[i - 1 : i + 1])
         rows.append({"h": hs[i], "residual": residuals[i], "observed_order": order})
     return rows
-
-
-def emit_convergence_table(hs: Sequence[float], residuals: Sequence[float]) -> str:
-    """CSV text of a refinement study, orders marked n/a on the plateau."""
-    rows = build_convergence_rows(hs, residuals)
-    lines = ["h,residual,observed_order"]
-    for row in rows:
-        order = row["observed_order"]
-        lines.append(
-            ",".join(
-                [
-                    format_float(row["h"]),
-                    format_float(row["residual"]),
-                    "n/a" if order is None else format_float(order),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

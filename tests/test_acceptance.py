@@ -61,12 +61,13 @@ from semiprop.oracle import (
     schrodinger_residual,
 )
 from semiprop.quadratic import (
+    PREFACTOR_CASES,
     QuadraticPotential,
     free_particle_factors,
     free_particle_identity_residuals,
     harmonic_factors,
     harmonic_identity_residuals,
-    riccati_tan_reference,
+    prefactor_error,
     solve_prefactor_odes,
     van_vleck_check,
 )
@@ -110,44 +111,6 @@ def test_criterion_01_closed_form_certification():
         "analytic residual {:.3e} (tol 1e-8); stencil orders {} (2.0 +/- 0.3)".format(
             analytic, ["%.2f" % p for p in orders]
         ),
-    )
-
-
-PREFACTOR_CASES = {
-    "free": (QuadraticPotential(), (0.0, -0.5, 0.8, 0.2), (1.0, 2.0), None),
-    "harmonic": (
-        QuadraticPotential(g2=0.5),
-        (0.0, 0.0, 0.0, 0.0),
-        (math.pi / 4.0, 3.0 * math.pi / 4.0),
-        math.pi / 2.0,
-    ),
-    "driven": (
-        QuadraticPotential(g2=2.0, g0=0.5),
-        (0.0, 0.309336249609623233, 1.25610192184570272, 0.0),
-        (0.0, 0.5),
-        None,
-    ),
-}
-
-
-def prefactor_error(family, sol):
-    t = sol.t
-    if family == "free":
-        refs = (-0.5 * np.log(t), -0.5 / t, 0.8 / t, 0.2 - 0.32 * (1.0 - 1.0 / t))
-    elif family == "harmonic":
-        refs = (
-            -0.5 * np.log(np.sin(t)),
-            -0.5 * np.cos(t) / np.sin(t),
-            np.zeros_like(t),
-            np.zeros_like(t),
-        )
-    else:
-        refs = riccati_tan_reference(
-            t, PREFACTOR_CASES["driven"][1], 0.0, 2.0, g0_const=0.5
-        )
-    return max(
-        float(np.max(np.abs(s - r)))
-        for s, r in zip((sol.R, sol.dR, sol.f1, sol.f0), refs)
     )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semiprop.cli import main
-from semiprop.report import build_convergence_rows, emit_convergence_table, write_csv
+from semiprop.report import build_convergence_rows, write_csv
 
 
 def read_report(out_dir):
@@ -124,6 +124,15 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
     assert main(["lattice", "conformal-transport", "--dims", "[4,1]",
                  "--out", str(tmp_path)]) == 2
     assert "parameter 'dims'" in capsys.readouterr().err
+    for argv, message in [
+        (["oracle", "kernel-vs-grid", "--dt", "0"], "parameter 'dt'"),
+        (["oracle", "kernel-vs-grid", "--dt", "5"], "parameter 'dt'"),
+        (["lattice", "hj-positivity", "--draws", "0"], "parameter 'draws'"),
+        (["lattice", "imaginary-part", "--draws", "0"], "parameter 'draws'"),
+        (["quadratic", "hj", "--mass", "-1"], "mass must be positive"),
+    ]:
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 # ---------------------------------------------------- config and sweeps
@@ -158,6 +167,36 @@ def test_sweep_runs_each_line_into_its_own_directory(tmp_path):
     second = record(read_report(out / "run-001"), "curvature-functional")["value"]
     assert first == 16.0
     assert second == pytest.approx(16.0 * math.exp(0.4), rel=1e-12)
+
+
+def test_sweep_run_error_exits_two_and_the_other_runs_still_report(tmp_path, capsys):
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("lam=1.0\nlam=-1.0\nlam=2.0\n")
+    out = tmp_path / "out"
+    assert main(["cosmo", "de-sitter", "--sweep", str(sweep), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "[run-001] semiprop: parameter 'lam'" in captured.err
+    assert "Traceback" not in captured.err
+    for run in ("run-000", "run-002"):
+        assert "[{}] overall: PASS".format(run) in captured.out
+        assert read_report(out / run)["pass"] is True
+    assert not (out / "run-001").exists()
+
+
+def test_one_line_sweep_matches_a_single_run(tmp_path):
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("draws=7\n")
+    base = ["lattice", "hj-positivity", "--seed", "3"]
+    single, swept = tmp_path / "single", tmp_path / "swept"
+    assert main(base + ["--draws", "7", "--out", str(single)]) == 0
+    assert main(base + ["--sweep", str(sweep), "--out", str(swept)]) == 0
+    run = swept / "run-000"
+    assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in single.iterdir())
+    assert (run / "lattice.csv").read_bytes() == (single / "lattice.csv").read_bytes()
+    reports = [read_report(d) for d in (single, run)]
+    for rep in reports:
+        rep.pop("runtime_seconds")
+    assert reports[0] == reports[1]
 
 
 def test_sweep_rejects_malformed_lines(tmp_path, capsys):
@@ -206,11 +245,3 @@ def test_convergence_rows_orders_and_plateau():
         build_convergence_rows([0.1, 0.05], [1.0, 0.5])
     with pytest.raises(ValueError, match="one residual per"):
         build_convergence_rows([0.1, 0.05, 0.025], [1.0, 0.5])
-
-
-def test_emit_convergence_table_text():
-    text = emit_convergence_table([0.1, 0.05, 0.025], [4e-2, 1e-2, 2.5e-3])
-    lines = text.splitlines()
-    assert lines[0] == "h,residual,observed_order"
-    assert lines[1].endswith(",n/a")
-    assert lines[2].split(",")[2] == "2"
