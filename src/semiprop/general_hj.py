@@ -425,6 +425,20 @@ def cos_log_quadrature_inputs(
 # ---------------------------------------------------------------------------
 
 
+def _exponential_parameters(
+    amplitude: float, slope: float, mass: float
+) -> tuple[float, float]:
+    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0 and m > 0."""
+    a, b = float(amplitude), float(slope)
+    if b == 0.0:
+        raise ValueError("slope b must be nonzero")
+    if a <= 0.0:
+        raise ValueError(f"amplitude A must be positive, got {a}")
+    if not mass > 0.0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    return a, b
+
+
 def exponential_family(
     amplitude: float = 1.0,
     slope: float = 1.0,
@@ -440,11 +454,7 @@ def exponential_family(
     Schrodinger equation with this V identically, and S alone solves the
     Hamilton-Jacobi equation since (dS/dx)^2 / (2m) = -A e^(b x).
     """
-    a, b = float(amplitude), float(slope)
-    if b == 0.0:
-        raise ValueError("slope b must be nonzero")
-    if a <= 0.0:
-        raise ValueError(f"amplitude A must be positive, got {a}")
+    a, b = _exponential_parameters(amplitude, slope, mass)
     rate = 1j * hbar * b**2 / (32.0 * mass)
     s_coef = 2j * math.sqrt(2.0 * mass * a) / b
 
@@ -492,7 +502,7 @@ def exponential_family_residuals(
     (dS/dx)^2 = (i sqrt(2mA))^2 e^(bx) = -2mA e^(bx).
     decoupling: 2m dR/dt - i hbar [(b/4)^2] = i hbar b^2/16 - i hbar b^2/16.
     """
-    a, b = float(amplitude), float(slope)
+    a, b = _exponential_parameters(amplitude, slope, mass)
     if x is None:
         x = np.linspace(-2.0, 2.0, 101)
     x = np.asarray(x, dtype=float)

@@ -13,14 +13,16 @@ definite for m > 0), and the lorentzian operator treats dimension 0 as time,
 singular on-shell; inversion then refuses with the null mode, unless the
 i*epsilon prescription (epsilon = 1e-3 m^2) is requested.
 
-Everything is dense and capped at 4096 sites.  These are verification
-probes, not production field solvers.
+Periodic operators are diagonal in the Fourier basis: Green's functions
+come from one inverse FFT of the closed-form spectrum and are certified by
+the roll stencil.  Kernels stay dense and lattices are capped at 4096 sites.
+These are verification probes, not production field solvers.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -137,12 +139,15 @@ class QuadraticFunctional:
     """Green's-function kernel of a quadratic lattice action.
 
     ``g`` is the dense symmetric kernel, ``regulator`` records the i*epsilon
-    shift baked into the inverted operator (zero when none was applied).
+    shift baked into the inverted operator (zero when none was applied), and
+    ``defect`` is the max |op @ G - I| that ``lattice_greens_function``
+    measured (None for a kernel built elsewhere).
     """
 
     g: np.ndarray
     config: LatticeConfig
     regulator: float = 0.0
+    defect: Optional[float] = None
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g)
@@ -196,9 +201,15 @@ def lattice_operator(config: LatticeConfig, regulator: float = 0.0) -> np.ndarra
     return op
 
 
-def _dominant_mode(vector: np.ndarray, dims: Tuple[int, ...]) -> Tuple[int, ...]:
-    spectrum = np.abs(np.fft.fftn(vector.reshape(dims)))
-    return tuple(int(i) for i in np.unravel_index(np.argmax(spectrum), dims))
+def _spectrum(config: LatticeConfig, signs: np.ndarray) -> np.ndarray:
+    """Eigenvalues m^2 + sum_mu signs[mu] (4 / h^2) sin^2(pi j_mu / n_mu) by
+    wavenumber index j; j -> min(j, n - j) makes the array exactly even."""
+    total = np.full(config.dims, config.mass**2)
+    for axis, (n, sign) in enumerate(zip(config.dims, signs)):
+        j = np.minimum(np.arange(n), n - np.arange(n))
+        part = sign * 4.0 / config.spacing**2 * np.sin(np.pi * j / n) ** 2
+        total = total + part.reshape((n,) + (1,) * (len(config.dims) - axis - 1))
+    return total
 
 
 def lattice_greens_function(
@@ -206,59 +217,67 @@ def lattice_greens_function(
 ) -> QuadraticFunctional:
     """Invert the lattice operator into a quadratic-action kernel.
 
-    The euclidean operator is positive definite for m > 0 and is inverted
-    directly.  The lorentzian operator is inverted through its spectrum so
-    that exact null modes are caught; those refuse with the offending
-    wavenumber unless ``use_regulator`` asks for the i*epsilon prescription
-    with epsilon = 1e-3 m^2.  The defining property op @ G = identity is
-    verified to 1e-8 before the kernel is returned.
+    G is the circulant whose first column is the inverse FFT of 1 / lambda.
+    A null mode (|lambda| <= 1e-10 of the largest) refuses with its
+    wavenumber index unless ``use_regulator`` asks for the lorentzian
+    i*epsilon prescription with epsilon = 1e-3 m^2.  The roll stencil, not
+    the FFT, then measures op @ G - I on every column; it must stay within
+    1e-8 and is recorded on the returned kernel.
     """
     if use_regulator and config.signature != "lorentzian":
         raise ValueError("the i*epsilon regulator applies to the lorentzian signature only")
+    regulator = 1e-3 * config.mass**2 if use_regulator else 0.0
+    if use_regulator and regulator == 0.0:
+        raise ValueError(
+            "i*epsilon regulator vanishes at m = 0; the operator stays singular"
+        )
 
-    n = config.n_sites
-    if config.signature == "euclidean":
-        if config.mass == 0:
+    # op = m^2 - sum_mu signs[mu] D_mu^2, as in lattice_operator
+    signs = np.ones(len(config.dims))
+    if config.signature == "lorentzian":
+        signs[1:] = -1.0
+    eigenvalues = _spectrum(config, signs)
+    scale = max(float(np.max(np.abs(eigenvalues))), 1.0)
+    null = np.argwhere(np.abs(eigenvalues) <= 1e-10 * scale)
+    if len(null) and not use_regulator:
+        # a euclidean spectrum is smallest on the constant mode, where it is m^2
+        if config.signature == "euclidean":
             raise ValueError(
-                "euclidean operator needs m > 0: the constant mode is null at m = 0"
+                "euclidean operator needs m > 0: the constant mode is null at "
+                "m = {:.3g}".format(config.mass)
             )
-        operator = lattice_operator(config)
-        g = np.linalg.solve(operator, np.eye(n))
-        regulator = 0.0
-    else:
-        operator = lattice_operator(config)
-        eigenvalues, eigenvectors = np.linalg.eigh(operator)
-        scale = float(np.max(np.abs(eigenvalues)))
-        smallest = int(np.argmin(np.abs(eigenvalues)))
-        if use_regulator:
-            epsilon = 1e-3 * config.mass**2
-            if epsilon == 0.0:
-                raise ValueError(
-                    "i*epsilon regulator vanishes at m = 0; the operator stays singular"
-                )
-            inverse = 1.0 / (eigenvalues + 1j * epsilon)
-            regulator = epsilon
-        else:
-            if np.abs(eigenvalues[smallest]) <= 1e-10 * max(scale, 1.0):
-                mode = _dominant_mode(eigenvectors[:, smallest], config.dims)
-                raise ValueError(
-                    "lorentzian operator is singular: null mode near wavenumber "
-                    "index {} (eigenvalue {:.3e}); pass use_regulator=True for the "
-                    "i*epsilon prescription".format(mode, eigenvalues[smallest])
-                )
-            inverse = 1.0 / eigenvalues
-            regulator = 0.0
-        g = (eigenvectors * inverse) @ eigenvectors.T
-        operator = lattice_operator(config, regulator=regulator)
+        mode = tuple(int(i) for i in null[0])
+        raise ValueError(
+            "lorentzian operator is singular: null mode near wavenumber index {} "
+            "(eigenvalue {:.3e}); pass use_regulator=True for the i*epsilon "
+            "prescription".format(mode, eigenvalues[mode])
+        )
+    column = np.fft.ifftn(1.0 / (eigenvalues + 1j * regulator))
+    if not use_regulator:
+        column = column.real
+    n = config.n_sites
+    g = np.empty((n, n), dtype=column.dtype)
+    for site, offset in enumerate(np.ndindex(config.dims)):
+        g[:, site] = np.roll(column, offset, axis=tuple(range(column.ndim))).reshape(-1)
 
-    defect = np.max(np.abs(operator @ g - np.eye(n)))
+    # column y of G runs over the leading lattice axes of ``columns``; blocks
+    # of 256 columns bound the stencil's temporaries
+    columns = g.reshape(config.dims + (n,))
+    shift = config.mass**2 + 1j * regulator if use_regulator else config.mass**2
+    defect = 0.0
+    for start in range(0, n, 256):
+        block = columns[..., start:start + 256]
+        image = shift * block - _laplacian(block, config.spacing, signs)
+        diagonal = np.arange(image.shape[-1])
+        image.reshape(n, -1)[start + diagonal, diagonal] -= 1.0
+        defect = max(defect, float(np.max(np.abs(image))))
     if defect > 1e-8:
         raise RuntimeError(
             "kernel fails its defining property: max |op @ G - I| = {:.3e}".format(
                 defect
             )
         )
-    return QuadraticFunctional(g=g, config=config, regulator=regulator)
+    return QuadraticFunctional(g=g, config=config, regulator=regulator, defect=defect)
 
 
 def _forward_gradient_square(values: np.ndarray, config: LatticeConfig) -> np.ndarray:
@@ -298,10 +317,16 @@ def functional_hj_residual(functional: QuadraticFunctional, phi: LatticeField) -
     return float(np.sum(density) * vol)
 
 
-def _laplacian(values: np.ndarray, spacing: float) -> np.ndarray:
+def _laplacian(
+    values: np.ndarray, spacing: float, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Periodic sum_a weights[a] D_a^2 over the leading axes (default: all,
+    weight 1); axes past len(weights) are batch axes."""
+    if weights is None:
+        weights = np.ones(values.ndim)
     total = np.zeros_like(values)
-    for axis in range(values.ndim):
-        total = total + (
+    for axis, weight in enumerate(weights):
+        total = total + weight * (
             np.roll(values, -1, axis=axis)
             + np.roll(values, 1, axis=axis)
             - 2.0 * values
@@ -335,17 +360,19 @@ def lattice_klein_gordon_check(
     """Leapfrog-evolve phi_tt = laplacian(phi) - m^2 phi on periodic space.
 
     Every config dimension is spatial here; time is the integration axis.
-    Refuses dt above the lattice spacing (CFL bound).
+    Refuses dt^2 * max Lambda > 4 over the eigenvalues Lambda of
+    -laplacian + m^2: past that CFL bound some lattice mode grows unboundedly.
     """
     if velocity.config != phi0.config:
         raise ValueError("initial field and velocity live on different lattices")
     config = phi0.config
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
-    if dt > config.spacing:
+    largest = float(np.max(_spectrum(config, np.ones(len(config.dims)))))
+    if dt**2 * largest > 4.0:
         raise ValueError(
-            "dt = {:.6g} exceeds the lattice spacing {:.6g}; "
-            "the leapfrog CFL bound is violated".format(dt, config.spacing)
+            "dt = {:.6g} violates the leapfrog CFL bound dt <= {:.6g} "
+            "(dt^2 * max Lambda <= 4)".format(dt, 2.0 / np.sqrt(largest))
         )
     if n_steps < 2:
         raise ValueError("need n_steps >= 2 to form the time stencil")
@@ -361,19 +388,16 @@ def lattice_klein_gordon_check(
     fields[1] = (
         phi0.values + dt * velocity.values + 0.5 * dt**2 * acceleration(phi0.values)
     )
+    residual = np.zeros(n_steps - 1)
     for step in range(1, n_steps):
-        fields[step + 1] = (
-            2.0 * fields[step] - fields[step - 1] + dt**2 * acceleration(fields[step])
-        )
+        force = acceleration(fields[step])
+        fields[step + 1] = 2.0 * fields[step] - fields[step - 1] + dt**2 * force
         if not np.all(np.isfinite(fields[step + 1])):
             raise FloatingPointError(
                 "leapfrog blew up at step {} (t = {:.6g})".format(step + 1, (step + 1) * dt)
             )
-
-    residual = np.zeros(n_steps - 1)
-    for step in range(1, n_steps):
         stencil = (fields[step + 1] - 2.0 * fields[step] + fields[step - 1]) / dt**2
-        residual[step - 1] = np.max(np.abs(stencil - acceleration(fields[step])))
+        residual[step - 1] = np.max(np.abs(stencil - force))
     times = dt * np.arange(n_steps + 1)
     return KleinGordonRun(times=times, fields=fields, residual=residual)
 

@@ -130,6 +130,14 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["lattice", "hj-positivity", "--draws", "0"], "parameter 'draws'"),
         (["lattice", "imaginary-part", "--draws", "0"], "parameter 'draws'"),
         (["quadratic", "hj", "--mass", "-1"], "mass must be positive"),
+        (["general-hj", "exponential", "--slope", "0"], "slope b must be nonzero"),
+        (["general-hj", "exponential", "--amplitude", "-1"], "amplitude A must be positive"),
+        (["general-hj", "exponential", "--mass", "-1"], "mass must be positive"),
+        (
+            ["lattice", "kg-wave", "--dims", "[16,16]", "--mode", "[3,1]",
+             "--dt", "0.9", "--steps", "2000"],
+            "dt = 0.9 violates the leapfrog CFL bound",
+        ),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv

@@ -80,11 +80,15 @@ def test_three_site_kernel_hand_value():
 
 
 def test_defining_property_euclidean():
-    config = LatticeConfig(dims=(4, 4), spacing=0.5, mass=1.3)
-    q = lattice_greens_function(config)
-    op = lattice_operator(config)
-    assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
-    assert np.max(np.abs(q.g - q.g.T)) < 1e-12
+    for config in (
+        LatticeConfig(dims=(4, 4), spacing=0.5, mass=1.3),
+        LatticeConfig(dims=(3, 5, 4), spacing=0.7, mass=0.9),
+    ):
+        q = lattice_greens_function(config)
+        op = lattice_operator(config)
+        assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
+        assert np.max(np.abs(q.g - q.g.T)) < 1e-12
+        assert q.defect < 1e-8
 
 
 def test_heavy_mass_kernel_is_diagonal():
@@ -109,16 +113,21 @@ def test_lorentzian_kernel_invertible_case():
 
 
 def test_lorentzian_null_mode_refused_then_regulated():
-    # m^2 = 2 puts lambda_t = 0, lambda_x = 2 exactly on shell
+    # m^2 = 2 puts lambda_t = 0, lambda_x = 2 exactly on shell; j = (0, 1) is
+    # the first such mode in index order
     config = LatticeConfig(dims=(4, 4), signature="lorentzian", mass=np.sqrt(2.0))
-    with pytest.raises(ValueError, match="null mode"):
+    with pytest.raises(ValueError, match=r"null mode near wavenumber index \(0, 1\)"):
         lattice_greens_function(config)
     q = lattice_greens_function(config, use_regulator=True)
     assert np.iscomplexobj(q.g)
     assert q.regulator == pytest.approx(2e-3)
-    op = lattice_operator(config, regulator=q.regulator)
-    assert np.max(np.abs(op @ q.g - np.eye(16))) < 1e-8
-    assert np.max(np.abs(q.g - q.g.T)) < 1e-12 * np.max(np.abs(q.g))
+    four_d = LatticeConfig(dims=(4, 4, 4, 4), signature="lorentzian", mass=1.1)
+    regulated = (q, lattice_greens_function(four_d, use_regulator=True))
+    for q in regulated:
+        config = q.config
+        op = lattice_operator(config, regulator=q.regulator)
+        assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
+        assert np.max(np.abs(q.g - q.g.T)) < 1e-12 * np.max(np.abs(q.g))
 
 
 def test_regulator_rejected_off_lorentzian():
@@ -228,6 +237,11 @@ def test_klein_gordon_refusals():
         lattice_klein_gordon_check(
             zero_field(GRID_4X4), zero_field(GRID_4X4), dt=1.5, n_steps=10
         )
+    # dt below the spacing still breaks the bound in 2-d: 0.9^2 * (8 + 1) > 4
+    with pytest.raises(ValueError, match=r"dt = 0\.9 violates the leapfrog CFL"):
+        lattice_klein_gordon_check(
+            zero_field(GRID_4X4), zero_field(GRID_4X4), dt=0.9, n_steps=10
+        )
     with pytest.raises(ValueError, match="dt must be positive"):
         lattice_klein_gordon_check(
             zero_field(GRID_4X4), zero_field(GRID_4X4), dt=0.0, n_steps=10
@@ -245,7 +259,8 @@ def test_klein_gordon_refusals():
 def test_plane_wave_refusals():
     with pytest.raises(ValueError, match="dimensions"):
         lattice_plane_wave(GRID_4X4, mode=(1,), dt=0.1)
-    # dt = 1 passes the CFL gate yet leaves the zone-boundary mode unstable
+    # the plane wave makes its own stability test: at dt = 1 the zone-boundary
+    # mode has cos(omega dt) = 1 - (4 + 1) / 2 = -1.5
     with pytest.raises(ValueError, match="unstable"):
         lattice_plane_wave(LatticeConfig(dims=(2,), mass=1.0), mode=(1,), dt=1.0)
 
