@@ -35,12 +35,16 @@ __all__ = [
     "simpson_weights",
     "cumulative_simpson",
     "rk4_solve",
+    "at_time",
     "fit_loglog_slope",
     "observed_orders",
 ]
 
 # Tolerance used when classifying grid nodes against exclusion windows.
 EDGE_TOL = 1.0e-12
+
+# Most steps one rk4_solve call may take; checked before anything is allocated.
+MAX_RK4_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -455,47 +459,62 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def rk4_solve(
-    deriv: Callable[[float, np.ndarray], np.ndarray],
+    deriv: Callable[[float, Sequence[float]], Sequence[float]],
     y0: Sequence[float],
     t0: float,
     step: float,
     n_steps: int,
-    stop: Callable[[float, np.ndarray], bool] | None = None,
+    stop: Callable[[float, tuple[float, ...]], bool] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Classical fixed-step RK4 with dense recording.
 
-    Returns (t, Y, stopped_at): sample times (n+1,), states (n+1, dim),
-    and the index at which ``stop`` first fired (truncating the arrays)
-    or None if the full window was integrated.  A negative step
-    integrates backward in time.
+    The state is a tuple of Python floats.  ``deriv(t, y)`` takes a
+    sequence of floats (the state, or a stage's list) and returns one of
+    the same length; ``stop(t, y)`` sees the state.  Returns (t, Y,
+    stopped_at): sample times (n+1,), states (n+1, dim), and the index at
+    which ``stop`` fired or the state turned non-finite (truncating the
+    arrays), else None.  A negative step integrates backward in time.
+    More than MAX_RK4_STEPS steps are refused, naming the step, before
+    anything is allocated.
     """
     if step == 0:
         raise ValueError("step must be nonzero")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    y = np.asarray(y0, dtype=float).copy()
-    dim = y.shape[0]
+    if n_steps > MAX_RK4_STEPS:
+        raise ValueError(
+            f"step {abs(step)!r} needs {n_steps} RK4 steps, more than the "
+            f"budget of {MAX_RK4_STEPS}"
+        )
+    y = tuple(map(float, y0))
     ts = t0 + step * np.arange(n_steps + 1)
-    ys = np.empty((n_steps + 1, dim))
+    ys = np.empty((n_steps + 1, len(y)))
     ys[0] = y
+    half, sixth = 0.5 * step, step / 6.0
     stopped_at: int | None = None
     for k in range(n_steps):
-        t = ts[k]
+        t = t0 + step * k
         k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = deriv(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = deriv(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = deriv(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
+        # tuple(list): tuple(generator) resizes each tuple and fills the tuple free list
+        stages = zip(y, k1, k2, k3, k4)
+        y = tuple([yi + sixth * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in stages])
         ys[k + 1] = y
-        if not np.all(np.isfinite(y)):
-            stopped_at = k + 1
-            break
-        if stop is not None and stop(ts[k + 1], y):
+        if not all(map(math.isfinite, y)) or (
+            stop is not None and stop(t0 + step * (k + 1), y)
+        ):
             stopped_at = k + 1
             break
     if stopped_at is not None:
         return ts[: stopped_at + 1], ys[: stopped_at + 1], stopped_at
     return ts, ys, None
+
+
+def at_time(g, t):
+    """A time coefficient at t: a callable is called on t, a constant is returned as is."""
+    return g(t) if callable(g) else g
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ _PI = math.pi
 class ScalarPotential:
     """Pointwise potential V(phi) with its derivative.
 
-    Both callables must accept numpy arrays and broadcast.
+    Both callables must accept a float or a numpy array and broadcast.
     """
 
     v: callable
@@ -76,8 +76,8 @@ class ScalarPotential:
 
 
 ZERO_POTENTIAL = ScalarPotential(
-    v=lambda phi: 0.0 * np.asarray(phi, dtype=float),
-    dv=lambda phi: 0.0 * np.asarray(phi, dtype=float),
+    v=lambda phi: 0.0 * phi,
+    dv=lambda phi: 0.0 * phi,
     label="zero",
 )
 
@@ -177,7 +177,7 @@ def hamiltonian_constraint(state: CosmoState, params: CosmoParams) -> float:
         - (3.0 * params.k / (8.0 * _PI)) * a
         + (params.lam / (8.0 * _PI)) * a**3
         + state.p_phi**2 / (2.0 * a**3)
-        + a**3 * float(np.asarray(params.potential.v(state.phi)))
+        + a**3 * float(params.potential.v(state.phi))
     )
 
 
@@ -230,7 +230,7 @@ def matched_a_dot(
     a: float, phi: float, phi_dot: float, params: CosmoParams, expanding: bool = True
 ) -> float:
     """Expansion rate satisfying the Friedmann equation for the given data."""
-    v = float(np.asarray(params.potential.v(phi)))
+    v = float(params.potential.v(phi))
     rhs = (
         (8.0 * _PI / 3.0) * (0.5 * phi_dot**2 + v)
         + params.lam / 3.0
@@ -271,13 +271,7 @@ def evolve_classical(
             f"window starts at {lo} but the state sits at t={state0.t}"
         )
     fried0 = float(
-        _friedmann_series(
-            np.asarray(state0.a),
-            np.asarray(state0.a_dot),
-            np.asarray(state0.phi),
-            np.asarray(state0.phi_dot),
-            params,
-        )
+        _friedmann_series(state0.a, state0.a_dot, state0.phi, state0.phi_dot, params)
     )
     if abs(fried0) > FRIEDMANN_PRECHECK_TOL:
         raise ValueError(
@@ -294,15 +288,15 @@ def evolve_classical(
 
     def deriv(t, y):
         a, a_dot, phi, phi_dot = y
-        v = float(np.asarray(v_fn(phi)))
-        dv = float(np.asarray(dv_fn(phi)))
+        v = float(v_fn(phi))
+        dv = float(dv_fn(phi))
         a_ddot = (
             -(a_dot**2) - k + lam * a**2
             - 4.0 * _PI * a**2 * phi_dot**2
             + 8.0 * _PI * a**2 * v
         ) / (2.0 * a)
         phi_ddot = -3.0 * (a_dot / a) * phi_dot - dv
-        return np.array([a_dot, a_ddot, phi_dot, phi_ddot])
+        return a_dot, a_ddot, phi_dot, phi_ddot
 
     ts, ys, stopped = rk4_solve(
         deriv,

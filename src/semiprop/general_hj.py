@@ -35,6 +35,7 @@ from .core import (
     ComplexField,
     SpacetimeGrid,
     _stencil,
+    at_time,
     cumulative_simpson,
     finite_difference,
     fit_loglog_slope,
@@ -54,13 +55,6 @@ __all__ = [
     "exponential_family",
     "exponential_family_residuals",
 ]
-
-
-def _as_time_fn(g) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(g):
-        return g
-    value = complex(g)
-    return lambda t: value + 0.0 * np.asarray(t, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,6 @@ def build_S_from_R(
     xs = np.linspace(grid.x_min, grid.x_max, 2 * n_panels + 1)
     hs = (grid.x_max - grid.x_min) / (2 * n_panels)
     m, hbar = ansatz.mass, ansatz.hbar
-    f0_fn, f1_fn = _as_time_fn(ansatz.f0), _as_time_fn(ansatz.f1)
     tmask = grid.time_mask()
 
     if ansatz.has_analytic_derivatives():
@@ -173,9 +166,9 @@ def build_S_from_R(
         _audit_exp(e_minus, xs, t, "-")
         inner = e_plus * (2.0 * m * drt - 1j * hbar * (drxx + drx**2))
         a_tab = cumulative_simpson(inner, hs)
-        outer = e_minus * (complex(f1_fn(t)) - a_tab)
+        outer = e_minus * (complex(at_time(ansatz.f1, t)) - a_tab)
         s_tab = cumulative_simpson(outer, hs)
-        values[:, j] = complex(f0_fn(t)) + s_tab[::stride]
+        values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::stride]
     mask = grid.node_mask() & col_ok[None, :]
     return ComplexField(grid=grid, values=values, mask=mask)
 
@@ -426,14 +419,16 @@ def cos_log_quadrature_inputs(
 
 
 def _exponential_parameters(
-    amplitude: float, slope: float, mass: float
+    amplitude: float, slope: float, hbar: float, mass: float
 ) -> tuple[float, float]:
-    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0 and m > 0."""
+    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0 and m > 0."""
     a, b = float(amplitude), float(slope)
     if b == 0.0:
         raise ValueError("slope b must be nonzero")
     if a <= 0.0:
         raise ValueError(f"amplitude A must be positive, got {a}")
+    if not hbar > 0.0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     return a, b
@@ -454,7 +449,7 @@ def exponential_family(
     Schrodinger equation with this V identically, and S alone solves the
     Hamilton-Jacobi equation since (dS/dx)^2 / (2m) = -A e^(b x).
     """
-    a, b = _exponential_parameters(amplitude, slope, mass)
+    a, b = _exponential_parameters(amplitude, slope, hbar, mass)
     rate = 1j * hbar * b**2 / (32.0 * mass)
     s_coef = 2j * math.sqrt(2.0 * mass * a) / b
 
@@ -502,7 +497,7 @@ def exponential_family_residuals(
     (dS/dx)^2 = (i sqrt(2mA))^2 e^(bx) = -2mA e^(bx).
     decoupling: 2m dR/dt - i hbar [(b/4)^2] = i hbar b^2/16 - i hbar b^2/16.
     """
-    a, b = _exponential_parameters(amplitude, slope, mass)
+    a, b = _exponential_parameters(amplitude, slope, hbar, mass)
     if x is None:
         x = np.linspace(-2.0, 2.0, 101)
     x = np.asarray(x, dtype=float)

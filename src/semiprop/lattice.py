@@ -22,7 +22,7 @@ These are verification probes, not production field solvers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -141,13 +141,15 @@ class QuadraticFunctional:
     ``g`` is the dense symmetric kernel, ``regulator`` records the i*epsilon
     shift baked into the inverted operator (zero when none was applied), and
     ``defect`` is the max |op @ G - I| that ``lattice_greens_function``
-    measured (None for a kernel built elsewhere).
+    measured (None for a kernel built elsewhere).  ``asymmetry`` is the
+    relative max |G - G^T| / max(1, max |G|) measured on construction.
     """
 
     g: np.ndarray
     config: LatticeConfig
     regulator: float = 0.0
     defect: Optional[float] = None
+    asymmetry: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g)
@@ -158,13 +160,14 @@ class QuadraticFunctional:
                     g.shape, n, (n, n)
                 )
             )
-        asym = np.max(np.abs(g - g.T))
+        asym = float(np.max(np.abs(g - g.T)))
         scale = max(1.0, float(np.max(np.abs(g))))
         if asym > 1e-12 * scale:
             raise ValueError(
                 "kernel is not symmetric: max |G - G^T| = {:.3e}".format(asym)
             )
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "asymmetry", asym / scale)
 
 
 def _second_difference(n: int, spacing: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PropagatorFactors, SpacetimeGrid, rk4_solve
+from .core import PropagatorFactors, SpacetimeGrid, at_time, rk4_solve
 
 __all__ = [
     "QuadraticPotential",
@@ -57,13 +57,6 @@ __all__ = [
 BLOW_UP_BOUND = 1.0e6
 
 
-def _as_time_fn(g) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(g):
-        return g
-    value = float(g)
-    return lambda t: value + 0.0 * np.asarray(t, dtype=float)
-
-
 @dataclass(frozen=True)
 class QuadraticPotential:
     """Coefficients of V(x, t) = g2(t) x^2 + g1(t) x + g0(t).
@@ -75,13 +68,9 @@ class QuadraticPotential:
     g1: object = 0.0
     g0: object = 0.0
 
-    def coefficient_fns(self):
-        return _as_time_fn(self.g2), _as_time_fn(self.g1), _as_time_fn(self.g0)
-
     def value(self, x, t):
-        f2, f1, f0 = self.coefficient_fns()
         x = np.asarray(x, dtype=float)
-        return f2(t) * x**2 + f1(t) * x + f0(t)
+        return at_time(self.g2, t) * x**2 + at_time(self.g1, t) * x + at_time(self.g0, t)
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,8 @@ class PrefactorSolution:
         if len(self.t) < 3:
             raise ValueError("need at least three samples to form residuals")
         h = self.step
-        g2, g1, g0 = (fn(self.t[1:-1]) for fn in self.potential.coefficient_fns())
+        pot, t_mid = self.potential, self.t[1:-1]
+        g2, g1, g0 = (at_time(g, t_mid) for g in (pot.g2, pot.g1, pot.g0))
         ddR = (self.dR[2:] - self.dR[:-2]) / (2.0 * h)
         df1 = (self.f1[2:] - self.f1[:-2]) / (2.0 * h)
         df0 = (self.f0[2:] - self.f0[:-2]) / (2.0 * h)
@@ -166,20 +156,18 @@ def solve_prefactor_odes(
     if not (lo <= t0 <= hi):
         raise ValueError(f"reference time {t0} lies outside the window [{lo}, {hi}]")
     y_init = [float(v) for v in init]
-    g2, g1, g0 = potential.coefficient_fns()
+    g2, g1, g0 = potential.g2, potential.g1, potential.g0
 
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
+    def deriv(t: float, y: Sequence[float]) -> tuple[float, ...]:
         _, u, f1, _ = y
-        return np.array(
-            [
-                u,
-                2.0 * u * u + float(g2(t)) / mass,
-                2.0 * u * f1 - float(g1(t)),
-                -float(g0(t)) - f1 * f1 / (2.0 * mass),
-            ]
+        return (
+            u,
+            2.0 * u * u + float(at_time(g2, t)) / mass,
+            2.0 * u * f1 - float(at_time(g1, t)),
+            -float(at_time(g0, t)) - f1 * f1 / (2.0 * mass),
         )
 
-    def stop(t: float, y: np.ndarray) -> bool:
+    def stop(t: float, y: tuple[float, ...]) -> bool:
         return abs(y[1]) > blow_up_bound
 
     back = forth = None

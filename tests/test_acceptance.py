@@ -1,17 +1,20 @@
 """Acceptance gate: every shipped guarantee, one printed verdict per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines;
-each test prints exactly one ``[criterion-NN] PASS/FAIL`` line and then
-asserts it.  Tolerances here are the shipped contract, not aspirations:
-loosening one is an interface change.
+each criterion test prints exactly one ``[criterion-NN] PASS/FAIL`` line
+and then asserts it.  Tolerances here are the shipped contract, not
+aspirations: loosening one is an interface change.  The last test holds
+the CLI checks that mirror a criterion to the same tolerances.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from semiprop.cli import main
 from semiprop.core import (
     ComplexField,
     SpacetimeGrid,
@@ -403,3 +406,36 @@ def test_criterion_10_negative_controls():
         "{:.3f}, must stay O(1)); Friedmann hand-case deviation {:.2e} "
         "(tol 1e-8)".format(rels[0], rels[1], ratio, friedmann_dev),
     )
+
+
+def test_cli_tolerances_equal_the_criteria(tmp_path, capsys):
+    mirrored = {
+        ("quadratic", "schrodinger-order"): {"stencil-order": 0.3},  # criterion 01
+        ("quadratic", "prefactor-ode"): {  # criterion 02
+            "closed-form-deviation": 1e-8,
+            "observed-order": 0.5,
+        },
+        ("quadratic", "van-vleck"): {"van-vleck-deviation": 1e-6},  # criterion 03
+        ("oracle", "kernel-vs-grid"): {  # criterion 04
+            "kernel-vs-grid": 1e-3,
+            "perturbed-kernel-separation": 1e-2,
+        },
+        ("general-hj", "exponential"): {"hamilton-jacobi": 1e-10},  # criterion 05
+        ("general-hj", "decoupling"): {"decoupling-residual": 1e-8},
+        ("general-hj", "hbar-slope"): {"imaginary-slope": 0.01},
+        ("cosmo", "de-sitter"): {  # criterion 06
+            "scale-factor-growth": 1e-6,
+            "friedmann-residual": 1e-8,
+        },
+        ("cosmo", "stiff"): {"expansion-exponent": 1e-3},
+        ("lattice", "imaginary-part"): {"imaginary-part-residual": 1e-12},  # criterion 08
+        ("lattice", "greens"): {"defining-property": 1e-8},  # criterion 09
+        ("lattice", "kg-wave"): {"stencil-residual": 1e-8},
+    }
+    for (scenario, check), tolerances in mirrored.items():
+        out = tmp_path / scenario / check
+        assert main([scenario, check, "--out", str(out)]) == 0, (scenario, check)
+        report = json.loads((out / "report.json").read_text())
+        recorded = {c["name"]: c["tolerance"] for c in report["checks"]}
+        for name, tolerance in tolerances.items():
+            assert recorded[name] == tolerance, (scenario, check, name)

@@ -133,6 +133,11 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["general-hj", "exponential", "--slope", "0"], "slope b must be nonzero"),
         (["general-hj", "exponential", "--amplitude", "-1"], "amplitude A must be positive"),
         (["general-hj", "exponential", "--mass", "-1"], "mass must be positive"),
+        (["general-hj", "exponential", "--hbar", "0"], "hbar must be positive"),
+        (["general-hj", "exponential", "--hbar", "-1"], "hbar must be positive"),
+        # refused by the RK4 step budget before any history is allocated
+        (["cosmo", "stiff", "--t_end", "1e9", "--step", "1.0"], "step 1.0 needs"),
+        (["quadratic", "prefactor-ode", "--step", "1e-9"], "step 1e-09 needs"),
         (
             ["lattice", "kg-wave", "--dims", "[16,16]", "--mode", "[3,1]",
              "--dt", "0.9", "--steps", "2000"],

@@ -273,6 +273,28 @@ def test_rk4_observed_order():
         assert 3.5 <= p <= 4.5, f"RK4 observed order {p:.2f}"
 
 
+def test_rk4_matches_the_array_form_bit_for_bit():
+    # the float stepper keeps the array form's operation order, backward too
+    def deriv(t, y):
+        a, b, c = y
+        return (b * c - 0.3 * a, math.sin(t) - a * c, a * a - 0.5 * b)
+
+    t0, step, y = 0.5, -0.01, np.array([1.0, 0.2, -0.4])
+    expected = [y]
+    for k in range(300):
+        t = t0 + step * k
+        k1 = np.array(deriv(t, y))
+        k2 = np.array(deriv(t + 0.5 * step, y + 0.5 * step * k1))
+        k3 = np.array(deriv(t + 0.5 * step, y + 0.5 * step * k2))
+        k4 = np.array(deriv(t + step, y + step * k3))
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(y)
+    ts, ys, stopped = rk4_solve(deriv, [1.0, 0.2, -0.4], t0, step, 300)
+    assert stopped is None
+    assert np.array_equal(ts, t0 + step * np.arange(301))
+    assert np.array_equal(ys, np.array(expected))
+
+
 def test_rk4_stop_condition_truncates():
     ts, ys, stopped = rk4_solve(
         lambda t, y: y, [1.0], 0.0, 0.1, 100, stop=lambda t, y: y[0] > 5.0

@@ -4,6 +4,7 @@ Frozen reference numbers come from 30-digit mpmath evaluations of the
 closed forms and of the Im S double integral.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,20 @@ def test_build_s_matches_exponential_closed_form():
     target = np.asarray(s_fn(grid.x[:, None], grid.t[None, :]))
     target = np.broadcast_to(target, built.values.shape)
     assert np.max(np.abs(built.values - target)[built.mask]) < 1e-6
+
+
+def test_build_s_constant_and_callable_constants_agree():
+    ansatz = cos_log_family(c2=1.0)
+    grid = make_grid(n_x=41, n_t=9)
+    constant = build_S_from_R(dataclasses.replace(ansatz, f0=0.3, f1=0.8 + 0.1j), grid)
+    callable_twin = build_S_from_R(
+        dataclasses.replace(
+            ansatz, f0=lambda t: 0.3 + 0.0 * t, f1=lambda t: 0.8 + 0.1j + 0.0 * t
+        ),
+        grid,
+    )
+    assert np.array_equal(constant.values, callable_twin.values)
+    assert np.array_equal(constant.mask, callable_twin.mask)
 
 
 def test_build_s_rejects_misaligned_panels():

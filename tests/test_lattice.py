@@ -57,6 +57,9 @@ def test_field_validation():
 def test_kernel_symmetry_enforced():
     with pytest.raises(ValueError, match="not symmetric"):
         QuadraticFunctional(g=np.array([[1.0, 2.0], [0.0, 1.0]]), config=PAIR)
+    # a kernel within tolerance keeps its relative asymmetry
+    g = np.array([[4.0, 2.0], [2.0 + 2e-12, 4.0]])
+    assert QuadraticFunctional(g=g, config=PAIR).asymmetry == (g[1, 0] - g[0, 1]) / 4.0
 
 
 # ------------------------------------------------- Green's functions
@@ -88,7 +91,7 @@ def test_defining_property_euclidean():
         op = lattice_operator(config)
         assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
         assert np.max(np.abs(q.g - q.g.T)) < 1e-12
-        assert q.defect < 1e-8
+        assert q.defect < 1e-8 and q.asymmetry < 1e-12
 
 
 def test_heavy_mass_kernel_is_diagonal():

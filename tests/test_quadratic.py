@@ -182,6 +182,16 @@ def test_prefactor_driven_family_matches_tan_sec_reference():
     assert abs(sol.R[-1] - 0.636474217851555274) < 1e-8
     assert abs(sol.f1[-1] - 4.48600095249052941) < 1e-8
     assert abs(sol.f0[-1] - (-1.43539583140900777)) < 1e-8
+    # constant coefficients and their callable twins are one coercion rule
+    twin = QuadraticPotential(
+        g2=lambda t: 2.0 + 0.0 * t, g1=lambda t: 0.0 * t, g0=lambda t: 0.5 + 0.0 * t
+    )
+    twin_sol = solve_prefactor_odes(twin, init, (0.0, 0.5), 1e-4)
+    for name in ("t", "R", "dR", "f1", "f0"):
+        assert np.array_equal(getattr(sol, name), getattr(twin_sol, name)), name
+    assert sol.ode_residuals() == twin_sol.ode_residuals()
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(pot.value(x, 0.3), twin.value(x, 0.3))
 
 
 def test_prefactor_observed_order_is_four():
