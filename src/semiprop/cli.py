@@ -99,11 +99,12 @@ def _bound(name: str, value: float, tolerance: float, detail: str = "") -> Check
 
 
 def _floor(name: str, value: float, tolerance: float, detail: str) -> CheckRecord:
+    """Pass iff value is finite and above tolerance; NaN and inf fail."""
     return CheckRecord(
         name=name,
         value=float(value),
         tolerance=float(tolerance),
-        passed=bool(value > tolerance),
+        passed=bool(math.isfinite(value) and value > tolerance),
         detail=detail,
     )
 
@@ -510,8 +511,7 @@ def _run_lattice_greens(params: dict, rng) -> RunnerOutput:
         _bound("defining-property", functional.defect, 1e-8),
         _bound("kernel-symmetry", functional.asymmetry, 1e-12),
     ]
-    source = np.real(functional.g[:, 0]).reshape(config.dims)
-    csv = {"lattice": (_lattice_header(config), _site_rows(config, source))}
+    csv = {"lattice": (_lattice_header(config), _site_rows(config, np.real(functional.g)))}
     return records, None, csv
 
 

@@ -212,17 +212,21 @@ def _constraint_rel_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
     p_a = -(3.0 / (4.0 * _PI)) * a * a_dot
     p_phi = a**3 * phi_dot
     v = np.asarray(params.potential.v(phi), dtype=float)
-    terms = np.stack(
-        [
-            -(2.0 * _PI / (3.0 * a)) * p_a**2,
-            -(3.0 * params.k / (8.0 * _PI)) * a,
-            (params.lam / (8.0 * _PI)) * a**3,
-            p_phi**2 / (2.0 * a**3),
-            a**3 * v,
-        ]
-    )
-    total = np.abs(terms.sum(axis=0))
-    scale = np.max(np.abs(terms), axis=0)
+
+    def terms():
+        yield -(2.0 * _PI / (3.0 * a)) * p_a**2
+        yield -(3.0 * params.k / (8.0 * _PI)) * a
+        yield (params.lam / (8.0 * _PI)) * a**3
+        yield p_phi**2 / (2.0 * a**3)
+        yield a**3 * v
+
+    # term by term, summed in this order: a stack would hold all five series
+    total = np.zeros(np.shape(a))
+    scale = np.zeros(np.shape(a))
+    for term in terms():
+        total += term
+        np.maximum(scale, np.abs(term), out=scale)
+    total = np.abs(total)
     return np.where(scale > 0.0, total / np.where(scale > 0.0, scale, 1.0), 0.0)
 
 

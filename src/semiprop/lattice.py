@@ -13,10 +13,11 @@ definite for m > 0), and the lorentzian operator treats dimension 0 as time,
 singular on-shell; inversion then refuses with the null mode, unless the
 i*epsilon prescription (epsilon = 1e-3 m^2) is requested.
 
-Periodic operators are diagonal in the Fourier basis: Green's functions
-come from one inverse FFT of the closed-form spectrum and are certified by
-the roll stencil.  Kernels stay dense and lattices are capped at 4096 sites.
-These are verification probes, not production field solvers.
+Periodic operators are circulant: a Green's function is its one column g,
+G(x, y) = g[(x - y) mod dims], built by one inverse FFT of the closed-form
+spectrum and certified by the roll stencil.  Lattices are capped at 4096
+sites and leapfrog histories at 10**7 values.  These are verification
+probes, not production field solvers.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 MAX_SITES = 4096
+# lattice_klein_gordon_check stores every time slice: 80 MB of float64
+MAX_HISTORY_VALUES = 10**7
 SIGNATURES = ("euclidean", "lorentzian")
 
 # exp(x) overflows float64 just above x = 709
@@ -91,8 +94,12 @@ class LatticeConfig:
                     SIGNATURES, self.signature
                 )
             )
-        if not (np.isfinite(self.mass) and self.mass >= 0):
-            raise ValueError("mass must be a nonnegative real number")
+        # a float product overflows to inf where mass**2 would raise
+        mass = float(self.mass)
+        if not (mass >= 0 and np.isfinite(mass * mass)):
+            raise ValueError(
+                "mass must be a nonnegative real number with a finite square"
+            )
 
     @property
     def n_sites(self) -> int:
@@ -138,11 +145,12 @@ class LatticeField:
 class QuadraticFunctional:
     """Green's-function kernel of a quadratic lattice action.
 
-    ``g`` is the dense symmetric kernel, ``regulator`` records the i*epsilon
+    ``g`` is the kernel's column at the origin, shaped like ``config.dims``,
+    with G(x, y) = g[(x - y) mod dims].  ``regulator`` records the i*epsilon
     shift baked into the inverted operator (zero when none was applied), and
     ``defect`` is the max |op @ G - I| that ``lattice_greens_function``
     measured (None for a kernel built elsewhere).  ``asymmetry`` is the
-    relative max |G - G^T| / max(1, max |G|) measured on construction.
+    relative max |G - G^T| = max |g - g[-x mod dims]| over max(1, max |g|).
     """
 
     g: np.ndarray
@@ -153,14 +161,12 @@ class QuadraticFunctional:
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g)
-        n = self.config.n_sites
-        if g.shape != (n, n):
+        if g.shape != self.config.dims:
             raise ValueError(
-                "kernel has shape {}, lattice with {} sites expects {}".format(
-                    g.shape, n, (n, n)
-                )
+                "kernel has shape {}, lattice expects {}".format(g.shape, self.config.dims)
             )
-        asym = float(np.max(np.abs(g - g.T)))
+        reflected = np.roll(np.flip(g), 1, axis=tuple(range(g.ndim)))
+        asym = float(np.max(np.abs(g - reflected)))
         scale = max(1.0, float(np.max(np.abs(g))))
         if asym > 1e-12 * scale:
             raise ValueError(
@@ -220,11 +226,12 @@ def lattice_greens_function(
 ) -> QuadraticFunctional:
     """Invert the lattice operator into a quadratic-action kernel.
 
-    G is the circulant whose first column is the inverse FFT of 1 / lambda.
-    A null mode (|lambda| <= 1e-10 of the largest) refuses with its
-    wavenumber index unless ``use_regulator`` asks for the lorentzian
-    i*epsilon prescription with epsilon = 1e-3 m^2.  The roll stencil, not
-    the FFT, then measures op @ G - I on every column; it must stay within
+    The kernel's column g is the inverse FFT of 1 / lambda.  A null mode
+    (|lambda| <= 1e-10 of the largest) refuses with its wavenumber index
+    unless ``use_regulator`` asks for the lorentzian i*epsilon prescription
+    with epsilon = 1e-3 m^2.  The roll stencil, not the FFT, then measures
+    op g - delta; every column of G is a roll of g and the stencil commutes
+    with rolls, so this is max |op @ G - I| exactly.  It must stay within
     1e-8 and is recorded on the returned kernel.
     """
     if use_regulator and config.signature != "lorentzian":
@@ -255,25 +262,13 @@ def lattice_greens_function(
             "(eigenvalue {:.3e}); pass use_regulator=True for the i*epsilon "
             "prescription".format(mode, eigenvalues[mode])
         )
-    column = np.fft.ifftn(1.0 / (eigenvalues + 1j * regulator))
+    g = np.fft.ifftn(1.0 / (eigenvalues + 1j * regulator))
     if not use_regulator:
-        column = column.real
-    n = config.n_sites
-    g = np.empty((n, n), dtype=column.dtype)
-    for site, offset in enumerate(np.ndindex(config.dims)):
-        g[:, site] = np.roll(column, offset, axis=tuple(range(column.ndim))).reshape(-1)
-
-    # column y of G runs over the leading lattice axes of ``columns``; blocks
-    # of 256 columns bound the stencil's temporaries
-    columns = g.reshape(config.dims + (n,))
+        g = g.real
     shift = config.mass**2 + 1j * regulator if use_regulator else config.mass**2
-    defect = 0.0
-    for start in range(0, n, 256):
-        block = columns[..., start:start + 256]
-        image = shift * block - _laplacian(block, config.spacing, signs)
-        diagonal = np.arange(image.shape[-1])
-        image.reshape(n, -1)[start + diagonal, diagonal] -= 1.0
-        defect = max(defect, float(np.max(np.abs(image))))
+    image = shift * g - _laplacian(g, config.spacing, signs)
+    image[(0,) * g.ndim] -= 1.0
+    defect = float(np.max(np.abs(image)))
     if defect > 1e-8:
         raise RuntimeError(
             "kernel fails its defining property: max |op @ G - I| = {:.3e}".format(
@@ -296,7 +291,8 @@ def functional_hj_residual(functional: QuadraticFunctional, phi: LatticeField) -
     """Hamilton-Jacobi defect of the quadratic action on a field configuration.
 
     Evaluates sum_x [ (1/2)(dS/dphi)^2 + (1/2)(grad phi)^2
-    + (1/2) m^2 phi^2 ] * vol with dS/dphi(x) = sum_y G(x,y) phi(y) * vol and
+    + (1/2) m^2 phi^2 ] * vol with dS/dphi(x) = sum_y G(x,y) phi(y) * vol, a
+    circular convolution of the kernel column with phi, and
     signature-weighted gradients.  In the euclidean signature every term is
     nonnegative, so the residual is >= 0 with equality only at phi = 0; the
     lorentzian value is an indefinite diagnostic.
@@ -307,13 +303,13 @@ def functional_hj_residual(functional: QuadraticFunctional, phi: LatticeField) -
         raise ValueError("functional Hamilton-Jacobi residual needs a real field")
     config = phi.config
     vol = config.cell_volume
-    ds = (functional.g @ phi.flat) * vol
+    ds = np.fft.ifftn(np.fft.fftn(functional.g) * np.fft.fftn(phi.values)) * vol
     if functional.regulator != 0.0:
         ds_sq = np.abs(ds) ** 2
     else:
         ds_sq = np.real(ds) ** 2
     density = (
-        0.5 * ds_sq.reshape(config.dims)
+        0.5 * ds_sq
         + 0.5 * _forward_gradient_square(phi.values, config)
         + 0.5 * config.mass**2 * phi.values**2
     )
@@ -365,6 +361,8 @@ def lattice_klein_gordon_check(
     Every config dimension is spatial here; time is the integration axis.
     Refuses dt^2 * max Lambda > 4 over the eigenvalues Lambda of
     -laplacian + m^2: past that CFL bound some lattice mode grows unboundedly.
+    A history of more than MAX_HISTORY_VALUES site values is refused, naming
+    the steps, before it is allocated.
     """
     if velocity.config != phi0.config:
         raise ValueError("initial field and velocity live on different lattices")
@@ -379,6 +377,12 @@ def lattice_klein_gordon_check(
         )
     if n_steps < 2:
         raise ValueError("need n_steps >= 2 to form the time stencil")
+    values = (n_steps + 1) * config.n_sites
+    if values > MAX_HISTORY_VALUES:
+        raise ValueError(
+            "steps {} on {} sites need {} history values, more than the budget "
+            "of {}".format(n_steps, config.n_sites, values, MAX_HISTORY_VALUES)
+        )
 
     m_sq = config.mass**2
     h = config.spacing

@@ -51,6 +51,8 @@ __all__ = [
 
 # Dirichlet walls are only trustworthy while the state stays this small there.
 BOUNDARY_AMPLITUDE_WARN = 1.0e-8
+# kernel_propagate builds n_x x n_x complex temporaries, 268 MB each at the cap
+MAX_KERNEL_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,16 @@ def kernel_propagate(
     with tau the elapsed time and C fixed so that C exp(R(tau_ref))
     equals the free-particle normalization (m/(2 pi i hbar tau_ref))^(1/2)
     at the configured reference elapsed time.  Without a reference the
-    kernel's overall constant is undetermined and the call refuses.
+    kernel's overall constant is undetermined and the call refuses.  More
+    than MAX_KERNEL_NODES grid nodes are refused, naming n_x, before the
+    dense n_x x n_x kernel is built.
     """
+    n_x = psi0.grid.n_x
+    if n_x > MAX_KERNEL_NODES:
+        raise ValueError(
+            f"n_x {n_x} needs a {n_x} x {n_x} kernel, more than the budget of "
+            f"{MAX_KERNEL_NODES} nodes"
+        )
     if factors.two_point_action is None or factors.time_amplitude is None:
         raise ValueError("kernel propagation needs closed-form two-point factors")
     if reference_time is None:

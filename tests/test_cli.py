@@ -101,6 +101,17 @@ def test_failing_tolerance_exits_one(tmp_path):
     assert read_report(tmp_path)["pass"] is False
 
 
+def test_infinite_floor_value_fails(tmp_path):
+    # phi ~ 1e200 squares to inf: a floor check must not pass on it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(
+            ["lattice", "hj-positivity", "--amplitude", "1e200", "--out", str(tmp_path)]
+        )
+    assert code == 1
+    check = record(read_report(tmp_path), "minimum-residual")
+    assert check["value"] == math.inf and check["pass"] is False
+
+
 # ------------------------------------------------------------ bad input
 
 
@@ -143,6 +154,13 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
              "--dt", "0.9", "--steps", "2000"],
             "dt = 0.9 violates the leapfrog CFL bound",
         ),
+        (["lattice", "greens", "--mass", "1e200"], "mass must be a nonnegative"),
+        (["lattice", "hj-positivity", "--mass", "1e200"], "mass must be a nonnegative"),
+        (["lattice", "kg-wave", "--mass", "1e200"], "mass must be a nonnegative"),
+        # refused by the node and history budgets before anything is allocated;
+        # dt 0.5 leaves Crank-Nicolson 2 steps
+        (["oracle", "kernel-vs-grid", "--n_x", "4097", "--dt", "0.5"], "n_x 4097 needs"),
+        (["lattice", "kg-wave", "--steps", "312500"], "steps 312500 on 32 sites need"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv

@@ -122,6 +122,30 @@ def test_de_sitter_growth_and_constraint_preservation():
     assert traj.collapse_time is None
 
 
+def test_constraint_rel_matches_the_stacked_terms():
+    # reference: the five constraint terms stacked, then summed and maxed
+    # along the stack; the trajectory's series must equal it bit for bit
+    params = CosmoParams(k=-1, lam=3.0, potential=quadratic_potential(0.5))
+    phi0, phi_dot0 = 0.3, 0.4
+    a_dot0 = matched_a_dot(1.0, phi0, phi_dot0, params)
+    state = ClassicalState(a=1.0, a_dot=a_dot0, phi=phi0, phi_dot=phi_dot0)
+    traj = evolve_classical(state, params, (0.0, 1.0), 1e-2)
+    a, a_dot, phi, phi_dot = traj.a, traj.a_dot, traj.phi, traj.phi_dot
+    p_a = -(3.0 / (4.0 * math.pi)) * a * a_dot
+    p_phi = a**3 * phi_dot
+    terms = np.stack(
+        [
+            -(2.0 * math.pi / (3.0 * a)) * p_a**2,
+            -(3.0 * params.k / (8.0 * math.pi)) * a,
+            (params.lam / (8.0 * math.pi)) * a**3,
+            p_phi**2 / (2.0 * a**3),
+            a**3 * params.potential.v(phi),
+        ]
+    )
+    expected = np.abs(terms.sum(axis=0)) / np.max(np.abs(terms), axis=0)
+    assert np.array_equal(traj.constraint_rel, expected)
+
+
 def test_de_sitter_rk4_order():
     state = ClassicalState(a=1.0, a_dot=1.0, phi=0.0, phi_dot=0.0)
     errs = []

@@ -29,6 +29,15 @@ def zero_field(config):
     return LatticeField(config, np.zeros(config.dims))
 
 
+def dense(q):
+    """The n x n kernel G(x, y) = g[x - y], one roll of the column per site."""
+    axes = tuple(range(q.g.ndim))
+    return np.stack(
+        [np.roll(q.g, y, axis=axes).reshape(-1) for y in np.ndindex(q.config.dims)],
+        axis=1,
+    )
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -55,11 +64,17 @@ def test_field_validation():
 
 
 def test_kernel_symmetry_enforced():
+    # every 2-site circulant is symmetric, so this needs 3 sites: G(0, 1) = g[2]
+    # and G(1, 0) = g[1]
+    ring = LatticeConfig(dims=(3,))
     with pytest.raises(ValueError, match="not symmetric"):
-        QuadraticFunctional(g=np.array([[1.0, 2.0], [0.0, 1.0]]), config=PAIR)
+        QuadraticFunctional(g=np.array([1.0, 2.0, 0.0]), config=ring)
     # a kernel within tolerance keeps its relative asymmetry
-    g = np.array([[4.0, 2.0], [2.0 + 2e-12, 4.0]])
-    assert QuadraticFunctional(g=g, config=PAIR).asymmetry == (g[1, 0] - g[0, 1]) / 4.0
+    g = np.array([4.0, 2.0, 2.0 + 2e-12])
+    assert QuadraticFunctional(g=g, config=ring).asymmetry == (g[2] - g[1]) / 4.0
+    # the kernel is its column, not the dense matrix
+    with pytest.raises(ValueError, match="shape"):
+        QuadraticFunctional(g=np.eye(3), config=ring)
 
 
 # ------------------------------------------------- Green's functions
@@ -71,7 +86,7 @@ def test_two_site_operator_and_kernel():
     assert np.array_equal(op, np.array([[3.0, -2.0], [-2.0, 3.0]]))
     q = lattice_greens_function(PAIR)
     expected = np.array([[0.6, 0.4], [0.4, 0.6]])
-    assert np.max(np.abs(q.g - expected)) < 1e-12
+    assert np.max(np.abs(dense(q) - expected)) < 1e-12
 
 
 def test_three_site_kernel_hand_value():
@@ -79,7 +94,7 @@ def test_three_site_kernel_hand_value():
     # so the inverse is 0.25 I + 0.25 * ones / 1 -> diag 0.5, off-diag 0.25
     q = lattice_greens_function(LatticeConfig(dims=(3,)))
     expected = np.full((3, 3), 0.25) + 0.25 * np.eye(3)
-    assert np.max(np.abs(q.g - expected)) < 1e-12
+    assert np.max(np.abs(dense(q) - expected)) < 1e-12
 
 
 def test_defining_property_euclidean():
@@ -89,15 +104,16 @@ def test_defining_property_euclidean():
     ):
         q = lattice_greens_function(config)
         op = lattice_operator(config)
-        assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
-        assert np.max(np.abs(q.g - q.g.T)) < 1e-12
+        kernel = dense(q)
+        assert np.max(np.abs(op @ kernel - np.eye(config.n_sites))) < 1e-8
+        assert np.max(np.abs(kernel - kernel.T)) < 1e-12
         assert q.defect < 1e-8 and q.asymmetry < 1e-12
 
 
 def test_heavy_mass_kernel_is_diagonal():
     config = LatticeConfig(dims=(4, 4), mass=1e3)
     q = lattice_greens_function(config)
-    assert np.max(np.abs(q.g * 1e6 - np.eye(16))) < 1e-2
+    assert np.max(np.abs(dense(q) * 1e6 - np.eye(16))) < 1e-2
 
 
 def test_euclidean_massless_refused():
@@ -111,7 +127,7 @@ def test_lorentzian_kernel_invertible_case():
     config = LatticeConfig(dims=(4, 4), signature="lorentzian", mass=1.0)
     q = lattice_greens_function(config)
     op = lattice_operator(config)
-    assert np.max(np.abs(op @ q.g - np.eye(16))) < 1e-8
+    assert np.max(np.abs(op @ dense(q) - np.eye(16))) < 1e-8
     assert not np.iscomplexobj(q.g)
 
 
@@ -129,8 +145,9 @@ def test_lorentzian_null_mode_refused_then_regulated():
     for q in regulated:
         config = q.config
         op = lattice_operator(config, regulator=q.regulator)
-        assert np.max(np.abs(op @ q.g - np.eye(config.n_sites))) < 1e-8
-        assert np.max(np.abs(q.g - q.g.T)) < 1e-12 * np.max(np.abs(q.g))
+        kernel = dense(q)
+        assert np.max(np.abs(op @ kernel - np.eye(config.n_sites))) < 1e-8
+        assert np.max(np.abs(kernel - kernel.T)) < 1e-12 * np.max(np.abs(kernel))
 
 
 def test_regulator_rejected_off_lorentzian():
@@ -165,6 +182,30 @@ def test_hj_residual_euclidean_positivity():
     for _ in range(100):
         phi = LatticeField(GRID_4X4, rng.uniform(-2.0, 2.0, size=(4, 4)))
         assert functional_hj_residual(q, phi) > 0.0
+
+
+def test_hj_residual_matches_the_dense_kernel():
+    # the FFT convolution against the column equals the dense sum over G
+    for config in (
+        GRID_4X4,
+        LatticeConfig(dims=(3, 5, 4)),
+        LatticeConfig(dims=(4, 4), signature="lorentzian", mass=np.sqrt(2.0)),
+    ):
+        q = lattice_greens_function(config, use_regulator=config.signature == "lorentzian")
+        phi = np.random.default_rng(5).uniform(-2.0, 2.0, size=config.dims)
+        vol = config.cell_volume
+        ds = (dense(q) @ phi.reshape(-1)) * vol
+        gradient = sum(
+            sign * ((np.roll(phi, -1, axis=axis) - phi) / config.spacing) ** 2
+            for axis, sign in enumerate(config.axis_signs())
+        )
+        expected = np.sum(
+            0.5 * np.abs(ds.reshape(config.dims)) ** 2
+            + 0.5 * gradient
+            + 0.5 * config.mass**2 * phi**2
+        ) * vol
+        value = functional_hj_residual(q, LatticeField(config, phi))
+        assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 def test_hj_residual_refusals():
