@@ -52,6 +52,7 @@ from .lattice import (
     lattice_plane_wave,
 )
 from .oracle import (
+    MAX_CN_STEPS,
     cn_evolve,
     gaussian_state,
     kernel_propagate,
@@ -327,6 +328,12 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
     family = _family(params, ("free", "harmonic"))
     dt = params["dt"]
     target = 1.0 if family == "free" else math.pi / 2.0
+    # compared as a float first: round() of an infinite quotient raises
+    if dt > 0 and target / dt > MAX_CN_STEPS:
+        raise ValueError(
+            "parameter 'dt' = {!r} needs {:.3g} Crank-Nicolson steps, more than "
+            "the budget of {}".format(dt, target / dt, MAX_CN_STEPS)
+        )
     if not dt > 0 or round(target / dt) < 1:
         raise ValueError(
             "parameter 'dt' leaves no Crank-Nicolson step, got {!r}".format(dt)
@@ -351,7 +358,7 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
                 t_min=0.05, t_max=2.0, n_t=8,
             )
             factors = harmonic_factors(span, mass=1.0, omega=1.0)
-            via_cn = cn_evolve(psi0, QuadraticPotential(g2=0.5).value, dt=target / n_steps, n_steps=n_steps)
+            via_cn = cn_evolve(psi0, QuadraticPotential(g2=0.5), dt=target / n_steps, n_steps=n_steps)
         via_kernel = kernel_propagate(psi0, factors, target, reference_time=1e-2)
     agreement = l2_difference(via_kernel, via_cn)
     perturbed = replace(
@@ -389,7 +396,7 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
 
 def _trajectory_rows(traj, stride: int):
     rows = []
-    for i in range(0, len(traj.t), max(1, stride)):
+    for i in range(0, len(traj.t), stride):
         rows.append(
             (
                 traj.t[i],
@@ -754,8 +761,8 @@ def _merge_params(
     for name, value in merged.items():
         if ("tol" in name or name == "tolerance") and not value > 0:
             raise ValueError("parameter '{}' must be positive".format(name))
-        if name == "draws" and value < 1:
-            raise ValueError("parameter 'draws' must be at least 1")
+        if name in ("draws", "csv_stride") and value < 1:
+            raise ValueError("parameter '{}' must be at least 1".format(name))
     return merged
 
 

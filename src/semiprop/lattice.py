@@ -86,8 +86,16 @@ class LatticeConfig:
                     self.n_sites, MAX_SITES
                 )
             )
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("spacing must be a positive real number")
+        # the stencils divide by spacing^2 and the CFL bound by 4/spacing^2;
+        # a float product overflows to inf or underflows to 0 where ** would raise
+        spacing = float(self.spacing)
+        square = spacing * spacing
+        if not (spacing > 0 and np.isfinite(square) and square > 0
+                and np.isfinite(4.0 / square)):
+            raise ValueError(
+                "spacing must be a positive real number whose square and "
+                "4/spacing^2 are finite and nonzero"
+            )
         if self.signature not in SIGNATURES:
             raise ValueError(
                 "signature must be one of {}, got {!r}".format(

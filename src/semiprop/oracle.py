@@ -6,17 +6,23 @@ construction they certify:
 * ``cn_evolve``: a Crank-Nicolson integrator for i hbar dpsi/dt =
   -(hbar^2/2m) d2psi/dx2 + V psi on a Dirichlet grid.  The update is a
   Cayley transform of the Hermitian discrete Hamiltonian, so the L2 norm
-  is conserved to round-off for real potentials.
+  is conserved to round-off for real potentials.  A static potential's
+  tridiagonal system is LU-factored once; a time-dependent one is solved
+  afresh at every step.
 * ``schrodinger_residual``: direct stencil substitution of a gridded K
   into the Schrodinger equation.
 * ``kernel_propagate``: treats closed-form factors as a two-point kernel
   and evolves a state by quadrature, with the overall constant fixed by
   matching the free-particle normalization (m/(2 pi i hbar t))^(1/2) at
-  a small reference elapsed time.
+  a small reference elapsed time.  An action quadratic in (x, x0) makes
+  the quadrature one chirp FFT convolution; any other action is summed
+  densely, in row blocks.
 
 Agreement between the kernel route and the Crank-Nicolson route is the
 oracle equivalence test; their disagreement under a deliberate kernel
-perturbation is the corresponding negative control.
+perturbation is the corresponding negative control.  The two routes share
+no code: Crank-Nicolson never uses an FFT, and the kernel route never
+steps in time.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import (
     ComplexField,
@@ -51,8 +58,18 @@ __all__ = [
 
 # Dirichlet walls are only trustworthy while the state stays this small there.
 BOUNDARY_AMPLITUDE_WARN = 1.0e-8
-# kernel_propagate builds n_x x n_x complex temporaries, 268 MB each at the cap
+# Most steps one cn_evolve call may take; checked before anything is allocated.
+MAX_CN_STEPS = 10**6
+# Largest grid kernel_propagate accepts, on either route.  The dense
+# fallback evaluates exp(i S / hbar) at all n_x^2 node pairs (16.8 million
+# at the cap), KERNEL_BLOCK_ROWS rows at a time; the chirp route needs
+# O(n_x) memory but keeps the same cap, so whether a grid is accepted does
+# not depend on which route its action takes.
 MAX_KERNEL_NODES = 4096
+# Rows of the dense fallback held at once: its temporaries stay at 256 n_x values.
+KERNEL_BLOCK_ROWS = 256
+# The chirp split must reproduce every checked row of S to this share of max|S|.
+CHIRP_ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,19 +168,37 @@ def as_potential(pot) -> "callable":
     return lambda x, t: value + 0.0 * np.asarray(x) * np.asarray(t)
 
 
+def _is_static(pot) -> bool:
+    """True for a constant, or a QuadraticPotential with no callable coefficient."""
+    if isinstance(pot, QuadraticPotential):
+        return not any(callable(g) for g in (pot.g2, pot.g1, pot.g0))
+    return not callable(pot)
+
+
 def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     """Crank-Nicolson evolution over n_steps of size dt.
 
     (1 + i dt H/(2 hbar)) psi_new = (1 - i dt H/(2 hbar)) psi_old with H
     the tridiagonal discrete Hamiltonian; a time-dependent potential is
-    sampled at the step midpoint.  Boundary amplitude above
-    BOUNDARY_AMPLITUDE_WARN at any step triggers a single warning with
-    the worst value seen (Dirichlet walls reflect, they do not absorb).
+    sampled at the step midpoint.  A static potential (a constant, or a
+    QuadraticPotential without callable coefficients) gives the same
+    left-hand matrix at every step: it is LU-factored once (LAPACK
+    zgttrf) and each step is one zgttrs solve.  Any other potential is
+    rebuilt and solved banded at every step.  More than MAX_CN_STEPS
+    steps are refused, naming dt, before anything is allocated.
+    Boundary amplitude above BOUNDARY_AMPLITUDE_WARN at any step triggers
+    a single warning with the worst value seen (Dirichlet walls reflect,
+    they do not absorb).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps > MAX_CN_STEPS:
+        raise ValueError(
+            f"dt {dt!r} needs {n_steps} Crank-Nicolson steps, more than the "
+            f"budget of {MAX_CN_STEPS}"
+        )
     v_fn = as_potential(pot)
     grid, hbar, mass = state.grid, state.hbar, state.mass
     x = grid.x
@@ -173,25 +208,44 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     kin_diag = hbar**2 / (mass * dx**2)
     lam = dt / (2.0 * hbar)
 
-    psi = state.psi.copy()
-    t = state.t
-    worst_boundary = 0.0
-    ab = np.zeros((3, n), dtype=complex)
-    for _ in range(n_steps):
+    def h_diag_at(t: float) -> np.ndarray:
         v_mid = np.broadcast_to(
             np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,)
         )
-        h_diag = kin_diag + v_mid
+        return kin_diag + v_mid
+
+    psi = state.psi.copy()
+    t = state.t
+    worst_boundary = 0.0
+    static = _is_static(pot)
+    if static:
+        h_diag = h_diag_at(t)
+        off = np.full(n - 1, 1j * lam * kin_off)
+        dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + 1j * lam * h_diag, off)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"Crank-Nicolson matrix is singular (zgttrf info {info})"
+            )
+    else:
+        ab = np.zeros((3, n), dtype=complex)
+    for _ in range(n_steps):
+        if not static:
+            h_diag = h_diag_at(t)
         # rhs = (1 - i lam H) psi
         h_psi = h_diag * psi
         h_psi[:-1] += kin_off * psi[1:]
         h_psi[1:] += kin_off * psi[:-1]
         rhs = psi - 1j * lam * h_psi
-        # lhs matrix (1 + i lam H), banded form for solve_banded
-        ab[0, 1:] = 1j * lam * kin_off
-        ab[1, :] = 1.0 + 1j * lam * h_diag
-        ab[2, :-1] = 1j * lam * kin_off
-        psi = solve_banded((1, 1), ab, rhs)
+        if static:
+            psi, info = zgttrs(dl, d, du, du2, ipiv, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
+        else:
+            # lhs matrix (1 + i lam H), banded form for solve_banded
+            ab[0, 1:] = 1j * lam * kin_off
+            ab[1, :] = 1.0 + 1j * lam * h_diag
+            ab[2, :-1] = 1j * lam * kin_off
+            psi = solve_banded((1, 1), ab, rhs)
         t += dt
         worst_boundary = max(worst_boundary, abs(psi[0]), abs(psi[-1]))
     if worst_boundary > BOUNDARY_AMPLITUDE_WARN:
@@ -257,6 +311,68 @@ def _quadrature_weights(grid: SpatialGrid) -> np.ndarray:
     return w
 
 
+def _chirp_split(action, x: np.ndarray, tau: float):
+    """Split S(x_i, x_j) = a_i + c_j - beta (i - j)^2 / 2 on a uniform grid.
+
+    Every action quadratic in (x, x0) has this form.  a comes from the
+    column S(x_i, x_0), c from the row S(x_0, x_j), and beta from the four
+    corners, (S_{n-1,n-1} - S_{n-1,0} - S_{0,n-1} + S_{0,0}) / (n-1)^2
+    (neighbouring samples would amplify their rounding by n^2).  The split
+    is then held against full rows of the callable: the first, middle and
+    last rows and five seeded others.  Returns (a, c, beta) when every row
+    agrees to CHIRP_ROW_TOL of the largest |S| seen, else None.
+    """
+    n = x.size
+
+    def row(i: int) -> np.ndarray:
+        return np.broadcast_to(np.asarray(action(x[i], x, tau), dtype=complex), (n,))
+
+    seeded = np.random.default_rng(0).choice(n, size=min(n, 5), replace=False)
+    rows = {i: row(i) for i in sorted({0, n // 2, n - 1, *seeded.tolist()})}
+    column = np.broadcast_to(np.asarray(action(x, x[0], tau), dtype=complex), (n,))
+    first, last = rows[0], rows[n - 1]
+    beta = (last[-1] - column[-1] - first[-1] + first[0]) / (n - 1) ** 2
+    k = np.arange(n)
+    a = column + 0.5 * beta * k**2
+    c = first - first[0] + 0.5 * beta * k**2
+    scale = max(float(np.max(np.abs(s))) for s in rows.values())
+    for i, exact in rows.items():
+        split = a[i] + c - 0.5 * beta * (i - k) ** 2
+        if not np.max(np.abs(split - exact)) <= CHIRP_ROW_TOL * scale:
+            return None
+    return a, c, beta
+
+
+def _chirp_quadrature(a, c, beta, f: np.ndarray, hbar: float) -> np.ndarray:
+    """sum_j exp(i S_ij / hbar) f_j for the split S, as one FFT convolution.
+
+    exp(i S_ij / hbar) = exp(i a_i / hbar) T_(i-j) exp(i c_j / hbar) with
+    T_k = exp(-i beta k^2 / (2 hbar)) a chirp (Bluestein's chirp-z
+    factorization).  Zero-padding to a power of two at least 2n - 1 long
+    makes the circular convolution a linear one.
+    """
+    n = f.size
+    size = 1 << (2 * n - 2).bit_length()
+    chirp = np.exp(-1j * beta * np.arange(n) ** 2 / (2.0 * hbar))
+    taps = np.zeros(size, dtype=complex)
+    taps[:n] = chirp
+    taps[size - n + 1 :] = chirp[:0:-1]  # lags -(n-1) .. -1
+    spectrum = np.fft.fft(np.exp(1j * c / hbar) * f, size) * np.fft.fft(taps)
+    return np.exp(1j * a / hbar) * np.fft.ifft(spectrum)[:n]
+
+
+def _dense_quadrature(
+    action, x: np.ndarray, tau: float, f: np.ndarray, hbar: float
+) -> np.ndarray:
+    """sum_j exp(i S(x_i, x_j) / hbar) f_j, KERNEL_BLOCK_ROWS kernel rows at a time."""
+    out = np.empty(x.size, dtype=complex)
+    for start in range(0, x.size, KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + KERNEL_BLOCK_ROWS)
+        s2 = np.asarray(action(x[rows, None], x[None, :], tau), dtype=complex)
+        out[rows] = np.exp(1j * s2 / hbar) @ f
+    return out
+
+
 def kernel_propagate(
     psi0: WaveState,
     factors: PropagatorFactors,
@@ -270,9 +386,14 @@ def kernel_propagate(
     with tau the elapsed time and C fixed so that C exp(R(tau_ref))
     equals the free-particle normalization (m/(2 pi i hbar tau_ref))^(1/2)
     at the configured reference elapsed time.  Without a reference the
-    kernel's overall constant is undetermined and the call refuses.  More
-    than MAX_KERNEL_NODES grid nodes are refused, naming n_x, before the
-    dense n_x x n_x kernel is built.
+    kernel's overall constant is undetermined and the call refuses.
+
+    ``factors.two_point_action`` is the only source of S.  When it is
+    quadratic in (x, x0), checked on full rows by ``_chirp_split``, the
+    quadrature is one chirp FFT convolution in O(n_x log n_x) time and
+    O(n_x) memory.  Otherwise the kernel is built densely, 256 rows at a
+    time.  More than MAX_KERNEL_NODES grid nodes are refused, naming n_x,
+    before either route starts.
     """
     n_x = psi0.grid.n_x
     if n_x > MAX_KERNEL_NODES:
@@ -299,12 +420,14 @@ def kernel_propagate(
     amp_ref = complex(np.asarray(factors.time_amplitude(reference_time), dtype=complex))
     norm_const = free_norm / cmath.exp(amp_ref)
     x = psi0.grid.x
-    s2 = np.asarray(
-        factors.two_point_action(x[:, None], x[None, :], tau), dtype=complex
-    )
+    f = _quadrature_weights(psi0.grid) * psi0.psi
+    split = _chirp_split(factors.two_point_action, x, tau)
+    if split is None:
+        quad = _dense_quadrature(factors.two_point_action, x, tau, f, hbar)
+    else:
+        quad = _chirp_quadrature(*split, f, hbar)
     amp = cmath.exp(complex(np.asarray(factors.time_amplitude(tau), dtype=complex)))
-    weights = _quadrature_weights(psi0.grid)
-    psi = norm_const * amp * (np.exp(1j * s2 / hbar) @ (weights * psi0.psi))
+    psi = norm_const * amp * quad
     return WaveState(grid=psi0.grid, psi=psi, t=t_target, hbar=hbar, mass=mass)
 
 

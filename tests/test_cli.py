@@ -161,9 +161,32 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         # dt 0.5 leaves Crank-Nicolson 2 steps
         (["oracle", "kernel-vs-grid", "--n_x", "4097", "--dt", "0.5"], "n_x 4097 needs"),
         (["lattice", "kg-wave", "--steps", "312500"], "steps 312500 on 32 sites need"),
+        # refused by the Crank-Nicolson step budget; 1e-320 overflows 1/dt to inf
+        (["oracle", "kernel-vs-grid", "--dt", "1e-200"], "parameter 'dt'"),
+        (["oracle", "kernel-vs-grid", "--dt", "1e-320"], "parameter 'dt'"),
+        # spacing^2 overflows to inf, or underflows so that 4/spacing^2 does
+        (["lattice", "greens", "--spacing", "1e200"], "spacing must be"),
+        (["lattice", "greens", "--spacing", "1e-200"], "spacing must be"),
+        (["lattice", "hj-positivity", "--spacing", "1e-200"], "spacing must be"),
+        (["lattice", "conformal-transport", "--spacing", "1e200"], "spacing must be"),
+        (["lattice", "conformal-transport", "--spacing", "1e-200"], "spacing must be"),
+        (["cosmo", "de-sitter", "--csv_stride", "0"], "parameter 'csv_stride'"),
+        (["cosmo", "de-sitter", "--csv_stride", "-1"], "parameter 'csv_stride'"),
+        (["cosmo", "stiff", "--csv_stride", "0"], "parameter 'csv_stride'"),
+        (["cosmo", "stiff", "--csv_stride", "-1"], "parameter 'csv_stride'"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_oracle_at_the_benchmark_size(tmp_path):
+    # the chirp-convolution kernel and the once-factored Crank-Nicolson
+    # make n_x 2048 cheap enough for tier-1
+    for family in ("free", "harmonic"):
+        out = tmp_path / family
+        argv = ["oracle", "kernel-vs-grid", "--family", family, "--n_x", "2048"]
+        assert main(argv + ["--out", str(out)]) == 0, family
+        assert read_report(out)["pass"] is True
 
 
 # ---------------------------------------------------- config and sweeps

@@ -4,11 +4,14 @@ The three routes are independent implementations; the tests below play
 them against each other and against analytic evolution laws.
 """
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from semiprop import oracle
 from semiprop.core import (
     ComplexField,
     SpacetimeGrid,
@@ -25,6 +28,9 @@ from semiprop.general_hj import (
     recover_potential,
 )
 from semiprop.oracle import (
+    MAX_CN_STEPS,
+    _chirp_split,
+    _quadrature_weights,
     cn_evolve,
     free_gaussian_analytic,
     gaussian_state,
@@ -97,6 +103,42 @@ def test_cn_validates_steps():
         cn_evolve(state, 0.0, dt=-1e-3, n_steps=3)
     with pytest.raises(ValueError, match="n_steps"):
         cn_evolve(state, 0.0, dt=1e-3, n_steps=0)
+    with pytest.raises(ValueError, match="dt 1e-09 needs 1000001 Crank-Nicolson steps"):
+        cn_evolve(state, 0.0, dt=1e-9, n_steps=MAX_CN_STEPS + 1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this Crank-Nicolson path must not run")
+
+
+def oscillator_state():
+    # the tail reaches the walls at ~1e-6 and trips the boundary warning;
+    # these tests compare two solver paths, not the physics
+    grid = SpatialGrid(-6.0, 6.0, 256)
+    return gaussian_state(grid, sigma0=1.0 / math.sqrt(2.0), x_center=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude")
+def test_cn_static_potential_is_factored_once_bit_for_bit(monkeypatch):
+    psi0 = oscillator_state()
+    pot = QuadraticPotential(g2=0.5)
+    # a bound method is opaque, so it takes the per-step banded solve
+    stepped = cn_evolve(psi0, pot.value, dt=1e-2, n_steps=100)
+    monkeypatch.setattr(oracle, "solve_banded", _refuse)
+    factored = cn_evolve(psi0, pot, dt=1e-2, n_steps=100)
+    assert np.array_equal(factored.psi, stepped.psi)
+    assert factored.t == stepped.t
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude")
+def test_cn_callable_coefficient_takes_the_step_path(monkeypatch):
+    psi0 = oscillator_state()
+    stepped = cn_evolve(psi0, QuadraticPotential(g2=0.5).value, dt=1e-2, n_steps=100)
+    monkeypatch.setattr(oracle, "zgttrf", _refuse)
+    timed = cn_evolve(
+        psi0, QuadraticPotential(g2=lambda t: 0.5 + 0.0 * t), dt=1e-2, n_steps=100
+    )
+    assert np.array_equal(timed.psi, stepped.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +266,66 @@ def test_kernel_delta_limit_improves_as_state_narrows():
         errs[sigma] = l2_difference(out, exact)
     assert errs[0.2] < errs[0.4]
     assert errs[0.2] < 5e-4
+
+
+def dense_reference(psi0, factors, t_target, reference_time):
+    """The quadrature against the full n_x x n_x kernel, 256 rows at a time."""
+    hbar, mass, x = psi0.hbar, psi0.mass, psi0.grid.x
+    tau = t_target - psi0.t
+    norm = cmath.sqrt(mass / (2j * np.pi * hbar * reference_time)) / cmath.exp(
+        complex(np.asarray(factors.time_amplitude(reference_time)))
+    )
+    amp = cmath.exp(complex(np.asarray(factors.time_amplitude(tau))))
+    f = _quadrature_weights(psi0.grid) * psi0.psi
+    out = np.empty(x.size, dtype=complex)
+    for start in range(0, x.size, 256):
+        rows = slice(start, start + 256)
+        s2 = np.asarray(factors.two_point_action(x[rows, None], x[None, :], tau), dtype=complex)
+        out[rows] = np.exp(1j * s2 / hbar) @ f
+    return norm * amp * out
+
+
+def kernel_case(family, n_x):
+    if family == "free":
+        grid = SpatialGrid(-12.0, 12.0, n_x)
+        psi0 = gaussian_state(grid, sigma0=1.0)
+        span = SpacetimeGrid(x_min=-12.0, x_max=12.0, n_x=n_x, t_min=0.05, t_max=1.5, n_t=8)
+        return psi0, free_particle_factors(span, mass=1.0)
+    grid = SpatialGrid(-6.0, 6.0, n_x)
+    psi0 = gaussian_state(grid, sigma0=1.0 / math.sqrt(2.0), x_center=1.0)
+    span = SpacetimeGrid(x_min=-6.0, x_max=6.0, n_x=n_x, t_min=0.05, t_max=2.0, n_t=8)
+    return psi0, harmonic_factors(span, mass=1.0, omega=1.0)
+
+
+def relative_gap(psi, reference):
+    return np.linalg.norm(psi - reference) / np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("family", ["free", "harmonic"])
+@pytest.mark.parametrize("n_x", [512, 513])
+@pytest.mark.parametrize("tau", [math.pi / 2.0, 1.0, 0.3])
+def test_chirp_kernel_matches_the_dense_quadrature(family, n_x, tau):
+    psi0, factors = kernel_case(family, n_x)
+    assert _chirp_split(factors.two_point_action, psi0.grid.x, tau) is not None
+    out = kernel_propagate(psi0, factors, tau, reference_time=1e-2)
+    reference = dense_reference(psi0, factors, tau, 1e-2)
+    assert relative_gap(out.psi, reference) < 1e-12
+
+
+def test_non_quadratic_action_takes_the_dense_fallback():
+    psi0, factors = kernel_case("free", 513)
+    quadratic = factors.two_point_action
+    cubic = dataclasses.replace(
+        factors,
+        two_point_action=lambda x, xa, t: quadratic(x, xa, t) + 1e-3 * x**3 * xa,
+    )
+    assert _chirp_split(cubic.two_point_action, psi0.grid.x, 1.0) is None
+    out = kernel_propagate(psi0, cubic, 1.0, reference_time=1e-2)
+    reference = dense_reference(psi0, cubic, 1.0, 1e-2)
+    assert relative_gap(out.psi, reference) < 1e-12
+    # the cubic term is large enough that the quadratic kernel is far off
+    plain = kernel_propagate(psi0, factors, 1.0, reference_time=1e-2)
+    assert relative_gap(plain.psi, reference) > 1e-2
 
 
 def test_kernel_refuses_misconfiguration():
