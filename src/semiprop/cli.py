@@ -207,34 +207,23 @@ def _run_quadratic_prefactor(params: dict, rng) -> RunnerOutput:
     return records, rows, {}
 
 
-def _propagator_rows(factors, grid: SpacetimeGrid):
-    x, t = grid.x, grid.t
-    mask = grid.time_mask()
-    rows = []
-    for j, tj in enumerate(t):
-        if not mask[j]:
-            continue
-        r_col = np.broadcast_to(
-            np.asarray(factors.R(x, tj), dtype=complex), x.shape
-        )
-        s_col = np.broadcast_to(
-            np.asarray(factors.S(x, tj), dtype=complex), x.shape
-        )
-        k_col = np.exp(r_col + 1j * s_col / factors.hbar)
-        for i, xi in enumerate(x):
-            rows.append(
-                (
-                    xi,
-                    tj,
-                    k_col[i].real,
-                    k_col[i].imag,
-                    r_col[i].real,
-                    r_col[i].imag,
-                    s_col[i].real,
-                    s_col[i].imag,
-                )
-            )
-    return rows
+def _csv_rows(*columns: np.ndarray) -> list[tuple]:
+    """CSV rows from equal-length columns, every cell a plain Python scalar."""
+    return list(zip(*[column.tolist() for column in columns]))
+
+
+def _propagator_rows(factors, grid: SpacetimeGrid) -> list[tuple]:
+    x, times = grid.x, grid.t[grid.time_mask()]
+    blocks = []
+    for tj in times:
+        r = np.broadcast_to(np.asarray(factors.R(x, tj), dtype=complex), x.shape)
+        s = np.broadcast_to(np.asarray(factors.S(x, tj), dtype=complex), x.shape)
+        blocks.append((np.exp(r + 1j * s / factors.hbar), r, s))
+    k, r, s = (np.concatenate(part) for part in zip(*blocks))
+    return _csv_rows(
+        np.tile(x, times.size), np.repeat(times, x.size),
+        k.real, k.imag, r.real, r.imag, s.real, s.imag,
+    )
 
 
 def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
@@ -394,20 +383,9 @@ def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
 # ---------------------------------------------------------------- cosmo
 
 
-def _trajectory_rows(traj, stride: int):
-    rows = []
-    for i in range(0, len(traj.t), stride):
-        rows.append(
-            (
-                traj.t[i],
-                traj.a[i],
-                traj.a_dot[i],
-                traj.phi[i],
-                traj.phi_dot[i],
-                traj.friedmann[i],
-            )
-        )
-    return rows
+def _trajectory_rows(traj, stride: int) -> list[tuple]:
+    columns = (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot, traj.friedmann)
+    return _csv_rows(*(column[::stride] for column in columns))
 
 
 def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
@@ -415,6 +393,14 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
     if lam <= 0:
         raise ValueError("parameter 'lam' must be positive for a de Sitter run")
     hubble = math.sqrt(lam / 3.0)
+    # the run takes a^2 and a^3 of every sample, from a0 up to a0 exp(H t_end),
+    # and float ** raises where the power leaves the float range
+    if not (a0 > 0 and a0 * a0 * a0 > 0
+            and 3.0 * (math.log(a0) + hubble * t_end) < math.log(sys.float_info.max)):
+        raise ValueError(
+            "parameter 'a0' = {!r} with t_end = {!r}: the cubes of a0 and of "
+            "a0 exp(H t_end) must be finite and nonzero".format(a0, t_end)
+        )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     traj = evolve_classical(
         state, CosmoParams(lam=lam), (0.0, t_end), params["step"]
@@ -431,6 +417,12 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
 def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
+    # the RK4 step takes 4 pi phi_dot0^2 and the square of the matched rate,
+    # about 4.2 phi_dot0^2; float ** raises where they leave the float range
+    if not math.isfinite(8.0 * math.pi * phi_dot0 * phi_dot0):
+        raise ValueError(
+            "parameter 'phi_dot0' must keep 8 pi phi_dot0^2 finite, got {!r}".format(phi_dot0)
+        )
     state = ClassicalState(
         a=1.0,
         a_dot=matched_a_dot(1.0, 0.0, phi_dot0, vacuum),
@@ -476,11 +468,10 @@ def _lattice_config(params: dict) -> LatticeConfig:
     )
 
 
-def _site_rows(config: LatticeConfig, values: np.ndarray):
-    rows = []
-    for idx in np.ndindex(config.dims):
-        rows.append(tuple(int(i) for i in idx) + (values[idx],))
-    return rows
+def _site_rows(config: LatticeConfig, values: np.ndarray) -> list[tuple]:
+    # np.indices flattened in C order enumerates the sites as np.ndindex does
+    sites = np.indices(config.dims).reshape(len(config.dims), -1)
+    return _csv_rows(*sites, np.asarray(values).ravel())
 
 
 def _lattice_header(config: LatticeConfig) -> list[str]:

@@ -86,15 +86,20 @@ class LatticeConfig:
                     self.n_sites, MAX_SITES
                 )
             )
-        # the stencils divide by spacing^2 and the CFL bound by 4/spacing^2;
-        # a float product overflows to inf or underflows to 0 where ** would raise
+        # the stencils divide by spacing^2, the CFL bound by 4/spacing^2, and
+        # the action sums weigh each site by the cell volume spacing^d; the
+        # float product overflows to inf or underflows to 0, float ** raises
         spacing = float(self.spacing)
         square = spacing * spacing
+        try:
+            volume = self.cell_volume
+        except OverflowError:
+            volume = np.inf
         if not (spacing > 0 and np.isfinite(square) and square > 0
-                and np.isfinite(4.0 / square)):
+                and np.isfinite(4.0 / square) and np.isfinite(volume) and volume > 0):
             raise ValueError(
-                "spacing must be a positive real number whose square and "
-                "4/spacing^2 are finite and nonzero"
+                "spacing must be a positive real number whose square, "
+                "4/spacing^2 and cell volume spacing^d are finite and nonzero"
             )
         if self.signature not in SIGNATURES:
             raise ValueError(
@@ -358,6 +363,16 @@ class KleinGordonRun:
     residual: np.ndarray
 
 
+def _check_time_step(dt: float) -> None:
+    # the leapfrog formulas multiply and divide by dt**2, which raises where
+    # dt * dt gives inf and turns the stencil to NaN where it underflows
+    square = dt * dt
+    if not (dt > 0 and np.isfinite(square) and square > 0 and np.isfinite(1.0 / square)):
+        raise ValueError(
+            "dt must be positive with dt^2 and 1/dt^2 finite, got {!r}".format(dt)
+        )
+
+
 def lattice_klein_gordon_check(
     phi0: LatticeField,
     velocity: LatticeField,
@@ -375,8 +390,7 @@ def lattice_klein_gordon_check(
     if velocity.config != phi0.config:
         raise ValueError("initial field and velocity live on different lattices")
     config = phi0.config
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
+    _check_time_step(dt)
     largest = float(np.max(_spectrum(config, np.ones(len(config.dims)))))
     if dt**2 * largest > 4.0:
         raise ValueError(
@@ -435,6 +449,7 @@ def lattice_plane_wave(
                 len(mode), len(config.dims)
             )
         )
+    _check_time_step(dt)
     h = config.spacing
     k = np.array([2.0 * np.pi * j / (n * h) for j, n in zip(mode, config.dims)])
     lam = float(np.sum(4.0 / h**2 * np.sin(k * h / 2.0) ** 2))

@@ -5,6 +5,12 @@ table.  Records carry both the measured value and the tolerance it was
 held against; diagnostic records are informational and never affect the
 overall pass flag.  CSV output uses 17 significant digits so that reruns
 of the same configuration diff clean.
+
+A CSV table is a header and a sized sequence of sized rows.  A float cell
+reads ``%.17g``, an integer cell ``%d`` and a string cell as itself,
+whether the cell is a Python or a numpy scalar; ``format_float`` is the
+one definition of that text.  Row builders hand over plain Python cells
+(``ndarray.tolist``), which ``write_csv`` renders one row per ``%``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .core import observed_orders
@@ -98,10 +104,32 @@ def format_float(value) -> str:
     return "%.17g" % float(value)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+# the format_float text of a cell of exactly this type, as one % directive
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write ``header`` and one comma-separated line per row of ``rows``.
+
+    ``rows`` is a sized sequence of sized rows (tuples or lists).  Every
+    cell reads as ``format_float`` renders it.  A row whose cells are all
+    plain ``float``, ``int`` or ``str`` is rendered by one ``%`` string
+    (``%.17g``, ``%d``, ``%s`` per cell), built once per type signature;
+    any other row (numpy scalars, bools, ...) goes through ``format_float``
+    cell by cell.
+    """
+    formats: dict = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in formats:
+            cells = [_CELL_FORMATS.get(kind) for kind in types]
+            formats[types] = None if None in cells else ",".join(cells)
+        fmt = formats[types]
+        if fmt is None:
+            lines.append(",".join(format_float(v) for v in row))
+        else:
+            lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 

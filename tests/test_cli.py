@@ -1,13 +1,18 @@
 """CLI dispatch, report files, determinism, and the convergence table."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from semiprop.cli import main
-from semiprop.report import build_convergence_rows, write_csv
+from semiprop.cli import _propagator_rows, _site_rows, _trajectory_rows, main
+from semiprop.core import SpacetimeGrid
+from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
+from semiprop.lattice import LatticeConfig
+from semiprop.quadratic import free_particle_factors, harmonic_factors
+from semiprop.report import build_convergence_rows, format_float, write_csv
 
 
 def read_report(out_dir):
@@ -174,6 +179,19 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["cosmo", "de-sitter", "--csv_stride", "-1"], "parameter 'csv_stride'"),
         (["cosmo", "stiff", "--csv_stride", "0"], "parameter 'csv_stride'"),
         (["cosmo", "stiff", "--csv_stride", "-1"], "parameter 'csv_stride'"),
+        # spacing^4 overflows, or underflows to 0, in the cell volume
+        (["lattice", "conformal-transport", "--spacing", "1e100", "--dims", "[4,4,4,4]"],
+         "spacing must be"),
+        (["lattice", "hj-positivity", "--spacing", "1e100", "--dims", "[4,4,4,4]"],
+         "spacing must be"),
+        (["lattice", "conformal-transport", "--spacing", "1e-100", "--dims", "[4,4,4,4]"],
+         "spacing must be"),
+        # dt^2, a0^3 and phi_dot0^2 overflow; dt^2 and a0^3 underflow to 0
+        (["lattice", "kg-wave", "--dt", "1e200"], "dt must be positive"),
+        (["lattice", "kg-wave", "--dt", "1e-200"], "dt must be positive"),
+        (["cosmo", "de-sitter", "--a0", "1e200"], "parameter 'a0'"),
+        (["cosmo", "de-sitter", "--a0", "1e-200"], "parameter 'a0'"),
+        (["cosmo", "stiff", "--phi_dot0", "1e200"], "parameter 'phi_dot0'"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -299,3 +317,114 @@ def test_convergence_rows_orders_and_plateau():
         build_convergence_rows([0.1, 0.05], [1.0, 0.5])
     with pytest.raises(ValueError, match="one residual per"):
         build_convergence_rows([0.1, 0.05, 0.025], [1.0, 0.5])
+
+
+# ------------------------------------------------------ CSV rows and bytes
+
+
+def reference_csv(header, rows):
+    """The per-cell rendering write_csv replaced: format_float on every cell."""
+    lines = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_site_rows(config, values):
+    return [tuple(int(i) for i in idx) + (values[idx],) for idx in np.ndindex(config.dims)]
+
+
+def reference_trajectory_rows(traj, stride):
+    return [
+        (traj.t[i], traj.a[i], traj.a_dot[i], traj.phi[i], traj.phi_dot[i], traj.friedmann[i])
+        for i in range(0, len(traj.t), stride)
+    ]
+
+
+def reference_propagator_rows(factors, grid):
+    x, t = grid.x, grid.t
+    mask = grid.time_mask()
+    rows = []
+    for j, tj in enumerate(t):
+        if not mask[j]:
+            continue
+        r_col = np.broadcast_to(np.asarray(factors.R(x, tj), dtype=complex), x.shape)
+        s_col = np.broadcast_to(np.asarray(factors.S(x, tj), dtype=complex), x.shape)
+        k_col = np.exp(r_col + 1j * s_col / factors.hbar)
+        for i, xi in enumerate(x):
+            rows.append((
+                xi, tj, k_col[i].real, k_col[i].imag,
+                r_col[i].real, r_col[i].imag, s_col[i].real, s_col[i].imag,
+            ))
+    return rows
+
+
+def lattice_case():
+    config = LatticeConfig(dims=(3, 5, 4))
+    values = np.random.default_rng(5).standard_normal(config.dims)
+    values[0, 0, 1] = -0.0
+    return config, values
+
+
+def propagator_cases():
+    # the harmonic window fences off the caustic at t = pi, where sin(t) < 0
+    # makes R complex after it; the free R is one scalar per time node
+    caustic = SpacetimeGrid(-2.0, 2.0, 17, 0.5, 4.0, 30, exclusions=((2.9, 3.4),))
+    plain = SpacetimeGrid(-2.0, 2.0, 9, 0.5, 2.0, 6, exclusions=((0.9, 1.4),))
+    return [
+        (harmonic_factors(caustic, mass=1.3, omega=1.0, x0=0.2), caustic),
+        (free_particle_factors(plain, mass=0.7, x0=-0.1), plain),
+    ]
+
+
+def trajectory_case():
+    state = ClassicalState(a=1.0, a_dot=1.0, phi=0.0, phi_dot=0.0)
+    return evolve_classical(state, CosmoParams(lam=3.0), (0.0, 0.05), 1e-3)
+
+
+def test_write_csv_matches_the_per_cell_reference(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0]
+    rows = [(x, np.float64(x), 7, np.int64(-7), True, "n/a") for x in specials]
+    rows += [
+        [0.1, 2, "n/a"],
+        (0.5, 3, True, "s", -0.0),
+        (np.float32(0.1), np.uint8(200), False, 10**20),
+        (1e-300, 1, -1),
+        ("x",),
+        (),
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == reference_csv(header, rows)
+
+
+def test_csv_row_builders_match_the_per_cell_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    config, values = lattice_case()
+    cases = [(_site_rows(config, values), reference_site_rows(config, values))]
+    for factors, grid in propagator_cases():
+        cases.append((_propagator_rows(factors, grid), reference_propagator_rows(factors, grid)))
+    traj = trajectory_case()
+    assert len(traj.t) % 7 != 0
+    for stride in (1, 7, len(traj.t) + 3):
+        cases.append((_trajectory_rows(traj, stride), reference_trajectory_rows(traj, stride)))
+    for rows, reference in cases:
+        assert len(rows) == len(reference)
+        write_csv(path, ["h"], rows)
+        assert path.read_text() == reference_csv(["h"], reference)
+
+
+def test_csv_path_keeps_the_benchmark_tracer_contract():
+    # perfbench/layers.py binds write_csv's arguments by name and counts
+    # len(rows) and len(row) of the sequences the row builders hand over
+    assert list(inspect.signature(write_csv).parameters) == ["path", "header", "rows"]
+    config, values = lattice_case()
+    (factors, grid), _ = propagator_cases()
+    for rows in (
+        _site_rows(config, values),
+        _propagator_rows(factors, grid),
+        _trajectory_rows(trajectory_case(), 7),
+    ):
+        assert type(rows) is list and rows
+        assert all(type(row) is tuple for row in rows)
+        # plain Python cells take write_csv's one-format-per-row path
+        assert {type(cell) for row in rows for cell in row} <= {float, int}
