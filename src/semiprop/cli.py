@@ -417,8 +417,9 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
 def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
-    # the RK4 step takes 4 pi phi_dot0^2 and the square of the matched rate,
-    # about 4.2 phi_dot0^2; float ** raises where they leave the float range
+    # the matched rate and the Friedmann precheck take phi_dot0^2 and the
+    # rate's square, about 4.2 phi_dot0^2; float ** raises where they leave
+    # the float range
     if not math.isfinite(8.0 * math.pi * phi_dot0 * phi_dot0):
         raise ValueError(
             "parameter 'phi_dot0' must keep 8 pi phi_dot0^2 finite, got {!r}".format(phi_dot0)
@@ -430,6 +431,11 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
         phi_dot=phi_dot0,
     )
     traj = evolve_classical(state, vacuum, (0.0, params["t_end"]), params["step"])
+    if traj.collapse_time is not None:
+        raise ValueError(
+            "parameter 'phi_dot0' = {!r} with step = {!r}: the RK4 run overflowed "
+            "or collapsed at t = {:.6g}".format(phi_dot0, params["step"], traj.collapse_time)
+        )
     late = traj.t >= params["fit_from"]
     if np.count_nonzero(late) < 3:
         raise ValueError("parameter 'fit_from' leaves fewer than 3 samples to fit")
@@ -519,8 +525,14 @@ def _run_lattice_positivity(params: dict, rng) -> RunnerOutput:
         raise ValueError(
             "parameter 'signature' must be euclidean; positivity holds there only"
         )
-    functional = lattice_greens_function(config)
     amplitude = params["amplitude"]
+    # the field is drawn from [-amplitude, amplitude]; phi = 0 is excluded
+    if not (amplitude > 0 and math.isfinite(2.0 * amplitude)):
+        raise ValueError(
+            "parameter 'amplitude' must be positive with 2 * amplitude finite, "
+            "got {!r}".format(amplitude)
+        )
+    functional = lattice_greens_function(config)
     worst = math.inf
     last = None
     for _ in range(params["draws"]):
@@ -750,7 +762,7 @@ def _merge_params(
                 )
             merged[name] = _coerce(name, raw, defaults[name])
     for name, value in merged.items():
-        if ("tol" in name or name == "tolerance") and not value > 0:
+        if ("tol" in name or name in ("tolerance", "t_end", "fit_from")) and not value > 0:
             raise ValueError("parameter '{}' must be positive".format(name))
         if name in ("draws", "csv_stride") and value < 1:
             raise ValueError("parameter '{}' must be at least 1".format(name))

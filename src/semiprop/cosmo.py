@@ -294,10 +294,12 @@ def evolve_classical(
         a, a_dot, phi, phi_dot = y
         v = float(v_fn(phi))
         dv = float(dv_fn(phi))
+        # float * overflows to inf where ** would raise; rk4_solve then truncates
+        a_sq = a * a
         a_ddot = (
-            -(a_dot**2) - k + lam * a**2
-            - 4.0 * _PI * a**2 * phi_dot**2
-            + 8.0 * _PI * a**2 * v
+            -(a_dot * a_dot) - k + lam * a_sq
+            - 4.0 * _PI * a_sq * (phi_dot * phi_dot)
+            + 8.0 * _PI * a_sq * v
         ) / (2.0 * a)
         phi_ddot = -3.0 * (a_dot / a) * phi_dot - dv
         return a_dot, a_ddot, phi_dot, phi_ddot
@@ -395,18 +397,17 @@ class ComplexActionFields:
     label: str = ""
 
 
-def _sampled(field, u: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
+def _sampled(field, axes: tuple[np.ndarray, ...], name: str) -> np.ndarray:
+    """A field on the product grid of ``axes``: a callable is evaluated on
+    the mesh, an array is shape-checked; either must be finite."""
+    shape = tuple(axis.size for axis in axes)
     if callable(field):
-        uu, tt = np.meshgrid(u, t, indexing="ij")
-        vals = np.broadcast_to(
-            np.asarray(field(uu, tt), dtype=float), (u.size, t.size)
-        ).copy()
+        mesh = np.meshgrid(*axes, indexing="ij")
+        vals = np.broadcast_to(np.asarray(field(*mesh), dtype=float), shape).copy()
     else:
         vals = np.asarray(field, dtype=float)
-        if vals.shape != (u.size, t.size):
-            raise ValueError(
-                f"{name} has shape {vals.shape}, grid expects {(u.size, t.size)}"
-            )
+        if vals.shape != shape:
+            raise ValueError(f"{name} has shape {vals.shape}, grid expects {shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name} contains non-finite samples")
     return vals
@@ -427,9 +428,9 @@ def complex_action_residuals(
     exact to round-off.
     """
     a, phi, t = grids.a, grids.phi, grids.t
-    s_a = _sampled(fields.s_a, a, t, "S_a")
-    s_p = _sampled(fields.s_phi, phi, t, "S_phi")
-    s_g = _sampled(fields.s_g, a, t, "S_g")
+    s_a = _sampled(fields.s_a, (a, t), "S_a")
+    s_p = _sampled(fields.s_phi, (phi, t), "S_phi")
+    s_g = _sampled(fields.s_g, (a, t), "S_g")
     sa_t = np.gradient(s_a, t, axis=1, edge_order=2)
     sa_a = np.gradient(s_a, a, axis=0, edge_order=2)
     sp_t = np.gradient(s_p, t, axis=1, edge_order=2)
@@ -456,9 +457,9 @@ def complex_action_residuals(
 def closure_check(fields: ComplexActionFields, grids: ActionGrids) -> np.ndarray:
     """(d2S_g/da2)^2 - S_g/(4a) - (dS_a/dt + dS_phi/dt) on the product grid."""
     a, phi, t = grids.a, grids.phi, grids.t
-    s_a = _sampled(fields.s_a, a, t, "S_a")
-    s_p = _sampled(fields.s_phi, phi, t, "S_phi")
-    s_g = _sampled(fields.s_g, a, t, "S_g")
+    s_a = _sampled(fields.s_a, (a, t), "S_a")
+    s_p = _sampled(fields.s_phi, (phi, t), "S_phi")
+    s_g = _sampled(fields.s_g, (a, t), "S_g")
     sg_aa = np.gradient(
         np.gradient(s_g, a, axis=0, edge_order=2), a, axis=0, edge_order=2
     )
@@ -539,25 +540,6 @@ def entropy_scaling_probe(a_samples, s_g_samples) -> EntropyScalingReport:
     )
 
 
-def _sampled3(field, a, phi, t, name) -> np.ndarray:
-    if callable(field):
-        aa, pp, tt = np.meshgrid(a, phi, t, indexing="ij")
-        vals = np.broadcast_to(
-            np.asarray(field(aa, pp, tt), dtype=float),
-            (a.size, phi.size, t.size),
-        ).copy()
-    else:
-        vals = np.asarray(field, dtype=float)
-        if vals.shape != (a.size, phi.size, t.size):
-            raise ValueError(
-                f"{name} has shape {vals.shape}, grid expects "
-                f"{(a.size, phi.size, t.size)}"
-            )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return vals
-
-
 def quantum_transport_residual(
     R, S, grids: ActionGrids, params: CosmoParams
 ) -> np.ndarray:
@@ -570,8 +552,8 @@ def quantum_transport_residual(
     no solutions are constructed here.
     """
     a, phi, t = grids.a, grids.phi, grids.t
-    r = _sampled3(R, a, phi, t, "R")
-    s = _sampled3(S, a, phi, t, "S")
+    r = _sampled(R, (a, phi, t), "R")
+    s = _sampled(S, (a, phi, t), "S")
     r_t = np.gradient(r, t, axis=2, edge_order=2)
     r_a = np.gradient(r, a, axis=0, edge_order=2)
     r_p = np.gradient(r, phi, axis=1, edge_order=2)

@@ -231,7 +231,7 @@ class ImaginaryScalingReport:
 
 def imaginary_scaling_probe(
     R: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    hbar_list: Sequence[float],
+    hbars: Sequence[float],
     grid: SpacetimeGrid,
     mass: float = 1.0,
     f0: object = 0.0,
@@ -248,18 +248,18 @@ def imaginary_scaling_probe(
     log-log slope; when R has no x-dependence Im S vanishes identically
     and the fit is flagged vacuous instead of raising.
     """
-    hbars = [float(h) for h in hbar_list]
-    if len(hbars) < 3 or len(set(hbars)) < 3:
-        raise ValueError("need at least three distinct hbar values")
-    if any(h <= 0 for h in hbars):
-        raise ValueError("hbar values must be positive")
+    values = [float(h) for h in hbars]
+    if len(set(values)) < 3:
+        raise ValueError(f"hbars must hold at least three distinct values, got {hbars!r}")
+    if any(h <= 0 for h in values):
+        raise ValueError(f"hbars must all be positive, got {hbars!r}")
     X, T = grid.mesh()
     r_vals = np.asarray(R(X, T), dtype=complex)
     r_valid = np.broadcast_to(r_vals, (grid.n_x, grid.n_t))[grid.node_mask()]
     if np.max(np.abs(r_valid.imag)) > 1e-12 * max(1.0, np.max(np.abs(r_valid.real))):
         raise ValueError("imaginary_scaling_probe requires a real R")
     norms = []
-    for hb in hbars:
+    for hb in values:
         ansatz = GeneralAnsatz(
             R=R, f0=f0, f1=f1, hbar=hb, mass=mass,
             dR_dt=dR_dt, dR_dx=dR_dx, d2R_dx2=d2R_dx2,
@@ -270,11 +270,11 @@ def imaginary_scaling_probe(
     scale = max(norms)
     if scale < 1e-13:
         return ImaginaryScalingReport(
-            samples=tuple(zip(hbars, norms)), slope=None, vacuous=True
+            samples=tuple(zip(values, norms)), slope=None, vacuous=True
         )
-    slope = fit_loglog_slope(hbars, norms)
+    slope = fit_loglog_slope(values, norms)
     return ImaginaryScalingReport(
-        samples=tuple(zip(hbars, norms)), slope=slope, vacuous=False
+        samples=tuple(zip(values, norms)), slope=slope, vacuous=False
     )
 
 
@@ -312,12 +312,22 @@ def cos_log_family(
     2m dR/dt = i hbar c2^2 while d2R/dx2 + (dR/dx)^2 = c2^2 (sec^2 -
     tan^2) = c2^2, so the residual cancels identically.  The cosine of
     an imaginary argument is evaluated through cosh/sinh and the
-    logarithm's branch is kept continuous along x.
+    logarithm's branch is kept continuous along x.  Refuses a mass that
+    is not positive (the rate divides by it) and a c2 whose rate overflows.
     """
+    if not mass > 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     c2 = complex(c2)
     c3 = complex(c3)
     c4 = complex(c4)
-    rate = 1j * hbar * c2**2 / (2.0 * mass)
+    # complex * overflows to inf where ** would raise
+    c2_sq = c2 * c2
+    rate = 1j * hbar * c2_sq / (2.0 * mass)
+    if not cmath.isfinite(rate):
+        raise ValueError(
+            f"c2 = {c2!r} with hbar = {hbar!r} and mass = {mass!r} overflows the "
+            "rate i hbar c2^2 / (2m)"
+        )
 
     def r_fn(x, t):
         return _log_unwrapped(_cos_iu(c2, c3, x)) + rate * np.asarray(t) + c4
@@ -333,7 +343,7 @@ def cos_log_family(
         return -1j * c2 * np.tan(u_of(x)) + 0.0 * np.asarray(t)
 
     def d2r_dx2(x, t):
-        return c2**2 / np.cos(u_of(x)) ** 2 + 0.0 * np.asarray(t)
+        return c2_sq / np.cos(u_of(x)) ** 2 + 0.0 * np.asarray(t)
 
     return GeneralAnsatz(
         R=r_fn,
@@ -421,7 +431,8 @@ def cos_log_quadrature_inputs(
 def _exponential_parameters(
     amplitude: float, slope: float, hbar: float, mass: float
 ) -> tuple[float, float]:
-    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0 and m > 0."""
+    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0, m > 0
+    and the rate i hbar b^2 / (32 m) is finite."""
     a, b = float(amplitude), float(slope)
     if b == 0.0:
         raise ValueError("slope b must be nonzero")
@@ -431,6 +442,12 @@ def _exponential_parameters(
         raise ValueError(f"hbar must be positive, got {hbar}")
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
+    # float * overflows to inf where the family's b**2 would raise
+    if not math.isfinite(hbar * (b * b) / (32.0 * mass)):
+        raise ValueError(
+            f"slope b = {b!r} with hbar = {hbar!r} and mass = {mass!r} overflows "
+            "the rate i hbar b^2 / (32 m)"
+        )
     return a, b
 
 

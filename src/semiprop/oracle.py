@@ -7,16 +7,16 @@ construction they certify:
   -(hbar^2/2m) d2psi/dx2 + V psi on a Dirichlet grid.  The update is a
   Cayley transform of the Hermitian discrete Hamiltonian, so the L2 norm
   is conserved to round-off for real potentials.  A static potential's
-  tridiagonal system is LU-factored once; a time-dependent one is solved
-  afresh at every step.
+  tridiagonal system is LU-factored once; a time-dependent one is
+  refactored at every step.
 * ``schrodinger_residual``: direct stencil substitution of a gridded K
   into the Schrodinger equation.
 * ``kernel_propagate``: treats closed-form factors as a two-point kernel
   and evolves a state by quadrature, with the overall constant fixed by
   matching the free-particle normalization (m/(2 pi i hbar t))^(1/2) at
-  a small reference elapsed time.  An action quadratic in (x, x0) makes
-  the quadrature one chirp FFT convolution; any other action is summed
-  densely, in row blocks.
+  a small reference elapsed time.  The action must be quadratic in
+  (x, x0): the quadrature is then one chirp FFT convolution, and any
+  other action is refused.
 
 Agreement between the kernel route and the Crank-Nicolson route is the
 oracle equivalence test; their disagreement under a deliberate kernel
@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import (
@@ -60,14 +59,10 @@ __all__ = [
 BOUNDARY_AMPLITUDE_WARN = 1.0e-8
 # Most steps one cn_evolve call may take; checked before anything is allocated.
 MAX_CN_STEPS = 10**6
-# Largest grid kernel_propagate accepts, on either route.  The dense
-# fallback evaluates exp(i S / hbar) at all n_x^2 node pairs (16.8 million
-# at the cap), KERNEL_BLOCK_ROWS rows at a time; the chirp route needs
-# O(n_x) memory but keeps the same cap, so whether a grid is accepted does
-# not depend on which route its action takes.
+# Largest oracle grid kernel_propagate accepts.  The chirp convolution
+# needs only O(n_x) memory; the cap bounds the grid the kernel is checked
+# on, not a dense n_x^2 kernel (none is built).
 MAX_KERNEL_NODES = 4096
-# Rows of the dense fallback held at once: its temporaries stay at 256 n_x values.
-KERNEL_BLOCK_ROWS = 256
 # The chirp split must reproduce every checked row of S to this share of max|S|.
 CHIRP_ROW_TOL = 1e-12
 
@@ -180,12 +175,12 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
 
     (1 + i dt H/(2 hbar)) psi_new = (1 - i dt H/(2 hbar)) psi_old with H
     the tridiagonal discrete Hamiltonian; a time-dependent potential is
-    sampled at the step midpoint.  A static potential (a constant, or a
-    QuadraticPotential without callable coefficients) gives the same
-    left-hand matrix at every step: it is LU-factored once (LAPACK
-    zgttrf) and each step is one zgttrs solve.  Any other potential is
-    rebuilt and solved banded at every step.  More than MAX_CN_STEPS
-    steps are refused, naming dt, before anything is allocated.
+    sampled at the step midpoint.  Each step is one LAPACK zgttrs solve
+    against the zgttrf LU factors of the left-hand matrix.  A static
+    potential (a constant, or a QuadraticPotential without callable
+    coefficients) gives the same matrix at every step, so it is factored
+    once; any other potential is refactored at every step.  More than
+    MAX_CN_STEPS steps are refused, naming dt, before anything is allocated.
     Boundary amplitude above BOUNDARY_AMPLITUDE_WARN at any step triggers
     a single warning with the worst value seen (Dirichlet walls reflect,
     they do not absorb).
@@ -218,34 +213,24 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     t = state.t
     worst_boundary = 0.0
     static = _is_static(pot)
-    if static:
-        h_diag = h_diag_at(t)
-        off = np.full(n - 1, 1j * lam * kin_off)
-        dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + 1j * lam * h_diag, off)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"Crank-Nicolson matrix is singular (zgttrf info {info})"
-            )
-    else:
-        ab = np.zeros((3, n), dtype=complex)
-    for _ in range(n_steps):
-        if not static:
+    off = np.full(n - 1, 1j * lam * kin_off)
+    for step in range(n_steps):
+        if step == 0 or not static:
+            # lhs matrix (1 + i lam H), LU-factored
             h_diag = h_diag_at(t)
+            dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + 1j * lam * h_diag, off)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"Crank-Nicolson matrix is singular (zgttrf info {info})"
+                )
         # rhs = (1 - i lam H) psi
         h_psi = h_diag * psi
         h_psi[:-1] += kin_off * psi[1:]
         h_psi[1:] += kin_off * psi[:-1]
         rhs = psi - 1j * lam * h_psi
-        if static:
-            psi, info = zgttrs(dl, d, du, du2, ipiv, rhs)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
-        else:
-            # lhs matrix (1 + i lam H), banded form for solve_banded
-            ab[0, 1:] = 1j * lam * kin_off
-            ab[1, :] = 1.0 + 1j * lam * h_diag
-            ab[2, :-1] = 1j * lam * kin_off
-            psi = solve_banded((1, 1), ab, rhs)
+        psi, info = zgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
         t += dt
         worst_boundary = max(worst_boundary, abs(psi[0]), abs(psi[-1]))
     if worst_boundary > BOUNDARY_AMPLITUDE_WARN:
@@ -361,18 +346,6 @@ def _chirp_quadrature(a, c, beta, f: np.ndarray, hbar: float) -> np.ndarray:
     return np.exp(1j * a / hbar) * np.fft.ifft(spectrum)[:n]
 
 
-def _dense_quadrature(
-    action, x: np.ndarray, tau: float, f: np.ndarray, hbar: float
-) -> np.ndarray:
-    """sum_j exp(i S(x_i, x_j) / hbar) f_j, KERNEL_BLOCK_ROWS kernel rows at a time."""
-    out = np.empty(x.size, dtype=complex)
-    for start in range(0, x.size, KERNEL_BLOCK_ROWS):
-        rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        s2 = np.asarray(action(x[rows, None], x[None, :], tau), dtype=complex)
-        out[rows] = np.exp(1j * s2 / hbar) @ f
-    return out
-
-
 def kernel_propagate(
     psi0: WaveState,
     factors: PropagatorFactors,
@@ -388,12 +361,12 @@ def kernel_propagate(
     at the configured reference elapsed time.  Without a reference the
     kernel's overall constant is undetermined and the call refuses.
 
-    ``factors.two_point_action`` is the only source of S.  When it is
-    quadratic in (x, x0), checked on full rows by ``_chirp_split``, the
-    quadrature is one chirp FFT convolution in O(n_x log n_x) time and
-    O(n_x) memory.  Otherwise the kernel is built densely, 256 rows at a
-    time.  More than MAX_KERNEL_NODES grid nodes are refused, naming n_x,
-    before either route starts.
+    ``factors.two_point_action`` is the only source of S.  It must be
+    quadratic in (x, x0), checked on full rows by ``_chirp_split``; the
+    quadrature is then one chirp FFT convolution in O(n_x log n_x) time
+    and O(n_x) memory.  Any other action is refused.  More than
+    MAX_KERNEL_NODES grid nodes are refused, naming n_x, before any
+    sample of S is taken.
     """
     n_x = psi0.grid.n_x
     if n_x > MAX_KERNEL_NODES:
@@ -423,9 +396,11 @@ def kernel_propagate(
     f = _quadrature_weights(psi0.grid) * psi0.psi
     split = _chirp_split(factors.two_point_action, x, tau)
     if split is None:
-        quad = _dense_quadrature(factors.two_point_action, x, tau, f, hbar)
-    else:
-        quad = _chirp_quadrature(*split, f, hbar)
+        raise ValueError(
+            "two_point_action is not quadratic in (x, x0): kernel propagation "
+            "needs an action of the form a(x) + c(x0) - beta (x - x0)^2 / 2"
+        )
+    quad = _chirp_quadrature(*split, f, hbar)
     amp = cmath.exp(complex(np.asarray(factors.time_amplitude(tau), dtype=complex)))
     psi = norm_const * amp * quad
     return WaveState(grid=psi0.grid, psi=psi, t=t_target, hbar=hbar, mass=mass)

@@ -128,7 +128,6 @@ def solve_prefactor_odes(
     step: float,
     t0: float | None = None,
     mass: float = 1.0,
-    blow_up_bound: float = BLOW_UP_BOUND,
 ) -> PrefactorSolution:
     """Integrate the prefactor system over t_window = (lo, hi).
 
@@ -140,7 +139,7 @@ def solve_prefactor_odes(
 
     The state derivative is
         R' = u,  u' = 2 u^2 + g2/m,  f1' = 2 u f1 - g1,  f0' = -g0 - f1^2/(2m).
-    |u| crossing ``blow_up_bound`` marks a caustic approach: the
+    |u| crossing BLOW_UP_BOUND marks a caustic approach: the
     affected leg is truncated there and the truncation time reported
     (the forward one if both legs truncate), never smoothed over.
     """
@@ -168,7 +167,7 @@ def solve_prefactor_odes(
         )
 
     def stop(t: float, y: tuple[float, ...]) -> bool:
-        return abs(y[1]) > blow_up_bound
+        return abs(y[1]) > BLOW_UP_BOUND
 
     back = forth = None
     if t0 - lo > 0.5 * step:
@@ -312,6 +311,14 @@ def caustic_windows(omega: float, t_min: float, t_max: float, half_width: float 
     return tuple(windows)
 
 
+def _source_point(x0: float) -> float:
+    """x0 as a float, refused unless its square is finite (every action squares it)."""
+    x0 = float(x0)
+    if not math.isfinite(x0 * x0):
+        raise ValueError(f"x0 must be a real number with a finite square, got {x0!r}")
+    return x0
+
+
 def _valid_times(grid: SpacetimeGrid) -> np.ndarray:
     t = grid.t[grid.time_mask()]
     if t.size == 0:
@@ -333,6 +340,7 @@ def free_particle_factors(
     Refuses grids whose valid nodes reach t <= 0 (the kernel is singular
     at coincidence; hide t = 0 behind an exclusion window instead).
     """
+    x0 = _source_point(x0)
     t_valid = _valid_times(grid)
     if np.any(t_valid <= 0.0):
         raise ValueError(
@@ -375,6 +383,7 @@ def harmonic_factors(
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
+    x0 = _source_point(x0)
     period = math.pi / omega
     n_lo = math.ceil((grid.t_min - 1e-12) / period)
     n_hi = math.floor((grid.t_max + 1e-12) / period)
@@ -427,6 +436,7 @@ def free_particle_identity_residuals(
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
+    x0 = _source_point(x0)
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
     s_t = -mass * (x - x0) ** 2 / (2.0 * t**2)
@@ -447,6 +457,7 @@ def harmonic_identity_residuals(
     """Analytic-derivative residuals for the oscillator family."""
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
+    x0 = _source_point(x0)
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
     s, c = np.sin(omega * t), np.cos(omega * t)

@@ -6,16 +6,18 @@ held against; diagnostic records are informational and never affect the
 overall pass flag.  CSV output uses 17 significant digits so that reruns
 of the same configuration diff clean.
 
-A CSV table is a header and a sized sequence of sized rows.  A float cell
-reads ``%.17g``, an integer cell ``%d`` and a string cell as itself,
-whether the cell is a Python or a numpy scalar; ``format_float`` is the
-one definition of that text.  Row builders hand over plain Python cells
-(``ndarray.tolist``), which ``write_csv`` renders one row per ``%``.
+A CSV table is a header and a sized sequence of sized rows.  A string
+cell reads as itself, an integer cell (any ``numbers.Integral``, bools and
+numpy integers included) ``%d``, and any other cell ``%.17g``, whether it
+is a Python or a numpy scalar.  ``write_csv`` renders each row with one
+``%`` string built from those directives.  Row builders hand over plain
+Python cells (``ndarray.tolist``).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +29,6 @@ __all__ = [
     "CheckRecord",
     "Report",
     "build_convergence_rows",
-    "format_float",
     "write_csv",
 ]
 
@@ -93,43 +94,30 @@ class Report:
         path.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
 
 
-def format_float(value) -> str:
-    """Decimal rendering used in every CSV cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) or (
-        hasattr(value, "dtype") and value.dtype.kind in "iu"
-    ):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
-# the format_float text of a cell of exactly this type, as one % directive
-_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+def _cell_format(kind: type) -> str:
+    """The % directive of a CSV cell of this type."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, numbers.Integral):
+        return "%d"
+    return "%.17g"
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Write ``header`` and one comma-separated line per row of ``rows``.
 
-    ``rows`` is a sized sequence of sized rows (tuples or lists).  Every
-    cell reads as ``format_float`` renders it.  A row whose cells are all
-    plain ``float``, ``int`` or ``str`` is rendered by one ``%`` string
-    (``%.17g``, ``%d``, ``%s`` per cell), built once per type signature;
-    any other row (numpy scalars, bools, ...) goes through ``format_float``
-    cell by cell.
+    ``rows`` is a sized sequence of sized rows (tuples or lists).  Each
+    row is rendered by one ``%`` string, built from ``_cell_format`` once
+    per type signature.
     """
     formats: dict = {}
     lines = [",".join(header)]
     for row in rows:
         types = tuple(map(type, row))
-        if types not in formats:
-            cells = [_CELL_FORMATS.get(kind) for kind in types]
-            formats[types] = None if None in cells else ",".join(cells)
-        fmt = formats[types]
+        fmt = formats.get(types)
         if fmt is None:
-            lines.append(",".join(format_float(v) for v in row))
-        else:
-            lines.append(fmt % tuple(row))
+            fmt = formats[types] = ",".join(map(_cell_format, types))
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 

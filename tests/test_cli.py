@@ -12,7 +12,7 @@ from semiprop.core import SpacetimeGrid
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
 from semiprop.lattice import LatticeConfig
 from semiprop.quadratic import free_particle_factors, harmonic_factors
-from semiprop.report import build_convergence_rows, format_float, write_csv
+from semiprop.report import build_convergence_rows, write_csv
 
 
 def read_report(out_dir):
@@ -192,6 +192,22 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["cosmo", "de-sitter", "--a0", "1e200"], "parameter 'a0'"),
         (["cosmo", "de-sitter", "--a0", "1e-200"], "parameter 'a0'"),
         (["cosmo", "stiff", "--phi_dot0", "1e200"], "parameter 'phi_dot0'"),
+        # the explicit RK4 stages overflow; the run stops early and is refused
+        (["cosmo", "stiff", "--phi_dot0", "1e80"], "parameter 'phi_dot0'"),
+        (["cosmo", "stiff", "--phi_dot0", "1e153"], "with step = 0.001"),
+        (["general-hj", "decoupling", "--mass", "0"], "mass must be positive"),
+        (["general-hj", "decoupling", "--c2", "1e200"], "c2 = (1e+200+0j)"),
+        (["general-hj", "exponential", "--slope", "1e200"], "slope b = 1e+200"),
+        (["quadratic", "hj", "--family", "harmonic", "--x0", "1e200"], "x0 must be"),
+        (["quadratic", "hj", "--family", "free", "--x0", "1e200"], "x0 must be"),
+        (["quadratic", "schrodinger-order", "--family", "harmonic", "--x0", "1e200"],
+         "x0 must be"),
+        (["quadratic", "schrodinger-order", "--family", "free", "--x0", "1e200"],
+         "x0 must be"),
+        (["lattice", "hj-positivity", "--amplitude", "-1"], "parameter 'amplitude'"),
+        (["cosmo", "stiff", "--fit_from", "0"], "parameter 'fit_from'"),
+        (["cosmo", "de-sitter", "--t_end", "0"], "parameter 't_end'"),
+        (["general-hj", "hbar-slope", "--hbars", "[]"], "hbars must hold"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -322,9 +338,19 @@ def test_convergence_rows_orders_and_plateau():
 # ------------------------------------------------------ CSV rows and bytes
 
 
+def reference_cell(value) -> str:
+    """The per-cell CSV rendering write_csv replaced."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int,)) or (
+        hasattr(value, "dtype") and value.dtype.kind in "iu"
+    ):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
 def reference_csv(header, rows):
-    """The per-cell rendering write_csv replaced: format_float on every cell."""
-    lines = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(reference_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from semiprop import oracle
 from semiprop.core import (
@@ -31,6 +32,7 @@ from semiprop.oracle import (
     MAX_CN_STEPS,
     _chirp_split,
     _quadrature_weights,
+    as_potential,
     cn_evolve,
     free_gaussian_analytic,
     gaussian_state,
@@ -107,38 +109,72 @@ def test_cn_validates_steps():
         cn_evolve(state, 0.0, dt=1e-9, n_steps=MAX_CN_STEPS + 1)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("this Crank-Nicolson path must not run")
+def banded_reference(state, pot, dt, n_steps):
+    """The per-step banded Crank-Nicolson solve cn_evolve replaced."""
+    v_fn = as_potential(pot)
+    hbar, mass, dx, x, n = state.hbar, state.mass, state.grid.dx, state.grid.x, state.grid.n_x
+    kin_off = -(hbar**2) / (2.0 * mass * dx**2)
+    kin_diag = hbar**2 / (mass * dx**2)
+    lam = dt / (2.0 * hbar)
+    psi, t = state.psi.copy(), state.t
+    ab = np.zeros((3, n), dtype=complex)
+    for _ in range(n_steps):
+        v_mid = np.broadcast_to(np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,))
+        h_diag = kin_diag + v_mid
+        h_psi = h_diag * psi
+        h_psi[:-1] += kin_off * psi[1:]
+        h_psi[1:] += kin_off * psi[:-1]
+        ab[0, 1:] = 1j * lam * kin_off
+        ab[1, :] = 1.0 + 1j * lam * h_diag
+        ab[2, :-1] = 1j * lam * kin_off
+        psi = solve_banded((1, 1), ab, psi - 1j * lam * h_psi)
+        t += dt
+    return psi, t
 
 
-def oscillator_state():
+def oscillator_state(n_x):
     # the tail reaches the walls at ~1e-6 and trips the boundary warning;
-    # these tests compare two solver paths, not the physics
-    grid = SpatialGrid(-6.0, 6.0, 256)
+    # these tests compare two solvers, not the physics
+    grid = SpatialGrid(-6.0, 6.0, n_x)
     return gaussian_state(grid, sigma0=1.0 / math.sqrt(2.0), x_center=1.0)
+
+
+def assert_matches_banded_reference(monkeypatch, pot, factorizations):
+    """cn_evolve equals the banded reference bit for bit, calling zgttrf
+    ``factorizations`` times for 40 steps."""
+    calls = []
+    zgttrf = oracle.zgttrf
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return zgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "zgttrf", counted)
+    for n_x in (64, 513, 2048):
+        psi0 = oscillator_state(n_x)
+        calls.clear()
+        out = cn_evolve(psi0, pot, dt=1e-2, n_steps=40)
+        assert len(calls) == factorizations, n_x
+        psi, t = banded_reference(psi0, pot, dt=1e-2, n_steps=40)
+        assert np.array_equal(out.psi, psi), n_x
+        assert out.t == t
 
 
 @pytest.mark.filterwarnings("ignore:boundary amplitude")
 def test_cn_static_potential_is_factored_once_bit_for_bit(monkeypatch):
-    psi0 = oscillator_state()
-    pot = QuadraticPotential(g2=0.5)
-    # a bound method is opaque, so it takes the per-step banded solve
-    stepped = cn_evolve(psi0, pot.value, dt=1e-2, n_steps=100)
-    monkeypatch.setattr(oracle, "solve_banded", _refuse)
-    factored = cn_evolve(psi0, pot, dt=1e-2, n_steps=100)
-    assert np.array_equal(factored.psi, stepped.psi)
-    assert factored.t == stepped.t
+    for pot in (QuadraticPotential(g2=0.5), 0.25):
+        assert_matches_banded_reference(monkeypatch, pot, factorizations=1)
 
 
 @pytest.mark.filterwarnings("ignore:boundary amplitude")
 def test_cn_callable_coefficient_takes_the_step_path(monkeypatch):
-    psi0 = oscillator_state()
-    stepped = cn_evolve(psi0, QuadraticPotential(g2=0.5).value, dt=1e-2, n_steps=100)
-    monkeypatch.setattr(oracle, "zgttrf", _refuse)
-    timed = cn_evolve(
-        psi0, QuadraticPotential(g2=lambda t: 0.5 + 0.0 * t), dt=1e-2, n_steps=100
-    )
-    assert np.array_equal(timed.psi, stepped.psi)
+    # a bound method and a plain callable are opaque, so they count as time-dependent
+    for pot in (
+        QuadraticPotential(g2=0.5).value,
+        QuadraticPotential(g2=lambda t: 0.5 + 0.1 * t, g1=lambda t: 0.2 * math.sin(t)),
+        lambda x, t: 0.5 * x**2 + 0.3 * np.cos(t) * x,
+    ):
+        assert_matches_banded_reference(monkeypatch, pot, factorizations=40)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +348,7 @@ def test_chirp_kernel_matches_the_dense_quadrature(family, n_x, tau):
     assert relative_gap(out.psi, reference) < 1e-12
 
 
-def test_non_quadratic_action_takes_the_dense_fallback():
+def test_non_quadratic_action_is_refused():
     psi0, factors = kernel_case("free", 513)
     quadratic = factors.two_point_action
     cubic = dataclasses.replace(
@@ -320,12 +356,8 @@ def test_non_quadratic_action_takes_the_dense_fallback():
         two_point_action=lambda x, xa, t: quadratic(x, xa, t) + 1e-3 * x**3 * xa,
     )
     assert _chirp_split(cubic.two_point_action, psi0.grid.x, 1.0) is None
-    out = kernel_propagate(psi0, cubic, 1.0, reference_time=1e-2)
-    reference = dense_reference(psi0, cubic, 1.0, 1e-2)
-    assert relative_gap(out.psi, reference) < 1e-12
-    # the cubic term is large enough that the quadratic kernel is far off
-    plain = kernel_propagate(psi0, factors, 1.0, reference_time=1e-2)
-    assert relative_gap(plain.psi, reference) > 1e-2
+    with pytest.raises(ValueError, match=r"not quadratic in \(x, x0\)"):
+        kernel_propagate(psi0, cubic, 1.0, reference_time=1e-2)
 
 
 def test_kernel_refuses_misconfiguration():
