@@ -34,6 +34,7 @@ from .cosmo import (
     matched_a_dot,
 )
 from .general_hj import (
+    X_EDGE,
     cos_log_family,
     decoupling_residual,
     exponential_family_residuals,
@@ -269,7 +270,7 @@ def _run_general_decoupling(params: dict, rng) -> RunnerOutput:
         hbar=params["hbar"], mass=params["mass"],
     )
     grid = SpacetimeGrid(
-        x_min=-2.0, x_max=2.0, n_x=65, t_min=0.0, t_max=1.0, n_t=33
+        x_min=-X_EDGE, x_max=X_EDGE, n_x=65, t_min=0.0, t_max=1.0, n_t=33
     )
     res = decoupling_residual(
         ansatz.R, grid, mass=params["mass"], hbar=params["hbar"],
@@ -734,7 +735,17 @@ def _coerce(name: str, value, default):
         )
     if isinstance(default, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ValueError(
+                    "parameter '{}' is an integer too large for a float".format(name)
+                ) from None
+            if not math.isfinite(number):
+                raise ValueError(
+                    "parameter '{}' must be finite, got {!r}".format(name, number)
+                )
+            return number
         raise ValueError(
             "parameter '{}' expects a number, got {!r}".format(name, value)
         )

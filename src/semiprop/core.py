@@ -458,6 +458,68 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The RK4 step loop, written out component by component for one state size;
+# `_rk4_steps` fills in nothing but that size.  Each component keeps the
+# operation order of y + (step/6)*(k1 + 2k2 + 2k3 + k4), and unpacking a
+# stage refuses a deriv that returns the wrong number of components.
+_RK4_TEMPLATE = """\
+def rk4_steps_{dim}(deriv, stop, y, t0, step, n_steps, ys):
+    half, sixth = 0.5 * step, step / 6.0
+    {y}, = y
+    for k in range(n_steps):
+        t = t0 + step * k
+        {a}, = deriv(t, y)
+        {b}, = deriv(t + half, [{half_a}])
+        {c}, = deriv(t + half, [{half_b}])
+        {d}, = deriv(t + step, [{step_c}])
+        {update}
+        y = ({y},)
+        ys[k + 1] = y
+        if not ({finite}) or (stop is not None and stop(t0 + step * (k + 1), y)):
+            return k + 1
+    return None
+"""
+
+# Compiled step loops, keyed by state size.
+_RK4_STEPS: dict[int, Callable] = {}
+
+
+def _rk4_steps(dim: int) -> Callable:
+    """The step loop for states of ``dim`` components, compiled once per size.
+
+    It runs ``n_steps`` steps from the state tuple ``y``, writes each new
+    state to ``ys[k + 1]`` and returns the index at which the state turned
+    non-finite or ``stop`` fired, else None.
+    """
+    steps = _RK4_STEPS.get(dim)
+    if steps is None:
+        idx = range(dim)
+
+        def joined(form: str, sep: str = ", ") -> str:
+            return sep.join(form.format(i=i) for i in idx)
+
+        source = _RK4_TEMPLATE.format(
+            dim=f"{dim:d}",
+            y=joined("y{i}"),
+            a=joined("a{i}"),
+            b=joined("b{i}"),
+            c=joined("c{i}"),
+            d=joined("d{i}"),
+            half_a=joined("y{i} + half * a{i}"),
+            half_b=joined("y{i} + half * b{i}"),
+            step_c=joined("y{i} + step * c{i}"),
+            update=joined(
+                "y{i} = y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", "\n        "
+            ),
+            finite=joined("isfinite(y{i})", " and "),
+        )
+        namespace: dict = {}
+        code = compile(source, f"<rk4 step loop, dim {dim:d}>", "exec")
+        exec(code, {"isfinite": math.isfinite}, namespace)
+        steps = _RK4_STEPS[dim] = namespace[f"rk4_steps_{dim:d}"]
+    return steps
+
+
 def rk4_solve(
     deriv: Callable[[float, Sequence[float]], Sequence[float]],
     y0: Sequence[float],
@@ -475,7 +537,13 @@ def rk4_solve(
     which ``stop`` fired or the state turned non-finite (truncating the
     arrays), else None.  A negative step integrates backward in time.
     More than MAX_RK4_STEPS steps are refused, naming the step, before
-    anything is allocated.
+    anything is allocated, and so is an empty ``y0``.
+
+    The steps run in a loop generated for the state size and compiled
+    once per size: every stage component is written out (``y0 + half *
+    a0``, ...), in the operation order of y + (step/6)*(k1 + 2k2 + 2k3 +
+    k4).  A ``deriv`` that returns the wrong number of components raises
+    ``ValueError`` when its result is unpacked.
     """
     if step == 0:
         raise ValueError("step must be nonzero")
@@ -487,26 +555,12 @@ def rk4_solve(
             f"budget of {MAX_RK4_STEPS}"
         )
     y = tuple(map(float, y0))
+    if not y:
+        raise ValueError("y0 must hold at least one component, got none")
     ts = t0 + step * np.arange(n_steps + 1)
     ys = np.empty((n_steps + 1, len(y)))
     ys[0] = y
-    half, sixth = 0.5 * step, step / 6.0
-    stopped_at: int | None = None
-    for k in range(n_steps):
-        t = t0 + step * k
-        k1 = deriv(t, y)
-        k2 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
-        k3 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
-        k4 = deriv(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
-        # tuple(list): tuple(generator) resizes each tuple and fills the tuple free list
-        stages = zip(y, k1, k2, k3, k4)
-        y = tuple([yi + sixth * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in stages])
-        ys[k + 1] = y
-        if not all(map(math.isfinite, y)) or (
-            stop is not None and stop(t0 + step * (k + 1), y)
-        ):
-            stopped_at = k + 1
-            break
+    stopped_at = _rk4_steps(len(y))(deriv, stop, y, t0, step, n_steps, ys)
     if stopped_at is not None:
         return ts[: stopped_at + 1], ys[: stopped_at + 1], stopped_at
     return ts, ys, None

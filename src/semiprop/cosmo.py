@@ -284,7 +284,9 @@ def evolve_classical(
         )
     n_steps = int(round((hi - lo) / step))
     if n_steps < 1:
-        raise ValueError("window shorter than one step")
+        raise ValueError(
+            f"window ({lo}, {hi}) is shorter than one step: step = {step!r}"
+        )
 
     k, lam = params.k, params.lam
     v_fn, dv_fn = params.potential.v, params.potential.dv

@@ -54,7 +54,12 @@ __all__ = [
     "cos_log_quadrature_inputs",
     "exponential_family",
     "exponential_family_residuals",
+    "X_EDGE",
 ]
+
+# The exact families are checked on x in [-X_EDGE, X_EDGE], and they refuse
+# parameters whose closed forms overflow there.
+X_EDGE = 2.0
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,8 @@ def cos_log_family(
     tan^2) = c2^2, so the residual cancels identically.  The cosine of
     an imaginary argument is evaluated through cosh/sinh and the
     logarithm's branch is kept continuous along x.  Refuses a mass that
-    is not positive (the rate divides by it) and a c2 whose rate overflows.
+    is not positive (the rate divides by it), a c2 whose rate overflows and
+    a c2 whose cosine overflows at |x| = X_EDGE.
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -327,6 +333,14 @@ def cos_log_family(
         raise ValueError(
             f"c2 = {c2!r} with hbar = {hbar!r} and mass = {mass!r} overflows the "
             "rate i hbar c2^2 / (2m)"
+        )
+    # |cos(i c2 x + c3)| grows with |Re(c2) x|, so the edges bound it
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge = np.abs(_cos_iu(c2, c3, np.array([-X_EDGE, X_EDGE])))
+    if not np.all(np.isfinite(edge)):
+        raise ValueError(
+            f"c2 = {c2!r} with c3 = {c3!r} overflows the closed form "
+            f"ln cos(i c2 x + c3) at |x| = {X_EDGE}"
         )
 
     def r_fn(x, t):
@@ -431,8 +445,9 @@ def cos_log_quadrature_inputs(
 def _exponential_parameters(
     amplitude: float, slope: float, hbar: float, mass: float
 ) -> tuple[float, float]:
-    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0, m > 0
-    and the rate i hbar b^2 / (32 m) is finite."""
+    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0, m > 0,
+    the rate i hbar b^2 / (32 m) is finite and so is 2 m A e^(b x), the
+    Hamilton-Jacobi terms' size, on |x| <= X_EDGE."""
     a, b = float(amplitude), float(slope)
     if b == 0.0:
         raise ValueError("slope b must be nonzero")
@@ -447,6 +462,15 @@ def _exponential_parameters(
         raise ValueError(
             f"slope b = {b!r} with hbar = {hbar!r} and mass = {mass!r} overflows "
             "the rate i hbar b^2 / (32 m)"
+        )
+    try:
+        growth = math.exp(abs(b) * X_EDGE)
+    except OverflowError:
+        growth = math.inf
+    if not math.isfinite(2.0 * mass * a * growth):
+        raise ValueError(
+            f"slope b = {b!r} with amplitude A = {a!r} and mass = {mass!r} "
+            f"overflows 2 m A e^(b x) at |x| = {X_EDGE}"
         )
     return a, b
 
@@ -506,18 +530,16 @@ def exponential_family_residuals(
     slope: float = 1.0,
     hbar: float = 1.0,
     mass: float = 1.0,
-    x: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Analytic-derivative residuals of the exponential-potential pair.
+    """Analytic-derivative residuals of the exponential-potential pair on
+    101 points of [-X_EDGE, X_EDGE].
 
     hamilton_jacobi: dS/dt + (dS/dx)^2/(2m) + V, exactly zero since
     (dS/dx)^2 = (i sqrt(2mA))^2 e^(bx) = -2mA e^(bx).
     decoupling: 2m dR/dt - i hbar [(b/4)^2] = i hbar b^2/16 - i hbar b^2/16.
     """
     a, b = _exponential_parameters(amplitude, slope, hbar, mass)
-    if x is None:
-        x = np.linspace(-2.0, 2.0, 101)
-    x = np.asarray(x, dtype=float)
+    x = np.linspace(-X_EDGE, X_EDGE, 101)
     s_x = 1j * math.sqrt(2.0 * mass * a) * np.exp(b * x / 2.0)
     hj = s_x**2 / (2.0 * mass) + a * np.exp(b * x)  # dS/dt = 0
     dec = 2.0 * mass * (1j * hbar * b**2 / (32.0 * mass)) - 1j * hbar * (b / 4.0) ** 2

@@ -177,7 +177,10 @@ def solve_prefactor_odes(
         n_forth = max(1, int(round((hi - t0) / step)))
         forth = rk4_solve(deriv, y_init, t0, step, n_forth, stop=stop)
     if back is None and forth is None:
-        raise ValueError("window shorter than one step on both sides of t0")
+        raise ValueError(
+            f"window [{lo}, {hi}] is shorter than one step on both sides of "
+            f"t0 = {t0}: step = {step!r}"
+        )
 
     blow_up_time: float | None = None
     parts_t, parts_y = [], []

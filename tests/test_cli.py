@@ -208,6 +208,17 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["cosmo", "stiff", "--fit_from", "0"], "parameter 'fit_from'"),
         (["cosmo", "de-sitter", "--t_end", "0"], "parameter 't_end'"),
         (["general-hj", "hbar-slope", "--hbars", "[]"], "hbars must hold"),
+        # a float literal that reads as inf, and an integer literal past 1e308
+        (["cosmo", "stiff", "--t_end", "1e400"], "parameter 't_end' must be finite"),
+        (["quadratic", "hj", "--x0", "1" + "0" * 400], "parameter 'x0' is an integer"),
+        # a step longer than the whole RK4 window
+        (["cosmo", "de-sitter", "--step", "10"],
+         "window (0.0, 1.0) is shorter than one step: step = 10.0"),
+        (["quadratic", "prefactor-ode", "--step", "10"],
+         "window [0.0, 0.5] is shorter than one step on both sides of t0 = 0.0: step = 10.0"),
+        # the closed forms overflow on the fixed [-2, 2] grid
+        (["general-hj", "decoupling", "--c2", "1000"], "c2 = (1000+0j)"),
+        (["general-hj", "exponential", "--slope", "1000"], "slope b = 1000.0"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from semiprop import core
 from semiprop.core import (
     ComplexField,
     PropagatorFactors,
@@ -293,6 +294,99 @@ def test_rk4_matches_the_array_form_bit_for_bit():
     assert stopped is None
     assert np.array_equal(ts, t0 + step * np.arange(301))
     assert np.array_equal(ys, np.array(expected))
+
+
+def zip_loop_rk4_solve(deriv, y0, t0, step, n_steps, stop=None):
+    """The zip list-comprehension stepper rk4_solve replaced; the reference."""
+    y = tuple(map(float, y0))
+    ts = t0 + step * np.arange(n_steps + 1)
+    ys = np.empty((n_steps + 1, len(y)))
+    ys[0] = y
+    half, sixth = 0.5 * step, step / 6.0
+    stopped_at = None
+    for k in range(n_steps):
+        t = t0 + step * k
+        k1 = deriv(t, y)
+        k2 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = deriv(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
+        stages = zip(y, k1, k2, k3, k4)
+        y = tuple([yi + sixth * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in stages])
+        ys[k + 1] = y
+        if not all(map(math.isfinite, y)) or (
+            stop is not None and stop(t0 + step * (k + 1), y)
+        ):
+            stopped_at = k + 1
+            break
+    if stopped_at is not None:
+        return ts[: stopped_at + 1], ys[: stopped_at + 1], stopped_at
+    return ts, ys, None
+
+
+def assert_matches_the_zip_loop(deriv, y0, t0, step, n_steps, stop=None):
+    ts, ys, stopped = rk4_solve(deriv, y0, t0, step, n_steps, stop=stop)
+    ref_ts, ref_ys, ref_stopped = zip_loop_rk4_solve(deriv, y0, t0, step, n_steps, stop=stop)
+    assert stopped == ref_stopped
+    assert np.array_equal(ts, ref_ts)
+    assert np.array_equal(ys, ref_ys)
+    return ys, stopped
+
+
+def coupled(t, y):
+    # a nonlinear right-hand side that mixes every component with its neighbours
+    n = len(y)
+    return tuple(
+        math.sin(t) * y[(i + 1) % n] - 0.3 * y[i] + 0.1 * y[i - 1] * y[(i + 2) % n]
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 5])
+@pytest.mark.parametrize("step", [0.013, -0.013])
+def test_rk4_matches_the_zip_loop_bit_for_bit(dim, step):
+    y0 = [0.7 - 0.25 * i for i in range(dim)]
+    _, stopped = assert_matches_the_zip_loop(coupled, y0, 0.3, step, 400)
+    assert stopped is None
+
+
+def test_rk4_matches_the_zip_loop_when_stop_fires():
+    _, stopped = assert_matches_the_zip_loop(
+        lambda t, y: (y[1], y[0]), [1.0, 0.5], 0.0, 0.01, 1000,
+        stop=lambda t, y: y[0] > 3.0,
+    )
+    assert stopped is not None and stopped < 1000
+
+
+def test_rk4_matches_the_zip_loop_when_the_state_overflows():
+    # y' = y^2 blows up at t = 1; float * overflows to inf and the run truncates
+    ys, stopped = assert_matches_the_zip_loop(
+        lambda t, y: (y[0] * y[0], 1.0), [1.0, 0.0], 0.0, 0.001, 2000
+    )
+    assert stopped is not None and stopped < 2000
+    assert not math.isfinite(ys[-1, 0])
+
+
+def test_rk4_matches_the_zip_loop_on_a_numpy_deriv():
+    _, stopped = assert_matches_the_zip_loop(
+        lambda t, y: np.array([-2.0 * y[0], y[0] - y[1]]), [1.0, 0.0], 0.0, 0.05, 40
+    )
+    assert stopped is None
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_rk4_refuses_a_wrong_length_deriv(length):
+    with pytest.raises(ValueError, match="values to unpack"):
+        rk4_solve(lambda t, y: [1.0] * length, [1.0, 2.0, 3.0, 4.0], 0.0, 0.1, 10)
+
+
+def test_rk4_refuses_an_empty_state():
+    with pytest.raises(ValueError, match="y0"):
+        rk4_solve(lambda t, y: (), [], 0.0, 0.1, 10)
+
+
+def test_rk4_step_loop_is_compiled_once_per_size():
+    assert core._rk4_steps(3) is core._rk4_steps(3)
+    assert core._rk4_steps(3) is not core._rk4_steps(4)
 
 
 def test_rk4_stop_condition_truncates():
