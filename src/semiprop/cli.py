@@ -35,6 +35,7 @@ from .cosmo import (
 )
 from .general_hj import (
     X_EDGE,
+    GeneralAnsatz,
     cos_log_family,
     decoupling_residual,
     exponential_family_residuals,
@@ -272,10 +273,7 @@ def _run_general_decoupling(params: dict, rng) -> RunnerOutput:
     grid = SpacetimeGrid(
         x_min=-X_EDGE, x_max=X_EDGE, n_x=65, t_min=0.0, t_max=1.0, n_t=33
     )
-    res = decoupling_residual(
-        ansatz.R, grid, mass=params["mass"], hbar=params["hbar"],
-        dR_dt=ansatz.dR_dt, dR_dx=ansatz.dR_dx, d2R_dx2=ansatz.d2R_dx2,
-    )
+    res = decoupling_residual(ansatz, grid)
     records = [_bound("decoupling-residual", res.max_abs(), 1e-8)]
     return records, None, {}
 
@@ -297,12 +295,10 @@ def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
     grid = SpacetimeGrid(
         x_min=-2.0, x_max=2.0, n_x=81, t_min=0.0, t_max=1.0, n_t=5
     )
-    report = imaginary_scaling_probe(
-        lambda x, t: -curvature * x**2 + 0.0 * t,
-        params["hbars"],
-        grid,
-        mass=params["mass"],
+    ansatz = GeneralAnsatz(
+        R=lambda x, t: -curvature * x**2 + 0.0 * t, mass=params["mass"]
     )
+    report = imaginary_scaling_probe(ansatz, params["hbars"], grid)
     if report.vacuous:
         slope, detail = float("nan"), "Im S vanished identically; slope undefined"
     else:
@@ -435,7 +431,9 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
     if traj.collapse_time is not None:
         raise ValueError(
             "parameter 'phi_dot0' = {!r} with step = {!r}: the RK4 run overflowed "
-            "or collapsed at t = {:.6g}".format(phi_dot0, params["step"], traj.collapse_time)
+            "or collapsed at t = {:.6g}; lower parameter 'step' or 'phi_dot0'".format(
+                phi_dot0, params["step"], traj.collapse_time
+            )
         )
     late = traj.t >= params["fit_from"]
     if np.count_nonzero(late) < 3:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,9 +68,9 @@ class GeneralAnsatz:
 
     R is a vectorized callable of (x, t).  f0 and f1 are constants or
     callables of t; they fix the two integration constants of the action
-    quadrature at each time.  Analytic derivative callables are used
-    when supplied; otherwise derivatives fall back to second-order
-    stencils on the sampling grid.
+    quadrature at each time.  dR_dt, dR_dx and d2R_dx2 are analytic
+    derivative callables of (x, t), given all three or none; without
+    them the derivatives are second-order stencils on the sampling grid.
     """
 
     R: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -88,13 +88,49 @@ class GeneralAnsatz:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
+        given = sum(d is not None for d in (self.dR_dt, self.dR_dx, self.d2R_dx2))
+        if given not in (0, 3):
+            raise ValueError(
+                f"dR_dt, dR_dx and d2R_dx2 come all three or none, got {given} of them"
+            )
 
-    def has_analytic_derivatives(self) -> bool:
-        return (
-            self.dR_dt is not None
-            and self.dR_dx is not None
-            and self.d2R_dx2 is not None
-        )
+
+def _bracket(
+    ansatz: GeneralAnsatz, xs: np.ndarray, grid: SpacetimeGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R on (xs, grid.t), the bracket 2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2]
+    there, and the time columns where both may be read.
+
+    xs spans [x_min, x_max] uniformly.  The derivatives are the ansatz's
+    analytic ones when it carries them, otherwise second-order stencils;
+    a column whose time stencil reads an excluded neighbor is then
+    dropped.  R reads 0 on excluded columns.
+    """
+    shape = (xs.size, grid.n_t)
+    X, T = xs[:, None], grid.t[None, :]
+    tmask = grid.time_mask()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = np.broadcast_to(np.asarray(ansatz.R(X, T), dtype=complex), shape).copy()
+        r[:, ~tmask] = 0.0
+        bad = ~np.isfinite(r)
+        if bad.any():
+            j, i = np.argwhere(bad.T)[0]
+            raise ValueError(f"R is not finite at x={xs[i]:.6g}, t={grid.t[j]:.6g}")
+        if ansatz.dR_dt is None:
+            valid = np.broadcast_to(tmask, shape)
+            h = (grid.x_max - grid.x_min) / (xs.size - 1)
+            r_t, t_ok = _stencil(r, valid, grid.dt, 1, 1)
+            r_x, _ = _stencil(r, valid, h, 0, 1)
+            r_xx, _ = _stencil(r, valid, h, 0, 2)
+            cols = t_ok[0]
+        else:
+            r_t, r_x, r_xx = (
+                np.broadcast_to(np.asarray(d(X, T), dtype=complex), shape)
+                for d in (ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2)
+            )
+            cols = tmask
+        bracket = 2.0 * ansatz.mass * r_t - 1j * ansatz.hbar * (r_xx + r_x**2)
+    return r, bracket, cols
 
 
 def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
@@ -106,119 +142,53 @@ def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
         )
 
 
-def build_S_from_R(
-    ansatz: GeneralAnsatz, grid: SpacetimeGrid, n_panels: int | None = None
-) -> ComplexField:
-    """Action field from the double x-quadrature, sampled at the grid nodes.
+def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
+    """Action field of ``ansatz`` from the double x-quadrature, sampled at
+    the grid nodes.
 
-    The quadrature runs on a refinement of the spatial grid (``n_panels``
-    Simpson panels, default n_x - 1, always an integer multiple of the
-    node spacing so S lands back on the grid).  The inner antiderivative
-    is tabulated cumulatively from x_min; f0 and f1 absorb the
-    lower-limit constants.  Excluded time slices are skipped and masked.
+    The quadrature runs on the spatial grid with one midpoint added per
+    cell, one Simpson panel per cell, so S lands back on the grid.  The
+    inner antiderivative is tabulated cumulatively from x_min; f0 and f1
+    absorb the lower-limit constants.  Excluded time slices, and with
+    stencil derivatives their neighbors, are skipped and masked.
     """
-    if n_panels is None:
-        n_panels = grid.n_x - 1
-    if n_panels < 1 or n_panels % (grid.n_x - 1) != 0:
-        raise ValueError(
-            f"n_panels={n_panels} must be a positive multiple of n_x-1={grid.n_x - 1}"
-        )
-    stride = 2 * n_panels // (grid.n_x - 1)
-    xs = np.linspace(grid.x_min, grid.x_max, 2 * n_panels + 1)
-    hs = (grid.x_max - grid.x_min) / (2 * n_panels)
-    m, hbar = ansatz.mass, ansatz.hbar
-    tmask = grid.time_mask()
-
-    if ansatz.has_analytic_derivatives():
-        col_ok = tmask
-        r_t = r_x = r_xx = None
-    else:
-        # sample R over all valid times once and difference in t; columns
-        # whose time stencil would read an excluded neighbor are dropped
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r_all = np.asarray(
-                ansatz.R(xs[:, None], grid.t[None, :]), dtype=complex
-            )
-        r_all = np.broadcast_to(r_all, (xs.size, grid.n_t)).copy()
-        r_all[:, ~tmask] = 0.0
-        if not np.all(np.isfinite(r_all[:, tmask])):
-            raise ValueError("R is not finite on the working window")
-        valid = np.broadcast_to(tmask, r_all.shape)
-        r_t, t_ok = _stencil(r_all, valid, grid.dt, 1, 1)
-        col_ok = t_ok[0]
-        r_x, _ = _stencil(r_all, valid, hs, 0, 1)
-        r_xx, _ = _stencil(r_all, valid, hs, 0, 2)
-
+    xs = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_x - 1)
+    hs = (grid.x_max - grid.x_min) / (2 * (grid.n_x - 1))
+    r, bracket, cols = _bracket(ansatz, xs, grid)
     values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
     for j, t in enumerate(grid.t):
-        if not col_ok[j]:
+        if not cols[j]:
             continue
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r_slice = np.asarray(ansatz.R(xs, t), dtype=complex)
-            r_slice = np.broadcast_to(r_slice, xs.shape)
-            if ansatz.has_analytic_derivatives():
-                drt = np.broadcast_to(np.asarray(ansatz.dR_dt(xs, t), dtype=complex), xs.shape)
-                drx = np.broadcast_to(np.asarray(ansatz.dR_dx(xs, t), dtype=complex), xs.shape)
-                drxx = np.broadcast_to(np.asarray(ansatz.d2R_dx2(xs, t), dtype=complex), xs.shape)
-            else:
-                drt, drx, drxx = r_t[:, j], r_x[:, j], r_xx[:, j]
-            e_plus = np.exp(2.0 * r_slice)
-            e_minus = np.exp(-2.0 * r_slice)
-        if not np.all(np.isfinite(r_slice)):
-            k = int(np.flatnonzero(~np.isfinite(r_slice))[0])
-            raise ValueError(f"R is not finite at x={xs[k]:.6g}, t={t:.6g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_plus = np.exp(2.0 * r[:, j])
+            e_minus = np.exp(-2.0 * r[:, j])
         _audit_exp(e_plus, xs, t, "+")
         _audit_exp(e_minus, xs, t, "-")
-        inner = e_plus * (2.0 * m * drt - 1j * hbar * (drxx + drx**2))
-        a_tab = cumulative_simpson(inner, hs)
+        a_tab = cumulative_simpson(e_plus * bracket[:, j], hs)
         outer = e_minus * (complex(at_time(ansatz.f1, t)) - a_tab)
         s_tab = cumulative_simpson(outer, hs)
-        values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::stride]
-    mask = grid.node_mask() & col_ok[None, :]
+        values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::2]
+    mask = grid.node_mask() & cols[None, :]
     return ComplexField(grid=grid, values=values, mask=mask)
 
 
-def decoupling_residual(
-    R,
-    grid: SpacetimeGrid,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-    dR_dt: Callable | None = None,
-    dR_dx: Callable | None = None,
-    d2R_dx2: Callable | None = None,
-) -> ComplexField:
-    """2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] nodewise.
+def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
+    """2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] of ``ansatz`` nodewise.
 
     Zero exactly when the x-dependence of R decouples from the action
-    quadrature (the inner integrand above vanishes).  Analytic
-    derivative callables are used when given; otherwise R is sampled on
-    the grid and differenced, which limits accuracy to O(h^2).
+    quadrature (the inner integrand above vanishes).  With stencil
+    derivatives the accuracy is O(h^2).
     """
-    if dR_dt is not None and dR_dx is not None and d2R_dx2 is not None:
-        X, T = grid.mesh()
-        drt = np.broadcast_to(np.asarray(dR_dt(X, T), dtype=complex), (grid.n_x, grid.n_t))
-        drx = np.broadcast_to(np.asarray(dR_dx(X, T), dtype=complex), (grid.n_x, grid.n_t))
-        drxx = np.broadcast_to(np.asarray(d2R_dx2(X, T), dtype=complex), (grid.n_x, grid.n_t))
-        values = 2.0 * mass * drt - 1j * hbar * (drxx + drx**2)
-        values = np.where(grid.node_mask(), values, 0.0)
-        return ComplexField(grid=grid, values=values, mask=grid.node_mask())
-    field = R if isinstance(R, ComplexField) else ComplexField.from_callable(grid, R)
-    drt = finite_difference(field, "t", 1)
-    drx = finite_difference(field, "x", 1)
-    drxx = finite_difference(field, "x", 2)
-    mask = drt.mask & drx.mask & drxx.mask
-    values = 2.0 * mass * drt.values - 1j * hbar * (drxx.values + drx.values**2)
-    values = np.where(mask, values, 0.0)
-    return ComplexField(grid=grid, values=values, mask=mask)
+    _, bracket, cols = _bracket(ansatz, grid.x, grid)
+    mask = np.broadcast_to(cols, (grid.n_x, grid.n_t))
+    return ComplexField(grid=grid, values=np.where(mask, bracket, 0.0), mask=mask)
 
 
-def recover_potential(S: ComplexField, mass: float = 1.0, hbar: float = 1.0) -> ComplexField:
+def recover_potential(S: ComplexField, mass: float = 1.0) -> ComplexField:
     """Potential the action solves: V = -dS/dt - (dS/dx)^2/(2m) nodewise.
 
-    Derivatives are stencil-based, so the recovery is O(h^2) accurate;
-    hbar is accepted for signature symmetry but does not enter.
+    Derivatives are stencil-based, so the recovery is O(h^2) accurate.
     """
-    del hbar
     s_t = finite_difference(S, "t", 1)
     s_x = finite_difference(S, "x", 1)
     mask = s_t.mask & s_x.mask
@@ -235,17 +205,10 @@ class ImaginaryScalingReport:
 
 
 def imaginary_scaling_probe(
-    R: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    hbars: Sequence[float],
-    grid: SpacetimeGrid,
-    mass: float = 1.0,
-    f0: object = 0.0,
-    f1: object = 0.0,
-    dR_dt: Callable | None = None,
-    dR_dx: Callable | None = None,
-    d2R_dx2: Callable | None = None,
+    ansatz: GeneralAnsatz, hbars: Sequence[float], grid: SpacetimeGrid
 ) -> ImaginaryScalingReport:
-    """Norm of Im S versus hbar for a real amplitude exponent.
+    """Norm of Im S versus hbar for the real amplitude exponent of
+    ``ansatz``, whose action is built again at each hbar.
 
     For real R (and real f0, f1) the only imaginary source in the action
     quadrature is the explicit i*hbar term, so ||Im S|| must scale
@@ -259,17 +222,13 @@ def imaginary_scaling_probe(
     if any(h <= 0 for h in values):
         raise ValueError(f"hbars must all be positive, got {hbars!r}")
     X, T = grid.mesh()
-    r_vals = np.asarray(R(X, T), dtype=complex)
+    r_vals = np.asarray(ansatz.R(X, T), dtype=complex)
     r_valid = np.broadcast_to(r_vals, (grid.n_x, grid.n_t))[grid.node_mask()]
     if np.max(np.abs(r_valid.imag)) > 1e-12 * max(1.0, np.max(np.abs(r_valid.real))):
         raise ValueError("imaginary_scaling_probe requires a real R")
     norms = []
     for hb in values:
-        ansatz = GeneralAnsatz(
-            R=R, f0=f0, f1=f1, hbar=hb, mass=mass,
-            dR_dt=dR_dt, dR_dx=dR_dx, d2R_dx2=d2R_dx2,
-        )
-        s_field = build_S_from_R(ansatz, grid)
+        s_field = build_S_from_R(replace(ansatz, hbar=hb), grid)
         im = np.abs(s_field.values.imag[s_field.mask])
         norms.append(float(im.max()) if im.size else 0.0)
     scale = max(norms)
@@ -319,7 +278,7 @@ def cos_log_family(
     an imaginary argument is evaluated through cosh/sinh and the
     logarithm's branch is kept continuous along x.  Refuses a mass that
     is not positive (the rate divides by it), a c2 whose rate overflows and
-    a c2 whose cosine overflows at |x| = X_EDGE.
+    a c2 whose squared cosine overflows at |x| = X_EDGE.
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -334,13 +293,14 @@ def cos_log_family(
             f"c2 = {c2!r} with hbar = {hbar!r} and mass = {mass!r} overflows the "
             "rate i hbar c2^2 / (2m)"
         )
-    # |cos(i c2 x + c3)| grows with |Re(c2) x|, so the edges bound it
+    # |cos(i c2 x + c3)| grows with |Re(c2) x|, so the edges bound it; its
+    # square overflows first, and d2R/dx2 = c2^2 / cos^2 divides by it
     with np.errstate(over="ignore", invalid="ignore"):
-        edge = np.abs(_cos_iu(c2, c3, np.array([-X_EDGE, X_EDGE])))
+        edge = _cos_iu(c2, c3, np.array([-X_EDGE, X_EDGE])) ** 2
     if not np.all(np.isfinite(edge)):
         raise ValueError(
-            f"c2 = {c2!r} with c3 = {c3!r} overflows the closed form "
-            f"ln cos(i c2 x + c3) at |x| = {X_EDGE}"
+            f"c2 = {c2!r} with c3 = {c3!r} overflows cos^2(i c2 x + c3), "
+            f"which d2R/dx2 divides by, at |x| = {X_EDGE}"
         )
 
     def r_fn(x, t):

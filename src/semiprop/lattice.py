@@ -82,8 +82,8 @@ class LatticeConfig:
             )
         if self.n_sites > MAX_SITES:
             raise ValueError(
-                "lattice has {} sites; dense operators are capped at {}".format(
-                    self.n_sites, MAX_SITES
+                "dims {} give {} sites; lattices are capped at {}".format(
+                    dims, self.n_sites, MAX_SITES
                 )
             )
         # the stencils divide by spacing^2, the CFL bound by 4/spacing^2, and

@@ -36,6 +36,7 @@ from semiprop.cosmo import (
 )
 from semiprop.cosmo import ActionGrids, complex_action_residuals
 from semiprop.general_hj import (
+    GeneralAnsatz,
     cos_log_family,
     decoupling_residual,
     exponential_family_residuals,
@@ -197,15 +198,11 @@ def test_criterion_04_oracle_equivalence():
 def test_criterion_05_general_hj_families():
     grid = SpacetimeGrid(x_min=-2.0, x_max=2.0, n_x=65, t_min=0.0, t_max=1.0, n_t=33)
     ansatz = cos_log_family(c2=1.0)
-    cos_log = decoupling_residual(
-        ansatz.R, grid, mass=1.0, hbar=1.0,
-        dR_dt=ansatz.dR_dt, dR_dx=ansatz.dR_dx, d2R_dx2=ansatz.d2R_dx2,
-    ).max_abs()
+    cos_log = decoupling_residual(ansatz, grid).max_abs()
     exponential = exponential_family_residuals()["hamilton_jacobi"]
     slope_grid = SpacetimeGrid(x_min=-2.0, x_max=2.0, n_x=81, t_min=0.0, t_max=1.0, n_t=5)
-    report = imaginary_scaling_probe(
-        lambda x, t: -(x**2) / 4.0 + 0.0 * t, [0.5, 1.0, 2.0], slope_grid
-    )
+    gaussian = GeneralAnsatz(R=lambda x, t: -(x**2) / 4.0 + 0.0 * t)
+    report = imaginary_scaling_probe(gaussian, [0.5, 1.0, 2.0], slope_grid)
     ok = (
         cos_log <= 1e-8
         and exponential <= 1e-10

@@ -218,6 +218,12 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
          "window [0.0, 0.5] is shorter than one step on both sides of t0 = 0.0: step = 10.0"),
         # the closed forms overflow on the fixed [-2, 2] grid
         (["general-hj", "decoupling", "--c2", "1000"], "c2 = (1000+0j)"),
+        # cos^2, which d2R/dx2 divides by, overflows before cos does
+        (["general-hj", "decoupling", "--c2", "300"], "c2 = (300+0j)"),
+        (["general-hj", "decoupling", "--c2", "200", "--c3", "0.3"], "c2 = (200+0j)"),
+        (["lattice", "greens", "--dims", "[65,65]"], "dims (65, 65) give 4225 sites"),
+        # the step alone breaks the run at the default phi_dot0
+        (["cosmo", "stiff", "--step", "10"], "parameter 'step'"),
         (["general-hj", "exponential", "--slope", "1000"], "slope b = 1000.0"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv

@@ -21,7 +21,6 @@ from semiprop.core import (
     observed_orders,
 )
 from semiprop.general_hj import (
-    GeneralAnsatz,
     build_S_from_R,
     cos_log_family,
     cos_log_quadrature_inputs,
@@ -388,13 +387,7 @@ def consistency_rel(family_builder, n_x, n_t):
         x_min=-2.0, x_max=2.0, n_x=n_x, t_min=0.0, t_max=1.0, n_t=n_t
     )
     ansatz, f1_fn, f0_quad = family_builder(grid)
-    s_field = build_S_from_R(
-        GeneralAnsatz(
-            R=ansatz.R, f0=f0_quad, f1=f1_fn, hbar=ansatz.hbar, mass=ansatz.mass,
-            dR_dt=ansatz.dR_dt, dR_dx=ansatz.dR_dx, d2R_dx2=ansatz.d2R_dx2,
-        ),
-        grid,
-    )
+    s_field = build_S_from_R(dataclasses.replace(ansatz, f0=f0_quad, f1=f1_fn), grid)
     v_field = recover_potential(s_field, mass=ansatz.mass)
     r_field = ComplexField.from_callable(grid, ansatz.R)
     k_values = np.exp(r_field.values + 1j * s_field.values / ansatz.hbar)

@@ -21,6 +21,8 @@ COMMANDS = [
     "lattice hj-positivity --draws 2",
     "cosmo de-sitter --t_end 0.1",
     "quadratic schrodinger-order",
+    "general-hj decoupling",
+    "general-hj hbar-slope",
 ]
 
 SCRIPT = """
@@ -60,5 +62,6 @@ def test_tracer_installs_and_records_each_layer(tmp_path):
         "cosmo.evolve_classical",
         "core.rk4_solve",
         "core.assemble_propagator",
+        "general_hj",
     ):
         assert name in result["spans"], name
