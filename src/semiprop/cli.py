@@ -5,11 +5,14 @@ Grammar:
     semiprop <scenario> <check> [--param value]... [--config path]
              [--out dir] [--seed n] [--sweep path]
 
+Each ``CHECKS`` entry declares every parameter once (default, kind, lower
+edge); flags, ``--config`` files and ``--sweep`` lines all pass through it.
 Every run writes ``report.json`` (stable key order) into the output
 directory, plus CSV tables where the check produces field or trajectory
-data.  Exit status is 0 iff every non-diagnostic record passes.  A
-``--sweep`` file lists one parameter set per line; the sets run one
-after another, each into its own subdirectory.
+data.  Exit status is 0 iff every non-diagnostic record passes, 1 if one
+fails, 2 on a usage or parameter error.  A ``--sweep`` file lists one
+parameter set per line; the sets run one after another, each into its
+own subdirectory, and a parameter error fails its own set only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -42,6 +45,8 @@ from .general_hj import (
     imaginary_scaling_probe,
 )
 from .lattice import (
+    EXP_OVERFLOW,
+    SIGNATURES,
     LatticeConfig,
     LatticeField,
     PointwiseFunction,
@@ -74,17 +79,9 @@ from .quadratic import (
 )
 from .report import CheckRecord, Report, build_convergence_rows, write_csv
 
+_LOG_MAX = math.log(sys.float_info.max)
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    check: str
-    params: dict
-    out_dir: Path
-    seed: int
 
 
 # CSV payload: file stem -> (header, row iterable)
@@ -136,20 +133,11 @@ def _diagnostic(name: str, value: float, detail: str = "") -> CheckRecord:
     )
 
 
-def _family(params: dict, allowed: tuple[str, ...]) -> str:
-    family = params["family"]
-    if family not in allowed:
-        raise ValueError(
-            "parameter 'family' must be one of {}, got {!r}".format(allowed, family)
-        )
-    return family
-
-
 # ------------------------------------------------------------ quadratic
 
 
-def _quadratic_factors(family: str, grid: SpacetimeGrid, params: dict):
-    if family == "free":
+def _quadratic_factors(grid: SpacetimeGrid, params: dict):
+    if params["family"] == "free":
         return free_particle_factors(grid, mass=params["mass"], x0=params["x0"])
     return harmonic_factors(
         grid, mass=params["mass"], omega=params["omega"], x0=params["x0"]
@@ -157,11 +145,10 @@ def _quadratic_factors(family: str, grid: SpacetimeGrid, params: dict):
 
 
 def _run_quadratic_hj(params: dict, rng) -> RunnerOutput:
-    family = _family(params, ("free", "harmonic"))
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
-    if family == "free":
+    if params["family"] == "free":
         res = free_particle_identity_residuals(grid, mass=params["mass"], x0=params["x0"])
     else:
         res = harmonic_identity_residuals(
@@ -175,18 +162,17 @@ def _run_quadratic_hj(params: dict, rng) -> RunnerOutput:
 
 
 def _run_quadratic_van_vleck(params: dict, rng) -> RunnerOutput:
-    family = _family(params, ("free", "harmonic"))
     grid = SpacetimeGrid(
         x_min=-3.0, x_max=3.0, n_x=49, t_min=0.4, t_max=1.2, n_t=25
     )
-    factors = _quadratic_factors(family, grid, params)
+    factors = _quadratic_factors(grid, params)
     report = van_vleck_check(factors, grid, np.linspace(-1.0, 1.0, 9))
     records = [_bound("van-vleck-deviation", report.deviation, 1e-6)]
     return records, None, {}
 
 
 def _run_quadratic_prefactor(params: dict, rng) -> RunnerOutput:
-    family = _family(params, ("free", "harmonic", "driven"))
+    family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
     records = [_bound("closed-form-deviation", prefactor_error(family, sol), 1e-8)]
@@ -229,7 +215,6 @@ def _propagator_rows(factors, grid: SpacetimeGrid) -> list[tuple]:
 
 
 def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
-    family = _family(params, ("free", "harmonic"))
     levels = [(129, 65), (257, 129), (513, 257)]
     spacings, residuals = [], []
     coarse_factors = None
@@ -238,11 +223,11 @@ def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
         grid = SpacetimeGrid(
             x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
         )
-        factors = _quadratic_factors(family, grid, params)
+        factors = _quadratic_factors(grid, params)
         if coarse_factors is None:
             coarse_factors, coarse_grid = factors, grid
         propagator = assemble_propagator(factors, grid)
-        if family == "free":
+        if params["family"] == "free":
             pot = 0.0
         else:
             m, om = params["mass"], params["omega"]
@@ -292,6 +277,12 @@ def _run_general_exponential(params: dict, rng) -> RunnerOutput:
 
 def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
     curvature = params["curvature"]
+    # R = -curvature x^2 on [-2, 2]; the action takes exp(-2R) and exp(2R)
+    if not 8.0 * abs(curvature) < _LOG_MAX:
+        raise ValueError(
+            "parameter 'curvature' = {!r} overflows exp(8 |curvature|), the largest "
+            "of exp(-2R) and exp(2R) on [-2, 2]".format(curvature)
+        )
     grid = SpacetimeGrid(
         x_min=-2.0, x_max=2.0, n_x=81, t_min=0.0, t_max=1.0, n_t=5
     )
@@ -311,7 +302,7 @@ def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
 
 
 def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
-    family = _family(params, ("free", "harmonic"))
+    family = params["family"]
     dt = params["dt"]
     target = 1.0 if family == "free" else math.pi / 2.0
     # compared as a float first: round() of an infinite quotient raises
@@ -385,23 +376,28 @@ def _trajectory_rows(traj, stride: int) -> list[tuple]:
     return _csv_rows(*(column[::stride] for column in columns))
 
 
+def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tuple):
+    """evolve_classical over (0, t_end); a refused run names the parameters in ``names``."""
+    try:
+        return evolve_classical(state, cosmo, (0.0, params["t_end"]), params["step"])
+    except ValueError as exc:
+        given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
+        raise ValueError("parameters {}: {}".format(given, exc)) from None
+
+
 def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
-    if lam <= 0:
-        raise ValueError("parameter 'lam' must be positive for a de Sitter run")
     hubble = math.sqrt(lam / 3.0)
     # the run takes a^2 and a^3 of every sample, from a0 up to a0 exp(H t_end),
     # and float ** raises where the power leaves the float range
     if not (a0 > 0 and a0 * a0 * a0 > 0
-            and 3.0 * (math.log(a0) + hubble * t_end) < math.log(sys.float_info.max)):
+            and 3.0 * (math.log(a0) + hubble * t_end) < _LOG_MAX):
         raise ValueError(
-            "parameter 'a0' = {!r} with t_end = {!r}: the cubes of a0 and of "
-            "a0 exp(H t_end) must be finite and nonzero".format(a0, t_end)
+            "parameter 'a0' = {!r} with 'lam' = {!r} and 't_end' = {!r}: the cubes of "
+            "a0 and of a0 exp(t_end sqrt(lam / 3)) must be finite and nonzero".format(a0, lam, t_end)
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
-    traj = evolve_classical(
-        state, CosmoParams(lam=lam), (0.0, t_end), params["step"]
-    )
+    traj = _evolve(state, CosmoParams(lam=lam), params, ("lam", "t_end", "step"))
     closed = a0 * math.exp(hubble * t_end)
     records = [
         _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, 1e-6),
@@ -414,12 +410,13 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
 def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
-    # the matched rate and the Friedmann precheck take phi_dot0^2 and the
-    # rate's square, about 4.2 phi_dot0^2; float ** raises where they leave
-    # the float range
-    if not math.isfinite(8.0 * math.pi * phi_dot0 * phi_dot0):
+    # the momentum drift divides by p_phi(0) = phi_dot0; the matched rate and
+    # the Friedmann precheck take phi_dot0^2 and the rate's square, about
+    # 4.2 phi_dot0^2, and float ** raises where they leave the float range
+    if not (phi_dot0 != 0 and math.isfinite(8.0 * math.pi * phi_dot0 * phi_dot0)):
         raise ValueError(
-            "parameter 'phi_dot0' must keep 8 pi phi_dot0^2 finite, got {!r}".format(phi_dot0)
+            "parameter 'phi_dot0' must be nonzero with 8 pi phi_dot0^2 finite, "
+            "got {!r}".format(phi_dot0)
         )
     state = ClassicalState(
         a=1.0,
@@ -427,7 +424,7 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
         phi=0.0,
         phi_dot=phi_dot0,
     )
-    traj = evolve_classical(state, vacuum, (0.0, params["t_end"]), params["step"])
+    traj = _evolve(state, vacuum, params, ("phi_dot0", "t_end", "step"))
     if traj.collapse_time is not None:
         raise ValueError(
             "parameter 'phi_dot0' = {!r} with step = {!r}: the RK4 run overflowed "
@@ -460,13 +457,8 @@ def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
 
 
 def _lattice_config(params: dict) -> LatticeConfig:
-    dims = params["dims"]
-    if not dims or any(not isinstance(n, int) or n < 2 for n in dims):
-        raise ValueError(
-            "parameter 'dims' must list integer extents >= 2, got {!r}".format(dims)
-        )
     return LatticeConfig(
-        dims=tuple(dims),
+        dims=tuple(params["dims"]),
         spacing=params.get("spacing", 1.0),
         signature=params.get("signature", "euclidean"),
         mass=params.get("mass", 1.0),
@@ -485,6 +477,12 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
 
 def _run_lattice_transport(params: dict, rng) -> RunnerOutput:
     config = _lattice_config(params)
+    # the check takes exp(2 sigma) at every site
+    if not 2.0 * params["sigma_const"] <= EXP_OVERFLOW:
+        raise ValueError(
+            "parameter 'sigma_const' = {!r} overflows exp(2 sigma_const); it must "
+            "stay at or below {}".format(params["sigma_const"], EXP_OVERFLOW / 2.0)
+        )
     sigma = LatticeField(config, np.full(config.dims, params["sigma_const"]))
     r_value, deviation = conformal_transport_check(sigma, params["lam"])
     closed = (
@@ -520,16 +518,11 @@ def _run_lattice_greens(params: dict, rng) -> RunnerOutput:
 
 def _run_lattice_positivity(params: dict, rng) -> RunnerOutput:
     config = _lattice_config(params)
-    if config.signature != "euclidean":
-        raise ValueError(
-            "parameter 'signature' must be euclidean; positivity holds there only"
-        )
     amplitude = params["amplitude"]
-    # the field is drawn from [-amplitude, amplitude]; phi = 0 is excluded
-    if not (amplitude > 0 and math.isfinite(2.0 * amplitude)):
+    # the field is drawn from [-amplitude, amplitude]
+    if not math.isfinite(2.0 * amplitude):
         raise ValueError(
-            "parameter 'amplitude' must be positive with 2 * amplitude finite, "
-            "got {!r}".format(amplitude)
+            "parameter 'amplitude' must keep 2 * amplitude finite, got {!r}".format(amplitude)
         )
     functional = lattice_greens_function(config)
     worst = math.inf
@@ -612,90 +605,111 @@ def _run_lattice_kg(params: dict, rng) -> RunnerOutput:
 # ------------------------------------------------------------- registry
 
 
+# Each check declares every parameter once, as name: (default, kind, edge).
+#   kind  float (a finite real), int (an integer, not a bool), bool, a tuple
+#         of the allowed text choices, or [kind] for a list of that kind;
+#   edge  None, POSITIVE (greater than 0) or an integer the value must
+#         reach; on a list, every element meets it.
+# A rule that a library constructor already checks, or one that couples
+# parameters, stays with the constructor or the runner.
+POSITIVE = "positive"
+
+
+def _reals(**defaults: float) -> dict:
+    """Declarations of finite reals with no edge."""
+    return {name: (default, float, None) for name, default in defaults.items()}
+
+
+_QUADRATIC = {
+    "family": ("free", ("free", "harmonic"), None),
+    **_reals(mass=1.0, omega=1.0, x0=0.0),
+}
+_DIMS = ([4, 4], [int], 2)
+_LATTICE = {"dims": _DIMS, **_reals(mass=1.0, spacing=1.0)}
+
 CHECKS: dict[tuple[str, str], tuple[dict, Callable]] = {
-    ("quadratic", "hj"): (
-        {"family": "free", "mass": 1.0, "omega": 1.0, "x0": 0.0},
-        _run_quadratic_hj,
-    ),
-    ("quadratic", "van-vleck"): (
-        {"family": "free", "mass": 1.0, "omega": 1.0, "x0": 0.0},
-        _run_quadratic_van_vleck,
-    ),
+    ("quadratic", "hj"): (_QUADRATIC, _run_quadratic_hj),
+    ("quadratic", "van-vleck"): (_QUADRATIC, _run_quadratic_van_vleck),
     ("quadratic", "prefactor-ode"): (
-        {"family": "driven", "step": 1e-4},
+        {"family": ("driven", tuple(PREFACTOR_CASES), None), **_reals(step=1e-4)},
         _run_quadratic_prefactor,
     ),
-    ("quadratic", "schrodinger-order"): (
-        {"family": "free", "mass": 1.0, "omega": 1.0, "x0": 0.0},
-        _run_quadratic_schrodinger,
-    ),
+    ("quadratic", "schrodinger-order"): (_QUADRATIC, _run_quadratic_schrodinger),
     ("general-hj", "decoupling"): (
-        {"c2": 1.0, "c3": 0.0, "c4": 0.0, "hbar": 1.0, "mass": 1.0},
+        _reals(c2=1.0, c3=0.0, c4=0.0, hbar=1.0, mass=1.0),
         _run_general_decoupling,
     ),
     ("general-hj", "exponential"): (
-        {"amplitude": 1.0, "slope": 1.0, "hbar": 1.0, "mass": 1.0},
+        _reals(amplitude=1.0, slope=1.0, hbar=1.0, mass=1.0),
         _run_general_exponential,
     ),
     ("general-hj", "hbar-slope"): (
-        {"curvature": 0.25, "hbars": [0.5, 1.0, 2.0], "mass": 1.0},
+        {"hbars": ([0.5, 1.0, 2.0], [float], None), **_reals(curvature=0.25, mass=1.0)},
         _run_general_hbar_slope,
     ),
     ("oracle", "kernel-vs-grid"): (
-        {"family": "free", "n_x": 512, "dt": 1e-3},
+        {
+            "family": ("free", ("free", "harmonic"), None),
+            "n_x": (512, int, None),
+            **_reals(dt=1e-3),
+        },
         _run_oracle_kernel,
     ),
     ("cosmo", "de-sitter"): (
-        {"lam": 3.0, "t_end": 1.0, "a0": 1.0, "step": 1e-3, "csv_stride": 10},
+        {
+            "lam": (3.0, float, POSITIVE),
+            "t_end": (1.0, float, POSITIVE),
+            "csv_stride": (10, int, 1),
+            **_reals(a0=1.0, step=1e-3),
+        },
         _run_cosmo_de_sitter,
     ),
     ("cosmo", "stiff"): (
         {
-            "phi_dot0": 20.0,
-            "t_end": 35.0,
-            "step": 1e-3,
-            "fit_from": 3.5,
-            "csv_stride": 50,
+            "t_end": (35.0, float, POSITIVE),
+            "fit_from": (3.5, float, POSITIVE),
+            "csv_stride": (50, int, 1),
+            **_reals(phi_dot0=20.0, step=1e-3),
         },
         _run_cosmo_stiff,
     ),
     ("lattice", "conformal-transport"): (
         {
-            "lam": 8.0,
-            "dims": [4, 4],
-            "sigma_const": 0.0,
-            "spacing": 1.0,
-            "derivative_tol": 1e-6,
+            "dims": _DIMS,
+            "derivative_tol": (1e-6, float, POSITIVE),
+            **_reals(lam=8.0, sigma_const=0.0, spacing=1.0),
         },
         _run_lattice_transport,
     ),
     ("lattice", "greens"): (
         {
-            "dims": [4, 4],
-            "mass": 1.0,
-            "spacing": 1.0,
-            "signature": "euclidean",
-            "use_regulator": False,
+            **_LATTICE,
+            "signature": ("euclidean", SIGNATURES, None),
+            "use_regulator": (False, bool, None),
         },
         _run_lattice_greens,
     ),
     ("lattice", "hj-positivity"): (
         {
-            "dims": [4, 4],
-            "mass": 1.0,
-            "spacing": 1.0,
-            "signature": "euclidean",
-            "draws": 100,
-            "amplitude": 2.0,
+            **_LATTICE,
+            # the functional HJ residual is positive off phi = 0 there only
+            "signature": ("euclidean", ("euclidean",), None),
+            "draws": (100, int, 1),
+            "amplitude": (2.0, float, POSITIVE),
         },
         _run_lattice_positivity,
     ),
     ("lattice", "imaginary-part"): (
-        {"dims": [4, 4], "lam": 1.3, "draws": 100},
+        {"dims": _DIMS, "draws": (100, int, 1), **_reals(lam=1.3)},
         _run_lattice_imaginary,
     ),
     ("lattice", "kg-wave"): (
-        {"dims": [32], "mode": [3], "mass": 0.7, "dt": 0.05, "steps": 200},
+        {
+            "dims": ([32], [int], 2),
+            "mode": ([3], [int], None),
+            "steps": (200, int, None),
+            **_reals(mass=0.7, dt=0.05),
+        },
         _run_lattice_kg,
     ),
 }
@@ -713,68 +727,55 @@ def _parse_value(text: str):
         return text
 
 
-def _coerce(name: str, value, default):
-    """Cast a raw flag/config value onto the default's type."""
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ValueError(
-            "parameter '{}' expects true or false, got {!r}".format(name, value)
-        )
-    if isinstance(default, str):
+def _checked(subject: str, value, kind, edge):
+    """``value`` as its declared kind, or ValueError opening with ``subject``."""
+    if isinstance(kind, list) and isinstance(value, (list, tuple)):
+        return [
+            _checked("{} element {}".format(subject, i), item, kind[0], edge)
+            for i, item in enumerate(value)
+        ]
+    if isinstance(kind, tuple) and str(value) in kind:
         return str(value)
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-            return int(value)
-        raise ValueError(
-            "parameter '{}' expects an integer, got {!r}".format(name, value)
-        )
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is bool and str(value).lower() in ("true", "false"):
+        return str(value).lower() == "true"
+    if kind in (int, float) and isinstance(value, (int, kind)) and not isinstance(value, bool):
+        if kind is float:
             try:
-                number = float(value)
+                value = float(value)
             except OverflowError:
                 raise ValueError(
-                    "parameter '{}' is an integer too large for a float".format(name)
+                    "{} is an integer too large for a float".format(subject)
                 ) from None
-            if not math.isfinite(number):
-                raise ValueError(
-                    "parameter '{}' must be finite, got {!r}".format(name, number)
-                )
-            return number
-        raise ValueError(
-            "parameter '{}' expects a number, got {!r}".format(name, value)
-        )
-    if isinstance(default, list):
-        if isinstance(value, (list, tuple)):
-            return list(value)
-        raise ValueError(
-            "parameter '{}' expects a list like [4,4], got {!r}".format(name, value)
-        )
-    return value
+            if not math.isfinite(value):
+                raise ValueError("{} must be finite, got {!r}".format(subject, value))
+        if edge == POSITIVE and not value > 0:
+            raise ValueError("{} must be positive, got {!r}".format(subject, value))
+        if isinstance(edge, int) and value < edge:
+            raise ValueError("{} must be at least {}, got {!r}".format(subject, edge, value))
+        return value
+    if isinstance(kind, list):
+        expected = "a list like [4,4]"
+    elif isinstance(kind, tuple):
+        expected = "one of {}".format(kind)
+    else:
+        expected = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+    raise ValueError("{} expects {}, got {!r}".format(subject, expected, value))
 
 
-def _merge_params(
-    scenario: str, check: str, file_values: dict, flag_values: dict
-) -> dict:
-    defaults, _ = CHECKS[(scenario, check)]
-    merged = dict(defaults)
-    for source in (file_values, flag_values):
+def _merge_params(scenario: str, check: str, *sources: dict) -> dict:
+    """The declared defaults, updated by each source in turn; every value is checked."""
+    declared, _ = CHECKS[(scenario, check)]
+    merged = {name: default for name, (default, _, _) in declared.items()}
+    for source in sources:
         for name, raw in source.items():
-            if name not in defaults:
+            if name not in declared:
                 raise ValueError(
                     "unknown parameter '{}' for {} {}; valid parameters: {}".format(
-                        name, scenario, check, ", ".join(sorted(defaults))
+                        name, scenario, check, ", ".join(sorted(declared))
                     )
                 )
-            merged[name] = _coerce(name, raw, defaults[name])
-    for name, value in merged.items():
-        if ("tol" in name or name in ("tolerance", "t_end", "fit_from")) and not value > 0:
-            raise ValueError("parameter '{}' must be positive".format(name))
-        if name in ("draws", "csv_stride") and value < 1:
-            raise ValueError("parameter '{}' must be at least 1".format(name))
+            _, kind, edge = declared[name]
+            merged[name] = _checked("parameter '{}'".format(name), raw, kind, edge)
     return merged
 
 
@@ -826,44 +827,43 @@ def _parse_extra_flags(tokens: list[str]) -> dict:
     return values
 
 
-def _read_sweep(
-    path: Path, scenario: str, check: str, base_params: dict
-) -> list[dict]:
-    """One merged parameter set per line of a sweep file."""
-    param_sets = []
-    for no, line in _content_lines(path, "sweep"):
-        overrides = dict(
-            _assignment(token, "sweep line {}".format(no)) for token in line.split()
-        )
-        param_sets.append(_merge_params(scenario, check, dict(base_params), overrides))
-    if not param_sets:
+def _read_sweep(path: Path) -> list[dict]:
+    """The key=value overrides on each line of a sweep file."""
+    overrides = [
+        dict(_assignment(token, "sweep line {}".format(no)) for token in line.split())
+        for no, line in _content_lines(path, "sweep")
+    ]
+    if not overrides:
         raise ValueError("sweep file {} has no parameter lines".format(path))
-    return param_sets
+    return overrides
 
 
 # ------------------------------------------------------------ execution
 
 
-def run_scenario(config: ScenarioConfig) -> Report:
-    """Run one check, write report.json and CSV payloads, return the report."""
-    _, runner = CHECKS[(config.scenario, config.check)]
-    rng = np.random.default_rng(config.seed)
+def run_scenario(
+    scenario: str, check: str, params: dict, out_dir: Path, seed: int
+) -> Report:
+    """Run one check on checked parameters, write report.json and CSV
+    payloads into ``out_dir``, and return the report."""
+    _, runner = CHECKS[(scenario, check)]
+    rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    records, convergence, csv_payload = runner(config.params, rng)
+    records, convergence, csv_payload = runner(params, rng)
     report = Report(
-        scenario=config.scenario,
+        scenario=scenario,
         checks=records,
         convergence=convergence,
-        seed=config.seed,
+        seed=seed,
         runtime_seconds=time.perf_counter() - started,
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_json(config.out_dir / "report.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.write_json(out_dir / "report.json")
     for stem, (header, rows) in csv_payload.items():
-        write_csv(config.out_dir / (stem + ".csv"), header, rows)
+        write_csv(out_dir / (stem + ".csv"), header, rows)
     if convergence is not None:
         write_csv(
-            config.out_dir / "convergence.csv",
+            out_dir / "convergence.csv",
             ["h", "residual", "observed_order"],
             [
                 (
@@ -944,33 +944,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         base_params = _merge_params(
             args.scenario, args.check, file_values, flag_values
         )
-        if args.sweep is None:
-            param_sets = [base_params]
-        else:
-            param_sets = _read_sweep(args.sweep, args.scenario, args.check, base_params)
+        overrides = [{}] if args.sweep is None else _read_sweep(args.sweep)
     except ValueError as exc:
         print("semiprop: {}".format(exc), file=sys.stderr)
         return 2
 
     status = 0
-    for index, params in enumerate(param_sets):
+    for index, override in enumerate(overrides):
         # a sweep run gets a label and its own subdirectory; a single run neither
         label = "" if args.sweep is None else "run-{:03d}".format(index)
         prefix = "[{}] ".format(label) if label else ""
-        config = ScenarioConfig(
-            scenario=args.scenario,
-            check=args.check,
-            params=params,
-            out_dir=args.out / label,
-            seed=args.seed,
-        )
+        out_dir = args.out / label
+        # a parameter error on one set, declared or found by its runner,
+        # fails that set alone
         try:
-            report = run_scenario(config)
+            params = _merge_params(args.scenario, args.check, base_params, override)
+            report = run_scenario(args.scenario, args.check, params, out_dir, args.seed)
         except ValueError as exc:
             print("{}semiprop: {}".format(prefix, exc), file=sys.stderr)
             status = 2
             continue
-        _print_report(report, config.out_dir, prefix)
+        _print_report(report, out_dir, prefix)
         if not report.passed:
             status = max(status, 1)
     return status

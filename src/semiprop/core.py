@@ -551,7 +551,7 @@ def rk4_solve(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
-            f"step {abs(step)!r} needs {n_steps} RK4 steps, more than the "
+            f"step {abs(step)!r} needs {n_steps:.3g} RK4 steps, more than the "
             f"budget of {MAX_RK4_STEPS}"
         )
     y = tuple(map(float, y0))

@@ -53,7 +53,7 @@ MAX_HISTORY_VALUES = 10**7
 SIGNATURES = ("euclidean", "lorentzian")
 
 # exp(x) overflows float64 just above x = 709
-_EXP_OVERFLOW = 700.0
+EXP_OVERFLOW = 700.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class LatticeConfig:
         dims = tuple(int(n) for n in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
-            raise ValueError("lattice needs at least one dimension")
+            raise ValueError("dims must list at least one extent, got none")
         if any(n < 2 for n in dims):
             raise ValueError(
                 "every lattice dimension needs at least 2 sites, got {}".format(dims)
@@ -248,7 +248,7 @@ def lattice_greens_function(
     1e-8 and is recorded on the returned kernel.
     """
     if use_regulator and config.signature != "lorentzian":
-        raise ValueError("the i*epsilon regulator applies to the lorentzian signature only")
+        raise ValueError("use_regulator applies to the lorentzian signature only")
     regulator = 1e-3 * config.mass**2 if use_regulator else 0.0
     if use_regulator and regulator == 0.0:
         raise ValueError(
@@ -266,8 +266,8 @@ def lattice_greens_function(
         # a euclidean spectrum is smallest on the constant mode, where it is m^2
         if config.signature == "euclidean":
             raise ValueError(
-                "euclidean operator needs m > 0: the constant mode is null at "
-                "m = {:.3g}".format(config.mass)
+                "euclidean operator needs a nonzero mass: its constant mode, "
+                "eigenvalue mass^2, is null at mass = {:.3g}".format(config.mass)
             )
         mode = tuple(int(i) for i in null[0])
         raise ValueError(
@@ -398,7 +398,7 @@ def lattice_klein_gordon_check(
             "(dt^2 * max Lambda <= 4)".format(dt, 2.0 / np.sqrt(largest))
         )
     if n_steps < 2:
-        raise ValueError("need n_steps >= 2 to form the time stencil")
+        raise ValueError(f"need n_steps >= 2 to form the time stencil, got {n_steps} steps")
     values = (n_steps + 1) * config.n_sites
     if values > MAX_HISTORY_VALUES:
         raise ValueError(
@@ -495,7 +495,7 @@ def constant_function(c: float, label: str = "") -> PointwiseFunction:
 
 
 def _checked_exp(exponent: np.ndarray, what: str) -> np.ndarray:
-    if np.max(exponent) > _EXP_OVERFLOW:
+    if np.max(exponent) > EXP_OVERFLOW:
         idx = np.unravel_index(int(np.argmax(exponent)), exponent.shape)
         raise ValueError(
             "{} overflows at site {}: exponent = {:.6g}".format(

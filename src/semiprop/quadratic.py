@@ -388,19 +388,20 @@ def harmonic_factors(
         raise ValueError(f"omega must be positive, got {omega}")
     x0 = _source_point(x0)
     period = math.pi / omega
-    n_lo = math.ceil((grid.t_min - 1e-12) / period)
-    n_hi = math.floor((grid.t_max + 1e-12) / period)
-    for n in range(n_lo, n_hi + 1):
-        tc = n * period
-        covered = any(lo < tc < hi for lo, hi in grid.exclusions)
-        boundary = abs(tc - grid.t_min) < 1e-12 or abs(tc - grid.t_max) < 1e-12
-        if not covered and not boundary:
+    # a caustic may sit within 1e-12 of a grid end or strictly inside a window;
+    # testing the first one past each window keeps the cost free of omega
+    start = grid.t_min + 1e-12
+    for lo, hi in sorted(grid.exclusions) + [(grid.t_max - 1e-12, math.inf)]:
+        tc = math.ceil(start / period) * period
+        if tc <= lo:
             raise ValueError(
-                f"caustic at t={tc:.6g} (n={n}) is not covered by an exclusion window"
+                f"omega = {omega!r} puts a caustic at t={tc:.6g} outside every "
+                "exclusion window"
             )
+        start = max(start, hi)
     t_valid = _valid_times(grid)
     if np.any(np.abs(np.sin(omega * t_valid)) < 1.0e-12):
-        raise ValueError("a valid time node sits on a caustic; widen the window")
+        raise ValueError(f"omega = {omega!r} puts a valid time node on a caustic; widen the window")
 
     def sin_c(t):
         return np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
@@ -460,6 +461,9 @@ def harmonic_identity_residuals(
     """Analytic-derivative residuals for the oscillator family."""
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
+    # float ** raises where the square leaves the float range
+    if not math.isfinite(mass * omega * omega):
+        raise ValueError(f"omega must keep mass * omega^2 finite, got {omega!r}")
     x0 = _source_point(x0)
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]

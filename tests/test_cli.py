@@ -3,11 +3,19 @@
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from semiprop.cli import _propagator_rows, _site_rows, _trajectory_rows, main
+from semiprop.cli import (
+    CHECKS,
+    POSITIVE,
+    _propagator_rows,
+    _site_rows,
+    _trajectory_rows,
+    main,
+)
 from semiprop.core import SpacetimeGrid
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
 from semiprop.lattice import LatticeConfig
@@ -225,6 +233,44 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         # the step alone breaks the run at the default phi_dot0
         (["cosmo", "stiff", "--step", "10"], "parameter 'step'"),
         (["general-hj", "exponential", "--slope", "1000"], "slope b = 1000.0"),
+        # list elements are checked against their declared kind
+        (["lattice", "kg-wave", "--mode", "['a']"], "parameter 'mode' element 0"),
+        (["lattice", "kg-wave", "--mode", "[[1]]"], "parameter 'mode' element 0"),
+        (["lattice", "kg-wave", "--mode", "[None]"], "parameter 'mode' element 0"),
+        (["lattice", "kg-wave", "--mode", "[1.5]"], "parameter 'mode' element 0"),
+        (["lattice", "kg-wave", "--mode", "[True]"], "parameter 'mode' element 0"),
+        (["general-hj", "hbar-slope", "--hbars", "[1,2,[3]]"], "parameter 'hbars' element 2"),
+        (["general-hj", "hbar-slope", "--hbars", "[1,2,None]"], "parameter 'hbars' element 2"),
+        (["general-hj", "hbar-slope", "--hbars", "[1,2,'a']"], "parameter 'hbars' element 2"),
+        (["general-hj", "hbar-slope", "--hbars", "[1,2,1e400]"],
+         "parameter 'hbars' element 2 must be finite"),
+        (["lattice", "greens", "--dims", "[]"], "dims must list at least one extent"),
+        # a precondition names every parameter that feeds it
+        (["general-hj", "hbar-slope", "--curvature", "1e200"], "parameter 'curvature'"),
+        (["cosmo", "de-sitter", "--lam", "1e200"], "'lam' = 1e+200"),
+        (["cosmo", "de-sitter", "--t_end", "1e-200"], "'t_end' = 1e-200, 'step' = 0.001"),
+        (["cosmo", "stiff", "--t_end", "1e-200"], "'t_end' = 1e-200, 'step' = 0.001"),
+        (["cosmo", "stiff", "--t_end", "1e200"],
+         "'t_end' = 1e+200, 'step' = 0.001: step 0.001 needs 1e+203 RK4 steps"),
+        (["cosmo", "stiff", "--phi_dot0", "1e10"], "'phi_dot0' = 10000000000.0"),
+        (["lattice", "conformal-transport", "--sigma_const", "1e200"],
+         "parameter 'sigma_const'"),
+        (["lattice", "greens", "--mass", "0"], "null at mass = 0"),
+        (["lattice", "greens", "--mass", "1e-200"], "null at mass = 1e-200"),
+        (["lattice", "hj-positivity", "--mass", "0"], "null at mass = 0"),
+        (["lattice", "hj-positivity", "--mass", "1e-200"], "null at mass = 1e-200"),
+        (["lattice", "greens", "--use_regulator", "true"], "use_regulator applies"),
+        (["lattice", "kg-wave", "--steps", "1"], "got 1 steps"),
+        # p_phi(0), which the momentum drift divides by, vanishes
+        (["cosmo", "stiff", "--phi_dot0", "0"], "parameter 'phi_dot0'"),
+        # omega^2 overflows; the caustics of a huge omega are found without a
+        # walk over each of them
+        (["quadratic", "hj", "--family", "harmonic", "--omega", "1e200"],
+         "omega must keep mass * omega^2 finite"),
+        (["quadratic", "schrodinger-order", "--family", "harmonic", "--omega", "1e200"],
+         "omega = 1e+200 puts a caustic"),
+        (["quadratic", "van-vleck", "--family", "harmonic", "--omega", "1e-200"],
+         "omega = 1e-200 puts a valid time node on a caustic"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -243,7 +289,7 @@ def test_oracle_at_the_benchmark_size(tmp_path):
 # ---------------------------------------------------- config and sweeps
 
 
-def test_config_file_with_flag_override(tmp_path):
+def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lam = 2.0\nsigma_const = 0.1\n# comment line\n")
     out = tmp_path / "out"
@@ -258,6 +304,11 @@ def test_config_file_with_flag_override(tmp_path):
     expected = 8.0 / 8.0 * 16 * math.exp(0.2)
     value = record(read_report(out), "curvature-functional")["value"]
     assert value == pytest.approx(expected, rel=1e-12)
+    # a config file value passes the same declared check as a flag
+    cfg.write_text("dims = [4, 1]\n")
+    argv = ["lattice", "conformal-transport", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert "parameter 'dims' element 1 must be at least 2" in capsys.readouterr().err
 
 
 def test_sweep_runs_each_line_into_its_own_directory(tmp_path):
@@ -276,16 +327,20 @@ def test_sweep_runs_each_line_into_its_own_directory(tmp_path):
 
 def test_sweep_run_error_exits_two_and_the_other_runs_still_report(tmp_path, capsys):
     sweep = tmp_path / "sweep.txt"
-    sweep.write_text("lam=1.0\nlam=-1.0\nlam=2.0\n")
+    # t_end=0 breaks a declared domain; a0=1e200 is refused by the runner
+    sweep.write_text("lam=1.0\nlam=-1.0\nlam=2.0\nt_end=0\na0=1e200\n")
     out = tmp_path / "out"
     assert main(["cosmo", "de-sitter", "--sweep", str(sweep), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "[run-001] semiprop: parameter 'lam'" in captured.err
+    assert "[run-003] semiprop: parameter 't_end' must be positive" in captured.err
+    assert "[run-004] semiprop: parameter 'a0'" in captured.err
     assert "Traceback" not in captured.err
     for run in ("run-000", "run-002"):
         assert "[{}] overall: PASS".format(run) in captured.out
         assert read_report(out / run)["pass"] is True
-    assert not (out / "run-001").exists()
+    for run in ("run-001", "run-003", "run-004"):
+        assert not (out / run).exists()
 
 
 def test_one_line_sweep_matches_a_single_run(tmp_path):
@@ -310,6 +365,61 @@ def test_sweep_rejects_malformed_lines(tmp_path, capsys):
     assert main(["lattice", "conformal-transport", "--sweep", str(sweep),
                  "--out", str(tmp_path / "out")]) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+# ------------------------------------------------- exit-contract fuzzing
+
+
+FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "1e400", "abc"]
+FUZZ_LISTS = ["[]", "[0]", "[1.5]", "['a']", "[None]", "[[1]]"]
+# Cheaper starting points than the defaults. No budget bounds the draws, so
+# they stay small; the quadratic bases are harmonic, where omega matters.
+FUZZ_BASES = {
+    ("quadratic", "hj"): ["--family", "harmonic"],
+    ("quadratic", "van-vleck"): ["--family", "harmonic"],
+    ("quadratic", "schrodinger-order"): ["--family", "harmonic"],
+    ("oracle", "kernel-vs-grid"): ["--n_x", "64", "--dt", "0.05"],
+    ("cosmo", "stiff"): ["--t_end", "3.5", "--step", "0.01", "--fit_from", "0.35"],
+    ("lattice", "hj-positivity"): ["--draws", "2"],
+    ("lattice", "imaginary-part"): ["--draws", "2"],
+    ("lattice", "kg-wave"): ["--dims", "[8]", "--mode", "[1]", "--steps", "10"],
+}
+
+
+def edge_values(kind, edge):
+    """Each value a declared domain allows at its edge, and the one just outside."""
+    if isinstance(kind, tuple):
+        return list(kind)
+    if kind is bool:
+        return ["true", "false"]
+    if edge == POSITIVE:
+        return ["5e-324", "-5e-324"]
+    if edge is not None:
+        return [str(edge), str(edge - 1)]
+    return []
+
+
+def fuzz_cases():
+    for (scenario, check), (declared, _) in CHECKS.items():
+        base = [scenario, check] + FUZZ_BASES.get((scenario, check), [])
+        for name, (_, kind, edge) in declared.items():
+            if isinstance(kind, list):
+                values = FUZZ_LISTS + ["[{}]".format(v) for v in edge_values(kind[0], edge)]
+            else:
+                values = FUZZ_VALUES + edge_values(kind, edge)
+            for value in values:
+                yield name, base + ["--" + name, value]
+
+
+def test_exit_contract_holds_on_every_declared_edge(tmp_path, capsys):
+    cases = list(fuzz_cases())
+    assert len(cases) > 400
+    for index, (name, argv) in enumerate(cases):
+        code = main(argv + ["--out", str(tmp_path / str(index))])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert re.search(r"\b{}\b".format(re.escape(name)), err), (argv, err)
 
 
 # ---------------------------------------------------------- determinism

@@ -7,6 +7,7 @@ those numbers rather than recomputing them with package code.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,41 @@ def test_harmonic_matches_free_at_small_omega():
     harm = harmonic_factors(grid, mass=1.0, omega=1e-4, x0=0.0)
     free = free_particle_factors(grid, mass=1.0, x0=0.0)
     assert abs(harm.S(1.0, 1.0) - free.S(1.0, 1.0)) < 1e-6
+
+
+def reference_uncovered_caustic(omega, grid):
+    """The walk over every caustic that harmonic_factors used to make."""
+    period = math.pi / omega
+    n_lo = math.ceil((grid.t_min - 1e-12) / period)
+    n_hi = math.floor((grid.t_max + 1e-12) / period)
+    for n in range(n_lo, n_hi + 1):
+        tc = n * period
+        covered = any(lo < tc < hi for lo, hi in grid.exclusions)
+        boundary = abs(tc - grid.t_min) < 1e-12 or abs(tc - grid.t_max) < 1e-12
+        if not covered and not boundary:
+            return "{:.6g}".format(tc)
+    return None
+
+
+def test_caustic_test_matches_the_per_caustic_walk():
+    refused = 0
+    for omega in (0.5, 1.0, 2.0, 3.7, 10.0, 25.0):
+        for t_min, t_max in ((0.5, 4.0), (0.1, 2.0), (1.0, 7.0), (0.5, math.pi)):
+            windows = caustic_windows(omega, t_min, t_max)
+            for exclusions in (
+                (), windows, windows[1:], windows[:-1], windows[::2],
+                windows + ((0.5 * (t_min + t_max), t_max),),
+            ):
+                grid = make_grid(t_min, t_max, exclusions=exclusions)
+                found = None
+                try:
+                    harmonic_factors(grid, omega=omega)
+                except ValueError as exc:
+                    match = re.search(r"caustic at t=(\S+) outside", str(exc))
+                    found = match and match.group(1)
+                assert found == reference_uncovered_caustic(omega, grid), (omega, exclusions)
+                refused += found is not None
+    assert refused > 50
 
 
 def test_harmonic_refuses_uncovered_caustic():
