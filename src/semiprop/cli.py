@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random
 
 from .core import SpacetimeGrid, SpatialGrid, assemble_propagator, fit_loglog_slope
 from .cosmo import (
@@ -388,13 +389,23 @@ def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tupl
 def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
     hubble = math.sqrt(lam / 3.0)
+
+    def momentum_square_finite() -> bool:
+        # the constraint series squares p_a = -3 a adot / (4 pi) = -3 H a^2 / (4 pi),
+        # largest at a0 exp(H t_end); float * overflows to inf where ** would raise
+        a_end = a0 * math.exp(hubble * t_end)
+        p_a = 3.0 * hubble * a_end * a_end / (4.0 * math.pi)
+        return math.isfinite(p_a * p_a)
+
     # the run takes a^2 and a^3 of every sample, from a0 up to a0 exp(H t_end),
     # and float ** raises where the power leaves the float range
     if not (a0 > 0 and a0 * a0 * a0 > 0
-            and 3.0 * (math.log(a0) + hubble * t_end) < _LOG_MAX):
+            and 3.0 * (math.log(a0) + hubble * t_end) < _LOG_MAX
+            and momentum_square_finite()):
         raise ValueError(
             "parameter 'a0' = {!r} with 'lam' = {!r} and 't_end' = {!r}: the cubes of "
-            "a0 and of a0 exp(t_end sqrt(lam / 3)) must be finite and nonzero".format(a0, lam, t_end)
+            "a0 and of a0 exp(t_end sqrt(lam / 3)) must be finite and nonzero, and so "
+            "must the square of p_a = -3 sqrt(lam / 3) a^2 / (4 pi)".format(a0, lam, t_end)
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     traj = _evolve(state, CosmoParams(lam=lam), params, ("lam", "t_end", "step"))

@@ -35,6 +35,7 @@ __all__ = [
     "simpson_weights",
     "cumulative_simpson",
     "rk4_solve",
+    "rk4_step_count",
     "at_time",
     "fit_loglog_slope",
     "observed_orders",
@@ -254,8 +255,11 @@ class PropagatorFactors:
     def __post_init__(self) -> None:
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        # hbar^2 / (2 m) is the kinetic coefficient of the Schrodinger equation
+        if not (self.mass > 0 and math.isfinite(self.hbar * self.hbar / (2.0 * self.mass))):
+            raise ValueError(
+                f"mass must be positive with hbar^2 / (2 mass) finite, got {self.mass}"
+            )
 
     def __add__(self, other: "PropagatorFactors") -> "PropagatorFactors":
         """Factor-wise sum: (R1+R2, S1+S2).  Requires matching constants."""
@@ -564,6 +568,22 @@ def rk4_solve(
     if stopped_at is not None:
         return ts[: stopped_at + 1], ys[: stopped_at + 1], stopped_at
     return ts, ys, None
+
+
+def rk4_step_count(span: float, step: float) -> int:
+    """round(span / step), the RK4 steps that cover ``span``.
+
+    A quotient that is not finite or that rounds past MAX_RK4_STEPS is
+    refused, naming the step, before it is converted: round() of an
+    infinite float raises.
+    """
+    quotient = span / step
+    if not quotient <= MAX_RK4_STEPS + 0.5:
+        raise ValueError(
+            f"step {step!r} needs {quotient:.3g} RK4 steps, more than the "
+            f"budget of {MAX_RK4_STEPS}"
+        )
+    return int(round(quotient))
 
 
 def at_time(g, t):

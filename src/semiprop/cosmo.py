@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rk4_solve, fit_loglog_slope
+from .core import rk4_solve, rk4_step_count, fit_loglog_slope
 
 __all__ = [
     "ScalarPotential",
@@ -282,7 +282,7 @@ def evolve_classical(
             "initial data violates the Friedmann constraint: residual "
             f"{fried0:.3e} exceeds {FRIEDMANN_PRECHECK_TOL:.0e}"
         )
-    n_steps = int(round((hi - lo) / step))
+    n_steps = rk4_step_count(hi - lo, step)
     if n_steps < 1:
         raise ValueError(
             f"window ({lo}, {hi}) is shorter than one step: step = {step!r}"

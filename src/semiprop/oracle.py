@@ -23,16 +23,24 @@ oracle equivalence test; their disagreement under a deliberate kernel
 perturbation is the corresponding negative control.  The two routes share
 no code: Crank-Nicolson never uses an FFT, and the kernel route never
 steps in time.
+
+The two LAPACK routines Crank-Nicolson needs, zgttrf and zgttrs, come from
+scipy's compiled ``_flapack`` extension, loaded on its own: importing
+``scipy.linalg`` would cost about 0.25 s and 18 MB at start-up.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+import numpy.random
 
 from .core import (
     ComplexField,
@@ -65,6 +73,50 @@ MAX_CN_STEPS = 10**6
 MAX_KERNEL_NODES = 4096
 # The chirp split must reproduce every checked row of S to this share of max|S|.
 CHIRP_ROW_TOL = 1e-12
+
+
+def _scipy_linalg_dir() -> Path:
+    """scipy's linalg package directory, found without executing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("semiprop.oracle needs scipy, which is not installed")
+    return Path(spec.submodule_search_locations[0]) / "linalg"
+
+
+def _load_flapack(directory: Path):
+    """scipy's ``_flapack`` extension module from ``directory``.
+
+    These are the compiled functions ``scipy.linalg.lapack`` re-exports.
+    The module is loaded under its own name but left out of sys.modules
+    (any entry there beforehand is put back), so a later ``import
+    scipy.linalg`` behaves as it would have.  A directory without the
+    extension raises ImportError naming it.
+    """
+    name = "scipy.linalg._flapack"
+    candidates = [
+        directory / ("_flapack" + suffix)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in candidates if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no _flapack extension module found in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    previous = sys.modules.get(name)
+    try:
+        # a single-phase extension module enters sys.modules as it is created
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    finally:
+        if previous is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = previous
+    return module
+
+
+_flapack = _load_flapack(_scipy_linalg_dir())
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,13 @@ substitution into the Hamilton-Jacobi equation, so it is not used here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PropagatorFactors, SpacetimeGrid, at_time, rk4_solve
+from .core import PropagatorFactors, SpacetimeGrid, at_time, rk4_solve, rk4_step_count
 
 __all__ = [
     "QuadraticPotential",
@@ -171,10 +172,10 @@ def solve_prefactor_odes(
 
     back = forth = None
     if t0 - lo > 0.5 * step:
-        n_back = max(1, int(round((t0 - lo) / step)))
+        n_back = max(1, rk4_step_count(t0 - lo, step))
         back = rk4_solve(deriv, y_init, t0, -step, n_back, stop=stop)
     if hi - t0 > 0.5 * step:
-        n_forth = max(1, int(round((hi - t0) / step)))
+        n_forth = max(1, rk4_step_count(hi - t0, step))
         forth = rk4_solve(deriv, y_init, t0, step, n_forth, stop=stop)
     if back is None and forth is None:
         raise ValueError(
@@ -468,6 +469,13 @@ def harmonic_identity_residuals(
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
     s, c = np.sin(omega * t), np.cos(omega * t)
+    # the residuals take csc^2 = 1 / sin^2, finite while |sin| > 1 / sqrt(float max)
+    smallest = float(np.min(np.abs(s)))
+    if not smallest > sys.float_info.max ** -0.5:
+        raise ValueError(
+            f"omega = {omega!r} brings |sin(omega t)| down to {smallest:.3g} on a "
+            "valid time node, where csc^2 overflows"
+        )
     csc = 1.0 / s
     cot = c / s
     s_t = (mass * omega**2 / 2.0) * (2.0 * x0 * x * csc * cot - (x0**2 + x**2) * csc**2)

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,34 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # the step count (t_end or the prefactor window) / step is infinite
+        (["cosmo", "stiff", "--step", "5e-324"], ["step"]),
+        (["cosmo", "de-sitter", "--step", "5e-324"], ["step"]),
+        (["quadratic", "prefactor-ode", "--step", "5e-324"], ["step"]),
+        # csc(omega t)^2 overflows, or sin(omega t) vanishes
+        (["quadratic", "hj", "--family", "harmonic", "--omega", "0"], ["omega"]),
+        (["quadratic", "hj", "--family", "harmonic", "--omega", "1e-200"], ["omega"]),
+        # the cube a^3 stays finite, the constraint's p_a^2 ~ a^4 H^2 does not
+        (["cosmo", "de-sitter", "--lam", "1e5"], ["lam", "a0", "t_end"]),
+    ],
+)
+def test_overflowing_inputs_exit_two_without_a_warning(argv, names, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+    err = capsys.readouterr().err
+    for name in names:
+        assert re.search(r"\b{}\b".format(name), err), (argv, err)
+
+
+def test_negative_omega_still_runs_the_harmonic_identities(tmp_path):
+    argv = ["quadratic", "hj", "--family", "harmonic", "--omega", "-1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
 def test_oracle_at_the_benchmark_size(tmp_path):
     # the chirp-convolution kernel and the once-factored Crank-Nicolson
     # make n_x 2048 cheap enough for tier-1
@@ -370,7 +399,7 @@ def test_sweep_rejects_malformed_lines(tmp_path, capsys):
 # ------------------------------------------------- exit-contract fuzzing
 
 
-FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "1e400", "abc"]
+FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "5e-324", "1e400", "abc"]
 FUZZ_LISTS = ["[]", "[0]", "[1.5]", "['a']", "[None]", "[[1]]"]
 # Cheaper starting points than the defaults. No budget bounds the draws, so
 # they stay small; the quadratic bases are harmonic, where omega matters.

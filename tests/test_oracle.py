@@ -7,6 +7,11 @@ them against each other and against analytic evolution laws.
 import cmath
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +179,40 @@ def test_cn_callable_coefficient_takes_the_step_path(monkeypatch):
         lambda x, t: 0.5 * x**2 + 0.3 * np.cos(t) * x,
     ):
         assert_matches_banded_reference(monkeypatch, pot, factorizations=40)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK loading
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter, since this one imported scipy.linalg above
+    unwanted = ["scipy", "scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing"]
+    probe = "import sys, semiprop.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    path = [str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *unwanted],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_flapack_loader_names_the_directory_it_searched(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        oracle._load_flapack(tmp_path)
+
+
+def test_flapack_routines_are_the_ones_scipy_linalg_exports():
+    from scipy.linalg import lapack
+
+    registered = sys.modules["scipy.linalg._flapack"]
+    module = oracle._load_flapack(oracle._scipy_linalg_dir())
+    assert sys.modules["scipy.linalg._flapack"] is registered
+    assert module.zgttrs is lapack.zgttrs
+    assert oracle.zgttrf is lapack.zgttrf
+    assert oracle.zgttrs is lapack.zgttrs
 
 
 # ---------------------------------------------------------------------------
