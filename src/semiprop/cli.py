@@ -30,7 +30,13 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.random
 
-from .core import SpacetimeGrid, SpatialGrid, assemble_propagator, fit_loglog_slope
+from .core import (
+    SpacetimeGrid,
+    SpatialGrid,
+    assemble_propagator,
+    fit_loglog_slope,
+    rk4_step_count,
+)
 from .cosmo import (
     ClassicalState,
     CosmoParams,
@@ -409,6 +415,15 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     traj = _evolve(state, CosmoParams(lam=lam), params, ("lam", "t_end", "step"))
+    # the growth check compares the last sample against the closed form at t_end
+    t_last = params["step"] * rk4_step_count(t_end, params["step"])
+    if abs(t_last - t_end) > 1e-12 * t_end:
+        raise ValueError(
+            "parameters 'step' = {!r} and 't_end' = {!r}: the steps end at t = {!r}, "
+            "not at t_end; choose a step that divides t_end".format(
+                params["step"], t_end, t_last
+            )
+        )
     closed = a0 * math.exp(hubble * t_end)
     records = [
         _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, 1e-6),

@@ -18,9 +18,17 @@ h**4 refinement factors) rather than assumed.
 
 from __future__ import annotations
 
+import ast
+import builtins
+import copy
+import dataclasses
+import keyword
+import linecache
 import math
+import struct
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +42,7 @@ __all__ = [
     "nested_quadrature",
     "simpson_weights",
     "cumulative_simpson",
+    "VectorField",
     "rk4_solve",
     "rk4_step_count",
     "at_time",
@@ -462,92 +471,204 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The RK4 step loop, written out component by component for one state size;
-# `_rk4_steps` fills in nothing but that size.  Each component keeps the
-# operation order of y + (step/6)*(k1 + 2k2 + 2k3 + k4), and unpacking a
-# stage refuses a deriv that returns the wrong number of components.
+@dataclass(frozen=True)
+class VectorField:
+    """An ODE right-hand side written as source, for the fused RK4 loop.
+
+    ``state`` names the components.  ``rates`` is one Python expression
+    in those names, the time ``t`` and named constants that yields the
+    rates in state order: a tuple literal of one expression per component,
+    or any expression that evaluates to a sequence of that length.
+    ``stop``, if given, is an expression in the new state and its time
+    ``t`` that ends the run when true.  Every other name the expressions
+    read, apart from builtins, is a constant (``constants``) whose value
+    each ``rk4_solve`` call supplies.  Names that begin with an underscore
+    belong to the generated loop and are refused, and so is any
+    expression that binds a name of its own.
+
+    The expressions are source code and are compiled as they stand, so
+    they come only from module constants, never from user input.
+    """
+
+    state: tuple[str, ...]
+    rates: str
+    stop: str | None = None
+    constants: tuple[str, ...] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "state", tuple(self.state))
+        if not self.state:
+            raise ValueError("a vector field needs at least one state component, got none")
+        if len(set(self.state)) != len(self.state):
+            raise ValueError(f"state names repeat: {self.state}")
+        for name in self.state:
+            if not name.isidentifier() or keyword.iskeyword(name) or name == "t":
+                raise ValueError(f"state name {name!r} is not an identifier other than 't'")
+        rates, names = _expression(self.rates)
+        if isinstance(rates, ast.Tuple) and len(rates.elts) != len(self.state):
+            raise ValueError(
+                f"rates list {len(rates.elts)} expressions for {len(self.state)} "
+                f"state components"
+            )
+        free = set(names).union(_expression(self.stop)[1])
+        constants = sorted(free - set(self.state) - {"t"} - set(vars(builtins)))
+        for name in self.state + tuple(constants):
+            if name.startswith("_"):
+                raise ValueError(
+                    f"name {name!r} collides with the RK4 loop's own names, "
+                    f"which begin with an underscore"
+                )
+        object.__setattr__(self, "constants", tuple(constants))
+
+
+def _expression(source: str | None) -> tuple[ast.expr, list[str]]:
+    """The parsed expression and every name it reads, once per read.
+
+    An expression that binds a name of its own is refused.
+    """
+    tree = ast.parse("None" if source is None else source, mode="eval").body
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.NamedExpr, ast.Lambda, ast.comprehension)):
+            raise ValueError(f"expression {source!r} binds a name; write it without")
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+    return tree, names
+
+
+class _Rename(ast.NodeTransformer):
+    """Replace each named variable by the expression ``mapping`` gives it."""
+
+    def __init__(self, mapping: dict[str, str]):
+        self.mapping = {name: _expression(expr)[0] for name, expr in mapping.items()}
+
+    def visit_Name(self, node: ast.Name) -> ast.expr:
+        replacement = self.mapping.get(node.id)
+        return node if replacement is None else copy.deepcopy(replacement)
+
+
+def _renamed(tree: ast.expr, mapping: dict[str, str]) -> str:
+    return ast.unparse(_Rename(mapping).visit(copy.deepcopy(tree)))
+
+
+# The fused RK4 step loop.  `_compile_rk4_steps` writes the four stages,
+# the update and the stop test into it; the constants are the factory's
+# parameters.  Each component keeps the operation order of
+# y + (step/6)*(k1 + 2k2 + 2k3 + k4).
 _RK4_TEMPLATE = """\
-def rk4_steps_{dim}(deriv, stop, y, t0, step, n_steps, ys):
-    half, sixth = 0.5 * step, step / 6.0
-    {y}, = y
-    for k in range(n_steps):
-        t = t0 + step * k
-        {a}, = deriv(t, y)
-        {b}, = deriv(t + half, [{half_a}])
-        {c}, = deriv(t + half, [{half_b}])
-        {d}, = deriv(t + step, [{step_c}])
-        {update}
-        y = ({y},)
-        ys[k + 1] = y
-        if not ({finite}) or (stop is not None and stop(t0 + step * (k + 1), y)):
-            return k + 1
-    return None
+def _factory({constants}):
+    def _steps({y}, _t0, _step, _n_steps, _out):
+        _half, _sixth = 0.5 * _step, _step / 6.0
+        _j = 0
+        for _k in range(_n_steps):
+{body}
+            if not ({finite}){stop}:
+                return _k + 1
+        return None
+    return _steps
 """
 
-# Compiled step loops, keyed by state size.
-_RK4_STEPS: dict[int, Callable] = {}
+# Compiled step-loop factories, keyed by vector field; the --sweep threads
+# share them, so one lock guards the cache.
+_RK4_STEPS: dict[VectorField, Callable] = {}
+_RK4_STEPS_LOCK = threading.Lock()
 
 
-def _rk4_steps(dim: int) -> Callable:
-    """The step loop for states of ``dim`` components, compiled once per size.
+def _rk4_steps(field: VectorField) -> Callable:
+    """The step-loop factory for ``field``, compiled once per field.
 
-    It runs ``n_steps`` steps from the state tuple ``y``, writes each new
-    state to ``ys[k + 1]`` and returns the index at which the state turned
-    non-finite or ``stop`` fired, else None.
+    Called with the field's constants by keyword, it returns the loop.
+    The loop runs ``_n_steps`` steps from the state components, packs
+    each new state into the flat byte memoryview ``_out`` after the one
+    before, and returns the index at which the state turned non-finite
+    or the stop expression held, else None.
     """
-    steps = _RK4_STEPS.get(dim)
-    if steps is None:
-        idx = range(dim)
+    with _RK4_STEPS_LOCK:
+        factory = _RK4_STEPS.get(field)
+        if factory is None:
+            factory = _RK4_STEPS[field] = _compile_rk4_steps(field, len(_RK4_STEPS))
+    return factory
 
-        def joined(form: str, sep: str = ", ") -> str:
-            return sep.join(form.format(i=i) for i in idx)
 
-        source = _RK4_TEMPLATE.format(
-            dim=f"{dim:d}",
-            y=joined("y{i}"),
-            a=joined("a{i}"),
-            b=joined("b{i}"),
-            c=joined("c{i}"),
-            d=joined("d{i}"),
-            half_a=joined("y{i} + half * a{i}"),
-            half_b=joined("y{i} + half * b{i}"),
-            step_c=joined("y{i} + step * c{i}"),
-            update=joined(
-                "y{i} = y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", "\n        "
-            ),
-            finite=joined("isfinite(y{i})", " and "),
-        )
-        namespace: dict = {}
-        code = compile(source, f"<rk4 step loop, dim {dim:d}>", "exec")
-        exec(code, {"isfinite": math.isfinite}, namespace)
-        steps = _RK4_STEPS[dim] = namespace[f"rk4_steps_{dim:d}"]
-    return steps
+def _compile_rk4_steps(field: VectorField, number: int) -> Callable:
+    """Generate and compile the step-loop factory of ``field``.
+
+    A stage forms only the state components that the rates read.  The
+    source is kept in linecache under a file name with ``number``, so a
+    traceback raised inside a rate expression shows its generated line.
+    """
+    dim = len(field.state)
+    rates, names = _expression(field.rates)
+    elts = rates.elts if isinstance(rates, ast.Tuple) else None
+    read = set(names)
+
+    body = ["_t = _t0 + _step * _k", "_th = _t + _half"]
+    prev, times = None, ("_t", "_th", "_th", "_t + _step")
+    for stage, out in enumerate("abcd"):
+        mapping = {"t": times[stage]}
+        for i, name in enumerate(field.state):
+            if stage == 0:
+                mapping[name] = f"_y{i}"
+            elif name in read:
+                step = "_step" if stage == 3 else "_half"
+                body.append(f"_z{i} = _y{i} + {step} * _{prev}{i}")
+                mapping[name] = f"_z{i}"
+        if elts is None:
+            outs = "".join(f"_{out}{i}, " for i in range(dim))
+            body.append(f"{outs}= {_renamed(rates, mapping)}")
+        else:
+            body.extend(f"_{out}{i} = {_renamed(e, mapping)}" for i, e in enumerate(elts))
+        prev = out
+    for i in range(dim):
+        body.append(f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _d{i})")
+    # _out is a flat byte view of the states; one pack_into writes a row
+    row = struct.Struct(f"{dim:d}d")
+    body.append(f"_j += {row.size:d}")
+    body.append(f"_pack_into(_out, _j, {', '.join(f'_y{i}' for i in range(dim))})")
+
+    stop = ""
+    if field.stop is not None:
+        mapping = {name: f"_y{i}" for i, name in enumerate(field.state)}
+        mapping["t"] = "_t0 + _step * (_k + 1)"
+        stop = f" or ({_renamed(_expression(field.stop)[0], mapping)})"
+    source = _RK4_TEMPLATE.format(
+        constants=", ".join(field.constants),
+        y=", ".join(f"_y{i}" for i in range(dim)),
+        body="\n".join(" " * 12 + line for line in body),
+        finite=" and ".join(f"_isfinite(_y{i})" for i in range(dim)),
+        stop=stop,
+    )
+    filename = f"<rk4 step loop {number:d}: {', '.join(field.state)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    loop_globals = {"_isfinite": math.isfinite, "_pack_into": row.pack_into}
+    exec(compile(source, filename, "exec"), loop_globals, namespace)
+    return namespace["_factory"]
 
 
 def rk4_solve(
-    deriv: Callable[[float, Sequence[float]], Sequence[float]],
+    field: VectorField,
     y0: Sequence[float],
     t0: float,
     step: float,
     n_steps: int,
-    stop: Callable[[float, tuple[float, ...]], bool] | None = None,
+    constants: Mapping[str, object] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Classical fixed-step RK4 with dense recording.
+    """Classical fixed-step RK4 of ``field`` with dense recording.
 
-    The state is a tuple of Python floats.  ``deriv(t, y)`` takes a
-    sequence of floats (the state, or a stage's list) and returns one of
-    the same length; ``stop(t, y)`` sees the state.  Returns (t, Y,
-    stopped_at): sample times (n+1,), states (n+1, dim), and the index at
-    which ``stop`` fired or the state turned non-finite (truncating the
-    arrays), else None.  A negative step integrates backward in time.
-    More than MAX_RK4_STEPS steps are refused, naming the step, before
-    anything is allocated, and so is an empty ``y0``.
+    ``constants`` gives a value to each of ``field.constants``, no more
+    and no fewer.  Returns (t, Y, stopped_at): sample times (n+1,), states
+    (n+1, dim), and the index at which the field's stop expression held or
+    the state turned non-finite (truncating the arrays), else None.  A
+    negative step integrates backward in time.  More than MAX_RK4_STEPS
+    steps are refused, naming the step, before anything is allocated.
 
-    The steps run in a loop generated for the state size and compiled
-    once per size: every stage component is written out (``y0 + half *
-    a0``, ...), in the operation order of y + (step/6)*(k1 + 2k2 + 2k3 +
-    k4).  A ``deriv`` that returns the wrong number of components raises
-    ``ValueError`` when its result is unpacked.
+    The steps run in a loop generated for the field and compiled once:
+    the rates are written out in each of the four stages, in the
+    operation order of y + (step/6)*(k1 + 2k2 + 2k3 + k4), and the
+    constants enter as arguments, never as source.  Rates that are not a
+    tuple literal and yield the wrong number of components raise
+    ``ValueError`` when they are unpacked.
     """
     if step == 0:
         raise ValueError("step must be nonzero")
@@ -559,12 +680,23 @@ def rk4_solve(
             f"budget of {MAX_RK4_STEPS}"
         )
     y = tuple(map(float, y0))
-    if not y:
-        raise ValueError("y0 must hold at least one component, got none")
+    if len(y) != len(field.state):
+        raise ValueError(
+            f"y0 holds {len(y)} components for the state {field.state}"
+        )
+    constants = dict(constants or {})
+    if set(constants) != set(field.constants):
+        missing = sorted(set(field.constants) - set(constants))
+        unexpected = sorted(set(constants) - set(field.constants))
+        raise ValueError(
+            f"constants must be exactly {list(field.constants)}: "
+            f"missing {missing}, unexpected {unexpected}"
+        )
     ts = t0 + step * np.arange(n_steps + 1)
     ys = np.empty((n_steps + 1, len(y)))
     ys[0] = y
-    stopped_at = _rk4_steps(len(y))(deriv, stop, y, t0, step, n_steps, ys)
+    steps = _rk4_steps(field)(**constants)
+    stopped_at = steps(*y, t0, step, n_steps, memoryview(ys).cast("B"))
     if stopped_at is not None:
         return ts[: stopped_at + 1], ys[: stopped_at + 1], stopped_at
     return ts, ys, None

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import rk4_solve, rk4_step_count, fit_loglog_slope
+from .core import VectorField, rk4_solve, rk4_step_count, fit_loglog_slope
 
 __all__ = [
     "ScalarPotential",
@@ -70,8 +71,8 @@ class ScalarPotential:
     Both callables must accept a float or a numpy array and broadcast.
     """
 
-    v: callable
-    dv: callable
+    v: Callable
+    dv: Callable
     label: str = ""
 
 
@@ -247,6 +248,22 @@ def matched_a_dot(
     return (1.0 if expanding else -1.0) * a * math.sqrt(rhs)
 
 
+# The classical flow of evolve_classical: a_dot, a_ddot, phi_dot, phi_ddot.
+# float * overflows to inf where ** would raise; rk4_solve then truncates.
+# The run stops once a falls to a_floor, COLLAPSE_FRACTION of its start.
+FRIEDMANN_FLOW = VectorField(
+    state=("a", "a_dot", "phi", "phi_dot"),
+    rates=(
+        "a_dot,"
+        " (-(a_dot * a_dot) - k + lam * (a * a) - 4.0 * pi * (a * a) * (phi_dot * phi_dot)"
+        " + 8.0 * pi * (a * a) * float(v(phi))) / (2.0 * a),"
+        " phi_dot,"
+        " -3.0 * (a_dot / a) * phi_dot - float(dv(phi))"
+    ),
+    stop="a <= a_floor",
+)
+
+
 def evolve_classical(
     state0: ClassicalState,
     params: CosmoParams,
@@ -288,31 +305,20 @@ def evolve_classical(
             f"window ({lo}, {hi}) is shorter than one step: step = {step!r}"
         )
 
-    k, lam = params.k, params.lam
-    v_fn, dv_fn = params.potential.v, params.potential.dv
-    a_floor = COLLAPSE_FRACTION * state0.a
-
-    def deriv(t, y):
-        a, a_dot, phi, phi_dot = y
-        v = float(v_fn(phi))
-        dv = float(dv_fn(phi))
-        # float * overflows to inf where ** would raise; rk4_solve then truncates
-        a_sq = a * a
-        a_ddot = (
-            -(a_dot * a_dot) - k + lam * a_sq
-            - 4.0 * _PI * a_sq * (phi_dot * phi_dot)
-            + 8.0 * _PI * a_sq * v
-        ) / (2.0 * a)
-        phi_ddot = -3.0 * (a_dot / a) * phi_dot - dv
-        return a_dot, a_ddot, phi_dot, phi_ddot
-
     ts, ys, stopped = rk4_solve(
-        deriv,
+        FRIEDMANN_FLOW,
         (state0.a, state0.a_dot, state0.phi, state0.phi_dot),
         lo,
         step,
         n_steps,
-        stop=lambda t, y: y[0] <= a_floor,
+        {
+            "k": params.k,
+            "lam": params.lam,
+            "pi": _PI,
+            "v": params.potential.v,
+            "dv": params.potential.dv,
+            "a_floor": COLLAPSE_FRACTION * state0.a,
+        },
     )
     collapse_time = None
     if stopped is not None:

@@ -27,6 +27,7 @@ substitution into the Hamilton-Jacobi equation, so it is not used here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -34,7 +35,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PropagatorFactors, SpacetimeGrid, at_time, rk4_solve, rk4_step_count
+from .core import (
+    PropagatorFactors,
+    SpacetimeGrid,
+    VectorField,
+    at_time,
+    rk4_solve,
+    rk4_step_count,
+)
 
 __all__ = [
     "QuadraticPotential",
@@ -122,6 +130,26 @@ class PrefactorSolution:
         }
 
 
+def _prefactor_rates(calls: tuple[bool, bool, bool]) -> str:
+    """The prefactor rates; a callable coefficient is read as float(g(t))."""
+    g2, g1, g0 = (
+        f"float({name}(t))" if call else name
+        for name, call in zip(("g2", "g1", "g0"), calls)
+    )
+    return f"u, 2.0 * u * u + {g2} / mass, 2.0 * u * f1 - {g1}, -{g0} - f1 * f1 / (2.0 * mass)"
+
+
+# The flows of solve_prefactor_odes, keyed by which of (g2, g1, g0) are
+# callables; a constant coefficient is bound as a float.  |u| past
+# BLOW_UP_BOUND stops the run.
+PREFACTOR_FLOWS = {
+    calls: VectorField(
+        state=("R", "u", "f1", "f0"), rates=_prefactor_rates(calls), stop="abs(u) > bound"
+    )
+    for calls in itertools.product((False, True), repeat=3)
+}
+
+
 def solve_prefactor_odes(
     potential: QuadraticPotential,
     init: Sequence[float],
@@ -156,27 +184,20 @@ def solve_prefactor_odes(
     if not (lo <= t0 <= hi):
         raise ValueError(f"reference time {t0} lies outside the window [{lo}, {hi}]")
     y_init = [float(v) for v in init]
-    g2, g1, g0 = potential.g2, potential.g1, potential.g0
-
-    def deriv(t: float, y: Sequence[float]) -> tuple[float, ...]:
-        _, u, f1, _ = y
-        return (
-            u,
-            2.0 * u * u + float(at_time(g2, t)) / mass,
-            2.0 * u * f1 - float(at_time(g1, t)),
-            -float(at_time(g0, t)) - f1 * f1 / (2.0 * mass),
-        )
-
-    def stop(t: float, y: tuple[float, ...]) -> bool:
-        return abs(y[1]) > BLOW_UP_BOUND
+    coefficients = {"g2": potential.g2, "g1": potential.g1, "g0": potential.g0}
+    flow = PREFACTOR_FLOWS[tuple(callable(g) for g in coefficients.values())]
+    constants = {
+        name: g if callable(g) else float(g) for name, g in coefficients.items()
+    }
+    constants.update(mass=mass, bound=BLOW_UP_BOUND)
 
     back = forth = None
     if t0 - lo > 0.5 * step:
         n_back = max(1, rk4_step_count(t0 - lo, step))
-        back = rk4_solve(deriv, y_init, t0, -step, n_back, stop=stop)
+        back = rk4_solve(flow, y_init, t0, -step, n_back, constants)
     if hi - t0 > 0.5 * step:
         n_forth = max(1, rk4_step_count(hi - t0, step))
-        forth = rk4_solve(deriv, y_init, t0, step, n_forth, stop=stop)
+        forth = rk4_solve(flow, y_init, t0, step, n_forth, constants)
     if back is None and forth is None:
         raise ValueError(
             f"window [{lo}, {hi}] is shorter than one step on both sides of "
@@ -551,7 +572,11 @@ def van_vleck_check(
                 f"x0={x0_grid[j]:.6g}, t={t_flat[i, j, n]:.6g}"
             )
     if np.any(np.abs(d_vv) < 1.0e-300):
-        raise ValueError("degenerate Van Vleck determinant (zero mixed derivative)")
+        # the mixed difference of an action that scales with the mass rounds to 0
+        raise ValueError(
+            "degenerate Van Vleck determinant (zero mixed derivative): the "
+            f"two-point action at mass = {factors.mass!r} is too small to difference"
+        )
     amp = np.exp(np.asarray(factors.time_amplitude(t), dtype=complex))
     ratio = np.broadcast_to(amp / np.sqrt(d_vv), mixed.shape)
     constant = complex(ratio.mean())

@@ -272,6 +272,13 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
          "omega = 1e+200 puts a caustic"),
         (["quadratic", "van-vleck", "--family", "harmonic", "--omega", "1e-200"],
          "omega = 1e-200 puts a valid time node on a caustic"),
+        # the action is too small for its mixed finite difference
+        (["quadratic", "van-vleck", "--mass", "1e-305"], "action at mass = 1e-305"),
+        # the last RK4 sample misses t_end, where the closed form is taken
+        (["cosmo", "de-sitter", "--step", "3e-4"],
+         "parameters 'step' = 0.0003 and 't_end' = 1.0: the steps end at t = 0.9998999999999999"),
+        (["cosmo", "de-sitter", "--step", "7e-4", "--t_end", "2"],
+         "parameters 'step' = 0.0007 and 't_end' = 2.0"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -399,7 +406,7 @@ def test_sweep_rejects_malformed_lines(tmp_path, capsys):
 # ------------------------------------------------- exit-contract fuzzing
 
 
-FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "5e-324", "1e400", "abc"]
+FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "1e-305", "5e-324", "1e400", "abc"]
 FUZZ_LISTS = ["[]", "[0]", "[1.5]", "['a']", "[None]", "[[1]]"]
 # Cheaper starting points than the defaults. No budget bounds the draws, so
 # they stay small; the quadratic bases are harmonic, where omega matters.

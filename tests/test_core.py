@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import linecache
 import math
+import traceback
 
 import numpy as np
 import pytest
 
-from semiprop import core
+from semiprop import core, cosmo, quadratic
 from semiprop.core import (
     ComplexField,
     PropagatorFactors,
     SpacetimeGrid,
+    VectorField,
     assemble_propagator,
     cumulative_simpson,
     finite_difference,
@@ -258,8 +261,28 @@ def test_cumulative_simpson_order_on_smooth_data():
 # ---------------------------------------------------------------------------
 
 
+def field_of(dim, with_stop=False):
+    """A field that hands its state to callables ``deriv`` and ``stop``."""
+    names = tuple("s{}".format(i) for i in range(dim))
+    state = ", ".join(names)
+    return VectorField(
+        state=names,
+        rates="deriv(t, [{}])".format(state),
+        stop="stop(t, ({},))".format(state) if with_stop else None,
+    )
+
+
+def callable_rk4_solve(deriv, y0, t0, step, n_steps, stop=None):
+    """rk4_solve driven by a callable deriv(t, y) and stop(t, y), as before fusion."""
+    constants = {"deriv": deriv}
+    if stop is not None:
+        constants["stop"] = stop
+    field = field_of(len(y0), stop is not None)
+    return rk4_solve(field, y0, t0, step, n_steps, constants)
+
+
 def test_rk4_exponential_accuracy():
-    ts, ys, stopped = rk4_solve(lambda t, y: y, [1.0], 0.0, 1.0e-4, 10_000)
+    ts, ys, stopped = callable_rk4_solve(lambda t, y: y, [1.0], 0.0, 1.0e-4, 10_000)
     assert stopped is None
     assert abs(ys[-1, 0] - math.e) <= 1.0e-10
 
@@ -268,7 +291,9 @@ def test_rk4_observed_order():
     errs = []
     hs = [0.1, 0.05, 0.025]
     for h in hs:
-        _, ys, _ = rk4_solve(lambda t, y: np.array([-2.0 * y[0]]), [1.0], 0.0, h, int(round(1.0 / h)))
+        _, ys, _ = callable_rk4_solve(
+            lambda t, y: np.array([-2.0 * y[0]]), [1.0], 0.0, h, int(round(1.0 / h))
+        )
         errs.append(abs(ys[-1, 0] - math.exp(-2.0)))
     for p in observed_orders(hs, errs):
         assert 3.5 <= p <= 4.5, f"RK4 observed order {p:.2f}"
@@ -290,9 +315,17 @@ def test_rk4_matches_the_array_form_bit_for_bit():
         k4 = np.array(deriv(t + step, y + step * k3))
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         expected.append(y)
-    ts, ys, stopped = rk4_solve(deriv, [1.0, 0.2, -0.4], t0, step, 300)
+    ts, ys, stopped = callable_rk4_solve(deriv, [1.0, 0.2, -0.4], t0, step, 300)
     assert stopped is None
     assert np.array_equal(ts, t0 + step * np.arange(301))
+    assert np.array_equal(ys, np.array(expected))
+    # the same rates fused into the loop as a tuple of expressions
+    fused = VectorField(
+        state=("a", "b", "c"),
+        rates="b * c - 0.3 * a, sin(t) - a * c, a * a - 0.5 * b",
+    )
+    ts, ys, stopped = rk4_solve(fused, [1.0, 0.2, -0.4], t0, step, 300, {"sin": math.sin})
+    assert stopped is None
     assert np.array_equal(ys, np.array(expected))
 
 
@@ -324,7 +357,7 @@ def zip_loop_rk4_solve(deriv, y0, t0, step, n_steps, stop=None):
 
 
 def assert_matches_the_zip_loop(deriv, y0, t0, step, n_steps, stop=None):
-    ts, ys, stopped = rk4_solve(deriv, y0, t0, step, n_steps, stop=stop)
+    ts, ys, stopped = callable_rk4_solve(deriv, y0, t0, step, n_steps, stop=stop)
     ref_ts, ref_ys, ref_stopped = zip_loop_rk4_solve(deriv, y0, t0, step, n_steps, stop=stop)
     assert stopped == ref_stopped
     assert np.array_equal(ts, ref_ts)
@@ -373,24 +406,167 @@ def test_rk4_matches_the_zip_loop_on_a_numpy_deriv():
     assert stopped is None
 
 
+def recorded_solves(monkeypatch, module):
+    """Every rk4_solve call ``module`` makes, with its arguments and result."""
+    calls = []
+
+    def recording(*args):
+        result = rk4_solve(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, "rk4_solve", recording)
+    return calls
+
+
+def assert_solves_match(calls, deriv, stop):
+    assert calls
+    for (_, y0, t0, step, n_steps, _), (ts, ys, stopped) in calls:
+        ref_ts, ref_ys, ref_stopped = zip_loop_rk4_solve(deriv, y0, t0, step, n_steps, stop)
+        assert stopped == ref_stopped
+        assert ts.tobytes() == ref_ts.tobytes()
+        assert ys.tobytes() == ref_ys.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params, phi_dot, expanding",
+    [
+        (cosmo.CosmoParams(), 20.0, True),
+        (cosmo.CosmoParams(k=1, lam=0.7, potential=cosmo.quadratic_potential(0.5)), 0.4, True),
+        # contracts until a falls below its floor, and the run stops
+        (cosmo.CosmoParams(), 0.1, False),
+    ],
+)
+def test_evolve_classical_matches_the_zip_loop_on_its_closure(
+    monkeypatch, params, phi_dot, expanding
+):
+    calls = recorded_solves(monkeypatch, cosmo)
+    a_dot = cosmo.matched_a_dot(1.0, 0.3, phi_dot, params, expanding=expanding)
+    state = cosmo.ClassicalState(a=1.0, a_dot=a_dot, phi=0.3, phi_dot=phi_dot)
+    cosmo.evolve_classical(state, params, (0.0, 2.0), 1e-3)
+    k, lam, v_fn, dv_fn = params.k, params.lam, params.potential.v, params.potential.dv
+
+    def deriv(t, y):
+        a, a_dot, phi, phi_dot = y
+        v = float(v_fn(phi))
+        dv = float(dv_fn(phi))
+        a_sq = a * a
+        a_ddot = (
+            -(a_dot * a_dot) - k + lam * a_sq
+            - 4.0 * math.pi * a_sq * (phi_dot * phi_dot)
+            + 8.0 * math.pi * a_sq * v
+        ) / (2.0 * a)
+        phi_ddot = -3.0 * (a_dot / a) * phi_dot - dv
+        return a_dot, a_ddot, phi_dot, phi_ddot
+
+    assert_solves_match(calls, deriv, lambda t, y: y[0] <= cosmo.COLLAPSE_FRACTION * 1.0)
+    if not expanding:
+        assert calls[0][1][2] is not None
+
+
+@pytest.mark.parametrize(
+    "potential, init, window, t0",
+    [
+        *quadratic.PREFACTOR_CASES.values(),
+        # a callable coefficient; t0 inside the window runs both legs
+        (quadratic.QuadraticPotential(g2=lambda t: 0.5 + 0.25 * np.sin(t), g1=0.3),
+         (0.0, 0.1, 0.2, 0.0), (0.0, 1.0), 0.4),
+    ],
+)
+def test_solve_prefactor_odes_matches_the_zip_loop_on_its_closure(
+    monkeypatch, potential, init, window, t0
+):
+    calls = recorded_solves(monkeypatch, quadratic)
+    mass = 0.8
+    quadratic.solve_prefactor_odes(potential, init, window, 1e-3, t0=t0, mass=mass)
+    g2, g1, g0 = potential.g2, potential.g1, potential.g0
+
+    def deriv(t, y):
+        _, u, f1, _ = y
+        return (
+            u,
+            2.0 * u * u + float(core.at_time(g2, t)) / mass,
+            2.0 * u * f1 - float(core.at_time(g1, t)),
+            -float(core.at_time(g0, t)) - f1 * f1 / (2.0 * mass),
+        )
+
+    assert_solves_match(calls, deriv, lambda t, y: abs(y[1]) > quadratic.BLOW_UP_BOUND)
+    if t0 is not None:
+        assert sorted(call[0][3] > 0 for call in calls) == [False, True]
+
+
 @pytest.mark.parametrize("length", [3, 5])
 def test_rk4_refuses_a_wrong_length_deriv(length):
     with pytest.raises(ValueError, match="values to unpack"):
-        rk4_solve(lambda t, y: [1.0] * length, [1.0, 2.0, 3.0, 4.0], 0.0, 0.1, 10)
+        callable_rk4_solve(lambda t, y: [1.0] * length, [1.0, 2.0, 3.0, 4.0], 0.0, 0.1, 10)
+
+
+def test_rk4_refuses_a_wrong_length_rates_tuple():
+    with pytest.raises(ValueError, match="rates list 3 expressions for 2 state components"):
+        VectorField(state=("x", "y"), rates="y, -x, 0.0")
 
 
 def test_rk4_refuses_an_empty_state():
-    with pytest.raises(ValueError, match="y0"):
-        rk4_solve(lambda t, y: (), [], 0.0, 0.1, 10)
+    with pytest.raises(ValueError, match="at least one state component"):
+        VectorField(state=(), rates="()")
+    with pytest.raises(ValueError, match="y0 holds 2 components"):
+        rk4_solve(VectorField(state=("x",), rates="-x,"), [1.0, 2.0], 0.0, 0.1, 10)
 
 
-def test_rk4_step_loop_is_compiled_once_per_size():
-    assert core._rk4_steps(3) is core._rk4_steps(3)
-    assert core._rk4_steps(3) is not core._rk4_steps(4)
+@pytest.mark.parametrize(
+    "state, rates",
+    [
+        (("_y0", "x"), "x, -_y0"),  # a state name the loop uses for a component
+        (("x",), "-_k * x,"),  # a constant named like the loop's step index
+        (("x",), "-_half * x,"),
+        (("t",), "-t,"),  # the time
+    ],
+)
+def test_vector_field_refuses_a_name_of_the_loop(state, rates):
+    with pytest.raises(ValueError, match="RK4 loop's own names|other than 't'"):
+        VectorField(state=state, rates=rates)
+
+
+def test_rk4_refuses_missing_or_unexpected_constants():
+    field = VectorField(state=("x",), rates="-rate * x,")
+    with pytest.raises(ValueError, match=r"missing \['rate'\], unexpected \['rat'\]"):
+        rk4_solve(field, [1.0], 0.0, 0.1, 10, {"rat": 1.0})
+
+
+def test_rk4_step_loop_is_compiled_once_per_field():
+    field = field_of(3)
+    assert core._rk4_steps(field) is core._rk4_steps(field_of(3))
+    assert core._rk4_steps(field) is not core._rk4_steps(field_of(4))
+
+
+def test_two_solves_with_different_constants_share_one_compiled_loop():
+    field = VectorField(state=("x", "v"), rates="v, -omega2 * x - 0.5 * gamma * v")
+    compiled = len(core._RK4_STEPS)
+    _, slow, _ = rk4_solve(field, [1.0, 0.0], 0.0, 0.01, 100, {"omega2": 0.25, "gamma": 0.125})
+    assert len(core._RK4_STEPS) == compiled + 1
+    loop = core._rk4_steps(field)
+    _, fast, _ = rk4_solve(field, [1.0, 0.0], 0.0, 0.01, 100, {"omega2": 4.0, "gamma": 0.375})
+    assert len(core._RK4_STEPS) == compiled + 1
+    assert core._rk4_steps(field) is loop
+    assert not np.array_equal(slow, fast)
+    # the values enter as arguments, never as source
+    source = "".join(linecache.getlines(loop.__code__.co_filename))
+    assert "omega2" in source
+    for value in ("0.25", "0.125", "4.0", "0.375"):
+        assert value not in source
+
+
+def test_a_failing_rate_shows_its_generated_line_in_the_traceback():
+    field = VectorField(state=("x", "y"), rates="y, 1.0 / (x - shift)")
+    with pytest.raises(ZeroDivisionError) as info:
+        rk4_solve(field, [1.0, 0.0], 0.0, 0.1, 10, {"shift": 1.0})
+    text = "".join(traceback.format_exception(info.value))
+    assert "<rk4 step loop" in text and ": x, y>" in text
+    assert "_a1 = 1.0 / (_y0 - shift)" in text
 
 
 def test_rk4_stop_condition_truncates():
-    ts, ys, stopped = rk4_solve(
+    ts, ys, stopped = callable_rk4_solve(
         lambda t, y: y, [1.0], 0.0, 0.1, 100, stop=lambda t, y: y[0] > 5.0
     )
     assert stopped is not None
