@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.random
 
 from .core import (
     SpacetimeGrid,
@@ -151,7 +150,7 @@ def _quadratic_factors(grid: SpacetimeGrid, params: dict):
     )
 
 
-def _run_quadratic_hj(params: dict, rng) -> RunnerOutput:
+def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
@@ -168,7 +167,7 @@ def _run_quadratic_hj(params: dict, rng) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_quadratic_van_vleck(params: dict, rng) -> RunnerOutput:
+def _run_quadratic_van_vleck(params: dict, seed: int) -> RunnerOutput:
     grid = SpacetimeGrid(
         x_min=-3.0, x_max=3.0, n_x=49, t_min=0.4, t_max=1.2, n_t=25
     )
@@ -178,7 +177,7 @@ def _run_quadratic_van_vleck(params: dict, rng) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_quadratic_prefactor(params: dict, rng) -> RunnerOutput:
+def _run_quadratic_prefactor(params: dict, seed: int) -> RunnerOutput:
     family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
@@ -221,7 +220,7 @@ def _propagator_rows(factors, grid: SpacetimeGrid) -> list[tuple]:
     )
 
 
-def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
+def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
     levels = [(129, 65), (257, 129), (513, 257)]
     spacings, residuals = [], []
     coarse_factors = None
@@ -239,7 +238,7 @@ def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
         else:
             m, om = params["mass"], params["omega"]
             pot = QuadraticPotential(g2=0.5 * m * om**2).value
-        _, rel = schrodinger_residual(
+        rel = schrodinger_residual(
             propagator, pot, hbar=factors.hbar, mass=factors.mass
         )
         spacings.append(grid.dx)
@@ -257,7 +256,7 @@ def _run_quadratic_schrodinger(params: dict, rng) -> RunnerOutput:
 # ------------------------------------------------------------ general-hj
 
 
-def _run_general_decoupling(params: dict, rng) -> RunnerOutput:
+def _run_general_decoupling(params: dict, seed: int) -> RunnerOutput:
     ansatz = cos_log_family(
         c2=params["c2"], c3=params["c3"], c4=params["c4"],
         hbar=params["hbar"], mass=params["mass"],
@@ -270,7 +269,7 @@ def _run_general_decoupling(params: dict, rng) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_general_exponential(params: dict, rng) -> RunnerOutput:
+def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
     res = exponential_family_residuals(
         amplitude=params["amplitude"], slope=params["slope"],
         hbar=params["hbar"], mass=params["mass"],
@@ -282,7 +281,7 @@ def _run_general_exponential(params: dict, rng) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
+def _run_general_hbar_slope(params: dict, seed: int) -> RunnerOutput:
     curvature = params["curvature"]
     # R = -curvature x^2 on [-2, 2]; the action takes exp(-2R) and exp(2R)
     if not 8.0 * abs(curvature) < _LOG_MAX:
@@ -308,7 +307,7 @@ def _run_general_hbar_slope(params: dict, rng) -> RunnerOutput:
 # --------------------------------------------------------------- oracle
 
 
-def _run_oracle_kernel(params: dict, rng) -> RunnerOutput:
+def _run_oracle_kernel(params: dict, seed: int) -> RunnerOutput:
     family = params["family"]
     dt = params["dt"]
     target = 1.0 if family == "free" else math.pi / 2.0
@@ -392,7 +391,7 @@ def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tupl
         raise ValueError("parameters {}: {}".format(given, exc)) from None
 
 
-def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
+def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
     hubble = math.sqrt(lam / 3.0)
 
@@ -433,7 +432,7 @@ def _run_cosmo_de_sitter(params: dict, rng) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_cosmo_stiff(params: dict, rng) -> RunnerOutput:
+def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
     # the momentum drift divides by p_phi(0) = phi_dot0; the matched rate and
@@ -501,7 +500,7 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
     return ["site_index_{}".format(i) for i in range(len(config.dims))] + ["value"]
 
 
-def _run_lattice_transport(params: dict, rng) -> RunnerOutput:
+def _run_lattice_transport(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     # the check takes exp(2 sigma) at every site
     if not 2.0 * params["sigma_const"] <= EXP_OVERFLOW:
@@ -531,7 +530,7 @@ def _run_lattice_transport(params: dict, rng) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_greens(params: dict, rng) -> RunnerOutput:
+def _run_lattice_greens(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
     records = [
@@ -542,7 +541,7 @@ def _run_lattice_greens(params: dict, rng) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_positivity(params: dict, rng) -> RunnerOutput:
+def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     amplitude = params["amplitude"]
     # the field is drawn from [-amplitude, amplitude]
@@ -551,6 +550,7 @@ def _run_lattice_positivity(params: dict, rng) -> RunnerOutput:
             "parameter 'amplitude' must keep 2 * amplitude finite, got {!r}".format(amplitude)
         )
     functional = lattice_greens_function(config)
+    rng = np.random.default_rng(seed)
     worst = math.inf
     last = None
     for _ in range(params["draws"]):
@@ -581,7 +581,7 @@ def _run_lattice_positivity(params: dict, rng) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_imaginary(params: dict, rng) -> RunnerOutput:
+def _run_lattice_imaginary(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     w = PointwiseFunction(
         value=lambda p: 2.0 + np.sin(p),
@@ -589,6 +589,7 @@ def _run_lattice_imaginary(params: dict, rng) -> RunnerOutput:
         label="2 + sin",
     )
     lam = params["lam"]
+    rng = np.random.default_rng(seed)
     worst = 0.0
     last = None
     for _ in range(params["draws"]):
@@ -603,7 +604,7 @@ def _run_lattice_imaginary(params: dict, rng) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_kg(params: dict, rng) -> RunnerOutput:
+def _run_lattice_kg(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     mode = params["mode"]
     phi0, velocity, omega = lattice_plane_wave(config, mode, params["dt"])
@@ -873,9 +874,8 @@ def run_scenario(
     """Run one check on checked parameters, write report.json and CSV
     payloads into ``out_dir``, and return the report."""
     _, runner = CHECKS[(scenario, check)]
-    rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    records, convergence, csv_payload = runner(params, rng)
+    records, convergence, csv_payload = runner(params, seed)
     report = Report(
         scenario=scenario,
         checks=records,
@@ -965,6 +965,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     try:
+        # checked here, not by the first draw, so that every check refuses it
+        if args.seed < 0:
+            raise ValueError(
+                "parameter 'seed' must be a non-negative integer, got {}".format(args.seed)
+            )
         flag_values = _parse_extra_flags(extra)
         file_values = _read_key_value_file(args.config) if args.config else {}
         base_params = _merge_params(

@@ -312,18 +312,22 @@ def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid | None =
     r = evaluate_on_grid(factors.R, grid)
     s = evaluate_on_grid(factors.S, grid)
     mask = r.mask & s.mask
-    exponent = r.values + 1j * s.values / factors.hbar
-    _require_finite(exponent, mask, grid, what="propagator exponent")
+    # one buffer: the exponent r + 1j * s / hbar, then K in its place
+    k = 1j * s.values
+    k /= factors.hbar
+    k += r.values
+    _require_finite(k, mask, grid, what="propagator exponent")
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.exp(exponent)
+        np.exp(k, out=k)
     bad = ~np.isfinite(k) & mask
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
+        exponent = r.values[i, j] + 1j * s.values[i, j] / factors.hbar
         raise ValueError(
             f"exp overflow assembling propagator at node (i={i}, j={j}), "
-            f"x={grid.x[i]:.6g}, t={grid.t[j]:.6g}, Re exponent={exponent[i, j].real:.6g}"
+            f"x={grid.x[i]:.6g}, t={grid.t[j]:.6g}, Re exponent={exponent.real:.6g}"
         )
-    k = np.where(mask, k, 0.0)
+    k[~mask] = 0.0
     return ComplexField(grid, k, mask)
 
 

@@ -26,7 +26,10 @@ steps in time.
 
 The two LAPACK routines Crank-Nicolson needs, zgttrf and zgttrs, come from
 scipy's compiled ``_flapack`` extension, loaded on its own: importing
-``scipy.linalg`` would cost about 0.25 s and 18 MB at start-up.
+``scipy.linalg`` would cost about 0.25 s and 18 MB at start-up.  The
+extension is loaded at the first ``cn_evolve`` call or the first access to
+``oracle.zgttrf`` / ``oracle.zgttrs``, which then stay module globals, so
+importing this module loads neither LAPACK nor ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.random
 
 from .core import (
     ComplexField,
     PropagatorFactors,
     SpatialGrid,
-    finite_difference,
+    _stencil,
     simpson_weights,
 )
 from .quadratic import QuadraticPotential
@@ -71,6 +73,8 @@ MAX_CN_STEPS = 10**6
 # needs only O(n_x) memory; the cap bounds the grid the kernel is checked
 # on, not a dense n_x^2 kernel (none is built).
 MAX_KERNEL_NODES = 4096
+# Nodes per band of the streamed Schrodinger residual: 512 kB of complex K.
+RESIDUAL_BAND_NODES = 1 << 15
 # The chirp split must reproduce every checked row of S to this share of max|S|.
 CHIRP_ROW_TOL = 1e-12
 
@@ -115,8 +119,26 @@ def _load_flapack(directory: Path):
     return module
 
 
-_flapack = _load_flapack(_scipy_linalg_dir())
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+_LAPACK_NAMES = ("zgttrf", "zgttrs")
+
+
+def _bind_lapack() -> None:
+    """Bind zgttrf and zgttrs as module globals, loading ``_flapack`` once.
+
+    A name already bound (say, replaced by a test) is left as it is.
+    """
+    if all(name in globals() for name in _LAPACK_NAMES):
+        return
+    flapack = _load_flapack(_scipy_linalg_dir())
+    for name in _LAPACK_NAMES:
+        globals().setdefault(name, getattr(flapack, name))
+
+
+def __getattr__(name: str):
+    if name in _LAPACK_NAMES:
+        _bind_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -228,11 +250,13 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     (1 + i dt H/(2 hbar)) psi_new = (1 - i dt H/(2 hbar)) psi_old with H
     the tridiagonal discrete Hamiltonian; a time-dependent potential is
     sampled at the step midpoint.  Each step is one LAPACK zgttrs solve
-    against the zgttrf LU factors of the left-hand matrix.  A static
-    potential (a constant, or a QuadraticPotential without callable
-    coefficients) gives the same matrix at every step, so it is factored
-    once; any other potential is refactored at every step.  More than
-    MAX_CN_STEPS steps are refused, naming dt, before anything is allocated.
+    against the zgttrf LU factors of the left-hand matrix, made in place in
+    a preallocated right-hand-side buffer; ``state.psi`` is never written.
+    A static potential (a constant, or a QuadraticPotential without
+    callable coefficients) gives the same matrix at every step, so it is
+    factored once; any other potential is refactored at every step.  More
+    than MAX_CN_STEPS steps are refused, naming dt, before anything is
+    allocated.
     Boundary amplitude above BOUNDARY_AMPLITUDE_WARN at any step triggers
     a single warning with the worst value seen (Dirichlet walls reflect,
     they do not absorb).
@@ -261,7 +285,11 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
         )
         return kin_diag + v_mid
 
+    _bind_lapack()
     psi = state.psi.copy()
+    # rhs becomes the next psi in place (overwrite_b), so the two swap roles
+    rhs = np.empty_like(psi)
+    shifted = np.empty(n - 1, dtype=complex)
     t = state.t
     worst_boundary = 0.0
     static = _is_static(pot)
@@ -275,14 +303,16 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
                 raise np.linalg.LinAlgError(
                     f"Crank-Nicolson matrix is singular (zgttrf info {info})"
                 )
-        # rhs = (1 - i lam H) psi
-        h_psi = h_diag * psi
-        h_psi[:-1] += kin_off * psi[1:]
-        h_psi[1:] += kin_off * psi[:-1]
-        rhs = psi - 1j * lam * h_psi
-        psi, info = zgttrs(dl, d, du, du2, ipiv, rhs)
+        # rhs = psi - i lam (H psi), H psi summed as diagonal, upper, lower
+        np.multiply(h_diag, psi, out=rhs)
+        np.add(rhs[:-1], np.multiply(kin_off, psi[1:], out=shifted), out=rhs[:-1])
+        np.add(rhs[1:], np.multiply(kin_off, psi[:-1], out=shifted), out=rhs[1:])
+        np.multiply(1j * lam, rhs, out=rhs)
+        np.subtract(psi, rhs, out=rhs)
+        solved, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
+        psi, rhs = solved, psi
         t += dt
         worst_boundary = max(worst_boundary, abs(psi[0]), abs(psi[-1]))
     if worst_boundary > BOUNDARY_AMPLITUDE_WARN:
@@ -296,42 +326,57 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
 
 def schrodinger_residual(
     K: ComplexField, pot, hbar: float = 1.0, mass: float = 1.0
-) -> tuple[ComplexField, float]:
+) -> float:
     """Stencil substitution into i hbar dK/dt + (hbar^2/2m) d2K/dx2 - V K.
 
-    Returns the residual field and max|residual| / max|K| over the
-    stencil-valid nodes.  The potential may also be a gridded
-    ComplexField on the same grid (its mask then narrows the valid set).
-    Refuses when no node survives masking.
+    Returns max|residual| / max|K| over the stencil-valid nodes.  The
+    potential may also be a gridded ComplexField on the same grid (its
+    mask then narrows the valid set); a callable one is sampled band by
+    band, so it must act pointwise in (x, t).  Refuses when no node
+    survives masking.
+
+    The residual is formed in bands of whole time columns, about
+    RESIDUAL_BAND_NODES nodes each, and only the two maxima are kept
+    across bands.  A band reads one halo column on each side for the
+    t-stencil (three columns at a time edge, for the one-sided stencil),
+    so every node sees the values a whole-grid stencil would give it.
     """
     grid = K.grid
-    k_t = finite_difference(K, "t", 1)
-    k_xx = finite_difference(K, "x", 2)
-    mask = k_t.mask & k_xx.mask
     if isinstance(pot, ComplexField):
         if pot.grid != grid:
             raise ValueError("potential field lives on a different grid")
-        v_vals = pot.values
-        mask = mask & pot.mask
+        v_fn = None
     else:
         v_fn = as_potential(pot)
-        X, T = grid.mesh()
-        v_vals = np.broadcast_to(
-            np.asarray(v_fn(X, T), dtype=complex), (grid.n_x, grid.n_t)
-        )
-    if not mask.any():
+    x, t, n_t = grid.x[:, None], grid.t[None, :], grid.n_t
+    kinetic = hbar**2 / (2.0 * mass)
+    width = -(-RESIDUAL_BAND_NODES // grid.n_x)
+    residual_peaks, k_peaks = [], []
+    for j0 in range(0, n_t, width):
+        j1 = min(j0 + width, n_t)
+        lo, hi = max(0, min(j0 - 1, n_t - 3)), min(n_t, max(j1 + 1, 3))
+        k_t, ok = _stencil(K.values[:, lo:hi], K.mask[:, lo:hi], grid.dt, 1, 1)
+        band = slice(j0 - lo, j1 - lo)
+        k_t, ok = k_t[:, band], ok[:, band]
+        k = K.values[:, j0:j1]
+        k_xx, ok_xx = _stencil(k, K.mask[:, j0:j1], grid.dx, 0, 2)
+        ok &= ok_xx
+        if v_fn is None:
+            v = pot.values[:, j0:j1]
+            ok &= pot.mask[:, j0:j1]
+        else:
+            v = np.broadcast_to(np.asarray(v_fn(x, t[:, j0:j1]), dtype=complex), k.shape)
+        if not ok.any():
+            continue
+        residual = 1j * hbar * k_t + kinetic * k_xx - v * k
+        residual_peaks.append(np.max(np.abs(residual[ok])))
+        k_peaks.append(np.max(np.abs(k[ok])))
+    if not k_peaks:
         raise ValueError("no stencil-valid nodes: every node is excluded")
-    values = (
-        1j * hbar * k_t.values
-        + (hbar**2 / (2.0 * mass)) * k_xx.values
-        - v_vals * K.values
-    )
-    values = np.where(mask, values, 0.0)
-    scale = float(np.max(np.abs(K.values[mask])))
+    scale = float(np.max(k_peaks))
     if scale == 0.0:
         raise ValueError("K vanishes on all stencil-valid nodes")
-    rel = float(np.max(np.abs(values[mask])) / scale)
-    return ComplexField(grid=grid, values=values, mask=mask), rel
+    return float(np.max(residual_peaks) / scale)
 
 
 def _quadrature_weights(grid: SpatialGrid) -> np.ndarray:

@@ -102,7 +102,7 @@ def test_criterion_01_closed_form_certification():
                 x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_x // 4
             )
             factors, pot = quadratic_factors(family, fine)
-            _, rel = schrodinger_residual(
+            rel = schrodinger_residual(
                 assemble_propagator(factors, fine), pot, hbar=1.0, mass=1.0
             )
             dxs.append(fine.dx)
@@ -396,7 +396,7 @@ def test_criterion_10_negative_controls():
             x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
         )
         bad = ComplexField.from_callable(grid, lambda x, t: np.exp(x + t))
-        _, rel = schrodinger_residual(bad, 0.0, hbar=1.0, mass=1.0)
+        rel = schrodinger_residual(bad, 0.0, hbar=1.0, mass=1.0)
         rels.append(rel)
     ratio = rels[1] / rels[0]
     ts = np.linspace(0.0, 1.0, 21)

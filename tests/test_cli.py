@@ -476,6 +476,14 @@ def test_seeded_runs_are_bit_identical(tmp_path):
     assert read_report(out_c)["seed"] == 4
 
 
+def test_negative_seed_is_refused_by_every_check(tmp_path, capsys):
+    # checks that never draw refuse it too
+    for check in (["lattice", "hj-positivity"], ["quadratic", "hj"]):
+        assert main(check + ["--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "parameter 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------- report helpers
 
 

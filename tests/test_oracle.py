@@ -6,11 +6,13 @@ them against each other and against analytic evolution laws.
 
 import cmath
 import dataclasses
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from semiprop.core import (
     SpacetimeGrid,
     SpatialGrid,
     assemble_propagator,
+    evaluate_on_grid,
+    finite_difference,
     observed_orders,
 )
 from semiprop.general_hj import (
@@ -181,22 +185,101 @@ def test_cn_callable_coefficient_takes_the_step_path(monkeypatch):
         assert_matches_banded_reference(monkeypatch, pot, factorizations=40)
 
 
+@pytest.mark.filterwarnings("ignore:boundary amplitude")
+def test_cn_buffers_leave_the_input_state_alone():
+    for pot in (0.25, QuadraticPotential(g2=0.5).value):
+        psi0 = oscillator_state(513)
+        before = psi0.psi.copy()
+        first = cn_evolve(psi0, pot, dt=1e-2, n_steps=41)
+        assert np.array_equal(psi0.psi, before)
+        second = cn_evolve(psi0, pot, dt=1e-2, n_steps=41)
+        assert np.array_equal(first.psi, second.psi)
+        assert first.psi is not second.psi
+
+
 # ---------------------------------------------------------------------------
 # LAPACK loading
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # a fresh interpreter, since this one imported scipy.linalg above
-    unwanted = ["scipy", "scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing"]
-    probe = "import sys, semiprop.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
-    path = [str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+def run_fresh(script, *args, path=()):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    semiprop, with the directories in ``path`` searched first."""
+    path = [*map(str, path), str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, "-c", probe, *unwanted],
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.strip() == "[]"
+
+
+LOAD_STATE_PROBE = """
+import contextlib, io, json, sys
+import semiprop.cli as cli, semiprop.oracle as oracle
+
+out, commands, unwanted = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
+
+def state():
+    return {
+        "numpy.random": "numpy.random" in sys.modules,
+        "zgttrf": "zgttrf" in vars(oracle),
+        "unwanted": sorted(set(unwanted) & set(sys.modules)),
+    }
+
+states = {"import": state()}
+for n, command in enumerate(commands):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(command.split() + ["--out", "{}/{}".format(out, n)])
+    states[command] = dict(state(), exit=code)
+print(json.dumps(states))
+"""
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # a fresh interpreter, since this one imported scipy.linalg above;
+    # numpy.random and LAPACK load at the first check that uses them
+    unwanted = ["scipy", "scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing"]
+    commands = [
+        "cosmo stiff",
+        "quadratic prefactor-ode",
+        "lattice hj-positivity --draws 2",
+        "oracle kernel-vs-grid --n_x 256 --dt 1e-2",
+    ]
+    result = run_fresh(LOAD_STATE_PROBE, tmp_path, json.dumps(commands), *unwanted)
+    states = json.loads(result.stdout)
+    idle = {"numpy.random": False, "zgttrf": False, "unwanted": []}
+    assert states["import"] == idle
+    assert states["cosmo stiff"] == dict(idle, exit=0)
+    assert states["quadratic prefactor-ode"] == dict(idle, exit=0)
+    assert states["lattice hj-positivity --draws 2"] == dict(idle, exit=0, **{"numpy.random": True})
+    assert states["oracle kernel-vs-grid --n_x 256 --dt 1e-2"] == {
+        "numpy.random": True, "zgttrf": True, "unwanted": [], "exit": 0,
+    }
+
+
+MISSING_FLAPACK_PROBE = """
+import contextlib, io, sys
+import semiprop.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    stiff = cli.main(["cosmo", "stiff", "--out", sys.argv[1] + "/stiff"])
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["oracle", "kernel-vs-grid", "--n_x", "256", "--dt", "1e-2",
+                  "--out", sys.argv[1] + "/kernel"])
+except ImportError as exc:
+    print(stiff, exc)
+"""
+
+
+def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(tmp_path):
+    # a scipy package whose linalg directory is empty shadows the real one
+    linalg = tmp_path / "site" / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    (linalg.parent / "__init__.py").write_text("")
+    result = run_fresh(MISSING_FLAPACK_PROBE, tmp_path, path=[tmp_path / "site"])
+    assert (tmp_path / "stiff" / "report.json").is_file()
+    assert result.stdout.strip() == f"0 no _flapack extension module found in {linalg}"
 
 
 def test_flapack_loader_names_the_directory_it_searched(tmp_path):
@@ -226,7 +309,7 @@ def levels_residual(factory, pot, levels):
         grid = spacetime(n_x, n_t)
         factors = factory(grid)
         K = assemble_propagator(factors, grid)
-        _, rel = schrodinger_residual(K, pot, hbar=factors.hbar, mass=factors.mass)
+        rel = schrodinger_residual(K, pot, hbar=factors.hbar, mass=factors.mass)
         rels.append(rel)
         hs.append(grid.dx)
     return hs, rels
@@ -258,7 +341,7 @@ def test_residual_non_solution_stays_order_one():
     for n_x, n_t in [(129, 65), (257, 129)]:
         grid = spacetime(n_x, n_t)
         K = ComplexField.from_callable(grid, lambda x, t: np.exp(x + t))
-        _, rel = schrodinger_residual(K, 0.0)
+        rel = schrodinger_residual(K, 0.0)
         rels.append(rel)
     # i dK/dt + (1/2) d2K/dx2 = (i + 1/2) K, so the floor is |0.5 + i|
     floor = math.sqrt(1.25)
@@ -275,6 +358,107 @@ def test_residual_refuses_fully_excluded_grid():
     K = ComplexField.from_callable(grid, lambda x, t: 1.0 + 0.0 * x * t)
     with pytest.raises(ValueError, match="every node is excluded"):
         schrodinger_residual(K, 0.0)
+
+
+def reference_assemble_propagator(factors, grid):
+    """assemble_propagator as it was before it built K in one buffer."""
+    r = evaluate_on_grid(factors.R, grid)
+    s = evaluate_on_grid(factors.S, grid)
+    mask = r.mask & s.mask
+    k = np.exp(r.values + 1j * s.values / factors.hbar)
+    return ComplexField(grid, np.where(mask, k, 0.0), mask)
+
+
+def reference_residual(K, pot, hbar=1.0, mass=1.0):
+    """The whole-grid residual the banded schrodinger_residual replaced."""
+    k_t = finite_difference(K, "t", 1)
+    k_xx = finite_difference(K, "x", 2)
+    mask = k_t.mask & k_xx.mask
+    if isinstance(pot, ComplexField):
+        v_vals = pot.values
+        mask = mask & pot.mask
+    else:
+        X, T = K.grid.mesh()
+        v_vals = np.broadcast_to(
+            np.asarray(as_potential(pot)(X, T), dtype=complex), K.values.shape
+        )
+    values = (
+        1j * hbar * k_t.values
+        + (hbar**2 / (2.0 * mass)) * k_xx.values
+        - v_vals * K.values
+    )
+    values = np.where(mask, values, 0.0)
+    return float(np.max(np.abs(values[mask])) / np.max(np.abs(K.values[mask])))
+
+
+def assert_residual_matches_reference(monkeypatch, K, pot, band_columns, **constants):
+    """The banded residual equals the whole-grid one at the default band
+    and at bands of each of ``band_columns`` time columns."""
+    expected = reference_residual(K, pot, **constants)
+    assert schrodinger_residual(K, pot, **constants) == expected
+    for columns in band_columns:
+        monkeypatch.setattr(oracle, "RESIDUAL_BAND_NODES", columns * K.grid.n_x)
+        assert schrodinger_residual(K, pot, **constants) == expected, columns
+    monkeypatch.undo()
+
+
+def test_propagator_and_banded_residual_match_the_whole_grid_forms(monkeypatch):
+    # the CLI's three levels for both families, then a caustic window, band
+    # counts that do not divide n_t, and the smallest time extents
+    cases = [
+        (family, spacetime(n_x, n_t))
+        for family in ("free", "harmonic")
+        for n_x, n_t in [(129, 65), (257, 129), (513, 257)]
+    ]
+    caustic = SpacetimeGrid(
+        x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129,
+        exclusions=((1.45, 1.7),),
+    )
+    cases += [("caustic", caustic), ("free", spacetime(513, 200)), ("free", spacetime(513, 193))]
+    cases += [(family, spacetime(33, n_t)) for family in ("free", "harmonic") for n_t in (4, 5)]
+    for family, grid in cases:
+        if family == "free":
+            factors, pot = free_particle_factors(grid, mass=1.0), 0.0
+        elif family == "harmonic":
+            factors, pot = harmonic_factors(grid, mass=1.0, omega=1.0), QuadraticPotential(g2=0.5).value
+        else:
+            factors, pot = harmonic_factors(grid, mass=1.0, omega=2.0), QuadraticPotential(g2=2.0).value
+        K = assemble_propagator(factors, grid)
+        reference = reference_assemble_propagator(factors, grid)
+        assert np.array_equal(K.values, reference.values), (family, grid)
+        assert np.array_equal(K.mask, reference.mask)
+        narrow = (1, 2, 3, 8) if grid.n_x * grid.n_t < 40_000 else (64,)
+        assert_residual_matches_reference(monkeypatch, K, pot, narrow)
+    assert not caustic.node_mask().all()
+
+
+def test_banded_residual_matches_on_a_gridded_potential(monkeypatch):
+    grid = SpacetimeGrid(x_min=-2.0, x_max=2.0, n_x=129, t_min=0.0, t_max=1.0, n_t=65)
+    ansatz, f1_fn, f0_quad = cos_log_builder(grid)
+    s_field = build_S_from_R(dataclasses.replace(ansatz, f0=f0_quad, f1=f1_fn), grid)
+    v_field = recover_potential(s_field, mass=ansatz.mass)
+    r_field = ComplexField.from_callable(grid, ansatz.R)
+    k_values = np.exp(r_field.values + 1j * s_field.values / ansatz.hbar)
+    K = ComplexField(grid=grid, values=k_values, mask=s_field.mask)
+    assert_residual_matches_reference(
+        monkeypatch, K, v_field, (1, 2, 7), hbar=ansatz.hbar, mass=ansatz.mass
+    )
+
+
+def test_banded_residual_peak_memory_stays_below_two_propagators():
+    for factory, pot in (
+        (lambda g: free_particle_factors(g, mass=1.0), 0.0),
+        (lambda g: harmonic_factors(g, mass=1.0, omega=1.0), QuadraticPotential(g2=0.5).value),
+    ):
+        grid = spacetime(513, 257)
+        K = assemble_propagator(factory(grid), grid)
+        tracemalloc.start()
+        try:
+            schrodinger_residual(K, pot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * K.values.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +615,7 @@ def consistency_rel(family_builder, n_x, n_t):
     r_field = ComplexField.from_callable(grid, ansatz.R)
     k_values = np.exp(r_field.values + 1j * s_field.values / ansatz.hbar)
     K = ComplexField(grid=grid, values=k_values, mask=s_field.mask)
-    _, rel = schrodinger_residual(K, v_field, hbar=ansatz.hbar, mass=ansatz.mass)
+    rel = schrodinger_residual(K, v_field, hbar=ansatz.hbar, mass=ansatz.mass)
     return rel
 
 
