@@ -17,7 +17,6 @@ from .core import (
     SpatialGrid,
     assemble_propagator,
     finite_difference,
-    nested_quadrature,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "SpatialGrid",
     "assemble_propagator",
     "finite_difference",
-    "nested_quadrature",
 ]

@@ -30,9 +30,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    ComplexField,
     SpacetimeGrid,
     SpatialGrid,
     assemble_propagator,
+    evaluate_on_grid,
     fit_loglog_slope,
     rk4_step_count,
 )
@@ -139,6 +141,16 @@ def _diagnostic(name: str, value: float, detail: str = "") -> CheckRecord:
     )
 
 
+def _order_record(name: str, rows: list[dict], order: float, tolerance: float) -> CheckRecord:
+    """Gate the last observed order of a convergence table at ``order``.
+
+    A table with no fitted order gives NaN, which fails.
+    """
+    fitted = [r["observed_order"] for r in rows if r["observed_order"] is not None]
+    value = fitted[-1] if fitted else float("nan")
+    return _target(name, value, order, tolerance, f"pass iff |value - {order:g}| <= tolerance")
+
+
 # ------------------------------------------------------------ quadratic
 
 
@@ -190,14 +202,7 @@ def _run_quadratic_prefactor(params: dict, seed: int) -> RunnerOutput:
         for h in steps
     ]
     rows = build_convergence_rows(steps, errors)
-    orders = [r["observed_order"] for r in rows if r["observed_order"] is not None]
-    if orders:
-        records.append(
-            _target(
-                "observed-order", orders[-1], 4.0, 0.5,
-                "pass iff |value - 4| <= tolerance",
-            )
-        )
+    records.append(_order_record("observed-order", rows, 4.0, 0.5))
     return records, rows, {}
 
 
@@ -206,14 +211,17 @@ def _csv_rows(*columns: np.ndarray) -> list[tuple]:
     return list(zip(*[column.tolist() for column in columns]))
 
 
-def _propagator_rows(factors, grid: SpacetimeGrid) -> list[tuple]:
-    x, times = grid.x, grid.t[grid.time_mask()]
-    blocks = []
-    for tj in times:
-        r = np.broadcast_to(np.asarray(factors.R(x, tj), dtype=complex), x.shape)
-        s = np.broadcast_to(np.asarray(factors.S(x, tj), dtype=complex), x.shape)
-        blocks.append((np.exp(r + 1j * s / factors.hbar), r, s))
-    k, r, s = (np.concatenate(part) for part in zip(*blocks))
+def _propagator_rows(factors, propagator: ComplexField) -> list[tuple]:
+    """Rows (x, t, K, R, S) at every valid time node, time-major.
+
+    K is ``propagator``, the field ``assemble_propagator`` built from
+    ``factors``; R and S are sampled on its grid.
+    """
+    grid = propagator.grid
+    x, keep = grid.x, grid.time_mask()
+    times = grid.t[keep]
+    fields = (propagator, evaluate_on_grid(factors.R, grid), evaluate_on_grid(factors.S, grid))
+    k, r, s = (field.values[:, keep].T.ravel() for field in fields)
     return _csv_rows(
         np.tile(x, times.size), np.repeat(times, x.size),
         k.real, k.imag, r.real, r.imag, s.real, s.imag,
@@ -223,16 +231,15 @@ def _propagator_rows(factors, grid: SpacetimeGrid) -> list[tuple]:
 def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
     levels = [(129, 65), (257, 129), (513, 257)]
     spacings, residuals = [], []
-    coarse_factors = None
-    coarse_grid = None
+    coarse = None
     for n_x, n_t in levels:
         grid = SpacetimeGrid(
             x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
         )
         factors = _quadratic_factors(grid, params)
-        if coarse_factors is None:
-            coarse_factors, coarse_grid = factors, grid
         propagator = assemble_propagator(factors, grid)
+        if coarse is None:
+            coarse = factors, propagator
         if params["family"] == "free":
             pot = 0.0
         else:
@@ -244,12 +251,8 @@ def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
         spacings.append(grid.dx)
         residuals.append(rel)
     rows = build_convergence_rows(spacings, residuals)
-    orders = [r["observed_order"] for r in rows if r["observed_order"] is not None]
-    value = float(orders[-1]) if orders else float("nan")
-    records = [
-        _target("stencil-order", value, 2.0, 0.3, "pass iff |value - 2| <= tolerance"),
-    ]
-    csv = {"propagator": (PROPAGATOR_HEADER, _propagator_rows(coarse_factors, coarse_grid))}
+    records = [_order_record("stencil-order", rows, 2.0, 0.3)]
+    csv = {"propagator": (PROPAGATOR_HEADER, _propagator_rows(*coarse))}
     return records, rows, csv
 
 

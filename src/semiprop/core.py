@@ -7,7 +7,7 @@ The package certifies propagators of the form
 on rectangular space-time grids.  This module supplies the substrate:
 grid and field containers, the exp-assembly of K from its factors,
 second-order finite-difference stencils with validity masking around
-excluded time windows, composite Simpson quadrature (plain, nested and
+excluded time windows, composite Simpson quadrature (plain and
 cumulative), a classical RK4 stepper, and small fitting helpers used by
 the convergence studies.
 
@@ -26,7 +26,6 @@ import keyword
 import linecache
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -39,7 +38,6 @@ __all__ = [
     "PropagatorFactors",
     "assemble_propagator",
     "finite_difference",
-    "nested_quadrature",
     "simpson_weights",
     "cumulative_simpson",
     "VectorField",
@@ -203,13 +201,6 @@ class ComplexField:
         values[~grid.node_mask()] = 0.0
         return cls(grid, values)
 
-    def __mul__(self, other: "ComplexField") -> "ComplexField":
-        if not isinstance(other, ComplexField):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return ComplexField(self.grid, self.values * other.values, self.mask & other.mask)
-
     def max_abs(self) -> float:
         if not self.mask.any():
             raise ValueError("field has no valid nodes")
@@ -270,30 +261,6 @@ class PropagatorFactors:
                 f"mass must be positive with hbar^2 / (2 mass) finite, got {self.mass}"
             )
 
-    def __add__(self, other: "PropagatorFactors") -> "PropagatorFactors":
-        """Factor-wise sum: (R1+R2, S1+S2).  Requires matching constants."""
-        if not isinstance(other, PropagatorFactors):
-            return NotImplemented
-        if other.hbar != self.hbar or other.mass != self.mass:
-            raise ValueError("cannot add factors with different hbar or mass")
-        return PropagatorFactors(
-            R=_add_fieldlike(self.R, other.R),
-            S=_add_fieldlike(self.S, other.S),
-            hbar=self.hbar,
-            mass=self.mass,
-            label=f"{self.label}+{other.label}" if self.label or other.label else "",
-        )
-
-
-def _add_fieldlike(a, b):
-    if isinstance(a, ComplexField) and isinstance(b, ComplexField):
-        if a.grid != b.grid:
-            raise ValueError("fields live on different grids")
-        return ComplexField(a.grid, a.values + b.values, a.mask & b.mask)
-    if callable(a) and callable(b):
-        return lambda x, t: a(x, t) + b(x, t)
-    raise TypeError("factors must both be fields or both be callables to add")
-
 
 def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid | None = None) -> ComplexField:
     """Evaluate K = exp(R + i S / hbar) on the grid.
@@ -335,15 +302,15 @@ def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid | None =
 # finite differences
 # ---------------------------------------------------------------------------
 
-_AXIS_NAMES = {"x": 0, "space": 0, "t": 1, "time": 1}
+_AXIS_NAMES = {"x": 0, "t": 1}
 
 
 def finite_difference(field: ComplexField, axis: str, order: int) -> ComplexField:
     """Second-order-accurate derivative of a gridded field.
 
-    axis is "x"/"space" or "t"/"time"; order is 1 or 2.  Interior nodes
-    use central stencils; the two domain edges use one-sided stencils of
-    the same accuracy.  Output nodes whose stencil touches a masked node
+    axis is "x" or "t"; order is 1 or 2.  Interior nodes use central
+    stencils; the two domain edges use one-sided stencils of the same
+    accuracy.  Output nodes whose stencil touches a masked node
     are marked invalid, so nodes adjacent to exclusion windows drop out
     instead of silently reading excluded samples.
     """
@@ -402,50 +369,6 @@ def simpson_weights(n_samples: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
-
-
-def _sample(fn: Callable, xs: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = fn(xs) if extra is None else fn(xs, extra)
-    vals = np.asarray(vals, dtype=complex)
-    vals = np.broadcast_to(vals, xs.shape).astype(complex)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"non-finite integrand sample at x={xs[k]:.6g}")
-    return vals
-
-
-def nested_quadrature(
-    integrand: Callable,
-    x_lo: float,
-    x_hi: float,
-    n_panels: int,
-    inner_integrand: Callable | None = None,
-) -> complex:
-    """Composite Simpson integral over [x_lo, x_hi] with 2*n_panels subintervals.
-
-    With ``inner_integrand`` supplied, the inner antiderivative
-    A(x) = int_{x_lo}^{x} inner_integrand is tabulated cumulatively at
-    the sample nodes and the outer integrand is called as
-    ``integrand(x, A)``; this is the iterated-integral form used by the
-    general ansatz construction.  Integrands must be numpy-vectorized
-    and finite at every sample; a non-finite sample aborts with its
-    abscissa.
-    """
-    if n_panels < 1:
-        raise ValueError(f"n_panels must be >= 1, got {n_panels}")
-    if not x_hi > x_lo:
-        raise ValueError(f"empty integration interval [{x_lo}, {x_hi}]")
-    n_samples = 2 * n_panels + 1
-    xs = np.linspace(x_lo, x_hi, n_samples)
-    h = (x_hi - x_lo) / (n_samples - 1)
-    if inner_integrand is None:
-        fs = _sample(integrand, xs)
-    else:
-        gs = _sample(inner_integrand, xs)
-        fs = _sample(integrand, xs, cumulative_simpson(gs, h))
-    return complex(np.sum(simpson_weights(n_samples, h) * fs))
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
@@ -572,10 +495,8 @@ def _factory({constants}):
     return _steps
 """
 
-# Compiled step-loop factories, keyed by vector field; the --sweep threads
-# share them, so one lock guards the cache.
+# Compiled step-loop factories, keyed by vector field.
 _RK4_STEPS: dict[VectorField, Callable] = {}
-_RK4_STEPS_LOCK = threading.Lock()
 
 
 def _rk4_steps(field: VectorField) -> Callable:
@@ -587,10 +508,9 @@ def _rk4_steps(field: VectorField) -> Callable:
     before, and returns the index at which the state turned non-finite
     or the stop expression held, else None.
     """
-    with _RK4_STEPS_LOCK:
-        factory = _RK4_STEPS.get(field)
-        if factory is None:
-            factory = _RK4_STEPS[field] = _compile_rk4_steps(field, len(_RK4_STEPS))
+    factory = _RK4_STEPS.get(field)
+    if factory is None:
+        factory = _RK4_STEPS[field] = _compile_rk4_steps(field, len(_RK4_STEPS))
     return factory
 
 

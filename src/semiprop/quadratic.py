@@ -27,7 +27,6 @@ substitution into the Hamilton-Jacobi equation, so it is not used here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -130,23 +129,21 @@ class PrefactorSolution:
         }
 
 
-def _prefactor_rates(calls: tuple[bool, bool, bool]) -> str:
-    """The prefactor rates; a callable coefficient is read as float(g(t))."""
-    g2, g1, g0 = (
-        f"float({name}(t))" if call else name
-        for name, call in zip(("g2", "g1", "g0"), calls)
-    )
+def _prefactor_rates(call: bool) -> str:
+    """The prefactor rates; with ``call`` each coefficient is read as float(g(t))."""
+    g2, g1, g0 = (f"float({name}(t))" if call else name for name in ("g2", "g1", "g0"))
     return f"u, 2.0 * u * u + {g2} / mass, 2.0 * u * f1 - {g1}, -{g0} - f1 * f1 / (2.0 * mass)"
 
 
-# The flows of solve_prefactor_odes, keyed by which of (g2, g1, g0) are
-# callables; a constant coefficient is bound as a float.  |u| past
-# BLOW_UP_BOUND stops the run.
+# The flows of solve_prefactor_odes, keyed by whether any of (g2, g1, g0)
+# is callable.  With none, each coefficient is bound as a float.  With
+# one, each constant is bound as a callable that returns its float, so
+# float(g(t)) reads the same value.  |u| past BLOW_UP_BOUND stops the run.
 PREFACTOR_FLOWS = {
-    calls: VectorField(
-        state=("R", "u", "f1", "f0"), rates=_prefactor_rates(calls), stop="abs(u) > bound"
+    call: VectorField(
+        state=("R", "u", "f1", "f0"), rates=_prefactor_rates(call), stop="abs(u) > bound"
     )
-    for calls in itertools.product((False, True), repeat=3)
+    for call in (False, True)
 }
 
 
@@ -185,9 +182,11 @@ def solve_prefactor_odes(
         raise ValueError(f"reference time {t0} lies outside the window [{lo}, {hi}]")
     y_init = [float(v) for v in init]
     coefficients = {"g2": potential.g2, "g1": potential.g1, "g0": potential.g0}
-    flow = PREFACTOR_FLOWS[tuple(callable(g) for g in coefficients.values())]
+    call = any(map(callable, coefficients.values()))
+    flow = PREFACTOR_FLOWS[call]
     constants = {
-        name: g if callable(g) else float(g) for name, g in coefficients.items()
+        name: g if callable(g) else (lambda t, c=float(g): c) if call else float(g)
+        for name, g in coefficients.items()
     }
     constants.update(mass=mass, bound=BLOW_UP_BOUND)
 

@@ -12,12 +12,13 @@ import pytest
 from semiprop.cli import (
     CHECKS,
     POSITIVE,
+    _order_record,
     _propagator_rows,
     _site_rows,
     _trajectory_rows,
     main,
 )
-from semiprop.core import SpacetimeGrid
+from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
 from semiprop.lattice import LatticeConfig
 from semiprop.quadratic import free_particle_factors, harmonic_factors
@@ -506,6 +507,18 @@ def test_convergence_rows_orders_and_plateau():
         build_convergence_rows([0.1, 0.05, 0.025], [1.0, 0.5])
 
 
+def test_order_record_gates_the_last_fitted_order():
+    rows = build_convergence_rows([0.1, 0.05, 0.025], [4e-2, 1e-2, 2.5e-3])
+    fitted = _order_record("stencil-order", rows, 2.0, 0.3)
+    assert fitted.passed and fitted.value == rows[-1]["observed_order"]
+    assert fitted.detail == "pass iff |value - 2| <= tolerance"
+    # an all-plateau table fits no order: the record is NaN and fails
+    flat = build_convergence_rows([0.1, 0.05, 0.025], [3e-16, 2e-16, 3e-16])
+    plateau = _order_record("observed-order", flat, 4.0, 0.5)
+    assert math.isnan(plateau.value) and not plateau.passed
+    assert plateau.detail == "pass iff |value - 4| <= tolerance"
+
+
 # ------------------------------------------------------ CSV rows and bytes
 
 
@@ -599,7 +612,8 @@ def test_csv_row_builders_match_the_per_cell_rows(tmp_path):
     config, values = lattice_case()
     cases = [(_site_rows(config, values), reference_site_rows(config, values))]
     for factors, grid in propagator_cases():
-        cases.append((_propagator_rows(factors, grid), reference_propagator_rows(factors, grid)))
+        rows = _propagator_rows(factors, assemble_propagator(factors, grid))
+        cases.append((rows, reference_propagator_rows(factors, grid)))
     traj = trajectory_case()
     assert len(traj.t) % 7 != 0
     for stride in (1, 7, len(traj.t) + 3):
@@ -618,7 +632,7 @@ def test_csv_path_keeps_the_benchmark_tracer_contract():
     (factors, grid), _ = propagator_cases()
     for rows in (
         _site_rows(config, values),
-        _propagator_rows(factors, grid),
+        _propagator_rows(factors, assemble_propagator(factors, grid)),
         _trajectory_rows(trajectory_case(), 7),
     ):
         assert type(rows) is list and rows

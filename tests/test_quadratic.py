@@ -14,6 +14,7 @@ import pytest
 
 from semiprop.core import SpacetimeGrid, observed_orders
 from semiprop.quadratic import (
+    PREFACTOR_FLOWS,
     QuadraticPotential,
     caustic_windows,
     free_particle_factors,
@@ -228,6 +229,18 @@ def test_prefactor_driven_family_matches_tan_sec_reference():
     assert sol.ode_residuals() == twin_sol.ode_residuals()
     x = np.linspace(-1.0, 1.0, 5)
     assert np.array_equal(pot.value(x, 0.3), twin.value(x, 0.3))
+
+
+def test_prefactor_odes_compile_two_flows():
+    # all-constant coefficients bind as floats; with any callable, every
+    # coefficient is called, a constant one through a callable returning it
+    assert len(PREFACTOR_FLOWS) == 2
+    init = (0.0, 0.3, 0.2, 0.0)
+    sol = solve_prefactor_odes(QuadraticPotential(g2=2.0, g1=0.3, g0=0.5), init, (0.0, 0.5), 1e-3)
+    mixed = QuadraticPotential(g2=lambda t: 2.0 + 0.0 * t, g1=0.3, g0=0.5)
+    mixed_sol = solve_prefactor_odes(mixed, init, (0.0, 0.5), 1e-3)
+    for name in ("t", "R", "dR", "f1", "f0"):
+        assert np.array_equal(getattr(sol, name), getattr(mixed_sol, name)), name
 
 
 def test_prefactor_observed_order_is_four():
