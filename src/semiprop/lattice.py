@@ -16,7 +16,7 @@ i*epsilon prescription (epsilon = 1e-3 m^2) is requested.
 Periodic operators are circulant: a Green's function is its one column g,
 G(x, y) = g[(x - y) mod dims], built by one inverse FFT of the closed-form
 spectrum and certified by the roll stencil.  Lattices are capped at 4096
-sites and leapfrog histories at 10**7 values.  These are verification
+sites and leapfrog runs at 10**7 site updates.  These are verification
 probes, not production field solvers.
 """
 
@@ -34,6 +34,7 @@ __all__ = [
     "LatticeField",
     "QuadraticFunctional",
     "KleinGordonRun",
+    "PlaneWave",
     "PointwiseFunction",
     "constant_function",
     "lattice_operator",
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 MAX_SITES = 4096
-# lattice_klein_gordon_check stores every time slice: 80 MB of float64
-MAX_HISTORY_VALUES = 10**7
+# (steps + 1) x sites per leapfrog run: a time budget, as it keeps 3 slices
+MAX_SITE_UPDATES = 10**7
 SIGNATURES = ("euclidean", "lorentzian")
 
 # exp(x) overflows float64 just above x = 709
@@ -329,13 +330,9 @@ def functional_hj_residual(functional: QuadraticFunctional, phi: LatticeField) -
     return float(np.sum(density) * vol)
 
 
-def _laplacian(
-    values: np.ndarray, spacing: float, weights: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Periodic sum_a weights[a] D_a^2 over the leading axes (default: all,
-    weight 1); axes past len(weights) are batch axes."""
-    if weights is None:
-        weights = np.ones(values.ndim)
+def _laplacian(values: np.ndarray, spacing: float, weights: np.ndarray) -> np.ndarray:
+    """Periodic sum_a weights[a] D_a^2 over the leading axes; axes past
+    len(weights) are batch axes."""
     total = np.zeros_like(values)
     for axis, weight in enumerate(weights):
         total = total + weight * (
@@ -348,19 +345,29 @@ def _laplacian(
 
 @dataclass(frozen=True)
 class KleinGordonRun:
-    """Leapfrog history plus its discrete field-equation residual.
+    """Final leapfrog slice plus the largest defects over the run.
 
-    ``residual[j]`` is the max-norm defect of the second-difference
-    d'Alembert stencil at interior time index j + 1.  The update and the
-    stencil are the same formula, so the residual certifies the recorded
-    history against the discrete field equation (it catches integrator
-    bugs, not discretization error); pair it with ``lattice_plane_wave``
-    for a dispersion oracle that is independent of the update rule.
+    ``residual`` is the max-norm defect of the second-difference d'Alembert
+    stencil over interior times; update and stencil are one formula, so it
+    catches integrator bugs, not discretization error.  ``tracking`` is the
+    max-norm deviation from the caller's exact solution (None without one),
+    the oracle that is independent of the update rule.
     """
 
-    times: np.ndarray
-    fields: np.ndarray
-    residual: np.ndarray
+    final: np.ndarray
+    residual: float
+    tracking: Optional[float]
+
+
+@dataclass(frozen=True)
+class PlaneWave:
+    """The exact lattice solution cos(phase - omega t), phase = k.x per site."""
+
+    phase: np.ndarray
+    omega: float
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.cos(self.phase - self.omega * t)
 
 
 def _check_time_step(dt: float) -> None:
@@ -378,20 +385,23 @@ def lattice_klein_gordon_check(
     velocity: LatticeField,
     dt: float,
     n_steps: int,
+    exact: Optional[Callable[[float], np.ndarray]] = None,
 ) -> KleinGordonRun:
     """Leapfrog-evolve phi_tt = laplacian(phi) - m^2 phi on periodic space.
 
     Every config dimension is spatial here; time is the integration axis.
-    Refuses dt^2 * max Lambda > 4 over the eigenvalues Lambda of
-    -laplacian + m^2: past that CFL bound some lattice mode grows unboundedly.
-    A history of more than MAX_HISTORY_VALUES site values is refused, naming
-    the steps, before it is allocated.
+    Each slice is held to the stencil and to ``exact(t)``, if given, as it
+    is made; only three slices are kept.  Refuses dt^2 * max Lambda > 4 over
+    the eigenvalues Lambda of -laplacian + m^2: past that CFL bound some
+    lattice mode grows unboundedly.  More than MAX_SITE_UPDATES site
+    updates are refused, naming the steps, before the first step.
     """
     if velocity.config != phi0.config:
         raise ValueError("initial field and velocity live on different lattices")
     config = phi0.config
     _check_time_step(dt)
-    largest = float(np.max(_spectrum(config, np.ones(len(config.dims)))))
+    unit = np.ones(len(config.dims))
+    largest = float(np.max(_spectrum(config, unit)))
     if dt**2 * largest > 4.0:
         raise ValueError(
             "dt = {:.6g} violates the leapfrog CFL bound dt <= {:.6g} "
@@ -399,41 +409,42 @@ def lattice_klein_gordon_check(
         )
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2 to form the time stencil, got {n_steps} steps")
-    values = (n_steps + 1) * config.n_sites
-    if values > MAX_HISTORY_VALUES:
+    updates = (n_steps + 1) * config.n_sites
+    if updates > MAX_SITE_UPDATES:
         raise ValueError(
-            "steps {} on {} sites need {} history values, more than the budget "
-            "of {}".format(n_steps, config.n_sites, values, MAX_HISTORY_VALUES)
+            "steps {} on {} sites need {} site updates, more than the budget "
+            "of {}".format(n_steps, config.n_sites, updates, MAX_SITE_UPDATES)
         )
 
-    m_sq = config.mass**2
-    h = config.spacing
-
     def acceleration(values: np.ndarray) -> np.ndarray:
-        return _laplacian(values, h) - m_sq * values
+        return _laplacian(values, config.spacing, unit) - config.mass**2 * values
 
-    fields = np.zeros((n_steps + 1,) + config.dims)
-    fields[0] = phi0.values
-    fields[1] = (
-        phi0.values + dt * velocity.values + 0.5 * dt**2 * acceleration(phi0.values)
-    )
-    residual = np.zeros(n_steps - 1)
+    def deviation(values: np.ndarray, step: int) -> float:
+        return float(np.max(np.abs(values - exact(step * dt))))
+
+    previous = phi0.values
+    current = previous + dt * velocity.values + 0.5 * dt**2 * acceleration(previous)
+    residual, tracking = 0.0, None
+    if exact is not None:
+        tracking = max(deviation(previous, 0), deviation(current, 1))
     for step in range(1, n_steps):
-        force = acceleration(fields[step])
-        fields[step + 1] = 2.0 * fields[step] - fields[step - 1] + dt**2 * force
-        if not np.all(np.isfinite(fields[step + 1])):
+        force = acceleration(current)
+        upcoming = 2.0 * current - previous + dt**2 * force
+        if not np.all(np.isfinite(upcoming)):
             raise FloatingPointError(
                 "leapfrog blew up at step {} (t = {:.6g})".format(step + 1, (step + 1) * dt)
             )
-        stencil = (fields[step + 1] - 2.0 * fields[step] + fields[step - 1]) / dt**2
-        residual[step - 1] = np.max(np.abs(stencil - force))
-    times = dt * np.arange(n_steps + 1)
-    return KleinGordonRun(times=times, fields=fields, residual=residual)
+        stencil = (upcoming - 2.0 * current + previous) / dt**2
+        residual = max(residual, float(np.max(np.abs(stencil - force))))
+        if exact is not None:
+            tracking = max(tracking, deviation(upcoming, step + 1))
+        previous, current = current, upcoming
+    return KleinGordonRun(final=current, residual=residual, tracking=tracking)
 
 
 def lattice_plane_wave(
     config: LatticeConfig, mode: Sequence[int], dt: float
-) -> Tuple[LatticeField, LatticeField, float]:
+) -> Tuple[LatticeField, LatticeField, PlaneWave]:
     """Initial data that the leapfrog scheme propagates exactly.
 
     For the lattice mode with integer index ``mode`` the fully discrete
@@ -441,7 +452,8 @@ def lattice_plane_wave(
     with lambda_k = (4 / h^2) sum_mu sin^2(k_mu h / 2).  Starting from
     phi = cos(k.x) and velocity sin(omega dt)/dt * sin(k.x), the Taylor
     first step lands exactly on cos(k.x - omega dt), so the evolved field
-    tracks cos(k.x - omega n dt) to roundoff.
+    tracks the returned ``PlaneWave`` cos(k.x - omega n dt) to roundoff.
+    Indices are reduced mod n: a huge one would only round the phase.
     """
     if len(mode) != len(config.dims):
         raise ValueError(
@@ -451,7 +463,7 @@ def lattice_plane_wave(
         )
     _check_time_step(dt)
     h = config.spacing
-    k = np.array([2.0 * np.pi * j / (n * h) for j, n in zip(mode, config.dims)])
+    k = np.array([2.0 * np.pi * (int(j) % n) / (n * h) for j, n in zip(mode, config.dims)])
     lam = float(np.sum(4.0 / h**2 * np.sin(k * h / 2.0) ** 2))
     cos_omega_dt = 1.0 - 0.5 * dt**2 * (lam + config.mass**2)
     if abs(cos_omega_dt) > 1.0:
@@ -462,13 +474,11 @@ def lattice_plane_wave(
         )
     omega = float(np.arccos(cos_omega_dt) / dt)
 
-    grids = np.meshgrid(
-        *[h * np.arange(n) for n in config.dims], indexing="ij"
-    )
+    grids = np.meshgrid(*[h * np.arange(n) for n in config.dims], indexing="ij")
     phase = sum(k_mu * x_mu for k_mu, x_mu in zip(k, grids))
     phi0 = LatticeField(config, np.cos(phase))
     velocity = LatticeField(config, np.sin(omega * dt) / dt * np.sin(phase))
-    return phi0, velocity, omega
+    return phi0, velocity, PlaneWave(phase, omega)
 
 
 @dataclass(frozen=True)

@@ -468,8 +468,8 @@ def kernel_propagate(
     n_x = psi0.grid.n_x
     if n_x > MAX_KERNEL_NODES:
         raise ValueError(
-            f"n_x {n_x} needs a {n_x} x {n_x} kernel, more than the budget of "
-            f"{MAX_KERNEL_NODES} nodes"
+            f"n_x {n_x} needs a grid larger than the kernel quadrature's "
+            f"budget of {MAX_KERNEL_NODES} nodes"
         )
     if factors.two_point_action is None or factors.time_amplitude is None:
         raise ValueError("kernel propagation needs closed-form two-point factors")

@@ -172,7 +172,7 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["lattice", "greens", "--mass", "1e200"], "mass must be a nonnegative"),
         (["lattice", "hj-positivity", "--mass", "1e200"], "mass must be a nonnegative"),
         (["lattice", "kg-wave", "--mass", "1e200"], "mass must be a nonnegative"),
-        # refused by the node and history budgets before anything is allocated;
+        # refused by the node and leapfrog work budgets before anything is allocated;
         # dt 0.5 leaves Crank-Nicolson 2 steps
         (["oracle", "kernel-vs-grid", "--n_x", "4097", "--dt", "0.5"], "n_x 4097 needs"),
         (["lattice", "kg-wave", "--steps", "312500"], "steps 312500 on 32 sites need"),

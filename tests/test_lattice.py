@@ -1,10 +1,11 @@
 """Lattice Green's functions, leapfrog evolution, and conformal residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semiprop.lattice import (
-    KleinGordonRun,
     LatticeConfig,
     LatticeField,
     PointwiseFunction,
@@ -237,43 +238,110 @@ def test_hj_residual_lorentzian_diagnostic_recorded():
 
 def test_klein_gordon_plane_wave_tracks_dispersion():
     config = LatticeConfig(dims=(32,), mass=0.7)
-    phi0, velocity, omega = lattice_plane_wave(config, mode=(3,), dt=0.05)
-    # frozen 30-digit evaluation of arccos(1 - dt^2/2 (lambda_k + m^2)) / dt;
-    # arccos near 1 amplifies one ulp of the cosine by ~1/(sin(w dt) dt)
-    assert omega == pytest.approx(0.9095071857035232568, abs=1e-13)
-    run = lattice_klein_gordon_check(phi0, velocity, dt=0.05, n_steps=200)
-    assert np.max(run.residual) < 1e-8
     x = np.arange(32.0)
     k = 2.0 * np.pi * 3.0 / 32.0
-    worst = 0.0
-    for step, t in enumerate(run.times):
-        worst = max(worst, np.max(np.abs(run.fields[step] - np.cos(k * x - omega * t))))
-    assert worst < 1e-8
+    # 10**9 + 3 is mode 3 on 32 sites; unless the index is reduced mod 32
+    # before k is formed, rounding the huge phase breaks the tracking bound
+    for mode in (3, 1_000_000_003):
+        phi0, velocity, wave = lattice_plane_wave(config, mode=(mode,), dt=0.05)
+        # frozen 30-digit evaluation of arccos(1 - dt^2/2 (lambda_k + m^2)) / dt;
+        # arccos near 1 amplifies one ulp of the cosine by ~1/(sin(w dt) dt)
+        assert wave.omega == pytest.approx(0.9095071857035232568, abs=1e-13)
+        run = lattice_klein_gordon_check(
+            phi0, velocity, dt=0.05, n_steps=200,
+            exact=lambda t: np.cos(k * x - wave.omega * t),
+        )
+        assert run.residual < 1e-8
+        assert run.tracking < 1e-8
 
 
 def test_klein_gordon_plane_wave_two_dimensional():
     config = LatticeConfig(dims=(8, 8), mass=0.5)
-    phi0, velocity, omega = lattice_plane_wave(config, mode=(2, 1), dt=0.05)
-    run = lattice_klein_gordon_check(phi0, velocity, dt=0.05, n_steps=150)
-    assert np.max(run.residual) < 1e-8
+    phi0, velocity, wave = lattice_plane_wave(config, mode=(2, 1), dt=0.05)
     grids = np.meshgrid(np.arange(8.0), np.arange(8.0), indexing="ij")
     phase = 2.0 * np.pi * (2.0 * grids[0] + 1.0 * grids[1]) / 8.0
-    final = np.cos(phase - omega * run.times[-1])
-    assert np.max(np.abs(run.fields[-1] - final)) < 1e-8
+    run = lattice_klein_gordon_check(
+        phi0, velocity, dt=0.05, n_steps=150,
+        exact=lambda t: np.cos(phase - wave.omega * t),
+    )
+    assert run.residual < 1e-8
+    assert run.tracking < 1e-8
+
+
+def _history_klein_gordon(phi0, velocity, dt, n_steps, exact):
+    """The leapfrog as it stood when it kept every slice: the reference the
+    streamed check must match bit for bit."""
+    config = phi0.config
+
+    def acceleration(values):
+        total = np.zeros_like(values)
+        for axis in range(values.ndim):
+            total = total + 1.0 * (
+                np.roll(values, -1, axis=axis) + np.roll(values, 1, axis=axis)
+                - 2.0 * values
+            )
+        return total / config.spacing**2 - config.mass**2 * values
+
+    fields = np.zeros((n_steps + 1,) + config.dims)
+    fields[0] = phi0.values
+    fields[1] = (
+        phi0.values + dt * velocity.values + 0.5 * dt**2 * acceleration(phi0.values)
+    )
+    residual = np.zeros(n_steps - 1)
+    for step in range(1, n_steps):
+        force = acceleration(fields[step])
+        fields[step + 1] = 2.0 * fields[step] - fields[step - 1] + dt**2 * force
+        stencil = (fields[step + 1] - 2.0 * fields[step] + fields[step - 1]) / dt**2
+        residual[step - 1] = np.max(np.abs(stencil - force))
+    tracking = 0.0
+    for step, t in enumerate(dt * np.arange(n_steps + 1)):
+        tracking = max(tracking, float(np.max(np.abs(fields[step] - exact(t)))))
+    return fields[-1], float(np.max(residual)), tracking
+
+
+@pytest.mark.parametrize(
+    "dims, mode, mass, n_steps",
+    [((32,), (3,), 0.7, 200), ((8, 8), (2, 1), 0.5, 150), ((64, 64), (3, 1), 0.7, 200)],
+    ids=["32", "8x8", "64x64"],
+)
+def test_klein_gordon_stream_matches_history_bit_for_bit(dims, mode, mass, n_steps):
+    config = LatticeConfig(dims=dims, mass=mass)
+    phi0, velocity, wave = lattice_plane_wave(config, mode=mode, dt=0.05)
+    run = lattice_klein_gordon_check(phi0, velocity, dt=0.05, n_steps=n_steps, exact=wave)
+    final, residual, tracking = _history_klein_gordon(phi0, velocity, 0.05, n_steps, wave)
+    assert np.array_equal(run.final, final)
+    assert run.residual == residual
+    assert run.tracking == tracking
+
+
+def test_klein_gordon_memory_does_not_grow_with_steps():
+    config = LatticeConfig(dims=(64, 64), mass=0.7)
+    phi0, velocity, wave = lattice_plane_wave(config, mode=(3, 1), dt=0.05)
+    peaks = []
+    for n_steps in (50, 400):
+        tracemalloc.start()
+        try:
+            lattice_klein_gordon_check(phi0, velocity, dt=0.05, n_steps=n_steps, exact=wave)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + phi0.values.nbytes, peaks
 
 
 def test_klein_gordon_trivial_cases():
     run = lattice_klein_gordon_check(
         zero_field(GRID_4X4), zero_field(GRID_4X4), dt=0.1, n_steps=20
     )
-    assert np.all(run.residual == 0.0)
+    assert run.residual == 0.0
+    assert run.tracking is None
     massless = LatticeConfig(dims=(4, 4), mass=0.0)
     constant = LatticeField(massless, np.full((4, 4), 0.7))
     run = lattice_klein_gordon_check(
         constant, zero_field(massless), dt=0.1, n_steps=20
     )
-    assert np.all(run.residual == 0.0)
-    assert np.array_equal(run.fields[-1], constant.values)
+    assert run.residual == 0.0
+    assert np.array_equal(run.final, constant.values)
 
 
 def test_klein_gordon_refusals():
