@@ -34,7 +34,6 @@ from .core import (
     SpacetimeGrid,
     SpatialGrid,
     assemble_propagator,
-    evaluate_on_grid,
     fit_loglog_slope,
     rk4_step_count,
 )
@@ -43,6 +42,7 @@ from .cosmo import (
     CosmoParams,
     evolve_classical,
     matched_a_dot,
+    momenta,
 )
 from .general_hj import (
     X_EDGE,
@@ -65,6 +65,7 @@ from .lattice import (
     lattice_greens_function,
     lattice_klein_gordon_check,
     lattice_plane_wave,
+    plane_wave_phase,
 )
 from .oracle import (
     MAX_CN_STEPS,
@@ -220,7 +221,7 @@ def _propagator_rows(factors, propagator: ComplexField) -> list[tuple]:
     grid = propagator.grid
     x, keep = grid.x, grid.time_mask()
     times = grid.t[keep]
-    fields = (propagator, evaluate_on_grid(factors.R, grid), evaluate_on_grid(factors.S, grid))
+    fields = (propagator, *(ComplexField.from_callable(grid, f) for f in (factors.R, factors.S)))
     k, r, s = (field.values[:, keep].T.ravel() for field in fields)
     return _csv_rows(
         np.tile(x, times.size), np.repeat(times, x.size),
@@ -464,7 +465,7 @@ def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
     if np.count_nonzero(late) < 3:
         raise ValueError("parameter 'fit_from' leaves fewer than 3 samples to fit")
     slope = fit_loglog_slope(traj.t[late], traj.a[late])
-    p_phi = traj.a**3 * traj.phi_dot
+    _, p_phi = momenta(traj.a, traj.a_dot, traj.phi_dot)
     drift = float(np.max(np.abs(p_phi - p_phi[0])) / abs(p_phi[0]))
     records = [
         _target(
@@ -570,8 +571,8 @@ def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
         )
     ]
     lightcone = LatticeConfig(dims=(8, 8), signature="lorentzian", mass=1.0)
-    t_idx, s_idx = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    wave = LatticeField(lightcone, np.cos(2.0 * np.pi * (t_idx - s_idx) / 8.0))
+    _, phase = plane_wave_phase(lightcone, (1, -1))
+    wave = LatticeField(lightcone, np.cos(phase))
     diag = functional_hj_residual(lattice_greens_function(lightcone), wave)
     records.append(
         _diagnostic(
@@ -589,7 +590,6 @@ def _run_lattice_imaginary(params: dict, seed: int) -> RunnerOutput:
     w = PointwiseFunction(
         value=lambda p: 2.0 + np.sin(p),
         derivative=np.cos,
-        label="2 + sin",
     )
     lam = params["lam"]
     rng = np.random.default_rng(seed)

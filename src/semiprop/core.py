@@ -217,17 +217,6 @@ def _require_finite(values: np.ndarray, mask: np.ndarray, grid: SpacetimeGrid, w
         )
 
 
-def evaluate_on_grid(obj, grid: SpacetimeGrid) -> ComplexField:
-    """Coerce a field-like object (ComplexField or callable f(x, t)) to a field."""
-    if isinstance(obj, ComplexField):
-        if obj.grid != grid:
-            raise ValueError("field was sampled on a different grid")
-        return obj
-    if callable(obj):
-        return ComplexField.from_callable(grid, obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a field")
-
-
 # ---------------------------------------------------------------------------
 # propagator assembly
 # ---------------------------------------------------------------------------
@@ -237,20 +226,19 @@ def evaluate_on_grid(obj, grid: SpacetimeGrid) -> ComplexField:
 class PropagatorFactors:
     """The two factors of K = exp(R + i S / hbar) plus physical constants.
 
-    R and S may be ComplexField samples or closed-form callables f(x, t).
-    Closed-form families additionally carry ``two_point_action``
-    S(x, x0, t) and ``time_amplitude`` R(t), which the Van Vleck and
-    kernel-propagation checks need (the x0-dependence is not recoverable
-    from single-source samples).
+    R and S are closed-form callables f(x, t), sampled on a grid by
+    ``ComplexField.from_callable``.  Closed-form families additionally
+    carry ``two_point_action`` S(x, x0, t) and ``time_amplitude`` R(t),
+    which the Van Vleck and kernel-propagation checks need (the
+    x0-dependence is not recoverable from single-source samples).
     """
 
-    R: object
-    S: object
+    R: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    S: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hbar: float = 1.0
     mass: float = 1.0
     two_point_action: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     time_amplitude: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.hbar > 0:
@@ -262,22 +250,15 @@ class PropagatorFactors:
             )
 
 
-def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid | None = None) -> ComplexField:
+def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid) -> ComplexField:
     """Evaluate K = exp(R + i S / hbar) on the grid.
 
-    The grid may be omitted when both factors are already gridded fields.
-    Non-finite exponents and exp overflow at valid nodes are reported
-    with the offending node, never clamped.
+    Both factors are sampled on ``grid``.  Non-finite exponents and exp
+    overflow at valid nodes are reported with the offending node, never
+    clamped.
     """
-    if grid is None:
-        for obj in (factors.R, factors.S):
-            if isinstance(obj, ComplexField):
-                grid = obj.grid
-                break
-        if grid is None:
-            raise ValueError("grid required when both factors are closed-form")
-    r = evaluate_on_grid(factors.R, grid)
-    s = evaluate_on_grid(factors.S, grid)
+    r = ComplexField.from_callable(grid, factors.R)
+    s = ComplexField.from_callable(grid, factors.S)
     mask = r.mask & s.mask
     # one buffer: the exponent r + 1j * s / hbar, then K in its place
     k = 1j * s.values

@@ -42,6 +42,7 @@ __all__ = [
     "ActionGrids",
     "EntropyScalingReport",
     "hamiltonian_constraint",
+    "momenta",
     "momentum_state",
     "matched_a_dot",
     "evolve_classical",
@@ -73,13 +74,11 @@ class ScalarPotential:
 
     v: Callable
     dv: Callable
-    label: str = ""
 
 
 ZERO_POTENTIAL = ScalarPotential(
     v=lambda phi: 0.0 * phi,
     dv=lambda phi: 0.0 * phi,
-    label="zero",
 )
 
 
@@ -88,98 +87,80 @@ def quadratic_potential(m_squared: float) -> ScalarPotential:
     return ScalarPotential(
         v=lambda phi: 0.5 * m2 * np.asarray(phi, dtype=float) ** 2,
         dv=lambda phi: m2 * np.asarray(phi, dtype=float),
-        label=f"quadratic(m2={m2})",
     )
 
 
 @dataclass(frozen=True)
 class CosmoParams:
-    """Curvature, cosmological constant, matter potential, hbar.
-
-    gravity_sign = -1 flips the gravitational kinetic term inside
-    hamiltonian_constraint only, for exploring the opposite signature
-    convention.  The classical evolution routines always use the printed
-    sign; no claim is made about which choice is physical.
-    """
+    """Curvature k, cosmological constant Lambda and matter potential V."""
 
     k: int = 0
     lam: float = 0.0
     potential: ScalarPotential = ZERO_POTENTIAL
-    hbar: float = 1.0
-    gravity_sign: int = 1
 
     def __post_init__(self) -> None:
         if self.k not in (-1, 0, 1):
             raise ValueError(f"curvature k must be -1, 0, or 1, got {self.k}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.gravity_sign not in (-1, 1):
-            raise ValueError(f"gravity_sign must be -1 or +1, got {self.gravity_sign}")
         if not callable(self.potential.v) or not callable(self.potential.dv):
             raise ValueError("potential needs callable v and dv")
 
 
 @dataclass(frozen=True)
-class CosmoState:
-    """Phase-space point (a, p_a, phi, p_phi) at time t."""
-
-    a: float
-    p_a: float
-    phi: float
-    p_phi: float
-    t: float = 0.0
+class _State:
+    """Both state forms: every entry finite, the scale factor a > 0."""
 
     def __post_init__(self) -> None:
-        vals = (self.a, self.p_a, self.phi, self.p_phi, self.t)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vars(self).values()):
             raise ValueError("state contains non-finite entries")
         if not self.a > 0:
             raise ValueError(f"scale factor must be positive, got {self.a}")
 
 
 @dataclass(frozen=True)
-class ClassicalState:
-    """Velocity parameterization (a, adot, phi, phidot) at time t."""
+class CosmoState(_State):
+    """Phase-space point (a, p_a, phi, p_phi)."""
+
+    a: float
+    p_a: float
+    phi: float
+    p_phi: float
+
+
+@dataclass(frozen=True)
+class ClassicalState(_State):
+    """Velocity parameterization (a, adot, phi, phidot)."""
 
     a: float
     a_dot: float
     phi: float
     phi_dot: float
-    t: float = 0.0
 
-    def __post_init__(self) -> None:
-        vals = (self.a, self.a_dot, self.phi, self.phi_dot, self.t)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("state contains non-finite entries")
-        if not self.a > 0:
-            raise ValueError(f"scale factor must be positive, got {self.a}")
+
+def momenta(a, a_dot, phi_dot):
+    """(p_a, p_phi) under the module's momentum map, for floats or arrays."""
+    return -(3.0 / (4.0 * _PI)) * a * a_dot, a**3 * phi_dot
 
 
 def momentum_state(state: ClassicalState) -> CosmoState:
-    """Map velocities to momenta: p_a = -(3/(4 pi)) a adot, p_phi = a^3 phidot."""
-    return CosmoState(
-        a=state.a,
-        p_a=-(3.0 / (4.0 * _PI)) * state.a * state.a_dot,
-        phi=state.phi,
-        p_phi=state.a**3 * state.phi_dot,
-        t=state.t,
-    )
+    """The phase-space point of ``state`` under ``momenta``."""
+    p_a, p_phi = momenta(state.a, state.a_dot, state.phi_dot)
+    return CosmoState(a=state.a, p_a=p_a, phi=state.phi, p_phi=p_phi)
+
+
+def _constraint_terms(a, p_a, phi, p_phi, params: CosmoParams):
+    """The five terms of the Hamiltonian constraint, in summation order."""
+    yield -(2.0 * _PI / (3.0 * a)) * p_a**2
+    yield -(3.0 * params.k / (8.0 * _PI)) * a
+    yield (params.lam / (8.0 * _PI)) * a**3
+    yield p_phi**2 / (2.0 * a**3)
+    yield a**3 * np.asarray(params.potential.v(phi), dtype=float)
 
 
 def hamiltonian_constraint(state: CosmoState, params: CosmoParams) -> float:
     """-(2 pi/(3a)) p_a^2 - (3k/(8 pi)) a + (Lambda/(8 pi)) a^3
-    + p_phi^2/(2 a^3) + a^3 V(phi), with the kinetic sign optionally flipped."""
-    a = state.a
-    if not a > 0:
-        raise ValueError(f"scale factor must be positive, got {a}")
-    kinetic = params.gravity_sign * (-(2.0 * _PI / (3.0 * a)) * state.p_a**2)
-    return float(
-        kinetic
-        - (3.0 * params.k / (8.0 * _PI)) * a
-        + (params.lam / (8.0 * _PI)) * a**3
-        + state.p_phi**2 / (2.0 * a**3)
-        + a**3 * float(params.potential.v(state.phi))
-    )
+    + p_phi^2/(2 a^3) + a^3 V(phi); a CosmoState holds a > 0."""
+    terms = _constraint_terms(state.a, state.p_a, state.phi, state.p_phi, params)
+    return float(sum(terms))
 
 
 @dataclass(frozen=True)
@@ -210,21 +191,11 @@ def _friedmann_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
 
 def _constraint_rel_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
     """|constraint in momentum variables| over the largest single term."""
-    p_a = -(3.0 / (4.0 * _PI)) * a * a_dot
-    p_phi = a**3 * phi_dot
-    v = np.asarray(params.potential.v(phi), dtype=float)
-
-    def terms():
-        yield -(2.0 * _PI / (3.0 * a)) * p_a**2
-        yield -(3.0 * params.k / (8.0 * _PI)) * a
-        yield (params.lam / (8.0 * _PI)) * a**3
-        yield p_phi**2 / (2.0 * a**3)
-        yield a**3 * v
-
+    p_a, p_phi = momenta(a, a_dot, phi_dot)
     # term by term, summed in this order: a stack would hold all five series
     total = np.zeros(np.shape(a))
     scale = np.zeros(np.shape(a))
-    for term in terms():
+    for term in _constraint_terms(a, p_a, phi, p_phi, params):
         total += term
         np.maximum(scale, np.abs(term), out=scale)
     total = np.abs(total)
@@ -235,12 +206,8 @@ def matched_a_dot(
     a: float, phi: float, phi_dot: float, params: CosmoParams, expanding: bool = True
 ) -> float:
     """Expansion rate satisfying the Friedmann equation for the given data."""
-    v = float(params.potential.v(phi))
-    rhs = (
-        (8.0 * _PI / 3.0) * (0.5 * phi_dot**2 + v)
-        + params.lam / 3.0
-        - params.k / a**2
-    )
+    # the right side is minus the residual at adot = 0; 0.0 - keeps a zero at +0.0
+    rhs = 0.0 - float(_friedmann_series(a, 0.0, phi, phi_dot, params))
     if rhs < 0.0:
         raise ValueError(
             f"no real expansion rate: Friedmann right side is {rhs:.3e} < 0"
@@ -278,7 +245,7 @@ def evolve_classical(
 
     The acceleration comes from the constraint-consistent second-order
     form; on the constraint surface it equals the Raychaudhuri form.
-    Initial data must satisfy the Friedmann equation or the call refuses.
+    state0 holds at t_window[0]; off the Friedmann surface the call refuses.
     Collapse (a at or below COLLAPSE_FRACTION of the initial value, or a
     non-finite state) truncates the trajectory and records the time.
     """
@@ -287,10 +254,6 @@ def evolve_classical(
         raise ValueError(f"need an increasing window, got ({lo}, {hi})")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    if abs(lo - state0.t) > 1e-12:
-        raise ValueError(
-            f"window starts at {lo} but the state sits at t={state0.t}"
-        )
     fried0 = float(
         _friedmann_series(state0.a, state0.a_dot, state0.phi, state0.phi_dot, params)
     )
@@ -402,7 +365,6 @@ class ComplexActionFields:
     s_a: object
     s_phi: object
     s_g: object
-    label: str = ""
 
 
 def _sampled(field, axes: tuple[np.ndarray, ...], name: str) -> np.ndarray:
@@ -421,6 +383,17 @@ def _sampled(field, axes: tuple[np.ndarray, ...], name: str) -> np.ndarray:
     return vals
 
 
+def _split_samples(
+    fields: ComplexActionFields, grids: ActionGrids
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_a on a x t, S_phi on phi x t and S_g on a x t."""
+    return (
+        _sampled(fields.s_a, (grids.a, grids.t), "S_a"),
+        _sampled(fields.s_phi, (grids.phi, grids.t), "S_phi"),
+        _sampled(fields.s_g, (grids.a, grids.t), "S_g"),
+    )
+
+
 def complex_action_residuals(
     fields: ComplexActionFields, params: CosmoParams, grids: ActionGrids
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -436,9 +409,7 @@ def complex_action_residuals(
     exact to round-off.
     """
     a, phi, t = grids.a, grids.phi, grids.t
-    s_a = _sampled(fields.s_a, (a, t), "S_a")
-    s_p = _sampled(fields.s_phi, (phi, t), "S_phi")
-    s_g = _sampled(fields.s_g, (a, t), "S_g")
+    s_a, s_p, s_g = _split_samples(fields, grids)
     sa_t = np.gradient(s_a, t, axis=1, edge_order=2)
     sa_a = np.gradient(s_a, a, axis=0, edge_order=2)
     sp_t = np.gradient(s_p, t, axis=1, edge_order=2)
@@ -464,10 +435,8 @@ def complex_action_residuals(
 
 def closure_check(fields: ComplexActionFields, grids: ActionGrids) -> np.ndarray:
     """(d2S_g/da2)^2 - S_g/(4a) - (dS_a/dt + dS_phi/dt) on the product grid."""
-    a, phi, t = grids.a, grids.phi, grids.t
-    s_a = _sampled(fields.s_a, (a, t), "S_a")
-    s_p = _sampled(fields.s_phi, (phi, t), "S_phi")
-    s_g = _sampled(fields.s_g, (a, t), "S_g")
+    a, t = grids.a, grids.t
+    s_a, s_p, s_g = _split_samples(fields, grids)
     sg_aa = np.gradient(
         np.gradient(s_g, a, axis=0, edge_order=2), a, axis=0, edge_order=2
     )

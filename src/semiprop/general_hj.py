@@ -81,7 +81,6 @@ class GeneralAnsatz:
     dR_dt: Callable | None = None
     dR_dx: Callable | None = None
     d2R_dx2: Callable | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.hbar > 0:
@@ -326,7 +325,6 @@ def cos_log_family(
         dR_dt=dr_dt,
         dR_dx=dr_dx,
         d2R_dx2=d2r_dx2,
-        label="cos-log",
     )
 
 
@@ -473,7 +471,6 @@ def exponential_family(
         dR_dt=dr_dt,
         dR_dx=dr_dx,
         d2R_dx2=d2r_dx2,
-        label="exponential-potential",
     )
 
     def s_fn(x, t):

@@ -22,6 +22,7 @@ probes, not production field solvers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
@@ -42,6 +43,7 @@ __all__ = [
     "functional_hj_residual",
     "lattice_klein_gordon_check",
     "lattice_plane_wave",
+    "plane_wave_phase",
     "conformal_transport_check",
     "analytic_conformal_derivative",
     "conformal_real_part_residual",
@@ -117,7 +119,8 @@ class LatticeConfig:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.dims))
+        # Python ints: a numpy product wraps around past 2**63
+        return math.prod(self.dims)
 
     @property
     def cell_volume(self) -> float:
@@ -442,6 +445,24 @@ def lattice_klein_gordon_check(
     return KleinGordonRun(final=current, residual=residual, tracking=tracking)
 
 
+def plane_wave_phase(
+    config: LatticeConfig, mode: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Wavevector k_mu = 2 pi j_mu / (n_mu h) of the integer mode index j
+    and the phase k.x per site.  Each j is reduced mod n: a huge one would
+    only round the phase."""
+    if len(mode) != len(config.dims):
+        raise ValueError(
+            "mode index has {} entries, lattice has {} dimensions".format(
+                len(mode), len(config.dims)
+            )
+        )
+    h = config.spacing
+    k = np.array([2.0 * np.pi * (int(j) % n) / (n * h) for j, n in zip(mode, config.dims)])
+    grids = np.meshgrid(*[h * np.arange(n) for n in config.dims], indexing="ij")
+    return k, sum(k_mu * x_mu for k_mu, x_mu in zip(k, grids))
+
+
 def lattice_plane_wave(
     config: LatticeConfig, mode: Sequence[int], dt: float
 ) -> Tuple[LatticeField, LatticeField, PlaneWave]:
@@ -453,17 +474,10 @@ def lattice_plane_wave(
     phi = cos(k.x) and velocity sin(omega dt)/dt * sin(k.x), the Taylor
     first step lands exactly on cos(k.x - omega dt), so the evolved field
     tracks the returned ``PlaneWave`` cos(k.x - omega n dt) to roundoff.
-    Indices are reduced mod n: a huge one would only round the phase.
     """
-    if len(mode) != len(config.dims):
-        raise ValueError(
-            "mode index has {} entries, lattice has {} dimensions".format(
-                len(mode), len(config.dims)
-            )
-        )
+    k, phase = plane_wave_phase(config, mode)
     _check_time_step(dt)
     h = config.spacing
-    k = np.array([2.0 * np.pi * (int(j) % n) / (n * h) for j, n in zip(mode, config.dims)])
     lam = float(np.sum(4.0 / h**2 * np.sin(k * h / 2.0) ** 2))
     cos_omega_dt = 1.0 - 0.5 * dt**2 * (lam + config.mass**2)
     if abs(cos_omega_dt) > 1.0:
@@ -473,9 +487,6 @@ def lattice_plane_wave(
             )
         )
     omega = float(np.arccos(cos_omega_dt) / dt)
-
-    grids = np.meshgrid(*[h * np.arange(n) for n in config.dims], indexing="ij")
-    phase = sum(k_mu * x_mu for k_mu, x_mu in zip(k, grids))
     phi0 = LatticeField(config, np.cos(phase))
     velocity = LatticeField(config, np.sin(omega * dt) / dt * np.sin(phase))
     return phi0, velocity, PlaneWave(phase, omega)
@@ -483,24 +494,19 @@ def lattice_plane_wave(
 
 @dataclass(frozen=True)
 class PointwiseFunction:
-    """Scalar function of a field value with analytic derivatives.
+    """Scalar function of a field value with its analytic derivative.
 
-    ``value`` and ``derivative`` must accept and return ndarrays;
-    ``second`` is optional and only needed by probes that use curvature.
+    ``value`` and ``derivative`` must accept and return ndarrays.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-    second: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = ""
 
 
-def constant_function(c: float, label: str = "") -> PointwiseFunction:
+def constant_function(c: float) -> PointwiseFunction:
     return PointwiseFunction(
         value=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        label=label or "const {:g}".format(c),
     )
 
 
@@ -515,14 +521,12 @@ def _checked_exp(exponent: np.ndarray, what: str) -> np.ndarray:
     return np.exp(exponent)
 
 
-def conformal_transport_check(
-    sigma: LatticeField, lam: float, epsilon: float = 1e-6
-) -> Tuple[float, float]:
+def conformal_transport_check(sigma: LatticeField, lam: float) -> Tuple[float, float]:
     """Curvature functional of a conformal factor and its derivative check.
 
     Evaluates R[sigma] = (Lambda / 8) sum_x exp(2 sigma) * vol, then verifies
     the analytic functional derivative (Lambda / 4) exp(2 sigma(x)) against a
-    single-site central difference of the full sum, using the
+    single-site central difference of the full sum, step 1e-6, using the
     (1 / vol)(partial / partial site) convention.  Returns the pair
     (R value, max deviation); the deviation is relative to the analytic value
     when Lambda is nonzero and absolute otherwise.
@@ -540,6 +544,7 @@ def conformal_transport_check(
 
     analytic = lam / 4.0 * weights.reshape(-1)
     flat = sigma.flat.astype(float)
+    epsilon = 1e-6
     deviations = np.zeros(config.n_sites)
     for site in range(config.n_sites):
         bumped = flat.copy()

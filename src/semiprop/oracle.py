@@ -447,7 +447,7 @@ def kernel_propagate(
     psi0: WaveState,
     factors: PropagatorFactors,
     t_target: float,
-    reference_time: float | None = None,
+    reference_time: float,
 ) -> WaveState:
     """Evolve by quadrature against the closed-form two-point kernel.
 
@@ -455,8 +455,7 @@ def kernel_propagate(
 
     with tau the elapsed time and C fixed so that C exp(R(tau_ref))
     equals the free-particle normalization (m/(2 pi i hbar tau_ref))^(1/2)
-    at the configured reference elapsed time.  Without a reference the
-    kernel's overall constant is undetermined and the call refuses.
+    at the positive reference elapsed time ``reference_time``, say 1e-2.
 
     ``factors.two_point_action`` is the only source of S.  It must be
     quadratic in (x, x0), checked on full rows by ``_chirp_split``; the
@@ -473,11 +472,6 @@ def kernel_propagate(
         )
     if factors.two_point_action is None or factors.time_amplitude is None:
         raise ValueError("kernel propagation needs closed-form two-point factors")
-    if reference_time is None:
-        raise ValueError(
-            "unnormalized kernel: no reference match configured "
-            "(pass reference_time, e.g. 1e-2)"
-        )
     if not reference_time > 0:
         raise ValueError(f"reference_time must be positive, got {reference_time}")
     if factors.hbar != psi0.hbar or factors.mass != psi0.mass:

@@ -318,8 +318,8 @@ def prefactor_error(family: str, sol: PrefactorSolution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def caustic_windows(omega: float, t_min: float, t_max: float, half_width: float = 0.05) -> tuple[tuple[float, float], ...]:
-    """Exclusion windows covering every zero of sin(omega t) in the span."""
+def caustic_windows(omega: float, t_min: float, t_max: float) -> tuple[tuple[float, float], ...]:
+    """Windows of half-width 0.05 around every zero of sin(omega t) in the span."""
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     period = math.pi / omega
@@ -328,7 +328,7 @@ def caustic_windows(omega: float, t_min: float, t_max: float, half_width: float 
     windows = []
     for n in range(n_lo, n_hi + 1):
         tc = n * period
-        lo, hi = tc - half_width, tc + half_width
+        lo, hi = tc - 0.05, tc + 0.05
         if hi <= t_min or lo >= t_max:
             continue
         windows.append((max(lo, t_min), min(hi, t_max)))
@@ -372,20 +372,19 @@ def free_particle_factors(
             "(add an exclusion window)"
         )
 
-    def r_fn(x, t):
-        return -0.5 * np.log(t) + r_const + 0.0 * x
+    def time_amplitude(t):
+        return -0.5 * np.log(t) + r_const
 
-    def s_fn(x, t):
-        return mass * (x - x0) ** 2 / (2.0 * t)
+    def two_point_action(x, xa, t):
+        return mass * (x - xa) ** 2 / (2.0 * t)
 
     return PropagatorFactors(
-        R=r_fn,
-        S=s_fn,
+        R=lambda x, t: time_amplitude(t) + 0.0 * x,
+        S=lambda x, t: two_point_action(x, x0, t),
         hbar=hbar,
         mass=mass,
-        two_point_action=lambda x, xa, t: mass * (x - xa) ** 2 / (2.0 * t),
-        time_amplitude=lambda t: -0.5 * np.log(t) + r_const,
-        label="free-particle",
+        two_point_action=two_point_action,
+        time_amplitude=time_amplitude,
     )
 
 
@@ -424,11 +423,9 @@ def harmonic_factors(
     if np.any(np.abs(np.sin(omega * t_valid)) < 1.0e-12):
         raise ValueError(f"omega = {omega!r} puts a valid time node on a caustic; widen the window")
 
-    def sin_c(t):
-        return np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
-
-    def r_fn(x, t):
-        return -0.5 * np.log(sin_c(t)) + r_const + 0.0 * x
+    def time_amplitude(t):
+        sin_c = np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
+        return -0.5 * np.log(sin_c) + r_const
 
     def s2_fn(x, xa, t):
         s = np.sin(omega * t)
@@ -436,13 +433,12 @@ def harmonic_factors(
         return (mass * omega / 2.0) * ((xa**2 + x**2) * c / s - 2.0 * xa * x / s)
 
     return PropagatorFactors(
-        R=r_fn,
+        R=lambda x, t: time_amplitude(t) + 0.0 * x,
         S=lambda x, t: s2_fn(x, x0, t),
         hbar=hbar,
         mass=mass,
         two_point_action=s2_fn,
-        time_amplitude=lambda t: -0.5 * np.log(sin_c(t)) + r_const,
-        label="harmonic",
+        time_amplitude=time_amplitude,
     )
 
 
@@ -520,7 +516,6 @@ def harmonic_identity_residuals(
 class VanVleckReport:
     deviation: float
     constant: complex
-    n_nodes: int
 
 
 def van_vleck_check(
@@ -582,7 +577,7 @@ def van_vleck_check(
     if abs(constant) < 1.0e-300:
         raise ValueError("fitted Van Vleck constant is zero")
     deviation = float(np.max(np.abs(ratio - constant)) / abs(constant))
-    return VanVleckReport(deviation=deviation, constant=constant, n_nodes=ratio.size)
+    return VanVleckReport(deviation=deviation, constant=constant)
 
 
 # ---------------------------------------------------------------------------

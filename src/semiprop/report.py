@@ -70,7 +70,6 @@ class Report:
     convergence: Optional[list[dict]] = None
     seed: int = 0
     runtime_seconds: float = 0.0
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -86,7 +85,7 @@ class Report:
             payload["convergence"] = self.convergence
         payload["seed"] = self.seed
         payload["runtime_seconds"] = self.runtime_seconds
-        payload["version"] = self.version
+        payload["version"] = __version__
         payload["pass"] = self.passed
         return payload
 

@@ -232,6 +232,11 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["general-hj", "decoupling", "--c2", "300"], "c2 = (300+0j)"),
         (["general-hj", "decoupling", "--c2", "200", "--c3", "0.3"], "c2 = (200+0j)"),
         (["lattice", "greens", "--dims", "[65,65]"], "dims (65, 65) give 4225 sites"),
+        # site counts past 2**64, which a numpy int64 product wraps to 4 and 0
+        (["lattice", "greens", "--dims", "[4611686018427387905,4]"],
+         "dims (4611686018427387905, 4) give 18446744073709551620 sites"),
+        (["lattice", "greens", "--dims", "[4294967296,4294967296]"],
+         "dims (4294967296, 4294967296) give 18446744073709551616 sites"),
         # the step alone breaks the run at the default phi_dot0
         (["cosmo", "stiff", "--step", "10"], "parameter 'step'"),
         (["general-hj", "exponential", "--slope", "1000"], "slope b = 1000.0"),

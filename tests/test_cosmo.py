@@ -66,14 +66,6 @@ def test_constraint_curvature_value():
     assert abs(val + 0.1193662073189215) < 1e-15  # -3/(8 pi)
 
 
-def test_constraint_gravity_sign_flips_kinetic_term():
-    state = CosmoState(a=1.0, p_a=0.7, phi=0.0, p_phi=0.0)
-    plain = hamiltonian_constraint(state, VACUUM)
-    flipped = hamiltonian_constraint(state, CosmoParams(gravity_sign=-1))
-    assert plain < 0
-    assert flipped == -plain
-
-
 def test_momentum_map_values_and_consistency():
     state = ClassicalState(a=1.2, a_dot=0.8, phi=0.3, phi_dot=-0.4)
     mom = momentum_state(state)
@@ -97,8 +89,13 @@ def test_state_refuses_nonpositive_scale_factor():
 def test_params_validation():
     with pytest.raises(ValueError, match="curvature"):
         CosmoParams(k=2)
-    with pytest.raises(ValueError, match="gravity_sign"):
-        CosmoParams(gravity_sign=0)
+
+
+@pytest.mark.parametrize("phi_dot", [0.1, 20.0, 1e3])
+def test_matched_a_dot_on_the_stiff_path_keeps_its_closed_form(phi_dot):
+    # the rate `cosmo stiff` starts from: k = 0, Lambda = 0, V = 0, a = 1
+    rhs = (8.0 * math.pi / 3.0) * (0.5 * phi_dot**2 + 0.0) + 0.0 / 3.0 - 0 / 1.0**2
+    assert matched_a_dot(1.0, 0.0, phi_dot, VACUUM) == 1.0 * 1.0 * math.sqrt(rhs)
 
 
 def test_matched_a_dot_refuses_imaginary_rate():
@@ -210,8 +207,10 @@ def test_evolve_refuses_off_constraint_data():
 
 def test_evolve_window_validation():
     state = ClassicalState(a=1.0, a_dot=1.0, phi=0.0, phi_dot=0.0)
-    with pytest.raises(ValueError, match="state sits at"):
-        evolve_classical(state, DE_SITTER, (0.5, 1.0), 1e-3)
+    # the state holds at the window start, wherever that is
+    traj = evolve_classical(state, DE_SITTER, (0.5, 1.0), 1e-3)
+    assert traj.t[0] == 0.5
+    assert traj.a[0] == 1.0
     with pytest.raises(ValueError, match="shorter than one step"):
         evolve_classical(state, DE_SITTER, (0.0, 1e-6), 1e-3)
     with pytest.raises(ValueError, match="increasing"):

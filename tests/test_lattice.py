@@ -490,7 +490,6 @@ def test_imaginary_part_analytic_derivative_cancels():
     w = PointwiseFunction(
         value=lambda p: 2.0 + np.sin(p),
         derivative=np.cos,
-        label="2 + sin",
     )
     for _ in range(10):
         sigma = LatticeField(GRID_4X4, rng.uniform(-1.0, 1.0, size=(4, 4)))
@@ -537,4 +536,3 @@ def test_constant_function_descriptor():
     x = np.linspace(-1.0, 1.0, 5)
     assert np.all(f.value(x) == 2.5)
     assert np.all(f.derivative(x) == 0.0)
-    assert np.all(f.second(x) == 0.0)

@@ -58,8 +58,7 @@ def test_free_particle_refuses_nonpositive_time():
         free_particle_factors(make_grid(-0.5, 1.0))
     # hiding t <= 0 behind an exclusion makes the same span acceptable
     grid = make_grid(-0.5, 1.0, exclusions=((-0.6, 0.05),))
-    factors = free_particle_factors(grid)
-    assert factors.label == "free-particle"
+    free_particle_factors(grid)
 
 
 def test_harmonic_point_values():
@@ -130,8 +129,7 @@ def test_harmonic_refuses_uncovered_caustic():
         harmonic_factors(make_grid(0.5, 4.0), omega=1.0)  # t = pi uncovered
     windows = caustic_windows(1.0, 0.5, 4.0)
     assert any(lo < math.pi < hi for lo, hi in windows)
-    factors = harmonic_factors(make_grid(0.5, 4.0, exclusions=windows), omega=1.0)
-    assert factors.label == "harmonic"
+    harmonic_factors(make_grid(0.5, 4.0, exclusions=windows), omega=1.0)
 
 
 # ---------------------------------------------------------------------------
