@@ -554,6 +554,21 @@ def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
             "parameter 'amplitude' must keep 2 * amplitude finite, got {!r}".format(amplitude)
         )
     functional = lattice_greens_function(config)
+    # the residual sums, over the sites, halves of (dS/dphi)^2, of one
+    # gradient square per axis and of m^2 phi^2; |phi| <= amplitude bounds
+    # each root by amplitude * reach, so refuse an amplitude whose squares
+    # and their sum (times the cell volume, when that exceeds 1) overflow
+    vol = config.cell_volume
+    reach = max(vol * float(np.sum(np.abs(functional.g))), 2.0 / config.spacing, config.mass)
+    terms = 0.5 * (2 + len(config.dims)) * config.n_sites * max(1.0, vol)
+    limit = math.sqrt(sys.float_info.max / terms) / reach
+    if not amplitude < limit:
+        raise ValueError(
+            "parameter 'amplitude' = {!r} overflows the Hamilton-Jacobi residual "
+            "on this lattice (spacing {!r}, mass {!r}): it must stay below {:.3g}".format(
+                amplitude, config.spacing, config.mass, limit
+            )
+        )
     rng = np.random.default_rng(seed)
     worst = math.inf
     last = None

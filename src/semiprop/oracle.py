@@ -247,16 +247,18 @@ def _is_static(pot) -> bool:
 def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     """Crank-Nicolson evolution over n_steps of size dt.
 
-    (1 + i dt H/(2 hbar)) psi_new = (1 - i dt H/(2 hbar)) psi_old with H
-    the tridiagonal discrete Hamiltonian; a time-dependent potential is
-    sampled at the step midpoint.  Each step is one LAPACK zgttrs solve
-    against the zgttrf LU factors of the left-hand matrix, made in place in
-    a preallocated right-hand-side buffer; ``state.psi`` is never written.
-    A static potential (a constant, or a QuadraticPotential without
-    callable coefficients) gives the same matrix at every step, so it is
-    factored once; any other potential is refactored at every step.  More
-    than MAX_CN_STEPS steps are refused, naming dt, before anything is
-    allocated.
+    (1 + i lam H) psi_new = (1 - i lam H) psi_old with lam = dt/(2 hbar)
+    and H the tridiagonal discrete Hamiltonian; a time-dependent potential
+    is sampled at the step midpoint.  The step is taken in Cayley form,
+    psi_new = 2 (1 + i lam H)^-1 psi_old - psi_old, so H is never applied
+    to psi: a step is one scaled copy of psi into the right-hand-side
+    buffer, one LAPACK zgttrs solve there in place against the zgttrf LU
+    factors of 1 + i lam H, and one subtraction into psi's own buffer.
+    ``state.psi`` is never written.  A static potential (a constant, or a
+    QuadraticPotential without callable coefficients) gives the same
+    matrix at every step, so it is factored once; any other potential is
+    refactored at every step.  More than MAX_CN_STEPS steps are refused,
+    naming dt, before anything is allocated.
     Boundary amplitude above BOUNDARY_AMPLITUDE_WARN at any step triggers
     a single warning with the worst value seen (Dirichlet walls reflect,
     they do not absorb).
@@ -278,41 +280,31 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     kin_off = -(hbar**2) / (2.0 * mass * dx**2)
     kin_diag = hbar**2 / (mass * dx**2)
     lam = dt / (2.0 * hbar)
-
-    def h_diag_at(t: float) -> np.ndarray:
-        v_mid = np.broadcast_to(
-            np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,)
-        )
-        return kin_diag + v_mid
-
     _bind_lapack()
     psi = state.psi.copy()
-    # rhs becomes the next psi in place (overwrite_b), so the two swap roles
+    # zgttrs solves in rhs (overwrite_b); psi is then updated in place
     rhs = np.empty_like(psi)
-    shifted = np.empty(n - 1, dtype=complex)
     t = state.t
     worst_boundary = 0.0
     static = _is_static(pot)
     off = np.full(n - 1, 1j * lam * kin_off)
     for step in range(n_steps):
         if step == 0 or not static:
-            # lhs matrix (1 + i lam H), LU-factored
-            h_diag = h_diag_at(t)
-            dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + 1j * lam * h_diag, off)
+            # 1 + i lam H with H's diagonal at the step midpoint, LU-factored
+            v_mid = np.broadcast_to(
+                np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,)
+            )
+            diag = 1.0 + 1j * lam * (kin_diag + v_mid)
+            dl, d, du, du2, ipiv, info = zgttrf(off, diag, off)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"Crank-Nicolson matrix is singular (zgttrf info {info})"
                 )
-        # rhs = psi - i lam (H psi), H psi summed as diagonal, upper, lower
-        np.multiply(h_diag, psi, out=rhs)
-        np.add(rhs[:-1], np.multiply(kin_off, psi[1:], out=shifted), out=rhs[:-1])
-        np.add(rhs[1:], np.multiply(kin_off, psi[:-1], out=shifted), out=rhs[1:])
-        np.multiply(1j * lam, rhs, out=rhs)
-        np.subtract(psi, rhs, out=rhs)
+        np.multiply(2.0, psi, out=rhs)
         solved, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
-        psi, rhs = solved, psi
+        np.subtract(solved, psi, out=psi)
         t += dt
         worst_boundary = max(worst_boundary, abs(psi[0]), abs(psi[-1]))
     if worst_boundary > BOUNDARY_AMPLITUDE_WARN:

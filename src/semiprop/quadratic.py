@@ -343,6 +343,21 @@ def _source_point(x0: float) -> float:
     return x0
 
 
+def _check_slope_square(mass: float, reach: float, x0: float) -> None:
+    """Refuse, naming mass and x0, a grid where (dS/dx)^2 leaves the float range.
+
+    ``reach`` bounds |dS/dx| / mass over the grid; the Hamilton-Jacobi
+    residual squares dS/dx, so both reach^2 and (mass * reach)^2 must stay
+    finite.
+    """
+    slope = mass * reach
+    if not (math.isfinite(reach * reach) and math.isfinite(slope * slope)):
+        raise ValueError(
+            f"mass {mass!r} with x0 {x0!r} takes (dS/dx)^2 past the float range "
+            f"on this grid: |dS/dx| reaches {slope:.3g}"
+        )
+
+
 def _valid_times(grid: SpacetimeGrid) -> np.ndarray:
     t = grid.t[grid.time_mask()]
     if t.size == 0:
@@ -460,6 +475,9 @@ def free_particle_identity_residuals(
     x0 = _source_point(x0)
     x = grid.x[:, None]
     t = _valid_times(grid)[None, :]
+    # |dS/dx| = m |x - x0| / t
+    reach = (float(np.max(np.abs(x))) + abs(x0)) / float(np.min(t))
+    _check_slope_square(mass, reach, x0)
     s_t = -mass * (x - x0) ** 2 / (2.0 * t**2)
     s_x = mass * (x - x0) / t
     hj = s_t + s_x**2 / (2.0 * mass)
@@ -492,6 +510,9 @@ def harmonic_identity_residuals(
             f"omega = {omega!r} brings |sin(omega t)| down to {smallest:.3g} on a "
             "valid time node, where csc^2 overflows"
         )
+    # |dS/dx| = m |omega| |x cot - x0 csc| <= m |omega| (|x| + |x0|) |csc|
+    reach = abs(omega) * (float(np.max(np.abs(x))) + abs(x0)) / smallest
+    _check_slope_square(mass, reach, x0)
     csc = 1.0 / s
     cot = c / s
     s_t = (mass * omega**2 / 2.0) * (2.0 * x0 * x * csc * cot - (x0**2 + x**2) * csc**2)

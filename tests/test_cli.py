@@ -12,6 +12,7 @@ import pytest
 from semiprop.cli import (
     CHECKS,
     POSITIVE,
+    _floor,
     _order_record,
     _propagator_rows,
     _site_rows,
@@ -116,15 +117,19 @@ def test_failing_tolerance_exits_one(tmp_path):
     assert read_report(tmp_path)["pass"] is False
 
 
-def test_infinite_floor_value_fails(tmp_path):
-    # phi ~ 1e200 squares to inf: a floor check must not pass on it
-    with pytest.warns(RuntimeWarning, match="overflow"):
+def test_infinite_floor_value_fails(tmp_path, capsys):
+    # a floor check must not pass on inf or NaN
+    for value in (math.inf, math.nan):
+        assert _floor("minimum-residual", value, 0.0, "").passed is False
+    # phi ~ 1e200 would square to inf: the runner refuses it before any draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(
             ["lattice", "hj-positivity", "--amplitude", "1e200", "--out", str(tmp_path)]
         )
-    assert code == 1
-    check = record(read_report(tmp_path), "minimum-residual")
-    assert check["value"] == math.inf and check["pass"] is False
+    assert code == 2
+    assert "parameter 'amplitude' = 1e+200 overflows" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 # ------------------------------------------------------------ bad input
@@ -215,6 +220,15 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["quadratic", "schrodinger-order", "--family", "free", "--x0", "1e200"],
          "x0 must be"),
         (["lattice", "hj-positivity", "--amplitude", "-1"], "parameter 'amplitude'"),
+        # the residual's squares overflow; the bound grows with the cell volume
+        (["lattice", "hj-positivity", "--amplitude", "1e200"],
+         "parameter 'amplitude' = 1e+200 overflows"),
+        (["lattice", "hj-positivity", "--spacing", "1e100"],
+         "parameter 'amplitude' = 2.0 overflows the Hamilton-Jacobi residual on this "
+         "lattice (spacing 1e+100, mass 1.0)"),
+        (["quadratic", "hj", "--mass", "1e200"], "mass 1e+200 with x0 0.0 takes (dS/dx)^2"),
+        (["quadratic", "hj", "--family", "harmonic", "--mass", "1e200"],
+         "mass 1e+200 with x0 0.0 takes (dS/dx)^2"),
         (["cosmo", "stiff", "--fit_from", "0"], "parameter 'fit_from'"),
         (["cosmo", "de-sitter", "--t_end", "0"], "parameter 't_end'"),
         (["general-hj", "hbar-slope", "--hbars", "[]"], "hbars must hold"),
@@ -457,9 +471,13 @@ def test_exit_contract_holds_on_every_declared_edge(tmp_path, capsys):
     cases = list(fuzz_cases())
     assert len(cases) > 400
     for index, (name, argv) in enumerate(cases):
-        code = main(argv + ["--out", str(tmp_path / str(index))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(tmp_path / str(index))])
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
+        numeric = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not numeric, (argv, numeric)
         if code == 2:
             assert re.search(r"\b{}\b".format(re.escape(name)), err), (argv, err)
 

@@ -116,8 +116,13 @@ def test_cn_validates_steps():
         cn_evolve(state, 0.0, dt=1e-9, n_steps=MAX_CN_STEPS + 1)
 
 
-def banded_reference(state, pot, dt, n_steps):
-    """The per-step banded Crank-Nicolson solve cn_evolve replaced."""
+def banded_reference(state, pot, dt, n_steps, cayley=True):
+    """Crank-Nicolson by one banded solve per step.
+
+    With ``cayley`` each step is 2 (1 + i lam H)^-1 psi - psi, the form
+    cn_evolve takes; without it, the explicit right-hand side
+    (1 - i lam H) psi is assembled and solved, as cn_evolve once did.
+    """
     v_fn = as_potential(pot)
     hbar, mass, dx, x, n = state.hbar, state.mass, state.grid.dx, state.grid.x, state.grid.n_x
     kin_off = -(hbar**2) / (2.0 * mass * dx**2)
@@ -128,13 +133,16 @@ def banded_reference(state, pot, dt, n_steps):
     for _ in range(n_steps):
         v_mid = np.broadcast_to(np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,))
         h_diag = kin_diag + v_mid
-        h_psi = h_diag * psi
-        h_psi[:-1] += kin_off * psi[1:]
-        h_psi[1:] += kin_off * psi[:-1]
         ab[0, 1:] = 1j * lam * kin_off
         ab[1, :] = 1.0 + 1j * lam * h_diag
         ab[2, :-1] = 1j * lam * kin_off
-        psi = solve_banded((1, 1), ab, psi - 1j * lam * h_psi)
+        if cayley:
+            psi = solve_banded((1, 1), ab, 2.0 * psi) - psi
+        else:
+            h_psi = h_diag * psi
+            h_psi[:-1] += kin_off * psi[1:]
+            h_psi[1:] += kin_off * psi[:-1]
+            psi = solve_banded((1, 1), ab, psi - 1j * lam * h_psi)
         t += dt
     return psi, t
 
@@ -182,6 +190,41 @@ def test_cn_callable_coefficient_takes_the_step_path(monkeypatch):
         lambda x, t: 0.5 * x**2 + 0.3 * np.cos(t) * x,
     ):
         assert_matches_banded_reference(monkeypatch, pot, factorizations=40)
+
+
+@pytest.mark.filterwarnings("ignore:boundary amplitude")
+def test_cn_cayley_step_matches_the_explicit_right_hand_side():
+    # the Cayley form only reorders the rounding of each step
+    for pot in (
+        QuadraticPotential(g2=0.5),
+        0.25,
+        QuadraticPotential(g2=lambda t: 0.5 + 0.1 * t, g1=lambda t: 0.2 * math.sin(t)),
+        lambda x, t: 0.5 * x**2 + 0.3 * np.cos(t) * x,
+    ):
+        for n_x in (64, 513, 2048):
+            psi0 = oscillator_state(n_x)
+            out = cn_evolve(psi0, pot, dt=1e-2, n_steps=40)
+            psi, t = banded_reference(psi0, pot, dt=1e-2, n_steps=40, cayley=False)
+            error = np.max(np.abs(out.psi - psi)) / np.max(np.abs(psi))
+            assert error <= 1e-12, (n_x, error)
+            assert out.t == t
+
+
+@pytest.mark.parametrize("pot", [0.25, QuadraticPotential(g2=0.5).value], ids=["static", "stepped"])
+def test_cn_memory_does_not_grow_with_steps(pot):
+    # the packet stays far from the walls, so no boundary warning is issued
+    psi0 = gaussian_state(SpatialGrid(-12.0, 12.0, 2048), sigma0=1.0)
+    cn_evolve(psi0, pot, dt=1e-3, n_steps=2)  # loads LAPACK outside the trace
+    peaks = []
+    for n_steps in (40, 400):
+        tracemalloc.start()
+        try:
+            cn_evolve(psi0, pot, dt=1e-3, n_steps=n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
 @pytest.mark.filterwarnings("ignore:boundary amplitude")
