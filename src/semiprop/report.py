@@ -17,10 +17,13 @@ Python cells (``ndarray.tolist``).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import observed_orders
@@ -147,3 +150,66 @@ def build_convergence_rows(
             (order,) = observed_orders(hs[i - 1 : i + 1], residuals[i - 1 : i + 1])
         rows.append({"h": hs[i], "residual": residuals[i], "observed_order": order})
     return rows
+
+
+# ------------------------------------------- record and row builders of the runners
+
+
+def _bound(name: str, value: float, tolerance: float, detail: str = "") -> CheckRecord:
+    return CheckRecord(
+        name=name,
+        value=float(value),
+        tolerance=float(tolerance),
+        passed=bool(value <= tolerance),
+        detail=detail or "pass iff value <= tolerance",
+    )
+
+
+def _floor(name: str, value: float, tolerance: float, detail: str) -> CheckRecord:
+    """Pass iff value is finite and above tolerance; NaN and inf fail."""
+    return CheckRecord(
+        name=name,
+        value=float(value),
+        tolerance=float(tolerance),
+        passed=bool(math.isfinite(value) and value > tolerance),
+        detail=detail,
+    )
+
+
+def _target(
+    name: str, value: float, target: float, tolerance: float, detail: str
+) -> CheckRecord:
+    """Pass iff |value - target| <= tolerance; a NaN value fails."""
+    return CheckRecord(
+        name=name,
+        value=float(value),
+        tolerance=float(tolerance),
+        passed=bool(abs(value - target) <= tolerance),
+        detail=detail,
+    )
+
+
+def _diagnostic(name: str, value: float, detail: str = "") -> CheckRecord:
+    return CheckRecord(
+        name=name,
+        value=float(value),
+        tolerance=None,
+        passed=True,
+        diagnostic=True,
+        detail=detail or "recorded value, no pass semantics",
+    )
+
+
+def _order_record(name: str, rows: list[dict], order: float, tolerance: float) -> CheckRecord:
+    """Gate the last observed order of a convergence table at ``order``.
+
+    A table with no fitted order gives NaN, which fails.
+    """
+    fitted = [r["observed_order"] for r in rows if r["observed_order"] is not None]
+    value = fitted[-1] if fitted else float("nan")
+    return _target(name, value, order, tolerance, f"pass iff |value - {order:g}| <= tolerance")
+
+
+def _csv_rows(*columns: np.ndarray) -> list[tuple]:
+    """CSV rows from equal-length columns, every cell a plain Python scalar."""
+    return list(zip(*[column.tolist() for column in columns]))

@@ -9,21 +9,15 @@ import warnings
 import numpy as np
 import pytest
 
-from semiprop.cli import (
-    CHECKS,
-    POSITIVE,
-    _floor,
-    _order_record,
-    _propagator_rows,
-    _site_rows,
-    _trajectory_rows,
-    main,
-)
+from semiprop.cli import CHECKS, POSITIVE, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
 from semiprop.lattice import LatticeConfig
 from semiprop.quadratic import free_particle_factors, harmonic_factors
-from semiprop.report import build_convergence_rows, write_csv
+from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
+from semiprop.runners.cosmo import _trajectory_rows
+from semiprop.runners.lattice import _site_rows
+from semiprop.runners.quadratic import _propagator_rows
 
 
 def read_report(out_dir):
