@@ -3,6 +3,8 @@ and the hbar scaling of Im S."""
 
 from __future__ import annotations
 
+import math
+
 from ..core import SpacetimeGrid
 from ..general_hj import (
     X_EDGE,
@@ -13,7 +15,7 @@ from ..general_hj import (
     imaginary_scaling_probe,
 )
 from ..report import _bound, _target
-from . import _LOG_MAX, RunnerOutput
+from . import _LOG_MAX, RunnerOutput, _refuse_below_roundoff
 
 
 def _run_general_decoupling(params: dict, seed: int) -> RunnerOutput:
@@ -34,8 +36,15 @@ def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
         amplitude=params["amplitude"], slope=params["slope"],
         hbar=params["hbar"], mass=params["mass"],
     )
+    tolerance = 1e-10
+    # (dS/dx)^2 / (2m) = -A e^(bx) and V = A e^(bx) cancel; each reaches
+    # A e^(|b| X_EDGE) on the grid, whatever the mass
+    _refuse_below_roundoff(
+        2.0 * params["amplitude"] * math.exp(abs(params["slope"]) * X_EDGE), tolerance,
+        params, ("amplitude", "slope"), "two Hamilton-Jacobi terms together",
+    )
     records = [
-        _bound("hamilton-jacobi", res["hamilton_jacobi"], 1e-10),
+        _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),
         _bound("decoupling-residual", res["decoupling"], 1e-12),
     ]
     return records, None, {}

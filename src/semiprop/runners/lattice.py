@@ -111,6 +111,17 @@ def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
                 amplitude, config.spacing, config.mass, limit
             )
         )
+    # the mass term alone, m^2 phi^2 vol / 2 at every site, keeps the
+    # euclidean residual positive while it is a normal float at |phi| =
+    # amplitude; below that the squares underflow and the residual reads 0
+    least = math.sqrt(2.0 * sys.float_info.min / vol) / config.mass
+    if not amplitude >= least:
+        raise ValueError(
+            "parameter 'amplitude' = {!r} underflows the Hamilton-Jacobi residual "
+            "on this lattice (spacing {!r}, mass {!r}): it must be at least {:.3g}".format(
+                amplitude, config.spacing, config.mass, least
+            )
+        )
     rng = np.random.default_rng(seed)
     worst = math.inf
     last = None

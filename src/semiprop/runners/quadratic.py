@@ -19,7 +19,7 @@ from ..quadratic import (
     van_vleck_check,
 )
 from ..report import _bound, _csv_rows, _order_record, build_convergence_rows
-from . import RunnerOutput
+from . import RunnerOutput, _refuse_below_roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
@@ -36,15 +36,27 @@ def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
+    tolerance = 1e-8
+    # the largest Hamilton-Jacobi term is m reach^2 / 2, where reach bounds
+    # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
+    span = grid.x_max + abs(params["x0"])
     if params["family"] == "free":
         res = free_particle_identity_residuals(grid, mass=params["mass"], x0=params["x0"])
+        reach, names = span / grid.t_min, ("mass", "x0")
     else:
+        omega = params["omega"]
         res = harmonic_identity_residuals(
-            grid, mass=params["mass"], omega=params["omega"], x0=params["x0"]
+            grid, mass=params["mass"], omega=omega, x0=params["x0"]
         )
+        reach = abs(omega) * span / float(np.min(np.abs(np.sin(omega * grid.t))))
+        names = ("mass", "omega", "x0")
+    _refuse_below_roundoff(
+        params["mass"] * reach * reach / 2.0, tolerance, params, names,
+        "Hamilton-Jacobi terms",
+    )
     records = [
-        _bound("hamilton-jacobi", res["hamilton_jacobi"], 1e-8),
-        _bound("consistency", res["consistency"], 1e-8),
+        _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),
+        _bound("consistency", res["consistency"], tolerance),
     ]
     return records, None, {}
 

@@ -214,6 +214,11 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["quadratic", "schrodinger-order", "--family", "free", "--x0", "1e200"],
          "x0 must be"),
         (["lattice", "hj-positivity", "--amplitude", "-1"], "parameter 'amplitude'"),
+        # the residual's squares underflow, so a correct field would read 0
+        (["lattice", "hj-positivity", "--amplitude", "1e-200"],
+         "parameter 'amplitude' = 1e-200 underflows"),
+        (["lattice", "hj-positivity", "--amplitude", "5e-324"],
+         "parameter 'amplitude' = 5e-324 underflows"),
         # the residual's squares overflow; the bound grows with the cell volume
         (["lattice", "hj-positivity", "--amplitude", "1e200"],
          "parameter 'amplitude' = 1e+200 overflows"),
@@ -319,6 +324,28 @@ def test_overflowing_inputs_exit_two_without_a_warning(argv, names, tmp_path, ca
     err = capsys.readouterr().err
     for name in names:
         assert re.search(r"\b{}\b".format(name), err), (argv, err)
+
+
+def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
+    # a correct closed form leaves about machine epsilon times its cancelling
+    # terms; where that reaches the tolerance the check is refused, and every
+    # value that passed before still passes
+    sweeps = [
+        (["quadratic", "hj", "--mass"], ["1e{}".format(e) for e in range(13)], 1e7, "'mass'"),
+        (["general-hj", "exponential", "--slope"], [str(b) for b in range(1, 21)], 7, "'slope'"),
+    ]
+    for argv, values, refused_from, name in sweeps:
+        for value in values:
+            code = main(argv + [value, "--out", str(tmp_path / value)])
+            err = capsys.readouterr().err
+            if float(value) < refused_from:
+                assert code == 0, (argv, value)
+            else:
+                assert code == 2 and name in err and "round-off alone" in err, (argv, value)
+    # the smallest amplitudes whose squares stay normal floats still pass
+    for amplitude in (["--amplitude", "1e-150"], []):
+        argv = ["lattice", "hj-positivity"] + amplitude + ["--out", str(tmp_path / "h")]
+        assert main(argv) == 0, amplitude
 
 
 def test_negative_omega_still_runs_the_harmonic_identities(tmp_path):
