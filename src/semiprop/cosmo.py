@@ -1,8 +1,8 @@
 """Homogeneous isotropic cosmology: constraint checks and split-action residuals.
 
 Two operator normalizations coexist here and are deliberately never
-converted into each other.  The constraint sector (hamiltonian_constraint,
-evolve_classical, friedmann_residual, quantum_transport_residual) carries
+converted into each other.  The constraint sector (evolve_classical,
+friedmann_residual, quantum_transport_residual) carries
 the 2*pi/(3a) gravitational kinetic factor and matter kinetic term
 p_phi^2/(2 a^3).  The split-action sector (complex_action_residuals,
 closure_check, scale_factor_equation_residual) separates the action into
@@ -28,22 +28,18 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VectorField, rk4_solve, rk4_step_count, fit_loglog_slope
+from .core import VectorField, rk4_solve, rk4_step_count
 
 __all__ = [
     "ScalarPotential",
     "ZERO_POTENTIAL",
     "quadratic_potential",
     "CosmoParams",
-    "CosmoState",
     "ClassicalState",
     "Trajectory",
     "ComplexActionFields",
     "ActionGrids",
-    "EntropyScalingReport",
-    "hamiltonian_constraint",
     "momenta",
-    "momentum_state",
     "matched_a_dot",
     "evolve_classical",
     "friedmann_residual",
@@ -51,7 +47,6 @@ __all__ = [
     "complex_action_residuals",
     "closure_check",
     "scale_factor_equation_residual",
-    "entropy_scaling_probe",
     "quantum_transport_residual",
     "COLLAPSE_FRACTION",
     "FRIEDMANN_PRECHECK_TOL",
@@ -117,16 +112,6 @@ class _State:
 
 
 @dataclass(frozen=True)
-class CosmoState(_State):
-    """Phase-space point (a, p_a, phi, p_phi)."""
-
-    a: float
-    p_a: float
-    phi: float
-    p_phi: float
-
-
-@dataclass(frozen=True)
 class ClassicalState(_State):
     """Velocity parameterization (a, adot, phi, phidot)."""
 
@@ -141,12 +126,6 @@ def momenta(a, a_dot, phi_dot):
     return -(3.0 / (4.0 * _PI)) * a * a_dot, a**3 * phi_dot
 
 
-def momentum_state(state: ClassicalState) -> CosmoState:
-    """The phase-space point of ``state`` under ``momenta``."""
-    p_a, p_phi = momenta(state.a, state.a_dot, state.phi_dot)
-    return CosmoState(a=state.a, p_a=p_a, phi=state.phi, p_phi=p_phi)
-
-
 def _constraint_terms(a, p_a, phi, p_phi, params: CosmoParams):
     """The five terms of the Hamiltonian constraint, in summation order."""
     yield -(2.0 * _PI / (3.0 * a)) * p_a**2
@@ -154,13 +133,6 @@ def _constraint_terms(a, p_a, phi, p_phi, params: CosmoParams):
     yield (params.lam / (8.0 * _PI)) * a**3
     yield p_phi**2 / (2.0 * a**3)
     yield a**3 * np.asarray(params.potential.v(phi), dtype=float)
-
-
-def hamiltonian_constraint(state: CosmoState, params: CosmoParams) -> float:
-    """-(2 pi/(3a)) p_a^2 - (3k/(8 pi)) a + (Lambda/(8 pi)) a^3
-    + p_phi^2/(2 a^3) + a^3 V(phi); a CosmoState holds a > 0."""
-    terms = _constraint_terms(state.a, state.p_a, state.phi, state.p_phi, params)
-    return float(sum(terms))
 
 
 @dataclass(frozen=True)
@@ -475,45 +447,6 @@ def scale_factor_equation_residual(
         + params.k
         - params.lam * a**2
         - (p_phi**2 / (16.0 * _PI * a**3) + 8.0 * _PI * a**3 * v)
-    )
-
-
-@dataclass(frozen=True)
-class EntropyScalingReport:
-    """Fitted log-log exponent of S_g against a, next to the quadratic
-    expectation.  Diagnostic only; nothing is asserted."""
-
-    exponent: float
-    deviation_from_square: float
-    used_absolute: bool
-    n_nonpositive: int
-
-
-def entropy_scaling_probe(a_samples, s_g_samples) -> EntropyScalingReport:
-    """Log-log fit of S_g(a) over at least one decade in a.
-
-    Non-positive S_g samples switch the fit to |S_g| and are counted in
-    the report; an exact zero leaves the logarithm undefined and refuses.
-    """
-    a = np.asarray(a_samples, dtype=float)
-    s = np.asarray(s_g_samples, dtype=float)
-    if a.ndim != 1 or a.shape != s.shape or a.size < 3:
-        raise ValueError("need matching 1-d sample arrays, at least 3 points")
-    if not np.all(a > 0) or not np.all(np.diff(a) > 0):
-        raise ValueError("a samples must be positive and increasing")
-    if a[-1] / a[0] < 10.0:
-        raise ValueError(
-            f"need at least one decade in a, got span factor {a[-1] / a[0]:.3g}"
-        )
-    if np.any(s == 0.0):
-        raise ValueError("S_g vanishes at a sample; log-log fit undefined")
-    n_nonpos = int(np.count_nonzero(s < 0.0))
-    slope = fit_loglog_slope(a, np.abs(s))
-    return EntropyScalingReport(
-        exponent=slope,
-        deviation_from_square=slope - 2.0,
-        used_absolute=n_nonpos > 0,
-        n_nonpositive=n_nonpos,
     )
 
 

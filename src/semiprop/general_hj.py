@@ -12,8 +12,7 @@ whose general solution for S at each time is a double x-quadrature:
 
 This module builds that S by nested Simpson quadrature, evaluates the
 decoupling residual 2 m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] whose zero
-set marks exponents with x-independent actions, recovers the potential a
-given action solves, and carries two exact families: a log-of-cosine
+set marks exponents with x-independent actions, and carries two exact families: a log-of-cosine
 exponent and an exponential-potential pair whose S satisfies the
 Hamilton-Jacobi equation identically.
 
@@ -37,7 +36,6 @@ from .core import (
     _stencil,
     at_time,
     cumulative_simpson,
-    finite_difference,
     fit_loglog_slope,
 )
 
@@ -45,13 +43,9 @@ __all__ = [
     "GeneralAnsatz",
     "build_S_from_R",
     "decoupling_residual",
-    "recover_potential",
     "imaginary_scaling_probe",
     "ImaginaryScalingReport",
     "cos_log_family",
-    "cos_log_action",
-    "cos_log_recovered_potential",
-    "cos_log_quadrature_inputs",
     "exponential_family",
     "exponential_family_residuals",
     "X_EDGE",
@@ -181,19 +175,6 @@ def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexFi
     _, bracket, cols = _bracket(ansatz, grid.x, grid)
     mask = np.broadcast_to(cols, (grid.n_x, grid.n_t))
     return ComplexField(grid=grid, values=np.where(mask, bracket, 0.0), mask=mask)
-
-
-def recover_potential(S: ComplexField, mass: float = 1.0) -> ComplexField:
-    """Potential the action solves: V = -dS/dt - (dS/dx)^2/(2m) nodewise.
-
-    Derivatives are stencil-based, so the recovery is O(h^2) accurate.
-    """
-    s_t = finite_difference(S, "t", 1)
-    s_x = finite_difference(S, "x", 1)
-    mask = s_t.mask & s_x.mask
-    values = -s_t.values - s_x.values**2 / (2.0 * mass)
-    values = np.where(mask, values, 0.0)
-    return ComplexField(grid=S.grid, values=values, mask=mask)
 
 
 @dataclass(frozen=True)
@@ -326,73 +307,6 @@ def cos_log_family(
         dR_dx=dr_dx,
         d2R_dx2=d2r_dx2,
     )
-
-
-def cos_log_action(
-    c2: complex, c3: complex = 0.0, f1_const: complex = 1.0, f0_const: complex = 0.0
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Closed-form action of the family: S = -(i/c2) f1 tan(i c2 x + c3) + f0."""
-    c2 = complex(c2)
-    c3 = complex(c3)
-
-    def s_fn(x, t):
-        u = 1j * c2 * np.asarray(x, dtype=complex) + c3
-        return -(1j / c2) * complex(f1_const) * np.tan(u) + complex(f0_const) + 0.0 * np.asarray(t)
-
-    return s_fn
-
-
-def cos_log_recovered_potential(
-    c2: complex,
-    c3: complex = 0.0,
-    f1_const: complex = 1.0,
-    mass: float = 1.0,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Potential recovered analytically from the constant-f1 action:
-
-        V = -(f1^2 / 2m) sec^4(i c2 x + c3)
-
-    (the dS/dt and time-dependent terms drop for constant f1, f0 = 0).
-    """
-    c2 = complex(c2)
-    c3 = complex(c3)
-    f1c = complex(f1_const)
-
-    def v_fn(x, t):
-        u = 1j * c2 * np.asarray(x, dtype=complex) + c3
-        return -(f1c**2 / (2.0 * mass)) / np.cos(u) ** 4 + 0.0 * np.asarray(t)
-
-    return v_fn
-
-
-def cos_log_quadrature_inputs(
-    c2: complex,
-    c3: complex = 0.0,
-    c4: complex = 0.0,
-    f1_const: complex = 1.0,
-    f0_const: complex = 0.0,
-    hbar: float = 1.0,
-    mass: float = 1.0,
-    x_min: float = 0.0,
-) -> tuple[Callable, complex]:
-    """f1(t), f0 for build_S_from_R that land on the closed-form action.
-
-    The closed form's f1 multiplies sec^2(u) directly, while the
-    quadrature's outer integrand carries e^(-2R); the two agree when the
-    quadrature f1 carries the compensating factor e^(2 c4 + i hbar c2^2
-    t / m).  The x_min lower limit shifts f0 by the closed form's value
-    there.
-    """
-    c2 = complex(c2)
-    c3 = complex(c3)
-    rate = 1j * hbar * c2**2 / mass
-
-    def f1_fn(t):
-        return complex(f1_const) * np.exp(2.0 * complex(c4) + rate * np.asarray(t))
-
-    u_min = 1j * c2 * x_min + c3
-    f0_quad = complex(f0_const) - (1j / c2) * complex(f1_const) * cmath.tan(u_min)
-    return f1_fn, f0_quad
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .quadratic import QuadraticPotential
 __all__ = [
     "WaveState",
     "gaussian_state",
-    "free_gaussian_analytic",
     "as_potential",
     "cn_evolve",
     "schrodinger_residual",
@@ -196,29 +195,6 @@ def gaussian_state(
     x = grid.x
     psi = (2.0 * np.pi * sigma0**2) ** (-0.25) * np.exp(
         -((x - x_center) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x
-    )
-    return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
-
-
-def free_gaussian_analytic(
-    grid: SpatialGrid,
-    sigma0: float,
-    t: float,
-    x_center: float = 0.0,
-    hbar: float = 1.0,
-    mass: float = 1.0,
-) -> WaveState:
-    """Exact V = 0 evolution of the centered Gaussian:
-
-        psi(x, t) = (2 pi s^2)^(-1/4) a^(-1/2) exp(-(x-xc)^2/(4 s^2 a)),
-        a = 1 + i hbar t / (2 m s^2).
-    """
-    alpha = 1.0 + 1j * hbar * t / (2.0 * mass * sigma0**2)
-    x = grid.x
-    psi = (
-        (2.0 * np.pi * sigma0**2) ** (-0.25)
-        * alpha ** (-0.5)
-        * np.exp(-((x - x_center) ** 2) / (4.0 * sigma0**2 * alpha))
     )
     return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
 

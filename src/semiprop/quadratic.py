@@ -16,8 +16,7 @@ together with the consistency relation d2S/dx2 + 2 m dR/dt = 0, which the
 template satisfies identically.  This module integrates that system with
 RK4, carries the two closed-form families (free particle and harmonic
 oscillator) with their exact R and two-point S, identifies exp(R) with
-the Van Vleck determinant, and probes that the construction degrades for
-non-quadratic potentials.
+the Van Vleck determinant.
 
 Caveat on the driven family: the tan/sec reference solutions used for
 verification fix f0 through f0' = -g0 - f1^2/(2m) above.  A variant
@@ -29,8 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,13 +48,10 @@ __all__ = [
     "solve_prefactor_odes",
     "free_particle_factors",
     "harmonic_factors",
-    "caustic_windows",
     "free_particle_identity_residuals",
     "harmonic_identity_residuals",
     "van_vleck_check",
     "VanVleckReport",
-    "quadratic_necessity_probe",
-    "NecessityReport",
     "riccati_tan_reference",
     "PREFACTOR_CASES",
     "prefactor_error",
@@ -316,23 +312,6 @@ def prefactor_error(family: str, sol: PrefactorSolution) -> float:
 # ---------------------------------------------------------------------------
 # closed-form families
 # ---------------------------------------------------------------------------
-
-
-def caustic_windows(omega: float, t_min: float, t_max: float) -> tuple[tuple[float, float], ...]:
-    """Windows of half-width 0.05 around every zero of sin(omega t) in the span."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    period = math.pi / omega
-    n_lo = math.floor(t_min / period) - 1
-    n_hi = math.ceil(t_max / period) + 1
-    windows = []
-    for n in range(n_lo, n_hi + 1):
-        tc = n * period
-        lo, hi = tc - 0.05, tc + 0.05
-        if hi <= t_min or lo >= t_max:
-            continue
-        windows.append((max(lo, t_min), min(hi, t_max)))
-    return tuple(windows)
 
 
 def _source_point(x0: float) -> float:
@@ -599,70 +578,3 @@ def van_vleck_check(
         raise ValueError("fitted Van Vleck constant is zero")
     deviation = float(np.max(np.abs(ratio - constant)) / abs(constant))
     return VanVleckReport(deviation=deviation, constant=constant)
-
-
-# ---------------------------------------------------------------------------
-# necessity probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    residual_norm: float
-    fit_residual: float
-    coefficients: np.ndarray = field(repr=False)
-    blow_up_time: float | None = None
-
-
-def quadratic_necessity_probe(
-    potential_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: SpacetimeGrid,
-    mass: float = 1.0,
-    init: Sequence[float] = (0.0, 0.0, 1.0, 0.0),
-    step: float = 5.0e-5,
-) -> NecessityReport:
-    """Hamilton-Jacobi residual of the quadratic template against a general V.
-
-    V(x, t) is least-squares fitted by g2 x^2 + g1 x + g0 on each time
-    slice, the prefactor system is integrated for the fitted
-    coefficients, and the residual dS/dt + (dS/dx)^2/(2m) + V is formed
-    with stencil time derivatives of the integrated series.  The norm is
-    ~0 exactly when V is quadratic in x; the non-quadratic remainder
-    survives in the residual otherwise.
-    """
-    x = grid.x
-    t_nodes = grid.t
-    vandermonde = np.stack([np.ones_like(x), x, x**2], axis=1)
-    v_slices = np.asarray(potential_fn(x[:, None], t_nodes[None, :]), dtype=float)
-    v_slices = np.broadcast_to(v_slices, (grid.n_x, grid.n_t))
-    coeffs, _, _, _ = np.linalg.lstsq(vandermonde, v_slices, rcond=None)
-    g0_n, g1_n, g2_n = coeffs  # per time node
-    fit_residual = float(np.max(np.abs(v_slices - vandermonde @ coeffs)))
-
-    def interp(series):
-        return lambda t: np.interp(t, t_nodes, series)
-
-    potential = QuadraticPotential(g2=interp(g2_n), g1=interp(g1_n), g0=interp(g0_n))
-    sol = solve_prefactor_odes(potential, init, (grid.t_min, grid.t_max), step, mass=mass)
-
-    # interior stencil derivatives of the integrated series; the 5-point
-    # form keeps the differencing error below the 1e-8 scale the probe
-    # must resolve for genuinely quadratic potentials
-    h = sol.step
-    tm = sol.t[2:-2]
-
-    def d_dt(y):
-        return (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * h)
-
-    d_dR, d_f1, d_f0 = d_dt(sol.dR), d_dt(sol.f1), d_dt(sol.f0)
-    xs = x[:, None]
-    s_t = d_f0[None, :] + d_f1[None, :] * xs - mass * d_dR[None, :] * xs**2
-    s_x = sol.f1[None, 2:-2] - 2.0 * mass * sol.dR[None, 2:-2] * xs
-    v_mid = np.asarray(potential_fn(xs, tm[None, :]), dtype=float)
-    residual = s_t + s_x**2 / (2.0 * mass) + v_mid
-    return NecessityReport(
-        residual_norm=float(np.max(np.abs(residual))),
-        fit_residual=fit_residual,
-        coefficients=coeffs,
-        blow_up_time=sol.blow_up_time,
-    )

@@ -5,30 +5,98 @@ expected fields are checked to round-off rather than a stencil tolerance.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from semiprop.core import fit_loglog_slope
 from semiprop.cosmo import (
     ActionGrids,
     ClassicalState,
     ComplexActionFields,
     CosmoParams,
-    CosmoState,
     Trajectory,
+    _constraint_terms,
+    _State,
     closure_check,
     complex_action_residuals,
-    entropy_scaling_probe,
     evolve_classical,
     friedmann_residual,
-    hamiltonian_constraint,
     klein_gordon_residual,
     matched_a_dot,
-    momentum_state,
+    momenta,
     quadratic_potential,
     quantum_transport_residual,
     scale_factor_equation_residual,
 )
+
+
+# test-side references: the constraint at a phase-space point and the
+# entropy-scaling fit, built from the library's terms and helpers
+
+
+@dataclass(frozen=True)
+class CosmoState(_State):
+    """Phase-space point (a, p_a, phi, p_phi)."""
+
+    a: float
+    p_a: float
+    phi: float
+    p_phi: float
+
+
+def momentum_state(state: ClassicalState) -> CosmoState:
+    """The phase-space point of ``state`` under ``momenta``."""
+    p_a, p_phi = momenta(state.a, state.a_dot, state.phi_dot)
+    return CosmoState(a=state.a, p_a=p_a, phi=state.phi, p_phi=p_phi)
+
+
+def hamiltonian_constraint(state: CosmoState, params: CosmoParams) -> float:
+    """-(2 pi/(3a)) p_a^2 - (3k/(8 pi)) a + (Lambda/(8 pi)) a^3
+    + p_phi^2/(2 a^3) + a^3 V(phi); a CosmoState holds a > 0."""
+    terms = _constraint_terms(state.a, state.p_a, state.phi, state.p_phi, params)
+    return float(sum(terms))
+
+
+@dataclass(frozen=True)
+class EntropyScalingReport:
+    """Fitted log-log exponent of S_g against a, next to the quadratic
+    expectation.  Diagnostic only; nothing is asserted."""
+
+    exponent: float
+    deviation_from_square: float
+    used_absolute: bool
+    n_nonpositive: int
+
+
+def entropy_scaling_probe(a_samples, s_g_samples) -> EntropyScalingReport:
+    """Log-log fit of S_g(a) over at least one decade in a.
+
+    Non-positive S_g samples switch the fit to |S_g| and are counted in
+    the report; an exact zero leaves the logarithm undefined and refuses.
+    """
+    a = np.asarray(a_samples, dtype=float)
+    s = np.asarray(s_g_samples, dtype=float)
+    if a.ndim != 1 or a.shape != s.shape or a.size < 3:
+        raise ValueError("need matching 1-d sample arrays, at least 3 points")
+    if not np.all(a > 0) or not np.all(np.diff(a) > 0):
+        raise ValueError("a samples must be positive and increasing")
+    if a[-1] / a[0] < 10.0:
+        raise ValueError(
+            f"need at least one decade in a, got span factor {a[-1] / a[0]:.3g}"
+        )
+    if np.any(s == 0.0):
+        raise ValueError("S_g vanishes at a sample; log-log fit undefined")
+    n_nonpos = int(np.count_nonzero(s < 0.0))
+    slope = fit_loglog_slope(a, np.abs(s))
+    return EntropyScalingReport(
+        exponent=slope,
+        deviation_from_square=slope - 2.0,
+        used_absolute=n_nonpos > 0,
+        n_nonpositive=n_nonpos,
+    )
+
 
 VACUUM = CosmoParams()
 DE_SITTER = CosmoParams(lam=3.0)

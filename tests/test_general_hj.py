@@ -21,17 +21,20 @@ from semiprop.core import (
 from semiprop.general_hj import (
     GeneralAnsatz,
     build_S_from_R,
-    cos_log_action,
     cos_log_family,
-    cos_log_quadrature_inputs,
-    cos_log_recovered_potential,
     decoupling_residual,
     exponential_family,
     exponential_family_residuals,
     imaginary_scaling_probe,
-    recover_potential,
 )
 from semiprop.quadratic import free_particle_factors, harmonic_factors
+
+from general_hj_reference import (
+    cos_log_action,
+    cos_log_quadrature_inputs,
+    cos_log_recovered_potential,
+    recover_potential,
+)
 
 
 def make_grid(n_x=41, n_t=21, x_min=-2.0, x_max=2.0, t_min=0.0, t_max=1.0):

@@ -31,23 +31,49 @@ from semiprop.core import (
 from semiprop.general_hj import (
     build_S_from_R,
     cos_log_family,
-    cos_log_quadrature_inputs,
     exponential_family,
-    recover_potential,
 )
 from semiprop.oracle import (
     MAX_CN_STEPS,
     _chirp_split,
     _quadrature_weights,
     as_potential,
+    WaveState,
     cn_evolve,
-    free_gaussian_analytic,
     gaussian_state,
     kernel_propagate,
     l2_difference,
     schrodinger_residual,
 )
 from semiprop.quadratic import QuadraticPotential, free_particle_factors, harmonic_factors
+
+from general_hj_reference import cos_log_quadrature_inputs, recover_potential
+
+
+# an independent reference: the exact free evolution of a Gaussian
+
+
+def free_gaussian_analytic(
+    grid: SpatialGrid,
+    sigma0: float,
+    t: float,
+    x_center: float = 0.0,
+    hbar: float = 1.0,
+    mass: float = 1.0,
+) -> WaveState:
+    """Exact V = 0 evolution of the centered Gaussian:
+
+        psi(x, t) = (2 pi s^2)^(-1/4) a^(-1/2) exp(-(x-xc)^2/(4 s^2 a)),
+        a = 1 + i hbar t / (2 m s^2).
+    """
+    alpha = 1.0 + 1j * hbar * t / (2.0 * mass * sigma0**2)
+    x = grid.x
+    psi = (
+        (2.0 * np.pi * sigma0**2) ** (-0.25)
+        * alpha ** (-0.5)
+        * np.exp(-((x - x_center) ** 2) / (4.0 * sigma0**2 * alpha))
+    )
+    return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
 
 
 def spacetime(n_x, n_t, x_max=4.0, t_min=0.5, t_max=2.0):
