@@ -1,19 +1,26 @@
 """CLI dispatch, report files, determinism, and the convergence table."""
 
+import ast
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiprop
 from semiprop.cli import CHECKS, POSITIVE, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
-from semiprop.lattice import LatticeConfig
-from semiprop.quadratic import free_particle_factors, harmonic_factors
+from semiprop.lattice import SIGNATURES, LatticeConfig
+from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
 from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
 from semiprop.runners.cosmo import _trajectory_rows
 from semiprop.runners.lattice import _site_rows
@@ -683,3 +690,119 @@ def test_csv_path_keeps_the_benchmark_tracer_contract():
         assert all(type(row) is tuple for row in rows)
         # plain Python cells take write_csv's one-format-per-row path
         assert {type(cell) for row in rows for cell in row} <= {float, int}
+
+
+# ------------------------------------------------------ module loading
+
+
+SRC = Path(semiprop.__file__).resolve().parents[1]
+
+
+def run_fresh(*argv, timeout=120):
+    """``python argv...`` in a fresh interpreter that finds this package."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_cli_choice_literals_equal_the_library_constants():
+    # CHECKS writes these out so that importing the CLI loads no scenario
+    assert CHECKS[("quadratic", "prefactor-ode")][0]["family"][1] == tuple(PREFACTOR_CASES)
+    assert CHECKS[("lattice", "greens")][0]["signature"][1] == SIGNATURES
+
+
+def test_python_m_runs_one_check_of_each_scenario(tmp_path):
+    commands = [
+        "quadratic hj",
+        "general-hj exponential",
+        "oracle kernel-vs-grid --n_x 256 --dt 1e-2",
+        "cosmo de-sitter --t_end 0.1",
+        "lattice greens",
+    ]
+    for n, command in enumerate(commands):
+        argv = ["-m", "semiprop.cli"] + command.split() + ["--out", str(tmp_path / str(n))]
+        done = run_fresh(*argv)
+        assert done.returncode == 0, (command, done.stderr)
+        assert "overall: PASS" in done.stdout, command
+
+
+def test_no_package_module_imports_the_cli():
+    # under python -m semiprop.cli such an import would run a second CLI module
+    package = Path(semiprop.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        parts = list(path.relative_to(package.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        here = parts if path.name == "__init__.py" else parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = here[: len(here) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                targets = [module] + ["{}.{}".format(module, a.name) for a in node.names]
+            else:
+                continue
+            if "semiprop.cli" in targets:
+                offenders.append("{}:{}".format(path.name, node.lineno))
+    assert not offenders
+
+
+LOADED_PROBE = """
+import contextlib, io, json, sys, types
+import semiprop.cli as cli
+
+def executed():
+    # a lazily bound module becomes a plain module when its body runs
+    return sorted(
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "semiprop" and type(module) is types.ModuleType
+    )
+
+at_import = executed()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"import": at_import, "run": executed(), "exit": code}))
+"""
+
+BASE_MODULES = ["semiprop", "semiprop.cli", "semiprop.core", "semiprop.report"]
+# the modules each scenario's checks add, beyond the runner package
+SCENARIO_LOADS = {
+    "quadratic": ["semiprop.quadratic"],
+    "general-hj": ["semiprop.general_hj"],
+    "oracle": ["semiprop.oracle", "semiprop.quadratic"],
+    "cosmo": ["semiprop.cosmo"],
+    "lattice": ["semiprop.lattice"],
+}
+
+
+def test_each_check_loads_only_its_own_scenario(tmp_path):
+    cases = [
+        (scenario, check, [scenario, check] + FUZZ_BASES.get((scenario, check), []))
+        for scenario, check in CHECKS
+    ]
+    cases += [(None, None, argv) for argv in (["bogus", "x"], ["lattice", "bogus"], ["--help"])]
+
+    def probe(index):
+        _, _, argv = cases[index]
+        done = run_fresh("-c", LOADED_PROBE, *argv, "--out", str(tmp_path / str(index)))
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(probe, range(len(cases))))
+    for (scenario, check, argv), result in zip(cases, results):
+        assert result["import"] == BASE_MODULES, argv
+        if scenario is None:
+            assert result["run"] == BASE_MODULES, argv
+            continue
+        # a cheap base may miss a tolerance (exit 1); the check ran either way
+        assert result["exit"] in (0, 1), argv
+        runner = "semiprop.runners." + scenario.replace("-", "_")
+        # the Schrodinger order is the one quadratic check that needs the oracle
+        extra = ["semiprop.oracle"] if check == "schrodinger-order" else []
+        expected = BASE_MODULES + SCENARIO_LOADS[scenario] + extra + ["semiprop.runners", runner]
+        assert result["run"] == sorted(expected), argv
