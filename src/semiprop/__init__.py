@@ -40,7 +40,7 @@ __all__ = [
     "finite_difference",
 ]
 
-SCENARIO_MODULES = ("cosmo", "general_hj", "lattice", "oracle", "quadratic")
+_SCENARIO_MODULES = ("cosmo", "general_hj", "lattice", "oracle", "quadratic")
 
 
 def _bind_lazily(name: str) -> None:
@@ -52,6 +52,6 @@ def _bind_lazily(name: str) -> None:
     globals()[name] = module
 
 
-for _name in SCENARIO_MODULES:
+for _name in _SCENARIO_MODULES:
     _bind_lazily(_name)
 del _name

@@ -43,10 +43,11 @@ from .report import Report, write_csv
 #   edge  None, POSITIVE (greater than 0) or an integer the value must
 #         reach; on a list, every element meets it.
 # A rule that a library constructor already checks, or one that couples
-# parameters, stays with the constructor or the runner.  The last item of an
-# entry names its runner in semiprop.runners.<scenario>, which is imported
-# when the check first runs; the text choices are literals for the same
-# reason (a test holds them equal to the library's constants).
+# parameters, stays with the constructor or the runner.  So that importing
+# this module loads no scenario module, the last item of an entry names its
+# runner in semiprop.runners.<scenario>, imported when the check first runs,
+# and the text choices are literals (a test holds them equal to the
+# library's constants).
 POSITIVE = "positive"
 
 
