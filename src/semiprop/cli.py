@@ -112,7 +112,6 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
     ("lattice", "conformal-transport"): (
         {
             "dims": _DIMS,
-            "derivative_tol": (1e-6, float, POSITIVE),
             **_reals(lam=8.0, sigma_const=0.0, spacing=1.0),
         },
         "_run_lattice_transport",

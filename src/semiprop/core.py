@@ -6,10 +6,9 @@ The package certifies propagators of the form
 
 on rectangular space-time grids.  This module supplies the substrate:
 grid and field containers, the exp-assembly of K from its factors,
-second-order finite-difference stencils with validity masking around
-excluded time windows, composite Simpson quadrature (plain and
-cumulative), a classical RK4 stepper, and small fitting helpers used by
-the convergence studies.
+second-order finite-difference stencils, composite Simpson quadrature
+(plain and cumulative), a classical RK4 stepper, and small fitting
+helpers used by the convergence studies.
 
 Everything downstream treats these kernels as trusted instruments, so
 their error behavior is pinned by tests (quadratic exactness, h**2 and
@@ -48,9 +47,6 @@ __all__ = [
     "observed_orders",
 ]
 
-# Tolerance used when classifying grid nodes against exclusion windows.
-EDGE_TOL = 1.0e-12
-
 # Most steps one rk4_solve call may take; checked before anything is allocated.
 MAX_RK4_STEPS = 10**6
 
@@ -64,10 +60,8 @@ MAX_RK4_STEPS = 10**6
 class SpacetimeGrid:
     """Uniform rectangular grid over [x_min, x_max] x [t_min, t_max].
 
-    ``exclusions`` is a sequence of open time intervals (lo, hi) whose
-    interior nodes are masked out; fields and stencils never read values
-    there.  Windows are used to fence off caustics and other known
-    singular times.
+    Every node is read: a family with a singular time (a caustic, or t = 0
+    for the free particle) refuses a grid whose span holds it.
     """
 
     x_min: float
@@ -76,7 +70,6 @@ class SpacetimeGrid:
     t_min: float
     t_max: float
     n_t: int
-    exclusions: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_x < 4 or self.n_t < 4:
@@ -85,20 +78,6 @@ class SpacetimeGrid:
             )
         if not (self.x_max > self.x_min) or not (self.t_max > self.t_min):
             raise ValueError("grid extents must satisfy x_max > x_min and t_max > t_min")
-        cleaned = []
-        for window in self.exclusions:
-            lo, hi = float(window[0]), float(window[1])
-            if not lo < hi:
-                raise ValueError(f"exclusion window ({lo}, {hi}) is empty or reversed")
-            # overhang beyond the span is fine (it just masks less), but a
-            # window that misses the span entirely is a configuration slip
-            if hi < self.t_min - EDGE_TOL or lo > self.t_max + EDGE_TOL:
-                raise ValueError(
-                    f"exclusion window ({lo}, {hi}) does not intersect "
-                    f"[{self.t_min}, {self.t_max}]"
-                )
-            cleaned.append((lo, hi))
-        object.__setattr__(self, "exclusions", tuple(cleaned))
 
     @property
     def x(self) -> np.ndarray:
@@ -115,18 +94,6 @@ class SpacetimeGrid:
     @property
     def dt(self) -> float:
         return (self.t_max - self.t_min) / (self.n_t - 1)
-
-    def time_mask(self) -> np.ndarray:
-        """True for time nodes outside every exclusion window."""
-        t = self.t
-        mask = np.ones(self.n_t, dtype=bool)
-        for lo, hi in self.exclusions:
-            mask &= ~((t > lo + EDGE_TOL) & (t < hi - EDGE_TOL))
-        return mask
-
-    def node_mask(self) -> np.ndarray:
-        """(n_x, n_t) validity mask implied by the exclusion windows."""
-        return np.broadcast_to(self.time_mask(), (self.n_x, self.n_t)).copy()
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays X (n_x, 1) and T (1, n_t)."""
@@ -162,32 +129,22 @@ class SpatialGrid:
 
 
 class ComplexField:
-    """Complex-valued samples on a SpacetimeGrid with a validity mask.
+    """Complex-valued samples on a SpacetimeGrid.
 
-    ``values[i, j]`` is the sample at (x_i, t_j).  ``mask[i, j]`` is False
-    where the sample must not be read (inside exclusion windows, or where
-    a stencil could not be evaluated).  Values must be finite at every
-    valid node; construction fails loudly otherwise, naming the node.
+    ``values[i, j]`` is the sample at (x_i, t_j).  Values must be finite
+    at every node; construction fails loudly otherwise, naming the node.
     """
 
-    def __init__(self, grid: SpacetimeGrid, values: np.ndarray, mask: np.ndarray | None = None):
+    def __init__(self, grid: SpacetimeGrid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.shape != (grid.n_x, grid.n_t):
             raise ValueError(
                 f"field shape {values.shape} does not match grid "
                 f"({grid.n_x}, {grid.n_t})"
             )
-        if mask is None:
-            mask = grid.node_mask()
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != values.shape:
-                raise ValueError("mask shape does not match values")
-            mask = mask & grid.node_mask()
-        _require_finite(values, mask, grid, what="field value")
+        _require_finite(values, grid, what="field value")
         self.grid = grid
         self.values = values
-        self.mask = mask
 
     @classmethod
     def from_callable(cls, grid: SpacetimeGrid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ComplexField":
@@ -195,20 +152,14 @@ class ComplexField:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = np.asarray(fn(X, T), dtype=complex)
         values = np.broadcast_to(values, (grid.n_x, grid.n_t)).copy()
-        # Nodes inside exclusion windows may legitimately evaluate to
-        # inf/nan (that is what the windows are for); zero them so the
-        # finiteness audit only sees valid nodes.
-        values[~grid.node_mask()] = 0.0
         return cls(grid, values)
 
     def max_abs(self) -> float:
-        if not self.mask.any():
-            raise ValueError("field has no valid nodes")
-        return float(np.max(np.abs(self.values[self.mask])))
+        return float(np.max(np.abs(self.values)))
 
 
-def _require_finite(values: np.ndarray, mask: np.ndarray, grid: SpacetimeGrid, what: str) -> None:
-    bad = ~np.isfinite(values) & mask
+def _require_finite(values: np.ndarray, grid: SpacetimeGrid, what: str) -> None:
+    bad = ~np.isfinite(values)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise ValueError(
@@ -254,20 +205,18 @@ def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid) -> Comp
     """Evaluate K = exp(R + i S / hbar) on the grid.
 
     Both factors are sampled on ``grid``.  Non-finite exponents and exp
-    overflow at valid nodes are reported with the offending node, never
-    clamped.
+    overflow are reported with the offending node, never clamped.
     """
     r = ComplexField.from_callable(grid, factors.R)
     s = ComplexField.from_callable(grid, factors.S)
-    mask = r.mask & s.mask
     # one buffer: the exponent r + 1j * s / hbar, then K in its place
     k = 1j * s.values
     k /= factors.hbar
     k += r.values
-    _require_finite(k, mask, grid, what="propagator exponent")
+    _require_finite(k, grid, what="propagator exponent")
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(k, out=k)
-    bad = ~np.isfinite(k) & mask
+    bad = ~np.isfinite(k)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         exponent = r.values[i, j] + 1j * s.values[i, j] / factors.hbar
@@ -275,8 +224,7 @@ def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid) -> Comp
             f"exp overflow assembling propagator at node (i={i}, j={j}), "
             f"x={grid.x[i]:.6g}, t={grid.t[j]:.6g}, Re exponent={exponent.real:.6g}"
         )
-    k[~mask] = 0.0
-    return ComplexField(grid, k, mask)
+    return ComplexField(grid, k)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +239,7 @@ def finite_difference(field: ComplexField, axis: str, order: int) -> ComplexFiel
 
     axis is "x" or "t"; order is 1 or 2.  Interior nodes use central
     stencils; the two domain edges use one-sided stencils of the same
-    accuracy.  Output nodes whose stencil touches a masked node
-    are marked invalid, so nodes adjacent to exclusion windows drop out
-    instead of silently reading excluded samples.
+    accuracy.
     """
     if axis not in _AXIS_NAMES:
         raise ValueError(f"axis must be one of {sorted(_AXIS_NAMES)}, got {axis!r}")
@@ -304,37 +250,23 @@ def finite_difference(field: ComplexField, axis: str, order: int) -> ComplexFiel
     if n < 4:
         raise ValueError(f"axis extent {n} too small for second-order stencils")
     h = field.grid.dx if ax == 0 else field.grid.dt
-    out, ok = _stencil(field.values, field.mask, h, ax, order)
-    return ComplexField(field.grid, np.where(ok, out, 0.0), ok)
+    return ComplexField(field.grid, _stencil(field.values, h, ax, order))
 
 
-def _stencil(
-    values: np.ndarray, mask: np.ndarray, h: float, axis: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array form of ``finite_difference``: derivative values along
-    ``axis`` and the mask of nodes whose whole stencil reads valid samples.
-    Values at invalid nodes are left as computed."""
+def _stencil(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """Raw-array form of ``finite_difference``: the derivative along ``axis``."""
     v = np.moveaxis(values, axis, 0)
-    m = np.moveaxis(mask, axis, 0)
     out = np.zeros_like(v)
-    ok = np.zeros_like(m)
 
     if order == 1:
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        ok[1:-1] = m[:-2] & m[1:-1] & m[2:]
-        ok[0] = m[0] & m[1] & m[2]
-        ok[-1] = m[-1] & m[-2] & m[-3]
     else:
         out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-        ok[1:-1] = m[:-2] & m[1:-1] & m[2:]
-        ok[0] = m[0] & m[1] & m[2] & m[3]
-        ok[-1] = m[-1] & m[-2] & m[-3] & m[-4]
-
-    return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
+    return np.moveaxis(out, 0, axis)
 
 
 # ---------------------------------------------------------------------------

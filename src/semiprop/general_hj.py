@@ -90,40 +90,33 @@ class GeneralAnsatz:
 
 def _bracket(
     ansatz: GeneralAnsatz, xs: np.ndarray, grid: SpacetimeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R on (xs, grid.t), the bracket 2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2]
-    there, and the time columns where both may be read.
+) -> tuple[np.ndarray, np.ndarray]:
+    """R on (xs, grid.t) and the bracket 2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2]
+    there.
 
     xs spans [x_min, x_max] uniformly.  The derivatives are the ansatz's
-    analytic ones when it carries them, otherwise second-order stencils;
-    a column whose time stencil reads an excluded neighbor is then
-    dropped.  R reads 0 on excluded columns.
+    analytic ones when it carries them, otherwise second-order stencils.
     """
     shape = (xs.size, grid.n_t)
     X, T = xs[:, None], grid.t[None, :]
-    tmask = grid.time_mask()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = np.broadcast_to(np.asarray(ansatz.R(X, T), dtype=complex), shape).copy()
-        r[:, ~tmask] = 0.0
         bad = ~np.isfinite(r)
         if bad.any():
             j, i = np.argwhere(bad.T)[0]
             raise ValueError(f"R is not finite at x={xs[i]:.6g}, t={grid.t[j]:.6g}")
         if ansatz.dR_dt is None:
-            valid = np.broadcast_to(tmask, shape)
             h = (grid.x_max - grid.x_min) / (xs.size - 1)
-            r_t, t_ok = _stencil(r, valid, grid.dt, 1, 1)
-            r_x, _ = _stencil(r, valid, h, 0, 1)
-            r_xx, _ = _stencil(r, valid, h, 0, 2)
-            cols = t_ok[0]
+            r_t = _stencil(r, grid.dt, 1, 1)
+            r_x = _stencil(r, h, 0, 1)
+            r_xx = _stencil(r, h, 0, 2)
         else:
             r_t, r_x, r_xx = (
                 np.broadcast_to(np.asarray(d(X, T), dtype=complex), shape)
                 for d in (ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2)
             )
-            cols = tmask
         bracket = 2.0 * ansatz.mass * r_t - 1j * ansatz.hbar * (r_xx + r_x**2)
-    return r, bracket, cols
+    return r, bracket
 
 
 def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
@@ -142,16 +135,13 @@ def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
     The quadrature runs on the spatial grid with one midpoint added per
     cell, one Simpson panel per cell, so S lands back on the grid.  The
     inner antiderivative is tabulated cumulatively from x_min; f0 and f1
-    absorb the lower-limit constants.  Excluded time slices, and with
-    stencil derivatives their neighbors, are skipped and masked.
+    absorb the lower-limit constants.
     """
     xs = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_x - 1)
     hs = (grid.x_max - grid.x_min) / (2 * (grid.n_x - 1))
-    r, bracket, cols = _bracket(ansatz, xs, grid)
+    r, bracket = _bracket(ansatz, xs, grid)
     values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
     for j, t in enumerate(grid.t):
-        if not cols[j]:
-            continue
         with np.errstate(over="ignore", invalid="ignore"):
             e_plus = np.exp(2.0 * r[:, j])
             e_minus = np.exp(-2.0 * r[:, j])
@@ -161,8 +151,7 @@ def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
         outer = e_minus * (complex(at_time(ansatz.f1, t)) - a_tab)
         s_tab = cumulative_simpson(outer, hs)
         values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::2]
-    mask = grid.node_mask() & cols[None, :]
-    return ComplexField(grid=grid, values=values, mask=mask)
+    return ComplexField(grid=grid, values=values)
 
 
 def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
@@ -172,9 +161,7 @@ def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexFi
     quadrature (the inner integrand above vanishes).  With stencil
     derivatives the accuracy is O(h^2).
     """
-    _, bracket, cols = _bracket(ansatz, grid.x, grid)
-    mask = np.broadcast_to(cols, (grid.n_x, grid.n_t))
-    return ComplexField(grid=grid, values=np.where(mask, bracket, 0.0), mask=mask)
+    return ComplexField(grid=grid, values=_bracket(ansatz, grid.x, grid)[1])
 
 
 @dataclass(frozen=True)
@@ -203,14 +190,12 @@ def imaginary_scaling_probe(
         raise ValueError(f"hbars must all be positive, got {hbars!r}")
     X, T = grid.mesh()
     r_vals = np.asarray(ansatz.R(X, T), dtype=complex)
-    r_valid = np.broadcast_to(r_vals, (grid.n_x, grid.n_t))[grid.node_mask()]
-    if np.max(np.abs(r_valid.imag)) > 1e-12 * max(1.0, np.max(np.abs(r_valid.real))):
+    if np.max(np.abs(r_vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(r_vals.real))):
         raise ValueError("imaginary_scaling_probe requires a real R")
     norms = []
     for hb in values:
         s_field = build_S_from_R(replace(ansatz, hbar=hb), grid)
-        im = np.abs(s_field.values.imag[s_field.mask])
-        norms.append(float(im.max()) if im.size else 0.0)
+        norms.append(float(np.max(np.abs(s_field.values.imag))))
     scale = max(norms)
     if scale < 1e-13:
         return ImaginaryScalingReport(

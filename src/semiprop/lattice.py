@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -690,15 +690,15 @@ def conformal_imaginary_part_residual(
     sigma: LatticeField,
     phi: LatticeField,
     w: PointwiseFunction,
-    dr_dsigma: Union[np.ndarray, float, Callable[[np.ndarray], np.ndarray]],
+    dr_dsigma: np.ndarray,
     lam: float,
 ) -> LatticeField:
     """Imaginary-part constraint density for a candidate curvature derivative.
 
     Nodewise value of -2 (dR/dsigma) (2 exp(2 sigma) W(phi))
-    + Lambda W(phi) exp(4 sigma).  ``dr_dsigma`` may be a per-site array, a
-    scalar, or a callable of the sigma values.  Plugging in the analytic
-    derivative (Lambda / 4) exp(2 sigma) cancels the two terms to roundoff.
+    + Lambda W(phi) exp(4 sigma).  ``dr_dsigma`` is a per-site array shaped
+    like the lattice.  Plugging in the analytic derivative
+    (Lambda / 4) exp(2 sigma) cancels the two terms to roundoff.
     Refuses when W vanishes at any site: the split divides the flow by W.
     """
     if phi.config != sigma.config:
@@ -712,11 +712,10 @@ def conformal_imaginary_part_residual(
                 tuple(int(i) for i in idx)
             )
         )
-    if callable(dr_dsigma):
-        derivative = np.asarray(dr_dsigma(sigma.values), dtype=float)
-    else:
-        derivative = np.broadcast_to(
-            np.asarray(dr_dsigma, dtype=float), config.dims
+    derivative = np.asarray(dr_dsigma, dtype=float)
+    if derivative.shape != config.dims:
+        raise ValueError(
+            "dr_dsigma has shape {}, the lattice {}".format(derivative.shape, config.dims)
         )
     e2 = _checked_exp(2.0 * sigma.values, "exp(2 sigma)")
     e4 = _checked_exp(4.0 * sigma.values, "exp(4 sigma)")

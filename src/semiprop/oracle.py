@@ -297,11 +297,9 @@ def schrodinger_residual(
 ) -> float:
     """Stencil substitution into i hbar dK/dt + (hbar^2/2m) d2K/dx2 - V K.
 
-    Returns max|residual| / max|K| over the stencil-valid nodes.  The
-    potential may also be a gridded ComplexField on the same grid (its
-    mask then narrows the valid set); a callable one is sampled band by
-    band, so it must act pointwise in (x, t).  Refuses when no node
-    survives masking.
+    Returns max|residual| / max|K| over every node.  The potential is a
+    constant, a QuadraticPotential or a callable of (x, t); a callable is
+    sampled band by band, so it must act pointwise in (x, t).
 
     The residual is formed in bands of whole time columns, about
     RESIDUAL_BAND_NODES nodes each, and only the two maxima are kept
@@ -310,12 +308,7 @@ def schrodinger_residual(
     so every node sees the values a whole-grid stencil would give it.
     """
     grid = K.grid
-    if isinstance(pot, ComplexField):
-        if pot.grid != grid:
-            raise ValueError("potential field lives on a different grid")
-        v_fn = None
-    else:
-        v_fn = as_potential(pot)
+    v_fn = as_potential(pot)
     x, t, n_t = grid.x[:, None], grid.t[None, :], grid.n_t
     kinetic = hbar**2 / (2.0 * mass)
     width = -(-RESIDUAL_BAND_NODES // grid.n_x)
@@ -323,27 +316,16 @@ def schrodinger_residual(
     for j0 in range(0, n_t, width):
         j1 = min(j0 + width, n_t)
         lo, hi = max(0, min(j0 - 1, n_t - 3)), min(n_t, max(j1 + 1, 3))
-        k_t, ok = _stencil(K.values[:, lo:hi], K.mask[:, lo:hi], grid.dt, 1, 1)
-        band = slice(j0 - lo, j1 - lo)
-        k_t, ok = k_t[:, band], ok[:, band]
+        k_t = _stencil(K.values[:, lo:hi], grid.dt, 1, 1)[:, j0 - lo : j1 - lo]
         k = K.values[:, j0:j1]
-        k_xx, ok_xx = _stencil(k, K.mask[:, j0:j1], grid.dx, 0, 2)
-        ok &= ok_xx
-        if v_fn is None:
-            v = pot.values[:, j0:j1]
-            ok &= pot.mask[:, j0:j1]
-        else:
-            v = np.broadcast_to(np.asarray(v_fn(x, t[:, j0:j1]), dtype=complex), k.shape)
-        if not ok.any():
-            continue
+        k_xx = _stencil(k, grid.dx, 0, 2)
+        v = np.broadcast_to(np.asarray(v_fn(x, t[:, j0:j1]), dtype=complex), k.shape)
         residual = 1j * hbar * k_t + kinetic * k_xx - v * k
-        residual_peaks.append(np.max(np.abs(residual[ok])))
-        k_peaks.append(np.max(np.abs(k[ok])))
-    if not k_peaks:
-        raise ValueError("no stencil-valid nodes: every node is excluded")
+        residual_peaks.append(np.max(np.abs(residual)))
+        k_peaks.append(np.max(np.abs(k)))
     scale = float(np.max(k_peaks))
     if scale == 0.0:
-        raise ValueError("K vanishes on all stencil-valid nodes")
+        raise ValueError("K vanishes on every node")
     return float(np.max(residual_peaks) / scale)
 
 

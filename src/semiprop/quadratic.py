@@ -337,13 +337,6 @@ def _check_slope_square(mass: float, reach: float, x0: float) -> None:
         )
 
 
-def _valid_times(grid: SpacetimeGrid) -> np.ndarray:
-    t = grid.t[grid.time_mask()]
-    if t.size == 0:
-        raise ValueError("grid has no valid time nodes")
-    return t
-
-
 def free_particle_factors(
     grid: SpacetimeGrid,
     mass: float = 1.0,
@@ -355,15 +348,12 @@ def free_particle_factors(
 
         R = -(1/2) ln t + const,   S = m (x - x0)^2 / (2 t).
 
-    Refuses grids whose valid nodes reach t <= 0 (the kernel is singular
-    at coincidence; hide t = 0 behind an exclusion window instead).
+    Refuses a grid with t_min <= 0: the kernel is singular at coincidence.
     """
     x0 = _source_point(x0)
-    t_valid = _valid_times(grid)
-    if np.any(t_valid <= 0.0):
+    if not grid.t_min > 0.0:
         raise ValueError(
-            f"free-particle factors need t > 0 at valid nodes; found t={t_valid.min():.6g} "
-            "(add an exclusion window)"
+            f"free-particle factors need t > 0; the grid starts at t_min={grid.t_min:.6g}"
         )
 
     def time_amplitude(t):
@@ -395,27 +385,26 @@ def harmonic_factors(
         R = -(1/2) ln sin(omega t) + const
         S = (m omega / 2) [ (x0^2 + x^2) cot(omega t) - 2 x0 x csc(omega t) ]
 
-    Caustics sit at omega t = n pi; every one inside the grid span must
-    be covered by an exclusion window or construction refuses.
+    Caustics sit at omega t = n pi; construction refuses a grid whose time
+    span holds one, and a time node where |sin(omega t)| < 1e-12.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     x0 = _source_point(x0)
+    # the first caustic past t_min decides, so the cost is free of omega; one
+    # within 1e-12 of an end is left to the node test below
     period = math.pi / omega
-    # a caustic may sit within 1e-12 of a grid end or strictly inside a window;
-    # testing the first one past each window keeps the cost free of omega
-    start = grid.t_min + 1e-12
-    for lo, hi in sorted(grid.exclusions) + [(grid.t_max - 1e-12, math.inf)]:
-        tc = math.ceil(start / period) * period
-        if tc <= lo:
-            raise ValueError(
-                f"omega = {omega!r} puts a caustic at t={tc:.6g} outside every "
-                "exclusion window"
-            )
-        start = max(start, hi)
-    t_valid = _valid_times(grid)
-    if np.any(np.abs(np.sin(omega * t_valid)) < 1.0e-12):
-        raise ValueError(f"omega = {omega!r} puts a valid time node on a caustic; widen the window")
+    tc = math.ceil((grid.t_min + 1e-12) / period) * period
+    if tc <= grid.t_max - 1e-12:
+        raise ValueError(
+            f"omega = {omega!r} puts a caustic at t={tc:.6g} inside the grid's "
+            f"time span [{grid.t_min:.6g}, {grid.t_max:.6g}]"
+        )
+    if np.any(np.abs(np.sin(omega * grid.t)) < 1.0e-12):
+        raise ValueError(
+            f"omega = {omega!r} puts a valid time node on a caustic: "
+            "|sin(omega t)| < 1e-12 there"
+        )
 
     def time_amplitude(t):
         sin_c = np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
@@ -453,7 +442,7 @@ def free_particle_identity_residuals(
         raise ValueError(f"mass must be positive, got {mass}")
     x0 = _source_point(x0)
     x = grid.x[:, None]
-    t = _valid_times(grid)[None, :]
+    t = grid.t[None, :]
     # |dS/dx| = m |x - x0| / t
     reach = (float(np.max(np.abs(x))) + abs(x0)) / float(np.min(t))
     _check_slope_square(mass, reach, x0)
@@ -480,7 +469,7 @@ def harmonic_identity_residuals(
         raise ValueError(f"omega must keep mass * omega^2 finite, got {omega!r}")
     x0 = _source_point(x0)
     x = grid.x[:, None]
-    t = _valid_times(grid)[None, :]
+    t = grid.t[None, :]
     s, c = np.sin(omega * t), np.cos(omega * t)
     # the residuals take csc^2 = 1 / sin^2, finite while |sin| > 1 / sqrt(float max)
     smallest = float(np.min(np.abs(s)))
@@ -542,7 +531,7 @@ def van_vleck_check(
     x0_grid = np.asarray(x0_grid, dtype=float)
     x = grid.x[:, None, None]
     xa = x0_grid[None, :, None]
-    t = _valid_times(grid)[None, None, :]
+    t = grid.t[None, None, :]
     h = grid.dx
     k = float(x0_grid[1] - x0_grid[0]) if x0_grid.size > 1 else grid.dx
     s2 = factors.two_point_action

@@ -69,7 +69,7 @@ def _run_lattice_transport(params: dict, seed: int) -> RunnerOutput:
             abs(r_value - closed),
             1e-12 * max(1.0, abs(closed)),
         ),
-        _bound("functional-derivative-deviation", deviation, params["derivative_tol"]),
+        _bound("functional-derivative-deviation", deviation, 1e-6),
     ]
     weights = params["lam"] / 8.0 * np.exp(2.0 * sigma.values) * config.cell_volume
     csv = {"lattice": (_lattice_header(config), _site_rows(config, weights))}

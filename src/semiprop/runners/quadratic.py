@@ -87,18 +87,16 @@ def _run_quadratic_prefactor(params: dict, seed: int) -> RunnerOutput:
     return records, rows, {}
 
 
-
 def _propagator_rows(factors, propagator: ComplexField) -> list[tuple]:
-    """Rows (x, t, K, R, S) at every valid time node, time-major.
+    """Rows (x, t, K, R, S) at every node, time-major.
 
     K is ``propagator``, the field ``assemble_propagator`` built from
     ``factors``; R and S are sampled on its grid.
     """
     grid = propagator.grid
-    x, keep = grid.x, grid.time_mask()
-    times = grid.t[keep]
+    x, times = grid.x, grid.t
     fields = (propagator, *(ComplexField.from_callable(grid, f) for f in (factors.R, factors.S)))
-    k, r, s = (field.values[:, keep].T.ravel() for field in fields)
+    k, r, s = (field.values.T.ravel() for field in fields)
     return _csv_rows(
         np.tile(x, times.size), np.repeat(times, x.size),
         k.real, k.imag, r.real, r.imag, s.real, s.imag,

@@ -20,10 +20,7 @@ def recover_potential(S: ComplexField, mass: float = 1.0) -> ComplexField:
     """
     s_t = finite_difference(S, "t", 1)
     s_x = finite_difference(S, "x", 1)
-    mask = s_t.mask & s_x.mask
-    values = -s_t.values - s_x.values**2 / (2.0 * mass)
-    values = np.where(mask, values, 0.0)
-    return ComplexField(grid=S.grid, values=values, mask=mask)
+    return ComplexField(grid=S.grid, values=-s_t.values - s_x.values**2 / (2.0 * mass))
 
 
 def cos_log_action(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import linecache
 import math
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from semiprop.core import (
 )
 
 
-def make_grid(n_x=32, n_t=16, exclusions=()):
-    return SpacetimeGrid(-2.0, 2.0, n_x, 0.5, 2.5, n_t, exclusions)
+def make_grid(n_x=32, n_t=16):
+    return SpacetimeGrid(-2.0, 2.0, n_x, 0.5, 2.5, n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +48,6 @@ def test_grid_rejects_reversed_extents():
         SpacetimeGrid(-1.0, 1.0, 8, 1.0, 0.0, 8)
 
 
-def test_grid_rejects_bad_exclusions():
-    with pytest.raises(ValueError):
-        make_grid(exclusions=((1.5, 1.2),))
-    with pytest.raises(ValueError):
-        make_grid(exclusions=((0.0, 0.4),))  # outside [0.5, 2.5]
-
-
-def test_exclusion_masks_interior_nodes_only():
-    grid = SpacetimeGrid(-1.0, 1.0, 4, 0.0, 2.0, 21, exclusions=((0.9, 1.1),))
-    mask = grid.time_mask()
-    t = grid.t
-    inside = (t > 0.9) & (t < 1.1)
-    assert np.array_equal(mask, ~inside)
-    assert mask.sum() == 21 - inside.sum()
-    assert not mask[10]  # t = 1.0 sits inside the window
-
-
 # ---------------------------------------------------------------------------
 # fields and assembly
 # ---------------------------------------------------------------------------
@@ -79,11 +63,14 @@ def test_field_shape_and_finiteness_guard():
         ComplexField(grid, values)
 
 
-def test_excluded_nodes_may_be_singular():
-    grid = SpacetimeGrid(-1.0, 1.0, 8, 0.0, 2.0, 41, exclusions=((0.95, 1.05),))
-    # 1/(t-1) blows up at t = 1, which the window hides.
-    field = ComplexField.from_callable(grid, lambda x, t: 1.0 / (t - 1.0) + 0.0 * x)
-    assert np.isfinite(field.values[field.mask]).all()
+def test_singular_sample_is_refused_without_warning():
+    grid = SpacetimeGrid(-1.0, 1.0, 8, 0.0, 2.0, 41)
+    # 1/(t-1) blows up at t = 1, node j = 20: refused by name, and the
+    # division by zero raises no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite field value at node \(i=0, j=20\)"):
+            ComplexField.from_callable(grid, lambda x, t: 1.0 / (t - 1.0) + 0.0 * x)
 
 
 def test_assemble_multiplicativity():
@@ -107,9 +94,7 @@ def test_assemble_multiplicativity():
             grid,
         )
         product = k1.values * k2.values
-        rel = np.max(
-            np.abs(product - k12.values)[k12.mask]
-        ) / np.max(np.abs(k12.values[k12.mask]))
+        rel = np.max(np.abs(product - k12.values)) / np.max(np.abs(k12.values))
         assert rel <= 1.0e-12
 
 
@@ -176,22 +161,6 @@ def test_stencil_refinement_factor_on_sine():
         errors.append(err)
     factor = errors[0] / errors[1]
     assert 3.5 <= factor <= 4.5, f"refinement factor {factor:.3f} outside [3.5, 4.5]"
-
-
-def test_stencil_masks_nodes_adjacent_to_exclusion():
-    grid = SpacetimeGrid(-1.0, 1.0, 4, 0.0, 2.0, 21, exclusions=((0.9, 1.1),))
-    field = ComplexField.from_callable(grid, lambda x, t: t**2 + 0.0 * x)
-    dt = finite_difference(field, "t", 1)
-    # node j=10 (t=1.0) is excluded; j=9 and j=11 lose their central stencil
-    assert not dt.mask[:, 10].any()
-    assert not dt.mask[:, 9].any()
-    assert not dt.mask[:, 11].any()
-    assert dt.mask[:, 8].all() and dt.mask[:, 12].all()
-    # valid nodes still carry the right derivative (exact on quadratics)
-    T = grid.t[None, :]
-    expected = np.broadcast_to(2.0 * T, dt.values.shape)
-    err = np.abs(dt.values - expected)[dt.mask]
-    assert err.max() <= 1.0e-10
 
 
 def test_stencil_rejects_unknown_axis_and_order():

@@ -58,7 +58,7 @@ def test_decoupling_residual_linear_r_is_minus_i_hbar():
     grid = make_grid()
     hbar = 1.3
     res = decoupling_residual(GeneralAnsatz(R=lambda x, t: x + 0.0 * t, hbar=hbar), grid)
-    assert np.max(np.abs(res.values[res.mask] + 1j * hbar)) < 1e-9
+    assert np.max(np.abs(res.values + 1j * hbar)) < 1e-9
 
 
 def test_cos_log_family_point_values_and_residual():
@@ -112,7 +112,7 @@ def test_build_s_time_only_r_reduces_to_quadratic_template():
     )
     s_field = build_S_from_R(ansatz, grid)
     target = mass * (grid.x[:, None] - x0) ** 2 / (2.0 * grid.t[None, :])
-    assert np.max(np.abs(s_field.values - target)[s_field.mask]) < 1e-6
+    assert np.max(np.abs(s_field.values - target)) < 1e-6
     # with R independent of x the action is exactly quadratic in x
     third = np.diff(s_field.values, 3, axis=0)
     assert np.max(np.abs(third)) < 1e-8
@@ -128,11 +128,11 @@ def test_build_s_matches_cos_log_closed_form():
     built = build_S_from_R(dataclasses.replace(ansatz, f0=f0_quad, f1=f1_fn), grid)
     closed = cos_log_action(c2=c2, f1_const=f1_d, f0_const=f0_d)
     target = np.asarray(closed(grid.x[:, None], grid.t[None, :]))
-    assert np.max(np.abs(built.values - target)[built.mask]) < 1e-6
+    assert np.max(np.abs(built.values - target)) < 1e-6
     # frozen point: S(0.5) = 0.8 tanh(0.5) + 0.3, real-valued for c3 = 0
     i_half = int(np.argmin(np.abs(grid.x - 0.5)))
     assert abs(built.values[i_half, 2] - 0.669693725808007807) < 1e-6
-    assert np.max(np.abs(built.values.imag[built.mask])) < 1e-10
+    assert np.max(np.abs(built.values.imag)) < 1e-10
 
 
 def test_build_s_matches_exponential_closed_form():
@@ -145,7 +145,7 @@ def test_build_s_matches_exponential_closed_form():
     built = build_S_from_R(dataclasses.replace(ansatz, f0=f0_quad, f1=f1_fn), grid)
     target = np.asarray(s_fn(grid.x[:, None], grid.t[None, :]))
     target = np.broadcast_to(target, built.values.shape)
-    assert np.max(np.abs(built.values - target)[built.mask]) < 1e-6
+    assert np.max(np.abs(built.values - target)) < 1e-6
 
 
 def test_build_s_constant_and_callable_constants_agree():
@@ -159,7 +159,6 @@ def test_build_s_constant_and_callable_constants_agree():
         grid,
     )
     assert np.array_equal(constant.values, callable_twin.values)
-    assert np.array_equal(constant.mask, callable_twin.mask)
 
 
 def test_build_s_overflow_diagnostic_names_node():
@@ -193,7 +192,7 @@ def test_recover_potential_free_particle_vanishes_at_second_order():
         factors = free_particle_factors(grid, mass=1.0, x0=0.0)
         s_field = ComplexField.from_callable(grid, factors.S)
         v = recover_potential(s_field, mass=1.0)
-        norms.append(float(np.max(np.abs(v.values[v.mask]))))
+        norms.append(float(np.max(np.abs(v.values))))
     assert norms[1] < 0.03
     assert 3.2 < norms[0] / norms[1] < 4.8
 
@@ -206,7 +205,7 @@ def test_recover_potential_oscillator_matches_quadratic_well():
         s_field = ComplexField.from_callable(grid, factors.S)
         v = recover_potential(s_field, mass=1.0)
         target = 0.5 * grid.x[:, None] ** 2 + 0.0 * grid.t[None, :]
-        norms.append(float(np.max(np.abs(v.values - target)[v.mask])))
+        norms.append(float(np.max(np.abs(v.values - target))))
     assert norms[1] < 0.05
     assert 3.0 < norms[0] / norms[1] < 4.8
 
@@ -221,7 +220,7 @@ def test_recover_potential_cos_log_matches_displayed_form():
     target = np.broadcast_to(
         np.asarray(v_ref(grid.x[:, None], grid.t[None, :])), v.values.shape
     )
-    assert np.max(np.abs(v.values - target)[v.mask]) < 1e-6
+    assert np.max(np.abs(v.values - target)) < 1e-6
     # displayed form at x = 0: V = -f1^2/(2m) sech^4(0) = -0.32
     i_zero = int(np.argmin(np.abs(grid.x)))
     assert abs(v.values[i_zero, 2] - (-0.32)) < 1e-6
@@ -304,27 +303,19 @@ def reference_build_S_from_R(ansatz, grid):
     xs = np.linspace(grid.x_min, grid.x_max, 2 * n_panels + 1)
     hs = (grid.x_max - grid.x_min) / (2 * n_panels)
     m, hbar = ansatz.mass, ansatz.hbar
-    tmask = grid.time_mask()
     analytic = ansatz.dR_dt is not None
 
-    if analytic:
-        col_ok = tmask
-    else:
+    if not analytic:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r_all = np.asarray(ansatz.R(xs[:, None], grid.t[None, :]), dtype=complex)
         r_all = np.broadcast_to(r_all, (xs.size, grid.n_t)).copy()
-        r_all[:, ~tmask] = 0.0
-        assert np.all(np.isfinite(r_all[:, tmask]))
-        valid = np.broadcast_to(tmask, r_all.shape)
-        r_t, t_ok = _stencil(r_all, valid, grid.dt, 1, 1)
-        col_ok = t_ok[0]
-        r_x, _ = _stencil(r_all, valid, hs, 0, 1)
-        r_xx, _ = _stencil(r_all, valid, hs, 0, 2)
+        assert np.all(np.isfinite(r_all))
+        r_t = _stencil(r_all, grid.dt, 1, 1)
+        r_x = _stencil(r_all, hs, 0, 1)
+        r_xx = _stencil(r_all, hs, 0, 2)
 
     values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
     for j, t in enumerate(grid.t):
-        if not col_ok[j]:
-            continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r_slice = np.asarray(ansatz.R(xs, t), dtype=complex)
             r_slice = np.broadcast_to(r_slice, xs.shape)
@@ -342,8 +333,7 @@ def reference_build_S_from_R(ansatz, grid):
         outer = e_minus * (complex(at_time(ansatz.f1, t)) - a_tab)
         s_tab = cumulative_simpson(outer, hs)
         values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::stride]
-    mask = grid.node_mask() & col_ok[None, :]
-    return ComplexField(grid=grid, values=values, mask=mask)
+    return ComplexField(grid=grid, values=values)
 
 
 def reference_decoupling_residual(
@@ -356,16 +346,13 @@ def reference_decoupling_residual(
         drx = np.broadcast_to(np.asarray(dR_dx(X, T), dtype=complex), (grid.n_x, grid.n_t))
         drxx = np.broadcast_to(np.asarray(d2R_dx2(X, T), dtype=complex), (grid.n_x, grid.n_t))
         values = 2.0 * mass * drt - 1j * hbar * (drxx + drx**2)
-        values = np.where(grid.node_mask(), values, 0.0)
-        return ComplexField(grid=grid, values=values, mask=grid.node_mask())
+        return ComplexField(grid=grid, values=values)
     field = ComplexField.from_callable(grid, R)
     drt = finite_difference(field, "t", 1)
     drx = finite_difference(field, "x", 1)
     drxx = finite_difference(field, "x", 2)
-    mask = drt.mask & drx.mask & drxx.mask
     values = 2.0 * mass * drt.values - 1j * hbar * (drxx.values + drx.values**2)
-    values = np.where(mask, values, 0.0)
-    return ComplexField(grid=grid, values=values, mask=mask)
+    return ComplexField(grid=grid, values=values)
 
 
 REFERENCE_ANSATZE = {
@@ -389,10 +376,7 @@ REFERENCE_ANSATZE = {
 
 REFERENCE_GRIDS = {
     "41x21": lambda: make_grid(),
-    "65x33-excluded": lambda: SpacetimeGrid(
-        x_min=-2.0, x_max=2.0, n_x=65, t_min=0.0, t_max=1.0, n_t=33,
-        exclusions=((0.4, 0.6),),
-    ),
+    "65x33": lambda: make_grid(n_x=65, n_t=33),
     "161x5": lambda: make_grid(n_x=161, n_t=5),
 }
 
@@ -405,21 +389,18 @@ def test_build_s_equals_the_reference(ansatz_name, grid_name):
     built = build_S_from_R(ansatz, grid)
     reference = reference_build_S_from_R(ansatz, grid)
     assert np.array_equal(built.values, reference.values)
-    assert np.array_equal(built.mask, reference.mask)
 
 
 @pytest.mark.parametrize("ansatz_name", sorted(REFERENCE_ANSATZE))
 def test_decoupling_residual_equals_the_reference(ansatz_name):
     ansatz = REFERENCE_ANSATZE[ansatz_name]()
-    grid = REFERENCE_GRIDS["65x33-excluded"]()
-    assert not grid.time_mask().all()
+    grid = REFERENCE_GRIDS["65x33"]()
     res = decoupling_residual(ansatz, grid)
     reference = reference_decoupling_residual(
         ansatz.R, grid, ansatz.mass, ansatz.hbar,
         ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2,
     )
     assert np.array_equal(res.values, reference.values)
-    assert np.array_equal(res.mask, reference.mask)
 
 
 @pytest.mark.parametrize(

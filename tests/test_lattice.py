@@ -586,7 +586,7 @@ def test_imaginary_part_zero_derivative_closed_form():
     rng = np.random.default_rng(5)
     sigma = LatticeField(GRID_4X4, rng.uniform(-0.5, 0.5, size=(4, 4)))
     res = conformal_imaginary_part_residual(
-        sigma, zero_field(GRID_4X4), constant_function(1.0), 0.0, lam=2.0
+        sigma, zero_field(GRID_4X4), constant_function(1.0), np.zeros((4, 4)), lam=2.0
     )
     assert np.array_equal(res.values, 2.0 * np.exp(4.0 * sigma.values))
 
@@ -597,10 +597,19 @@ def test_imaginary_part_callable_derivative():
         sigma,
         zero_field(GRID_4X4),
         constant_function(1.0),
-        lambda s: 0.75 * np.exp(2.0 * s),
+        0.75 * np.exp(2.0 * sigma.values),
         lam=3.0,
     )
     assert np.max(np.abs(res.values)) < 1e-12
+
+
+def test_imaginary_part_refuses_a_derivative_not_shaped_like_the_lattice():
+    for derivative in (0.0, np.zeros(16)):
+        with pytest.raises(ValueError, match=r"dr_dsigma has shape .*, the lattice \(4, 4\)"):
+            conformal_imaginary_part_residual(
+                zero_field(GRID_4X4), zero_field(GRID_4X4), constant_function(1.0),
+                derivative, lam=1.0,
+            )
 
 
 def test_imaginary_part_refuses_vanishing_w():

@@ -28,25 +28,8 @@ from semiprop.quadratic import (
 )
 
 
-# test-side helpers: caustic exclusion windows for oscillator grids, and the
-# probe that the quadratic template fails a non-quadratic potential
-
-
-def caustic_windows(omega: float, t_min: float, t_max: float) -> tuple[tuple[float, float], ...]:
-    """Windows of half-width 0.05 around every zero of sin(omega t) in the span."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    period = math.pi / omega
-    n_lo = math.floor(t_min / period) - 1
-    n_hi = math.ceil(t_max / period) + 1
-    windows = []
-    for n in range(n_lo, n_hi + 1):
-        tc = n * period
-        lo, hi = tc - 0.05, tc + 0.05
-        if hi <= t_min or lo >= t_max:
-            continue
-        windows.append((max(lo, t_min), min(hi, t_max)))
-    return tuple(windows)
+# test-side helper: the probe that the quadratic template fails a
+# non-quadratic potential
 
 
 @dataclass(frozen=True)
@@ -111,15 +94,9 @@ def quadratic_necessity_probe(
     )
 
 
-def make_grid(t_min, t_max, n_x=31, n_t=41, x_min=-2.0, x_max=2.0, exclusions=()):
+def make_grid(t_min, t_max, n_x=31, n_t=41, x_min=-2.0, x_max=2.0):
     return SpacetimeGrid(
-        x_min=x_min,
-        x_max=x_max,
-        n_x=n_x,
-        t_min=t_min,
-        t_max=t_max,
-        n_t=n_t,
-        exclusions=exclusions,
+        x_min=x_min, x_max=x_max, n_x=n_x, t_min=t_min, t_max=t_max, n_t=n_t
     )
 
 
@@ -137,11 +114,11 @@ def test_free_particle_point_values():
 
 
 def test_free_particle_refuses_nonpositive_time():
-    with pytest.raises(ValueError, match="t > 0"):
+    with pytest.raises(ValueError, match="t > 0; the grid starts at t_min=-0.5"):
         free_particle_factors(make_grid(-0.5, 1.0))
-    # hiding t <= 0 behind an exclusion makes the same span acceptable
-    grid = make_grid(-0.5, 1.0, exclusions=((-0.6, 0.05),))
-    free_particle_factors(grid)
+    with pytest.raises(ValueError, match="t > 0; the grid starts at t_min=0$"):
+        free_particle_factors(make_grid(0.0, 1.0))
+    free_particle_factors(make_grid(1e-300, 1.0))
 
 
 def test_harmonic_point_values():
@@ -172,16 +149,15 @@ def test_harmonic_matches_free_at_small_omega():
     assert abs(harm.S(1.0, 1.0) - free.S(1.0, 1.0)) < 1e-6
 
 
-def reference_uncovered_caustic(omega, grid):
-    """The walk over every caustic that harmonic_factors used to make."""
+def reference_first_caustic(omega, grid):
+    """The walk over every caustic in the span that harmonic_factors replaced:
+    the first one more than 1e-12 inside either end."""
     period = math.pi / omega
     n_lo = math.ceil((grid.t_min - 1e-12) / period)
     n_hi = math.floor((grid.t_max + 1e-12) / period)
     for n in range(n_lo, n_hi + 1):
         tc = n * period
-        covered = any(lo < tc < hi for lo, hi in grid.exclusions)
-        boundary = abs(tc - grid.t_min) < 1e-12 or abs(tc - grid.t_max) < 1e-12
-        if not covered and not boundary:
+        if abs(tc - grid.t_min) >= 1e-12 and abs(tc - grid.t_max) >= 1e-12:
             return "{:.6g}".format(tc)
     return None
 
@@ -189,30 +165,57 @@ def reference_uncovered_caustic(omega, grid):
 def test_caustic_test_matches_the_per_caustic_walk():
     refused = 0
     for omega in (0.5, 1.0, 2.0, 3.7, 10.0, 25.0):
-        for t_min, t_max in ((0.5, 4.0), (0.1, 2.0), (1.0, 7.0), (0.5, math.pi)):
-            windows = caustic_windows(omega, t_min, t_max)
-            for exclusions in (
-                (), windows, windows[1:], windows[:-1], windows[::2],
-                windows + ((0.5 * (t_min + t_max), t_max),),
-            ):
-                grid = make_grid(t_min, t_max, exclusions=exclusions)
-                found = None
-                try:
-                    harmonic_factors(grid, omega=omega)
-                except ValueError as exc:
-                    match = re.search(r"caustic at t=(\S+) outside", str(exc))
-                    found = match and match.group(1)
-                assert found == reference_uncovered_caustic(omega, grid), (omega, exclusions)
-                refused += found is not None
-    assert refused > 50
+        for t_min, t_max in (
+            (0.5, 4.0), (0.1, 2.0), (1.0, 7.0), (0.5, math.pi), (math.pi, 6.0), (0.2, 0.3)
+        ):
+            grid = make_grid(t_min, t_max)
+            found = None
+            try:
+                harmonic_factors(grid, omega=omega)
+            except ValueError as exc:
+                match = re.search(r"caustic at t=(\S+) inside", str(exc))
+                found = match and match.group(1)
+            assert found == reference_first_caustic(omega, grid), (omega, t_min, t_max)
+            refused += found is not None
+    assert refused > 20
 
 
 def test_harmonic_refuses_uncovered_caustic():
-    with pytest.raises(ValueError, match="caustic"):
-        harmonic_factors(make_grid(0.5, 4.0), omega=1.0)  # t = pi uncovered
-    windows = caustic_windows(1.0, 0.5, 4.0)
-    assert any(lo < math.pi < hi for lo, hi in windows)
-    harmonic_factors(make_grid(0.5, 4.0, exclusions=windows), omega=1.0)
+    for omega, t_min, t_max, caustic in (
+        (1.0, 0.5, 4.0, "3.14159"),
+        (2.0, 0.5, 4.0, "1.5708"),  # the first of three inside is named
+        (25.0, 0.1, 2.0, "0.125664"),
+        (1.0, math.pi, 7.0, "6.28319"),  # the one on the start node is not
+        (1e200, 0.5, 2.0, "0.5"),
+    ):
+        message = f"omega = {omega!r} puts a caustic at t={caustic} inside"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            harmonic_factors(make_grid(t_min, t_max), omega=omega)
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, refused",
+    [
+        # a caustic within 1e-12 of an end is left to the node test
+        (0.5, math.pi, True),
+        (math.pi, 6.0, True),
+        (0.5, math.pi + 5e-13, True),
+        (math.pi - 5e-13, 6.0, True),
+        # a node 2e-12 from the caustic has |sin(omega t)| above 1e-12
+        (0.5, math.pi - 2e-12, False),
+        (math.pi + 2e-12, 6.0, False),
+    ],
+)
+def test_harmonic_caustic_within_1e_12_of_an_end(t_min, t_max, refused):
+    grid = make_grid(t_min, t_max)
+    if refused:
+        with pytest.raises(ValueError, match="omega = 1.0 puts a valid time node on a caustic"):
+            harmonic_factors(grid, omega=1.0)
+    else:
+        harmonic_factors(grid, omega=1.0)
+    # 2e-12 past an end, the caustic is inside the span
+    with pytest.raises(ValueError, match="puts a caustic at t=3.14159 inside"):
+        harmonic_factors(make_grid(min(t_min, math.pi - 2e-12), max(t_max, math.pi + 2e-12)))
 
 
 # ---------------------------------------------------------------------------
