@@ -15,6 +15,9 @@ constant and sign are forced by requiring the vanishing constraint to
 reproduce the Friedmann equation (adot/a)^2 + k/a^2 = (8 pi/3)(phidot^2/2
 + V) + Lambda/3 with lapse fixed to one.
 
+The matter potential is the mass term V = m^2 phi^2 / 2 (ScalarPotential).
+FRIEDMANN_FLOW writes it into its rates, so its RK4 loop reads only numbers.
+
 The closure residual squares a second derivative of S_g.  That is odd
 dimensionally, but the expression is checked literally; this module never
 repairs it.
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,27 +64,25 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class ScalarPotential:
-    """Pointwise potential V(phi) with its derivative.
+    """The mass term V(phi) = m^2 phi^2 / 2; v and dv take floats or arrays."""
 
-    Both callables must accept a float or a numpy array and broadcast.
-    """
+    m_squared: float = 0.0
 
-    v: Callable
-    dv: Callable
+    def __post_init__(self) -> None:
+        m2 = float(self.m_squared)
+        if not math.isfinite(m2):
+            raise ValueError(f"m_squared must be finite, got {m2!r}")
+        object.__setattr__(self, "m_squared", m2)
+
+    def v(self, phi):
+        return 0.5 * self.m_squared * (phi * phi)
+
+    def dv(self, phi):
+        return self.m_squared * phi
 
 
-ZERO_POTENTIAL = ScalarPotential(
-    v=lambda phi: 0.0 * phi,
-    dv=lambda phi: 0.0 * phi,
-)
-
-
-def quadratic_potential(m_squared: float) -> ScalarPotential:
-    m2 = float(m_squared)
-    return ScalarPotential(
-        v=lambda phi: 0.5 * m2 * np.asarray(phi, dtype=float) ** 2,
-        dv=lambda phi: m2 * np.asarray(phi, dtype=float),
-    )
+ZERO_POTENTIAL = ScalarPotential()
+quadratic_potential = ScalarPotential
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class CosmoParams:
     def __post_init__(self) -> None:
         if self.k not in (-1, 0, 1):
             raise ValueError(f"curvature k must be -1, 0, or 1, got {self.k}")
-        if not callable(self.potential.v) or not callable(self.potential.dv):
-            raise ValueError("potential needs callable v and dv")
+        if not isinstance(self.potential, ScalarPotential):
+            raise ValueError(f"potential must be a ScalarPotential, got {self.potential!r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _constraint_terms(a, p_a, phi, p_phi, params: CosmoParams):
     yield -(3.0 * params.k / (8.0 * _PI)) * a
     yield (params.lam / (8.0 * _PI)) * a**3
     yield p_phi**2 / (2.0 * a**3)
-    yield a**3 * np.asarray(params.potential.v(phi), dtype=float)
+    yield a**3 * params.potential.v(phi)
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,10 @@ class Trajectory:
 
 
 def _friedmann_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
-    v = np.asarray(params.potential.v(phi), dtype=float)
     return (
         (a_dot / a) ** 2
         + params.k / a**2
-        - (8.0 * _PI / 3.0) * (0.5 * phi_dot**2 + v)
+        - (8.0 * _PI / 3.0) * (0.5 * phi_dot**2 + params.potential.v(phi))
         - params.lam / 3.0
     )
 
@@ -180,14 +179,14 @@ def matched_a_dot(
     """Expansion rate satisfying the Friedmann equation for the given data."""
     # the right side is minus the residual at adot = 0; 0.0 - keeps a zero at +0.0
     rhs = 0.0 - float(_friedmann_series(a, 0.0, phi, phi_dot, params))
-    if rhs < 0.0:
+    if not rhs >= 0.0:
         raise ValueError(
-            f"no real expansion rate: Friedmann right side is {rhs:.3e} < 0"
+            f"no real expansion rate: Friedmann right side is {rhs:.3e}, not >= 0"
         )
     return (1.0 if expanding else -1.0) * a * math.sqrt(rhs)
 
 
-# The classical flow of evolve_classical: a_dot, a_ddot, phi_dot, phi_ddot.
+# The classical flow of evolve_classical, with ScalarPotential's V and V' written out.
 # float * overflows to inf where ** would raise; rk4_solve then truncates.
 # The run stops once a falls to a_floor, COLLAPSE_FRACTION of its start.
 FRIEDMANN_FLOW = VectorField(
@@ -195,9 +194,9 @@ FRIEDMANN_FLOW = VectorField(
     rates=(
         "a_dot,"
         " (-(a_dot * a_dot) - k + lam * (a * a) - 4.0 * pi * (a * a) * (phi_dot * phi_dot)"
-        " + 8.0 * pi * (a * a) * float(v(phi))) / (2.0 * a),"
+        " + 8.0 * pi * (a * a) * (0.5 * m2 * (phi * phi))) / (2.0 * a),"
         " phi_dot,"
-        " -3.0 * (a_dot / a) * phi_dot - float(dv(phi))"
+        " -3.0 * (a_dot / a) * phi_dot - m2 * phi"
     ),
     stop="a <= a_floor",
 )
@@ -229,7 +228,7 @@ def evolve_classical(
     fried0 = float(
         _friedmann_series(state0.a, state0.a_dot, state0.phi, state0.phi_dot, params)
     )
-    if abs(fried0) > FRIEDMANN_PRECHECK_TOL:
+    if not abs(fried0) <= FRIEDMANN_PRECHECK_TOL:
         raise ValueError(
             "initial data violates the Friedmann constraint: residual "
             f"{fried0:.3e} exceeds {FRIEDMANN_PRECHECK_TOL:.0e}"
@@ -250,8 +249,7 @@ def evolve_classical(
             "k": params.k,
             "lam": params.lam,
             "pi": _PI,
-            "v": params.potential.v,
-            "dv": params.potential.dv,
+            "m2": params.potential.m_squared,
             "a_floor": COLLAPSE_FRACTION * state0.a,
         },
     )
@@ -298,7 +296,7 @@ def klein_gordon_residual(trajectory: Trajectory, params: CosmoParams) -> np.nda
     phi_ddot = np.gradient(phi_dot, t, edge_order=2)
     a = np.asarray(trajectory.a, dtype=float)
     a_dot = np.asarray(trajectory.a_dot, dtype=float)
-    dv = np.asarray(params.potential.dv(trajectory.phi), dtype=float)
+    dv = params.potential.dv(np.asarray(trajectory.phi, dtype=float))
     return phi_ddot + 3.0 * (a_dot / a) * phi_dot + dv
 
 
@@ -390,7 +388,7 @@ def complex_action_residuals(
     sg_a = np.gradient(s_g, a, axis=0, edge_order=2)
 
     a_col = a[:, None, None]
-    v_row = np.asarray(params.potential.v(phi), dtype=float)[None, :, None]
+    v_row = params.potential.v(phi)[None, :, None]
     res_a = (
         sp_t[None, :, :]
         + sp_p[None, :, :] ** 2 / (16.0 * _PI * a_col**3)
@@ -440,7 +438,7 @@ def scale_factor_equation_residual(
     a_dot = np.asarray(trajectory.a_dot, dtype=float)
     a_ddot = np.gradient(a_dot, t, edge_order=2)
     p_phi = np.broadcast_to(np.asarray(p_phi_series, dtype=float), a.shape)
-    v = np.asarray(params.potential.v(trajectory.phi), dtype=float)
+    v = params.potential.v(np.asarray(trajectory.phi, dtype=float))
     return (
         2.0 * a * a_ddot
         + a_dot**2

@@ -451,11 +451,12 @@ def lattice_klein_gordon_check(
     """Leapfrog-evolve phi_tt = laplacian(phi) - m^2 phi on periodic space.
 
     Every config dimension is spatial here; time is the integration axis.
-    Each slice is held to the stencil and to ``exact(t)``, if given, as it
-    is made; only three slices are kept.  Refuses dt^2 * max Lambda > 4 over
-    the eigenvalues Lambda of -laplacian + m^2: past that CFL bound some
-    lattice mode grows unboundedly.  More than MAX_SITE_UPDATES site
-    updates are refused, naming the steps, before the first step.
+    A step is its formulas on whole slices; each slice is held to the
+    stencil and to ``exact(t)``, if given, as it is made.  Refuses dt^2 *
+    max Lambda > 4 over the eigenvalues Lambda of -laplacian + m^2: past
+    that CFL bound some lattice mode grows unboundedly.  More than
+    MAX_SITE_UPDATES site updates are refused, naming the steps, before the
+    first step.
     """
     if velocity.config != phi0.config:
         raise ValueError("initial field and velocity live on different lattices")
@@ -478,36 +479,20 @@ def lattice_klein_gordon_check(
         )
 
     mass_sq, dt_sq = config.mass**2, dt**2
-    start = phi0.values
-    force = _laplacian(start, config.spacing, unit) - mass_sq * start
-    current = start + dt * velocity.values + 0.5 * dt_sq * force
-    # three slices rotate through these buffers; the caller's arrays are never written
-    previous = start.astype(current.dtype)
-    upcoming, twice, scratch = (np.empty_like(current) for _ in range(3))
-
-    def largest(values: np.ndarray) -> float:
-        # max |values|, taken in the scratch buffer
-        return float(np.abs(values, out=scratch).max())
-
-    def deviation(values: np.ndarray, step: int) -> float:
-        return largest(np.subtract(values, exact(step * dt), out=scratch))
-
+    previous = phi0.values
+    force = _laplacian(previous, config.spacing, unit) - mass_sq * previous
+    current = previous + dt * velocity.values + 0.5 * dt_sq * force
     residual, tracking = 0.0, None
     if exact is not None:
-        tracking = max(deviation(previous, 0), deviation(current, 1))
+        tracking = max(
+            float(np.abs(previous - exact(0.0)).max()), float(np.abs(current - exact(dt)).max())
+        )
     for step in range(1, n_steps):
-        # the formulas of the step as written, one ufunc at a time:
-        # force = laplacian - m^2 c, upcoming = (2 c - p) + dt^2 force and
-        # stencil = ((upcoming - 2 c) + p) / dt^2
-        force = _laplacian(current, config.spacing, unit)
-        np.subtract(force, np.multiply(mass_sq, current, out=scratch), out=force)
-        np.multiply(2.0, current, out=twice)
-        np.subtract(twice, previous, out=upcoming)
-        np.add(upcoming, np.multiply(dt_sq, force, out=scratch), out=upcoming)
-        np.subtract(upcoming, twice, out=scratch)
-        np.add(scratch, previous, out=scratch)
-        np.divide(scratch, dt_sq, out=scratch)
-        defect = largest(np.subtract(scratch, force, out=scratch))
+        force = _laplacian(current, config.spacing, unit) - mass_sq * current
+        twice = 2.0 * current
+        upcoming = (twice - previous) + dt_sq * force
+        stencil = ((upcoming - twice) + previous) / dt_sq
+        defect = float(np.abs(stencil - force).max())
         # a non-finite slice makes the defect non-finite, so only then is it scanned
         if not math.isfinite(defect) and not np.all(np.isfinite(upcoming)):
             raise FloatingPointError(
@@ -515,8 +500,8 @@ def lattice_klein_gordon_check(
             )
         residual = max(residual, defect)
         if exact is not None:
-            tracking = max(tracking, deviation(upcoming, step + 1))
-        previous, current, upcoming = current, upcoming, previous
+            tracking = max(tracking, float(np.abs(upcoming - exact((step + 1) * dt)).max()))
+        previous, current = current, upcoming
     return KleinGordonRun(final=current, residual=residual, tracking=tracking)
 
 

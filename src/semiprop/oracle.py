@@ -185,8 +185,6 @@ def gaussian_state(
     sigma0: float,
     x_center: float = 0.0,
     k0: float = 0.0,
-    t: float = 0.0,
-    hbar: float = 1.0,
     mass: float = 1.0,
 ) -> WaveState:
     """Normalized Gaussian psi = (2 pi s^2)^(-1/4) exp(-(x-xc)^2/(4 s^2) + i k0 x)."""
@@ -196,7 +194,7 @@ def gaussian_state(
     psi = (2.0 * np.pi * sigma0**2) ** (-0.25) * np.exp(
         -((x - x_center) ** 2) / (4.0 * sigma0**2) + 1j * k0 * x
     )
-    return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
+    return WaveState(grid=grid, psi=psi, mass=mass)
 
 
 def as_potential(pot) -> "callable":

@@ -235,9 +235,8 @@ def riccati_tan_reference(
     t0: float,
     omega: float,
     g0_const: float = 0.0,
-    mass: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form prefactor solution for g2 = m omega^2 / 2, g1 = 0, g0 const.
+    """Closed-form prefactor solution for m = 1, g2 = omega^2 / 2, g1 = 0, g0 const.
 
     dR/dt = (omega/2) tan(omega t + c0) and f1 = c1 sec(omega t + c0),
     with c0, c1 fixed by the initial data; R and f0 follow by quadrature:
@@ -265,7 +264,7 @@ def riccati_tan_reference(
     f0 = (
         f00
         - g0_const * (t - t0)
-        - (c1**2 / (2.0 * mass * omega)) * (np.tan(phase) - math.tan(phase0))
+        - (c1**2 / (2.0 * omega)) * (np.tan(phase) - math.tan(phase0))
     )
     return R, dR, f1, f0
 
@@ -340,11 +339,10 @@ def _check_slope_square(mass: float, reach: float, x0: float) -> None:
 def free_particle_factors(
     grid: SpacetimeGrid,
     mass: float = 1.0,
-    hbar: float = 1.0,
     x0: float = 0.0,
     r_const: float = 0.0,
 ) -> PropagatorFactors:
-    """Exact factors for V = 0:
+    """Exact factors for V = 0 at hbar = 1:
 
         R = -(1/2) ln t + const,   S = m (x - x0)^2 / (2 t).
 
@@ -365,7 +363,6 @@ def free_particle_factors(
     return PropagatorFactors(
         R=lambda x, t: time_amplitude(t) + 0.0 * x,
         S=lambda x, t: two_point_action(x, x0, t),
-        hbar=hbar,
         mass=mass,
         two_point_action=two_point_action,
         time_amplitude=time_amplitude,
@@ -376,13 +373,11 @@ def harmonic_factors(
     grid: SpacetimeGrid,
     mass: float = 1.0,
     omega: float = 1.0,
-    hbar: float = 1.0,
     x0: float = 0.0,
-    r_const: float = 0.0,
 ) -> PropagatorFactors:
-    """Exact factors for V = (1/2) m omega^2 x^2:
+    """Exact factors for V = (1/2) m omega^2 x^2 at hbar = 1:
 
-        R = -(1/2) ln sin(omega t) + const
+        R = -(1/2) ln sin(omega t)
         S = (m omega / 2) [ (x0^2 + x^2) cot(omega t) - 2 x0 x csc(omega t) ]
 
     Caustics sit at omega t = n pi; construction refuses a grid whose time
@@ -408,7 +403,7 @@ def harmonic_factors(
 
     def time_amplitude(t):
         sin_c = np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
-        return -0.5 * np.log(sin_c) + r_const
+        return -0.5 * np.log(sin_c)
 
     def s2_fn(x, xa, t):
         s = np.sin(omega * t)
@@ -418,7 +413,6 @@ def harmonic_factors(
     return PropagatorFactors(
         R=lambda x, t: time_amplitude(t) + 0.0 * x,
         S=lambda x, t: s2_fn(x, x0, t),
-        hbar=hbar,
         mass=mass,
         two_point_action=s2_fn,
         time_amplitude=time_amplitude,
@@ -440,6 +434,10 @@ def free_particle_identity_residuals(
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
+    if not grid.t_min > 0.0:
+        raise ValueError(
+            f"free-particle identities need t > 0; the grid starts at t_min={grid.t_min:.6g}"
+        )
     x0 = _source_point(x0)
     x = grid.x[:, None]
     t = grid.t[None, :]

@@ -43,6 +43,11 @@ def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
         2.0 * params["amplitude"] * math.exp(abs(params["slope"]) * X_EDGE), tolerance,
         params, ("amplitude", "slope"), "two Hamilton-Jacobi terms together",
     )
+    # 2m dR/dt and i hbar (b/4)^2 cancel; each is hbar b^2 / 16
+    _refuse_below_roundoff(
+        params["hbar"] * (params["slope"] * params["slope"]) / 8.0, 1e-12,
+        params, ("hbar", "slope"), "two decoupling terms together",
+    )
     records = [
         _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),
         _bound("decoupling-residual", res["decoupling"], 1e-12),

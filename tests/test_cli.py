@@ -338,10 +338,15 @@ def test_overflowing_inputs_exit_two_without_a_warning(argv, names, tmp_path, ca
 def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
     # a correct closed form leaves about machine epsilon times its cancelling
     # terms; where that reaches the tolerance the check is refused, and every
-    # value that passed before still passes
+    # value below that floor passes
     sweeps = [
         (["quadratic", "hj", "--mass"], ["1e{}".format(e) for e in range(13)], 1e7, "'mass'"),
         (["general-hj", "exponential", "--slope"], [str(b) for b in range(1, 21)], 7, "'slope'"),
+        # the decoupling terms reach hbar b^2 / 8, so at slope 1 hbar 3.6e4 and up
+        (["general-hj", "exponential", "--hbar"], ["1e{}".format(e) for e in range(-3, 10)],
+         36029, "'hbar'"),
+        (["general-hj", "exponential", "--mass", "0.3", "--slope", "5", "--hbar"],
+         ["1e{}".format(e) for e in range(-3, 10)], 1441, "'slope' = 5.0"),
     ]
     for argv, values, refused_from, name in sweeps:
         for value in values:

@@ -429,6 +429,23 @@ def test_evolve_classical_matches_the_zip_loop_on_its_closure(
         assert calls[0][1][2] is not None
 
 
+def test_evolve_classical_hands_rk4_solve_only_numbers(monkeypatch):
+    calls = recorded_solves(monkeypatch, cosmo)
+    for params in (
+        cosmo.CosmoParams(),
+        cosmo.CosmoParams(k=1, lam=0.7, potential=cosmo.quadratic_potential(0.5)),
+    ):
+        a_dot = cosmo.matched_a_dot(1.0, 0.3, 0.4, params)
+        state = cosmo.ClassicalState(a=1.0, a_dot=a_dot, phi=0.3, phi_dot=0.4)
+        cosmo.evolve_classical(state, params, (0.0, 0.1), 1e-2)
+    assert len(calls) == 2
+    for (field, *_, constants), _ in calls:
+        assert field is cosmo.FRIEDMANN_FLOW
+        for name, value in constants.items():
+            assert isinstance(value, (int, float)), (name, value)
+        assert sorted(constants) == ["a_floor", "k", "lam", "m2", "pi"]
+
+
 @pytest.mark.parametrize(
     "potential, init, window, t0",
     [

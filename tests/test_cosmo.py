@@ -16,6 +16,7 @@ from semiprop.cosmo import (
     ClassicalState,
     ComplexActionFields,
     CosmoParams,
+    ScalarPotential,
     Trajectory,
     _constraint_terms,
     _State,
@@ -157,6 +158,14 @@ def test_state_refuses_nonpositive_scale_factor():
 def test_params_validation():
     with pytest.raises(ValueError, match="curvature"):
         CosmoParams(k=2)
+    with pytest.raises(ValueError, match="potential must be a ScalarPotential"):
+        CosmoParams(potential=lambda phi: 0.0 * phi)
+
+
+@pytest.mark.parametrize("m_squared", [math.inf, -math.inf, math.nan])
+def test_potential_refuses_a_non_finite_mass(m_squared):
+    with pytest.raises(ValueError, match="m_squared must be finite"):
+        ScalarPotential(m_squared=m_squared)
 
 
 @pytest.mark.parametrize("phi_dot", [0.1, 20.0, 1e3])
@@ -169,6 +178,16 @@ def test_matched_a_dot_on_the_stiff_path_keeps_its_closed_form(phi_dot):
 def test_matched_a_dot_refuses_imaginary_rate():
     with pytest.raises(ValueError, match="no real expansion rate"):
         matched_a_dot(10.0, 0.0, 0.0, CosmoParams(k=1))
+
+
+def test_a_potential_past_the_float_range_is_refused_not_integrated():
+    # phi^2 overflows, so even the massless V = 0 * inf reads NaN; a NaN
+    # Friedmann residual is refused instead of stopping the run at its first step
+    with pytest.raises(ValueError, match="Friedmann right side is nan"):
+        matched_a_dot(1.0, 1e200, 2.0, VACUUM)
+    state = ClassicalState(a=1.0, a_dot=4.1, phi=1e200, phi_dot=2.0)
+    with pytest.raises(ValueError, match="violates the Friedmann constraint: residual nan"):
+        evolve_classical(state, VACUUM, (0.0, 1.0), 1e-3)
 
 
 # ---------------------------------------------------------------------------

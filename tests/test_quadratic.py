@@ -121,6 +121,14 @@ def test_free_particle_refuses_nonpositive_time():
     free_particle_factors(make_grid(1e-300, 1.0))
 
 
+@pytest.mark.parametrize("t_min", [0.0, -1.0])
+def test_free_particle_identities_refuse_nonpositive_time(t_min):
+    # t_min = 0 divided by zero; [-1, 1] on 10 nodes holds no node at t = 0
+    # but spans the singularity, and read residuals near round-off
+    with pytest.raises(ValueError, match=f"t > 0; the grid starts at t_min={t_min:g}$"):
+        free_particle_identity_residuals(make_grid(t_min, 1.0, n_t=10))
+
+
 def test_harmonic_point_values():
     grid = make_grid(0.2, 3.0)
     factors = harmonic_factors(grid, mass=1.0, omega=1.0, x0=0.0)
