@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ast
 import builtins
-import copy
 import dataclasses
 import keyword
 import linecache
@@ -376,31 +375,15 @@ def _expression(source: str | None) -> tuple[ast.expr, list[str]]:
     return tree, names
 
 
-class _Rename(ast.NodeTransformer):
-    """Replace each named variable by the expression ``mapping`` gives it."""
-
-    def __init__(self, mapping: dict[str, str]):
-        self.mapping = {name: _expression(expr)[0] for name, expr in mapping.items()}
-
-    def visit_Name(self, node: ast.Name) -> ast.expr:
-        replacement = self.mapping.get(node.id)
-        return node if replacement is None else copy.deepcopy(replacement)
-
-
-def _renamed(tree: ast.expr, mapping: dict[str, str]) -> str:
-    return ast.unparse(_Rename(mapping).visit(copy.deepcopy(tree)))
-
-
 # The fused RK4 step loop.  `_compile_rk4_steps` writes the four stages,
-# the update and the stop test into it; the constants are the factory's
-# parameters.  Each component keeps the operation order of
-# y + (step/6)*(k1 + 2k2 + 2k3 + k4).
+# the update and the stop test into it; the state components are the
+# loop's parameters and the constants the factory's.  Each component keeps
+# the operation order of y + (step/6)*(k1 + 2k2 + 2k3 + k4).
 _RK4_TEMPLATE = """\
 def _factory({constants}):
-    def _steps({y}, _t0, _step, _n_steps, _out):
-        _half, _sixth = 0.5 * _step, _step / 6.0
-        _j = 0
-        for _k in range(_n_steps):
+    def _steps({state}, _t0, _step, _n_steps, _out):
+        _half, _sixth, _j = 0.5 * _step, _step / 6.0, 0
+        for _k in _range(_n_steps):
 {body}
             if not ({finite}){stop}:
                 return _k + 1
@@ -421,66 +404,64 @@ def _rk4_steps(field: VectorField) -> Callable:
     before, and returns the index at which the state turned non-finite
     or the stop expression held, else None.
     """
-    factory = _RK4_STEPS.get(field)
-    if factory is None:
-        factory = _RK4_STEPS[field] = _compile_rk4_steps(field, len(_RK4_STEPS))
-    return factory
+    if field not in _RK4_STEPS:
+        _RK4_STEPS[field] = _compile_rk4_steps(field, len(_RK4_STEPS))
+    return _RK4_STEPS[field]
+
+
+def _pasted(source: str, node: ast.expr) -> str:
+    """The text of ``node`` as written in ``source``, bracketed if it spans lines."""
+    text = ast.get_source_segment(source, node)
+    return f"({text})" if "\n" in text else text
 
 
 def _compile_rk4_steps(field: VectorField, number: int) -> Callable:
     """Generate and compile the step-loop factory of ``field``.
 
-    A stage forms only the state components that the rates read.  The
-    source is kept in linecache under a file name with ``number``, so a
-    traceback raised inside a rate expression shows its generated line.
+    The state names are the loop's variables and the rate and stop text
+    is pasted in as written.  A step saves the components the rates read
+    in ``_y{i}`` and rebinds them, and ``t`` if the rates read it, to each
+    stage's point.  The source is kept in linecache under a file name with
+    ``number``, so a traceback shows the failing rate in the flow's names.
     """
-    dim = len(field.state)
+    state = field.state
     rates, names = _expression(field.rates)
-    elts = rates.elts if isinstance(rates, ast.Tuple) else None
-    read = set(names)
-
-    body = ["_t = _t0 + _step * _k", "_th = _t + _half"]
-    prev, times = None, ("_t", "_th", "_th", "_t + _step")
+    read = {i: name for i, name in enumerate(state) if name in names}
+    body = [f"_y{i} = {name}" for i, name in read.items()]
+    if "t" in names:
+        body.append("t = _t = _t0 + _step * _k")
     for stage, out in enumerate("abcd"):
-        mapping = {"t": times[stage]}
-        for i, name in enumerate(field.state):
-            if stage == 0:
-                mapping[name] = f"_y{i}"
-            elif name in read:
-                step = "_step" if stage == 3 else "_half"
-                body.append(f"_z{i} = _y{i} + {step} * _{prev}{i}")
-                mapping[name] = f"_z{i}"
-        if elts is None:
-            outs = "".join(f"_{out}{i}, " for i in range(dim))
-            body.append(f"{outs}= {_renamed(rates, mapping)}")
+        if stage:
+            step, prev = "_step" if stage == 3 else "_half", "abc"[stage - 1]
+            body.extend(f"{name} = _y{i} + {step} * _{prev}{i}" for i, name in read.items())
+            if "t" in names and stage != 2:  # stage 3 keeps stage 2's time
+                body.append(f"t = _t + {step}")
+        if isinstance(rates, ast.Tuple):
+            body.extend(f"_{out}{i} = {_pasted(field.rates, e)}" for i, e in enumerate(rates.elts))
         else:
-            body.extend(f"_{out}{i} = {_renamed(e, mapping)}" for i, e in enumerate(elts))
-        prev = out
-    for i in range(dim):
-        body.append(f"_y{i} = _y{i} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _d{i})")
+            outs = "".join(f"_{out}{i}, " for i in range(len(state)))
+            body.append(f"{outs}= {_pasted(field.rates, rates)}")
+    for i, name in enumerate(state):
+        start = f"_y{i}" if i in read else name
+        body.append(f"{name} = {start} + _sixth * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _d{i})")
     # _out is a flat byte view of the states; one pack_into writes a row
-    row = struct.Struct(f"{dim:d}d")
-    body.append(f"_j += {row.size:d}")
-    body.append(f"_pack_into(_out, _j, {', '.join(f'_y{i}' for i in range(dim))})")
-
-    stop = ""
-    if field.stop is not None:
-        mapping = {name: f"_y{i}" for i, name in enumerate(field.state)}
-        mapping["t"] = "_t0 + _step * (_k + 1)"
-        stop = f" or ({_renamed(_expression(field.stop)[0], mapping)})"
+    row = struct.Struct(f"{len(state):d}d")
+    body += [f"_j += {row.size:d}", f"_pack_into(_out, _j, {', '.join(state)})"]
+    stop, stop_names = _expression(field.stop)
+    if "t" in stop_names:
+        body.append("t = _t0 + _step * (_k + 1)")
     source = _RK4_TEMPLATE.format(
         constants=", ".join(field.constants),
-        y=", ".join(f"_y{i}" for i in range(dim)),
+        state=", ".join(state),
         body="\n".join(" " * 12 + line for line in body),
-        finite=" and ".join(f"_isfinite(_y{i})" for i in range(dim)),
-        stop=stop,
+        finite=" and ".join(f"_isfinite({name})" for name in state),
+        stop=f" or ({_pasted(field.stop, stop)})" if field.stop is not None else "",
     )
-    filename = f"<rk4 step loop {number:d}: {', '.join(field.state)}>"
+    filename = f"<rk4 step loop {number:d}: {', '.join(state)}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace: dict = {}
-    loop_globals = {"_isfinite": math.isfinite, "_pack_into": row.pack_into}
-    exec(compile(source, filename, "exec"), loop_globals, namespace)
-    return namespace["_factory"]
+    loop_globals = {"_isfinite": math.isfinite, "_pack_into": row.pack_into, "_range": range}
+    exec(compile(source, filename, "exec"), loop_globals)
+    return loop_globals["_factory"]
 
 
 def rk4_solve(
@@ -501,7 +482,7 @@ def rk4_solve(
     steps are refused, naming the step, before anything is allocated.
 
     The steps run in a loop generated for the field and compiled once:
-    the rates are written out in each of the four stages, in the
+    the rates are pasted as written into each of the four stages, in the
     operation order of y + (step/6)*(k1 + 2k2 + 2k3 + k4), and the
     constants enter as arguments, never as source.  Rates that are not a
     tuple literal and yield the wrong number of components raise
@@ -518,9 +499,7 @@ def rk4_solve(
         )
     y = tuple(map(float, y0))
     if len(y) != len(field.state):
-        raise ValueError(
-            f"y0 holds {len(y)} components for the state {field.state}"
-        )
+        raise ValueError(f"y0 holds {len(y)} components for the state {field.state}")
     constants = dict(constants or {})
     if set(constants) != set(field.constants):
         missing = sorted(set(field.constants) - set(constants))

@@ -64,7 +64,11 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class ScalarPotential:
-    """The mass term V(phi) = m^2 phi^2 / 2; v and dv take floats or arrays."""
+    """The mass term V(phi) = m^2 phi^2 / 2; v and dv take floats or arrays.
+
+    v is ((m^2 / 2) phi) phi, so a massless V reads +0.0 at every finite
+    phi, also where phi^2 alone overflows.
+    """
 
     m_squared: float = 0.0
 
@@ -75,7 +79,7 @@ class ScalarPotential:
         object.__setattr__(self, "m_squared", m2)
 
     def v(self, phi):
-        return 0.5 * self.m_squared * (phi * phi)
+        return 0.5 * self.m_squared * phi * phi
 
     def dv(self, phi):
         return self.m_squared * phi
@@ -194,7 +198,7 @@ FRIEDMANN_FLOW = VectorField(
     rates=(
         "a_dot,"
         " (-(a_dot * a_dot) - k + lam * (a * a) - 4.0 * pi * (a * a) * (phi_dot * phi_dot)"
-        " + 8.0 * pi * (a * a) * (0.5 * m2 * (phi * phi))) / (2.0 * a),"
+        " + 8.0 * pi * (a * a) * (0.5 * m2 * phi * phi)) / (2.0 * a),"
         " phi_dot,"
         " -3.0 * (a_dot / a) * phi_dot - m2 * phi"
     ),

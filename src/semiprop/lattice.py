@@ -23,6 +23,7 @@ probes, not production field solvers.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -254,7 +255,10 @@ def lattice_greens_function(
     with epsilon = 1e-3 m^2.  The periodic stencil ``_laplacian``, not the
     FFT, then measures op g - delta; every column of G is a roll of g and
     the stencil commutes with rolls, so this is max |op @ G - I| exactly.
-    It must stay within 1e-8 and is recorded on the returned kernel.
+    It must stay within 1e-8 and is recorded on the returned kernel.  A
+    lattice whose round-off floor, machine epsilon times
+    max |lambda + i epsilon| max |g|, reaches 1e-8 is refused with
+    ``ValueError`` naming the mass and the spacing.
     """
     if use_regulator and config.signature != "lorentzian":
         raise ValueError("use_regulator applies to the lorentzian signature only")
@@ -275,8 +279,11 @@ def lattice_greens_function(
         # a euclidean spectrum is smallest on the constant mode, where it is m^2
         if config.signature == "euclidean":
             raise ValueError(
-                "euclidean operator needs a nonzero mass: its constant mode, "
-                "eigenvalue mass^2, is null at mass = {:.3g}".format(config.mass)
+                "euclidean operator is singular: its constant mode, eigenvalue "
+                "mass^2, is null at mass = {:.3g} with spacing = {!r}: mass^2 is {:.3g} "
+                "of max(1, largest eigenvalue) = {:.3g}, not above 1e-10".format(
+                    config.mass, config.spacing, config.mass**2 / scale, scale
+                )
             )
         mode = tuple(int(i) for i in null[0])
         raise ValueError(
@@ -284,9 +291,23 @@ def lattice_greens_function(
             "(eigenvalue {:.3e}); pass use_regulator=True for the i*epsilon "
             "prescription".format(mode, eigenvalues[mode])
         )
-    g = np.fft.ifftn(1.0 / (eigenvalues + 1j * regulator))
+    shifted = eigenvalues + 1j * regulator
+    g = np.fft.ifftn(1.0 / shifted)
     if not use_regulator:
         g = g.real
+    # op g sums terms up to max |lambda + i epsilon| max |g|, so round-off
+    # alone leaves about machine epsilon times that in the defect
+    reach = float(np.max(np.abs(shifted))) * float(np.max(np.abs(g)))
+    floor = sys.float_info.epsilon * reach
+    if not floor < 1e-8:
+        regulated = ", i*epsilon regulator {:.3g}".format(regulator) if use_regulator else ""
+        raise ValueError(
+            "lattice Green's function at mass = {!r}, spacing = {!r}{}: op @ G sums terms "
+            "up to {:.3g}, so round-off alone leaves a defect of about {:.3g} (machine "
+            "epsilon times that), not below the tolerance 1e-8".format(
+                config.mass, config.spacing, regulated, reach, floor
+            )
+        )
     shift = config.mass**2 + 1j * regulator if use_regulator else config.mass**2
     image = shift * g - _laplacian(g, config.spacing, signs)
     image[(0,) * g.ndim] -= 1.0
@@ -301,20 +322,11 @@ def lattice_greens_function(
 
 
 def _forward_gradient_square(values: np.ndarray, config: LatticeConfig) -> np.ndarray:
-    """Signature-weighted sum over axes of forward-difference squares.
-
-    The periodic difference v[i+1] - v[i] is two slice subtractions, the
-    interior and the wrapped last site, in place of np.roll.
-    """
+    """Signature-weighted sum over axes of periodic forward-difference squares."""
     total = np.zeros(config.dims)
-    diff = np.empty(values.shape, np.result_type(values, 1.0))
     for axis, sign in enumerate(config.axis_signs()):
-        lead = (slice(None),) * axis
-        head, last = lead + (slice(None, -1),), lead + (slice(-1, None),)
-        np.subtract(values[lead + (slice(1, None),)], values[head], out=diff[head])
-        np.subtract(values[lead + (slice(0, 1),)], values[last], out=diff[last])
-        np.divide(diff, config.spacing, out=diff)
-        np.add(total, sign * np.square(diff, out=diff), out=total)
+        diff = (np.roll(values, -1, axis=axis) - values) / config.spacing
+        total = total + sign * diff**2
     return total
 
 

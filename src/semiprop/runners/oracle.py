@@ -36,6 +36,8 @@ def _run_oracle_kernel(params: dict, seed: int) -> RunnerOutput:
             "parameter 'dt' leaves no Crank-Nicolson step, got {!r}".format(dt)
         )
     n_steps = round(target / dt)
+    # the step that lands Crank-Nicolson on the kernel's target time
+    step = target / n_steps
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if family == "free":
@@ -46,7 +48,7 @@ def _run_oracle_kernel(params: dict, seed: int) -> RunnerOutput:
                 t_min=0.05, t_max=1.5, n_t=8,
             )
             factors = free_particle_factors(span, mass=1.0)
-            via_cn = cn_evolve(psi0, 0.0, dt=dt, n_steps=n_steps)
+            via_cn = cn_evolve(psi0, 0.0, dt=step, n_steps=n_steps)
         else:
             grid = SpatialGrid(-6.0, 6.0, params["n_x"])
             psi0 = gaussian_state(grid, sigma0=1.0 / math.sqrt(2.0), x_center=1.0)
@@ -55,7 +57,7 @@ def _run_oracle_kernel(params: dict, seed: int) -> RunnerOutput:
                 t_min=0.05, t_max=2.0, n_t=8,
             )
             factors = harmonic_factors(span, mass=1.0, omega=1.0)
-            via_cn = cn_evolve(psi0, QuadraticPotential(g2=0.5), dt=target / n_steps, n_steps=n_steps)
+            via_cn = cn_evolve(psi0, QuadraticPotential(g2=0.5), dt=step, n_steps=n_steps)
         via_kernel = kernel_propagate(psi0, factors, target, reference_time=1e-2)
     agreement = l2_difference(via_kernel, via_cn)
     perturbed = replace(

@@ -377,6 +377,14 @@ def test_oracle_at_the_benchmark_size(tmp_path):
         assert read_report(out)["pass"] is True
 
 
+def test_oracle_free_family_steps_to_the_kernel_time(tmp_path):
+    # round(1 / dt) = 333 steps of 1/333 end at t = 1, where the kernel is
+    # compared; steps of dt = 0.003 itself would end at t = 0.999 (2.7e-4)
+    argv = ["oracle", "kernel-vs-grid", "--family", "free", "--dt", "0.003"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert record(read_report(tmp_path), "kernel-vs-grid")["value"] < 1e-4
+
+
 # ---------------------------------------------------- config and sweeps
 
 
@@ -477,6 +485,21 @@ FUZZ_BASES = {
 }
 
 
+# Interior inputs no one-parameter edge reaches: the lattice Green's function
+# at masses whose round-off floor reaches its 1e-8 tolerance, and a spacing
+# that makes a unit mass null
+COMBINED_CASES = [
+    ("mass", ["lattice", "greens", "--dims", "[4,4]", "--mass", "3e-5"]),
+    ("mass", ["lattice", "hj-positivity", "--dims", "[4,4]", "--mass", "3e-5", "--draws", "2"]),
+    ("mass", ["lattice", "greens", "--dims", "[4,4]", "--mass", "5e-5"]),
+    ("mass", ["lattice", "greens", "--dims", "[32,32]", "--signature", "lorentzian",
+              "--use_regulator", "true", "--mass", "1e-5"]),
+    ("mass", ["lattice", "greens", "--dims", "[4,4]", "--signature", "lorentzian",
+              "--use_regulator", "true", "--mass", "1e-6"]),
+    ("spacing", ["lattice", "greens", "--dims", "[16,16]", "--spacing", "1e-6"]),
+]
+
+
 def edge_values(kind, edge):
     """Each value a declared domain allows at its edge, and the one just outside."""
     if isinstance(kind, tuple):
@@ -500,6 +523,7 @@ def fuzz_cases():
                 values = FUZZ_VALUES + edge_values(kind, edge)
             for value in values:
                 yield name, base + ["--" + name, value]
+    yield from COMBINED_CASES
 
 
 def test_exit_contract_holds_on_every_declared_edge(tmp_path, capsys):

@@ -544,7 +544,21 @@ def test_a_failing_rate_shows_its_generated_line_in_the_traceback():
         rk4_solve(field, [1.0, 0.0], 0.0, 0.1, 10, {"shift": 1.0})
     text = "".join(traceback.format_exception(info.value))
     assert "<rk4 step loop" in text and ": x, y>" in text
-    assert "_a1 = 1.0 / (_y0 - shift)" in text
+    assert "_a1 = 1.0 / (x - shift)" in text
+
+
+def test_the_generated_loop_holds_each_rate_as_written():
+    loop = core._rk4_steps(cosmo.FRIEDMANN_FLOW)
+    source = "".join(linecache.getlines(loop.__code__.co_filename))
+    assert "_b3 = -3.0 * (a_dot / a) * phi_dot - m2 * phi" in source
+    assert "(a <= a_floor)" in source
+    # a rate written across lines is pasted whole, bracketed
+    field = VectorField(state=("x", "v"), rates="(v,\n -omega2\n * x)")
+    _, ys, _ = rk4_solve(field, [1.0, 0.0], 0.0, 0.01, 100, {"omega2": 4.0})
+    assert abs(ys[-1, 0] - math.cos(2.0)) <= 1e-8
+    # a state named like a builtin does not shadow the loop's own range
+    _, ys, _ = rk4_solve(VectorField(state=("range",), rates="-range,"), [1.0], 0.0, 0.01, 100)
+    assert abs(ys[-1, 0] - math.exp(-1.0)) <= 1e-8
 
 
 def test_rk4_stop_condition_truncates():

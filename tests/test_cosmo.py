@@ -181,13 +181,18 @@ def test_matched_a_dot_refuses_imaginary_rate():
 
 
 def test_a_potential_past_the_float_range_is_refused_not_integrated():
-    # phi^2 overflows, so even the massless V = 0 * inf reads NaN; a NaN
-    # Friedmann residual is refused instead of stopping the run at its first step
-    with pytest.raises(ValueError, match="Friedmann right side is nan"):
-        matched_a_dot(1.0, 1e200, 2.0, VACUUM)
-    state = ClassicalState(a=1.0, a_dot=4.1, phi=1e200, phi_dot=2.0)
-    with pytest.raises(ValueError, match="violates the Friedmann constraint: residual nan"):
-        evolve_classical(state, VACUUM, (0.0, 1.0), 1e-3)
+    # phi^2 overflows past |phi| = 1.3e154; the massless V = ((0 / 2) phi) phi
+    # still reads +0.0, so that state integrates like any other
+    assert ScalarPotential().v(1e200) == 0.0 and ScalarPotential().v(-1e200) == 0.0
+    a_dot = matched_a_dot(1.0, 1e200, 2.0, VACUUM)
+    state = ClassicalState(a=1.0, a_dot=a_dot, phi=1e200, phi_dot=2.0)
+    traj = evolve_classical(state, VACUUM, (0.0, 1.0), 1e-3)
+    assert len(traj.t) == 1001 and traj.collapse_time is None
+    assert np.max(np.abs(traj.friedmann)) < 1e-8
+    # a massive V is infinite there, and its Friedmann residual is refused
+    massive = CosmoParams(potential=quadratic_potential(0.5))
+    with pytest.raises(ValueError, match="violates the Friedmann constraint: residual -inf"):
+        evolve_classical(state, massive, (0.0, 1.0), 1e-3)
 
 
 # ---------------------------------------------------------------------------
