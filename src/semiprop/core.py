@@ -545,15 +545,25 @@ def at_time(g, t):
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log|y| against log|x|."""
+    """Least-squares slope of log y against log x.
+
+    The closed form of a straight-line fit, sum(dx dy) / sum(dx^2), with dx
+    and dy the logs less their means.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need at least two matching samples for a slope fit")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit requires positive samples")
-    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope)
+    log_x, log_y = np.log(xs), np.log(ys)
+    dx = log_x - log_x.mean()
+    spread = np.dot(dx, dx)
+    if not spread > 0.0:
+        raise ValueError(
+            f"xs: the logs of the samples must spread for a slope fit, got spread {spread!r}"
+        )
+    return float(np.dot(dx, log_y - log_y.mean()) / spread)
 
 
 def observed_orders(hs: Sequence[float], errors: Sequence[float]) -> list[float]:

@@ -187,6 +187,10 @@ def matched_a_dot(
         raise ValueError(
             f"no real expansion rate: Friedmann right side is {rhs:.3e}, not >= 0"
         )
+    if rhs == math.inf:
+        raise ValueError(
+            "no finite expansion rate: Friedmann right side is inf, past the float range"
+        )
     return (1.0 if expanding else -1.0) * a * math.sqrt(rhs)
 
 

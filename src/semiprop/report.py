@@ -6,12 +6,15 @@ held against; diagnostic records are informational and never affect the
 overall pass flag.  CSV output uses 17 significant digits so that reruns
 of the same configuration diff clean.
 
-A CSV table is a header and a sized sequence of sized rows.  A string
-cell reads as itself, an integer cell (any ``numbers.Integral``, bools and
-numpy integers included) ``%d``, and any other cell ``%.17g``, whether it
-is a Python or a numpy scalar.  ``write_csv`` renders each row with one
-``%`` string built from those directives.  Row builders hand over plain
-Python cells (``ndarray.tolist``).
+A CSV table is a header and a sized, re-iterable collection of sized
+rows.  A string cell reads as itself, an integer cell (any
+``numbers.Integral``, bools and numpy integers included) ``%d``, and any
+other cell ``%.17g``, whether it is a Python or a numpy scalar.
+``write_csv`` renders each row with one ``%`` string built from those
+directives and streams the lines to the file.  Row builders hand over a
+``_CsvRows`` view of their numpy columns, which yields rows of plain
+Python cells (``ndarray.tolist``) a block at a time, so no table is ever
+held whole as Python objects.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,9 @@ __all__ = [
 
 # below this a residual sequence is roundoff, not discretization error
 PLATEAU_FLOOR = 1e-12
+
+# rows a _CsvRows view converts to Python cells at a time
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -105,22 +111,26 @@ def _cell_format(kind: type) -> str:
     return "%.17g"
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and one comma-separated line per row of ``rows``.
 
-    ``rows`` is a sized sequence of sized rows (tuples or lists).  Each
-    row is rendered by one ``%`` string, built from ``_cell_format`` once
-    per type signature.
+    ``rows`` yields sized rows (tuples or lists).  Each row is rendered by
+    one ``%`` string, built from ``_cell_format`` once per type signature,
+    and written as it is rendered.
     """
     formats: dict = {}
-    lines = [",".join(header)]
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(map(_cell_format, types))
-        lines.append(fmt % tuple(row))
-    path.write_text("\n".join(lines) + "\n")
+
+    def lines():
+        for row in rows:
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join(map(_cell_format, types)) + "\n"
+            yield fmt % tuple(row)
+
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(lines())
 
 
 def build_convergence_rows(
@@ -210,6 +220,25 @@ def _order_record(name: str, rows: list[dict], order: float, tolerance: float) -
     return _target(name, value, order, tolerance, f"pass iff |value - {order:g}| <= tolerance")
 
 
-def _csv_rows(*columns: np.ndarray) -> list[tuple]:
-    """CSV rows from equal-length columns, every cell a plain Python scalar."""
-    return list(zip(*[column.tolist() for column in columns]))
+class _CsvRows:
+    """CSV rows of equal-length columns, every cell a plain Python scalar.
+
+    A sized, re-iterable view that ``write_csv`` streams: each pass converts
+    ``_CSV_BLOCK_ROWS`` rows at a time, so a pass holds one block of Python
+    cells, not the whole table.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns: np.ndarray):
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("CSV rows need one or more columns of one length")
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+            block = [column[lo : lo + _CSV_BLOCK_ROWS].tolist() for column in self._columns]
+            yield from zip(*block)

@@ -15,15 +15,15 @@ from ..cosmo import (
     matched_a_dot,
     momenta,
 )
-from ..report import _bound, _csv_rows, _diagnostic, _target
+from ..report import _bound, _CsvRows, _diagnostic, _target
 from . import _LOG_MAX, RunnerOutput
 
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
 
-def _trajectory_rows(traj, stride: int) -> list[tuple]:
+def _trajectory_rows(traj, stride: int) -> _CsvRows:
     columns = (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot, traj.friedmann)
-    return _csv_rows(*(column[::stride] for column in columns))
+    return _CsvRows(*(column[::stride] for column in columns))
 
 
 def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tuple):
@@ -58,18 +58,30 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     traj = _evolve(state, CosmoParams(lam=lam), params, ("lam", "t_end", "step"))
+    step, tolerance = params["step"], 1e-6
     # the growth check compares the last sample against the closed form at t_end
-    t_last = params["step"] * rk4_step_count(t_end, params["step"])
+    t_last = step * rk4_step_count(t_end, step)
     if abs(t_last - t_end) > 1e-12 * t_end:
         raise ValueError(
             "parameters 'step' = {!r} and 't_end' = {!r}: the steps end at t = {!r}, "
-            "not at t_end; choose a step that divides t_end".format(
-                params["step"], t_end, t_last
-            )
+            "not at t_end; choose a step that divides t_end".format(step, t_end, t_last)
+        )
+    # RK4's global error on a' = H a, relative to a0 as the growth check
+    # measures it; float * overflows to inf where ** would raise
+    rk4_error = (
+        t_end * (hubble * hubble * hubble * hubble * hubble) * (step * step * step * step)
+        * math.exp(hubble * t_end) / 120.0
+    )
+    if not rk4_error < 0.5 * tolerance:
+        raise ValueError(
+            "parameters 'lam' = {!r}, 't_end' = {!r}, 'step' = {!r}: RK4's global error "
+            "t_end H^5 step^4 exp(H t_end) / 120, with H = sqrt(lam / 3), is about {:.3g}, "
+            "not below half the scale-factor-growth tolerance {:g}; lower 'step' or "
+            "'t_end'".format(lam, t_end, step, rk4_error, tolerance)
         )
     closed = a0 * math.exp(hubble * t_end)
     records = [
-        _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, 1e-6),
+        _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, tolerance),
         _bound("friedmann-residual", float(np.max(np.abs(traj.friedmann))), 1e-8),
     ]
     csv = {"trajectory": (TRAJECTORY_HEADER, _trajectory_rows(traj, params["csv_stride"]))}

@@ -23,7 +23,7 @@ from ..lattice import (
     lattice_plane_wave,
     plane_wave_phase,
 )
-from ..report import _bound, _csv_rows, _diagnostic, _floor
+from ..report import _bound, _CsvRows, _diagnostic, _floor
 from . import RunnerOutput
 
 
@@ -36,10 +36,10 @@ def _lattice_config(params: dict) -> LatticeConfig:
     )
 
 
-def _site_rows(config: LatticeConfig, values: np.ndarray) -> list[tuple]:
+def _site_rows(config: LatticeConfig, values: np.ndarray) -> _CsvRows:
     # np.indices flattened in C order enumerates the sites as np.ndindex does
     sites = np.indices(config.dims).reshape(len(config.dims), -1)
-    return _csv_rows(*sites, np.asarray(values).ravel())
+    return _CsvRows(*sites, np.asarray(values).ravel())
 
 
 def _lattice_header(config: LatticeConfig) -> list[str]:

@@ -17,7 +17,7 @@ from ..quadratic import (
     solve_prefactor_odes,
     van_vleck_check,
 )
-from ..report import _bound, _csv_rows, _order_record, build_convergence_rows
+from ..report import _bound, _CsvRows, _order_record, build_convergence_rows
 from . import RunnerOutput, _refuse_below_roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
@@ -87,7 +87,7 @@ def _run_quadratic_prefactor(params: dict, seed: int) -> RunnerOutput:
     return records, rows, {}
 
 
-def _propagator_rows(factors, propagator: ComplexField) -> list[tuple]:
+def _propagator_rows(factors, propagator: ComplexField) -> _CsvRows:
     """Rows (x, t, K, R, S) at every node, time-major.
 
     K is ``propagator``, the field ``assemble_propagator`` built from
@@ -97,7 +97,7 @@ def _propagator_rows(factors, propagator: ComplexField) -> list[tuple]:
     x, times = grid.x, grid.t
     fields = (propagator, *(ComplexField.from_callable(grid, f) for f in (factors.R, factors.S)))
     k, r, s = (field.values.T.ravel() for field in fields)
-    return _csv_rows(
+    return _CsvRows(
         np.tile(x, times.size), np.repeat(times, x.size),
         k.real, k.imag, r.real, r.imag, s.real, s.imag,
     )

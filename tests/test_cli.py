@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,9 +23,9 @@ from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
 from semiprop.lattice import SIGNATURES, LatticeConfig
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
 from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
-from semiprop.runners.cosmo import _trajectory_rows
+from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
 from semiprop.runners.lattice import _site_rows
-from semiprop.runners.quadratic import _propagator_rows
+from semiprop.runners.quadratic import PROPAGATOR_HEADER, _propagator_rows
 
 
 def read_report(out_dir):
@@ -73,6 +74,24 @@ def test_cosmo_de_sitter_example(tmp_path):
     assert record(report, "scale-factor-growth")["value"] <= 1e-6
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,a,adot,phi,phidot,constraint_residual"
+
+
+def test_de_sitter_refuses_where_rk4_truncation_reaches_the_growth_tolerance(
+    tmp_path, capsys
+):
+    # t_end H^5 step^4 exp(H t_end) / 120 at the default step reaches half of
+    # 1e-6 near t_end 15.1; a run either certifies or is refused, never fails
+    codes = {}
+    for t_end in (10.0 + 0.5 * k for k in range(21)):
+        argv = ["cosmo", "de-sitter", "--t_end", repr(t_end)]
+        codes[t_end] = main(argv + ["--out", str(tmp_path / str(t_end))])
+        err = capsys.readouterr().err
+        assert codes[t_end] in (0, 2), argv
+        if codes[t_end] == 2:
+            assert "'lam' = 3.0, 't_end' = {!r}, 'step' = 0.001".format(t_end) in err
+            assert "RK4's global error" in err
+    assert codes[10.0] == codes[14.0] == 0
+    assert codes[16.0] == codes[20.0] == 2
 
 
 # ------------------------------------------------------- report contract
@@ -704,20 +723,41 @@ def test_csv_row_builders_match_the_per_cell_rows(tmp_path):
 
 
 def test_csv_path_keeps_the_benchmark_tracer_contract():
-    # perfbench/layers.py binds write_csv's arguments by name and counts
-    # len(rows) and len(row) of the sequences the row builders hand over
+    # perfbench/layers.py binds write_csv's arguments by name and, after the
+    # call, counts len(rows) and len(row) over a second pass of the rows
     assert list(inspect.signature(write_csv).parameters) == ["path", "header", "rows"]
     config, values = lattice_case()
     (factors, grid), _ = propagator_cases()
-    for rows in (
-        _site_rows(config, values),
-        _propagator_rows(factors, assemble_propagator(factors, grid)),
-        _trajectory_rows(trajectory_case(), 7),
+    for header, rows in (
+        (["i", "j", "k", "value"], _site_rows(config, values)),
+        (PROPAGATOR_HEADER, _propagator_rows(factors, assemble_propagator(factors, grid))),
+        (TRAJECTORY_HEADER, _trajectory_rows(trajectory_case(), 7)),
     ):
-        assert type(rows) is list and rows
-        assert all(type(row) is tuple for row in rows)
+        first = list(rows)
+        assert first and len(rows) == len(first)
+        assert all(type(row) is tuple and len(row) == len(header) for row in first)
         # plain Python cells take write_csv's one-format-per-row path
-        assert {type(cell) for row in rows for cell in row} <= {float, int}
+        assert {type(cell) for row in first for cell in row} <= {float, int}
+        assert list(rows) == first
+
+
+def test_propagator_table_is_written_without_holding_its_rows(tmp_path):
+    # the coarse table of `quadratic schrodinger-order`, 129 x 65 nodes by 8
+    # columns: as Python rows, lines and one joined string it traced 5.3 MB
+    grid = SpacetimeGrid(x_min=-4.0, x_max=4.0, n_x=129, t_min=0.5, t_max=2.0, n_t=65)
+    factors = harmonic_factors(grid, mass=1.0, omega=1.0, x0=0.0)
+    propagator = assemble_propagator(factors, grid)
+    path = tmp_path / "propagator.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, PROPAGATOR_HEADER, _propagator_rows(factors, propagator))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    reference = reference_propagator_rows(factors, grid)
+    assert len(reference) == 129 * 65
+    assert path.read_text() == reference_csv(PROPAGATOR_HEADER, reference)
 
 
 # ------------------------------------------------------ module loading

@@ -19,6 +19,7 @@ from semiprop.core import (
     assemble_propagator,
     cumulative_simpson,
     finite_difference,
+    fit_loglog_slope,
     observed_orders,
     rk4_solve,
     simpson_weights,
@@ -568,3 +569,52 @@ def test_rk4_stop_condition_truncates():
     assert stopped is not None
     assert ys[-1, 0] > 5.0
     assert len(ts) == stopped + 1
+
+
+# ---------------------------------------------------------------------------
+# convergence fits
+# ---------------------------------------------------------------------------
+
+
+def polyfit_slope(xs, ys):
+    """The reference: numpy's least-squares line through the logs."""
+    return np.polyfit(np.log(xs), np.log(ys), 1)[0]
+
+
+def stiff_late_samples():
+    """The late samples `cosmo stiff` fits at its defaults."""
+    phi_dot0 = 20.0
+    vacuum = cosmo.CosmoParams()
+    a_dot0 = cosmo.matched_a_dot(1.0, 0.0, phi_dot0, vacuum)
+    state = cosmo.ClassicalState(a=1.0, a_dot=a_dot0, phi=0.0, phi_dot=phi_dot0)
+    traj = cosmo.evolve_classical(state, vacuum, (0.0, 35.0), 1e-3)
+    late = traj.t >= 3.5
+    return traj.t[late], traj.a[late]
+
+
+def test_fit_loglog_slope_matches_polyfit():
+    rng = np.random.default_rng(11)
+    cases = [stiff_late_samples(), ([0.5, 1.0, 2.0], [0.25, 0.5, 1.0]), ([1.0, 3.0], [2.0, 7.0])]
+    for size, power in ((5, 2.0), (40, -1.5), (1000, 0.3)):
+        xs = rng.uniform(0.01, 100.0, size)
+        cases.append((xs, 3.0 * xs**power * np.exp(0.1 * rng.standard_normal(size))))
+    for xs, ys in cases:
+        expected = polyfit_slope(xs, ys)
+        assert fit_loglog_slope(xs, ys) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ([1.0, 2.0], [1.0], "two matching samples"),
+        ([1.0], [1.0], "two matching samples"),
+        ([1.0, -2.0], [1.0, 2.0], "positive samples"),
+        ([1.0, 2.0], [0.0, 2.0], "positive samples"),
+        # equal logs, of equal or of adjacent floats, leave no slope to fit
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "xs: the logs of the samples must spread"),
+        ([1e300, math.nextafter(1e300, math.inf)], [1.0, 2.0], "xs: the logs"),
+    ],
+)
+def test_fit_loglog_slope_refusals(xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        fit_loglog_slope(xs, ys)

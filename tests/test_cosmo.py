@@ -180,6 +180,13 @@ def test_matched_a_dot_refuses_imaginary_rate():
         matched_a_dot(10.0, 0.0, 0.0, CosmoParams(k=1))
 
 
+def test_matched_a_dot_refuses_an_infinite_right_side():
+    # V(1e200) of a massive potential is inf, and so is the rate it would give
+    massive = CosmoParams(potential=quadratic_potential(0.5))
+    with pytest.raises(ValueError, match="Friedmann right side is inf"):
+        matched_a_dot(1.0, 1e200, 2.0, massive)
+
+
 def test_a_potential_past_the_float_range_is_refused_not_integrated():
     # phi^2 overflows past |phi| = 1.3e154; the massless V = ((0 / 2) phi) phi
     # still reads +0.0, so that state integrates like any other
