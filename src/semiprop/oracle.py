@@ -25,22 +25,22 @@ no code: Crank-Nicolson never uses an FFT, and the kernel route never
 steps in time.
 
 The two LAPACK routines Crank-Nicolson needs, zgttrf and zgttrs, come from
-scipy's compiled ``_flapack`` extension, loaded on its own: importing
-``scipy.linalg`` would cost about 0.25 s and 18 MB at start-up.  The
-extension is loaded at the first ``cn_evolve`` call or the first access to
-``oracle.zgttrf`` / ``oracle.zgttrs``, which then stay module globals, so
-importing this module loads neither LAPACK nor ``numpy.random``.
+the LAPACK numpy itself links: they are looked up through the shared object
+of ``numpy.linalg._umath_linalg``, whose dependencies the dynamic linker
+searches, and called through ctypes.  No second BLAS is loaded and scipy is
+not needed.  They are bound at the first ``cn_evolve`` call or the first
+access to ``oracle.zgttrf`` / ``oracle.zgttrs``, which then stay module
+globals.  Neither importing this module nor running it loads
+``numpy.random``.
 """
 
 from __future__ import annotations
 
 import cmath
-import importlib.machinery
-import importlib.util
-import sys
+import ctypes
+import random
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,59 +78,51 @@ RESIDUAL_BAND_NODES = 1 << 15
 CHIRP_ROW_TOL = 1e-12
 
 
-def _scipy_linalg_dir() -> Path:
-    """scipy's linalg package directory, found without executing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("semiprop.oracle needs scipy, which is not installed")
-    return Path(spec.submodule_search_locations[0]) / "linalg"
-
-
-def _load_flapack(directory: Path):
-    """scipy's ``_flapack`` extension module from ``directory``.
-
-    These are the compiled functions ``scipy.linalg.lapack`` re-exports.
-    The module is loaded under its own name but left out of sys.modules
-    (any entry there beforehand is put back), so a later ``import
-    scipy.linalg`` behaves as it would have.  A directory without the
-    extension raises ImportError naming it.
-    """
-    name = "scipy.linalg._flapack"
-    candidates = [
-        directory / ("_flapack" + suffix)
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    path = next((p for p in candidates if p.is_file()), None)
-    if path is None:
-        raise ImportError(f"no _flapack extension module found in {directory}")
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
-    previous = sys.modules.get(name)
-    try:
-        # a single-phase extension module enters sys.modules as it is created
-        module = importlib.util.module_from_spec(spec)
-        loader.exec_module(module)
-    finally:
-        if previous is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = previous
-    return module
-
-
+# (prefix, suffix) of zgttrf and zgttrs as numpy's LAPACK may export them:
+# numpy 2 wheels (scipy-openblas), numpy 1 wheels (openblas64_), then a
+# system LAPACK or MKL.  A "_64_" suffix takes 64-bit integers, "_" 32-bit.
+_LAPACK_MANGLINGS = (("scipy_", "_64_"), ("", "_64_"), ("", "_"))
 _LAPACK_NAMES = ("zgttrf", "zgttrs")
+# ctypes integer type of the bound routines; None until _bind_lapack runs
+_lapack_integer = None
 
 
 def _bind_lapack() -> None:
-    """Bind zgttrf and zgttrs as module globals, loading ``_flapack`` once.
+    """Bind zgttrf and zgttrs from numpy's LAPACK as module globals, once.
 
-    A name already bound (say, replaced by a test) is left as it is.
+    The first mangling in _LAPACK_MANGLINGS under which the library that
+    holds ``numpy.linalg._umath_linalg`` (or one it loads) exports both
+    routines is used; none raises ImportError naming the library and every
+    symbol tried.  A name already bound (say, replaced by a test) is left
+    as it is.
     """
-    if all(name in globals() for name in _LAPACK_NAMES):
+    global _lapack_integer
+    if _lapack_integer is not None:
         return
-    flapack = _load_flapack(_scipy_linalg_dir())
-    for name in _LAPACK_NAMES:
-        globals().setdefault(name, getattr(flapack, name))
+    from numpy.linalg import _umath_linalg
+
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    tried = []
+    for prefix, suffix in _LAPACK_MANGLINGS:
+        symbols = [prefix + name + suffix for name in _LAPACK_NAMES]
+        tried += symbols
+        try:
+            zgttrf, zgttrs = (getattr(library, symbol) for symbol in symbols)
+        except AttributeError:
+            continue
+        # every argument is a pointer, but for the length of TRANS that
+        # Fortran passes last by value
+        zgttrf.argtypes = [ctypes.c_void_p] * 7
+        zgttrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+        zgttrf.restype = zgttrs.restype = None
+        globals().setdefault("zgttrf", zgttrf)
+        globals().setdefault("zgttrs", zgttrs)
+        _lapack_integer = ctypes.c_int64 if suffix == "_64_" else ctypes.c_int32
+        return
+    raise ImportError(
+        f"{_umath_linalg.__file__} and the libraries it loads export none of "
+        + ", ".join(tried)
+    )
 
 
 def __getattr__(name: str):
@@ -138,6 +130,56 @@ def __getattr__(name: str):
         _bind_lapack()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Tridiagonal:
+    """An n x n tridiagonal system kept in the buffers LAPACK works in.
+
+    ``factor`` LU-factors the matrix with ``off`` on both off-diagonals
+    and ``diag`` on the diagonal (zgttrf, in place in dl, d, du, du2 and
+    ipiv); ``solve`` then overwrites ``rhs`` with the solution (zgttrs).
+    Both argument tuples point at these buffers and are built here once,
+    so a step converts no argument.  A nonzero LAPACK ``info`` raises
+    LinAlgError.
+    """
+
+    def __init__(self, n: int) -> None:
+        _bind_lapack()
+        integer = _lapack_integer
+        self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
+        self.d, self.du2 = np.empty(n, complex), np.empty(n - 2, complex)
+        self.ipiv = np.empty(n, np.dtype(integer))
+        self.rhs = np.empty(n, complex)
+        # the ctypes scalars must outlive the tuples that point at them
+        self._n, self._one, self._info = integer(n), integer(1), integer()
+        self._trans = ctypes.c_char(b"N")
+        n_ref, info = ctypes.byref(self._n), ctypes.byref(self._info)
+        dl, d, du, du2, ipiv, rhs = (
+            ctypes.c_void_p(a.ctypes.data)
+            for a in (self.dl, self.d, self.du, self.du2, self.ipiv, self.rhs)
+        )
+        self._factor_args = (n_ref, dl, d, du, du2, ipiv, info)
+        self._solve_args = (
+            ctypes.byref(self._trans), n_ref, ctypes.byref(self._one),
+            dl, d, du, du2, ipiv, rhs, n_ref, info, ctypes.c_size_t(1),
+        )
+
+    def factor(self, off: complex, diag: np.ndarray) -> None:
+        self.dl.fill(off)
+        self.du.fill(off)
+        self.d[:] = diag
+        zgttrf(*self._factor_args)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(
+                f"Crank-Nicolson matrix is singular (zgttrf info {self._info.value})"
+            )
+
+    def solve(self) -> None:
+        zgttrs(*self._solve_args)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(
+                f"zgttrs refused its input (info {self._info.value})"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,31 +296,24 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     kin_off = -(hbar**2) / (2.0 * mass * dx**2)
     kin_diag = hbar**2 / (mass * dx**2)
     lam = dt / (2.0 * hbar)
-    _bind_lapack()
     psi = state.psi.copy()
-    # zgttrs solves in rhs (overwrite_b); psi is then updated in place
-    rhs = np.empty_like(psi)
+    system = _Tridiagonal(n)
+    # zgttrs solves in system.rhs; psi is then updated in place
+    rhs = system.rhs
     t = state.t
     worst_boundary = 0.0
     static = _is_static(pot)
-    off = np.full(n - 1, 1j * lam * kin_off)
+    off = 1j * lam * kin_off
     for step in range(n_steps):
         if step == 0 or not static:
             # 1 + i lam H with H's diagonal at the step midpoint, LU-factored
             v_mid = np.broadcast_to(
                 np.asarray(v_fn(x, t + 0.5 * dt), dtype=complex), (n,)
             )
-            diag = 1.0 + 1j * lam * (kin_diag + v_mid)
-            dl, d, du, du2, ipiv, info = zgttrf(off, diag, off)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"Crank-Nicolson matrix is singular (zgttrf info {info})"
-                )
+            system.factor(off, 1.0 + 1j * lam * (kin_diag + v_mid))
         np.multiply(2.0, psi, out=rhs)
-        solved, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgttrs refused its input (info {info})")
-        np.subtract(solved, psi, out=psi)
+        system.solve()
+        np.subtract(rhs, psi, out=psi)
         t += dt
         worst_boundary = max(worst_boundary, abs(psi[0]), abs(psi[-1]))
     if worst_boundary > BOUNDARY_AMPLITUDE_WARN:
@@ -357,8 +392,8 @@ def _chirp_split(action, x: np.ndarray, tau: float):
     def row(i: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(action(x[i], x, tau), dtype=complex), (n,))
 
-    seeded = np.random.default_rng(0).choice(n, size=min(n, 5), replace=False)
-    rows = {i: row(i) for i in sorted({0, n // 2, n - 1, *seeded.tolist()})}
+    seeded = random.Random(0).sample(range(n), min(n, 5))
+    rows = {i: row(i) for i in sorted({0, n // 2, n - 1, *seeded})}
     column = np.broadcast_to(np.asarray(action(x, x[0], tau), dtype=complex), (n,))
     first, last = rows[0], rows[n - 1]
     beta = (last[-1] - column[-1] - first[-1] + first[0]) / (n - 1) ** 2

@@ -9,7 +9,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -266,7 +265,7 @@ def test_cn_buffers_leave_the_input_state_alone():
 
 
 # ---------------------------------------------------------------------------
-# LAPACK loading
+# LAPACK binding
 # ---------------------------------------------------------------------------
 
 
@@ -282,17 +281,22 @@ def run_fresh(script, *args, path=()):
 
 
 LOAD_STATE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import semiprop.cli as cli, semiprop.oracle as oracle
 
 out, commands, unwanted = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
 
 def state():
-    return {
+    loaded = {
         "numpy.random": "numpy.random" in sys.modules,
         "zgttrf": "zgttrf" in vars(oracle),
         "unwanted": sorted(set(unwanted) & set(sys.modules)),
     }
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps}
+        loaded["scipy maps"] = sorted(p for p in paths if "scipy.libs" in p or "_flapack" in p)
+    return loaded
 
 states = {"import": state()}
 for n, command in enumerate(commands):
@@ -305,65 +309,81 @@ print(json.dumps(states))
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # a fresh interpreter, since this one imported scipy.linalg above;
-    # numpy.random and LAPACK load at the first check that uses them
+    # LAPACK binds at the first Crank-Nicolson solve, numpy.random at the
+    # first lattice draw, and no check loads scipy or maps its libraries
     unwanted = ["scipy", "scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing"]
     commands = [
         "cosmo stiff",
         "quadratic prefactor-ode",
-        "lattice hj-positivity --draws 2",
         "oracle kernel-vs-grid --n_x 256 --dt 1e-2",
+        "lattice hj-positivity --draws 2",
     ]
     result = run_fresh(LOAD_STATE_PROBE, tmp_path, json.dumps(commands), *unwanted)
     states = json.loads(result.stdout)
     idle = {"numpy.random": False, "zgttrf": False, "unwanted": []}
+    if "scipy maps" in states["import"]:  # absent where there is no /proc
+        idle["scipy maps"] = []
     assert states["import"] == idle
     assert states["cosmo stiff"] == dict(idle, exit=0)
     assert states["quadratic prefactor-ode"] == dict(idle, exit=0)
-    assert states["lattice hj-positivity --draws 2"] == dict(idle, exit=0, **{"numpy.random": True})
-    assert states["oracle kernel-vs-grid --n_x 256 --dt 1e-2"] == {
-        "numpy.random": True, "zgttrf": True, "unwanted": [], "exit": 0,
-    }
+    assert states["oracle kernel-vs-grid --n_x 256 --dt 1e-2"] == dict(idle, exit=0, zgttrf=True)
+    assert states["lattice hj-positivity --draws 2"] == dict(
+        idle, exit=0, zgttrf=True, **{"numpy.random": True}
+    )
 
 
-MISSING_FLAPACK_PROBE = """
-import contextlib, io, sys
-import semiprop.cli as cli
+def test_a_lapack_without_the_routines_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
+    from semiprop import cli
 
-with contextlib.redirect_stdout(io.StringIO()):
-    stiff = cli.main(["cosmo", "stiff", "--out", sys.argv[1] + "/stiff"])
-try:
-    with contextlib.redirect_stdout(io.StringIO()):
+    manglings = (("no_such_", "_"), ("", "_no_such_64_"))
+    monkeypatch.setattr(oracle, "_LAPACK_MANGLINGS", manglings)
+    monkeypatch.setattr(oracle, "_lapack_integer", None)
+    for name in ("zgttrf", "zgttrs"):
+        monkeypatch.delitem(vars(oracle), name, raising=False)
+    with pytest.raises(ImportError) as caught:
         cli.main(["oracle", "kernel-vs-grid", "--n_x", "256", "--dt", "1e-2",
-                  "--out", sys.argv[1] + "/kernel"])
-except ImportError as exc:
-    print(stiff, exc)
-"""
+                  "--out", str(tmp_path / "kernel")])
+    message = str(caught.value)
+    from numpy.linalg import _umath_linalg
+
+    assert _umath_linalg.__file__ in message
+    for symbol in ("no_such_zgttrf_", "no_such_zgttrs_", "zgttrf_no_such_64_", "zgttrs_no_such_64_"):
+        assert symbol in message
+    assert "zgttrf" not in vars(oracle)
+    assert cli.main(["cosmo", "stiff", "--out", str(tmp_path / "stiff")]) == 0
 
 
-def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(tmp_path):
-    # a scipy package whose linalg directory is empty shadows the real one
-    linalg = tmp_path / "site" / "scipy" / "linalg"
-    linalg.mkdir(parents=True)
-    (linalg.parent / "__init__.py").write_text("")
-    result = run_fresh(MISSING_FLAPACK_PROBE, tmp_path, path=[tmp_path / "site"])
-    assert (tmp_path / "stiff" / "report.json").is_file()
-    assert result.stdout.strip() == f"0 no _flapack extension module found in {linalg}"
-
-
-def test_flapack_loader_names_the_directory_it_searched(tmp_path):
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-        oracle._load_flapack(tmp_path)
-
-
-def test_flapack_routines_are_the_ones_scipy_linalg_exports():
+def test_bound_routines_match_scipy_lapack_bit_for_bit():
     from scipy.linalg import lapack
 
-    registered = sys.modules["scipy.linalg._flapack"]
-    module = oracle._load_flapack(oracle._scipy_linalg_dir())
-    assert sys.modules["scipy.linalg._flapack"] is registered
-    assert module.zgttrs is lapack.zgttrs
-    assert oracle.zgttrf is lapack.zgttrf
-    assert oracle.zgttrs is lapack.zgttrs
+    for n_x in (64, 513, 2048):
+        x = oscillator_state(n_x).grid.x
+        dx, lam = x[1] - x[0], 0.5e-2
+        off = 1j * lam * (-0.5 / dx**2)
+        rhs = 2.0 * oscillator_state(n_x).psi
+        system = oracle._Tridiagonal(n_x)
+        # the matrices cn_evolve factors: a static potential, and a
+        # time-dependent one sampled at three step midpoints
+        for v in [0.5 * x**2] + [0.5 * x**2 + 0.3 * math.cos(t) * x for t in (0.005, 0.205, 0.395)]:
+            diag = 1.0 + 1j * lam * (1.0 / dx**2 + v)
+            system.factor(off, diag)
+            full = np.full(n_x - 1, off)
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(full, diag, full)
+            assert info == 0
+            for ours, theirs in zip((system.dl, system.d, system.du, system.du2), (dl, d, du, du2)):
+                assert np.array_equal(ours, theirs), n_x
+            assert np.array_equal(system.ipiv, ipiv), n_x
+            system.rhs[:] = rhs
+            system.solve()
+            solved, info = lapack.zgttrs(dl, d, du, du2, ipiv, rhs)
+            assert info == 0
+            assert np.array_equal(system.rhs, solved), n_x
+
+
+def test_a_singular_crank_nicolson_matrix_is_refused():
+    system = oracle._Tridiagonal(8)
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular \(zgttrf info 1\)"):
+        system.factor(0j, np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
