@@ -548,7 +548,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log x.
 
     The closed form of a straight-line fit, sum(dx dy) / sum(dx^2), with dx
-    and dy the logs less their means.
+    and dy the logs less their means.  Both sums are numpy reductions, not
+    BLAS dot products, so the slope does not depend on the BLAS thread count.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -556,14 +557,17 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("need at least two matching samples for a slope fit")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit requires positive samples")
-    log_x, log_y = np.log(xs), np.log(ys)
-    dx = log_x - log_x.mean()
-    spread = np.dot(dx, dx)
+    # centred, and dy multiplied by dx, in place: a cosmo stiff fit takes
+    # 31,501 samples, and each extra array of them shows in the peak RSS
+    dx, dy = np.log(xs), np.log(ys)
+    dx -= dx.mean()
+    dy -= dy.mean()
+    spread = np.sum(dx * dx)
     if not spread > 0.0:
         raise ValueError(
             f"xs: the logs of the samples must spread for a slope fit, got spread {spread!r}"
         )
-    return float(np.dot(dx, log_y - log_y.mean()) / spread)
+    return float(np.sum(np.multiply(dx, dy, out=dy)) / spread)
 
 
 def observed_orders(hs: Sequence[float], errors: Sequence[float]) -> list[float]:

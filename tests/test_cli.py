@@ -819,6 +819,46 @@ def test_no_package_module_imports_the_cli():
     assert not offenders
 
 
+CHECKS_PROBE = """
+import contextlib, io, sys
+import semiprop.cli as cli
+
+for scenario, check in cli.CHECKS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([scenario, check, "--out", "{}/{}-{}".format(sys.argv[1], scenario, check)])
+    assert code == 0, (scenario, check, code)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every check at its defaults, all in one process per thread count;
+    # numpy reads the variable once, when it loads OpenBLAS
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    runs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", CHECKS_PROBE, str(tmp_path / threads)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for threads in ("1", "2")
+    }
+    for run in runs.values():
+        _, errors = run.communicate(timeout=300)
+        assert run.returncode == 0, errors
+    one, two = tmp_path / "1", tmp_path / "2"
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert {f.parent.name for f in files} == {"{}-{}".format(*key) for key in CHECKS}
+    for name in files:
+        if name.name == "report.json":
+            reports = [read_report(root / name.parent) for root in (one, two)]
+            for report in reports:
+                report.pop("runtime_seconds")
+            assert reports[0] == reports[1], name
+        else:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 LOADED_PROBE = """
 import contextlib, io, json, sys, types
 import semiprop.cli as cli
