@@ -269,10 +269,9 @@ def test_cn_buffers_leave_the_input_state_alone():
 # ---------------------------------------------------------------------------
 
 
-def run_fresh(script, *args, path=()):
-    """Run ``script`` in a fresh interpreter that imports this checkout's
-    semiprop, with the directories in ``path`` searched first."""
-    path = [*map(str, path), str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's semiprop."""
+    path = [str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
@@ -333,6 +332,8 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
 
 
 def test_a_lapack_without_the_routines_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
+    from numpy.linalg import _umath_linalg
+
     from semiprop import cli
 
     manglings = (("no_such_", "_"), ("", "_no_such_64_"))
@@ -344,8 +345,6 @@ def test_a_lapack_without_the_routines_fails_only_the_crank_nicolson_check(monke
         cli.main(["oracle", "kernel-vs-grid", "--n_x", "256", "--dt", "1e-2",
                   "--out", str(tmp_path / "kernel")])
     message = str(caught.value)
-    from numpy.linalg import _umath_linalg
-
     assert _umath_linalg.__file__ in message
     for symbol in ("no_such_zgttrf_", "no_such_zgttrs_", "zgttrf_no_such_64_", "zgttrs_no_such_64_"):
         assert symbol in message
