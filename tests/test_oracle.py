@@ -331,25 +331,46 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     )
 
 
-def test_a_lapack_without_the_routines_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
-    from numpy.linalg import _umath_linalg
-
-    from semiprop import cli
-
+def lapack_without_the_routines(monkeypatch):
+    """Make the first binding look for zgttrf/zgttrs under names no LAPACK exports."""
     manglings = (("no_such_", "_"), ("", "_no_such_64_"))
     monkeypatch.setattr(oracle, "_LAPACK_MANGLINGS", manglings)
     monkeypatch.setattr(oracle, "_lapack_integer", None)
     for name in ("zgttrf", "zgttrs"):
         monkeypatch.delitem(vars(oracle), name, raising=False)
-    with pytest.raises(ImportError) as caught:
+    return ("no_such_zgttrf_", "no_such_zgttrs_", "zgttrf_no_such_64_", "zgttrs_no_such_64_")
+
+
+def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
+    # the routines come from numpy's LAPACK alone: with scipy's _flapack
+    # unimportable and numpy's LAPACK lacking them, the Crank-Nicolson
+    # check fails at its first solve and every other check still runs
+    from semiprop import cli
+
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", None)
+    lapack_without_the_routines(monkeypatch)
+    with pytest.raises(ImportError, match="export none of"):
         cli.main(["oracle", "kernel-vs-grid", "--n_x", "256", "--dt", "1e-2",
                   "--out", str(tmp_path / "kernel")])
-    message = str(caught.value)
-    assert _umath_linalg.__file__ in message
-    for symbol in ("no_such_zgttrf_", "no_such_zgttrs_", "zgttrf_no_such_64_", "zgttrs_no_such_64_"):
-        assert symbol in message
     assert "zgttrf" not in vars(oracle)
     assert cli.main(["cosmo", "stiff", "--out", str(tmp_path / "stiff")]) == 0
+    assert (tmp_path / "stiff" / "report.json").is_file()
+
+
+def test_flapack_loader_names_the_directory_it_searched(monkeypatch):
+    # the binding's failure names the library it opened, so the directory
+    # it searched, and every symbol it tried there
+    from numpy.linalg import _umath_linalg
+
+    symbols = lapack_without_the_routines(monkeypatch)
+    with pytest.raises(ImportError) as caught:
+        oracle._bind_lapack()
+    message = str(caught.value)
+    assert _umath_linalg.__file__ in message
+    assert os.path.dirname(_umath_linalg.__file__) in message
+    for symbol in symbols:
+        assert symbol in message
+    assert oracle._lapack_integer is None
 
 
 def test_bound_routines_match_scipy_lapack_bit_for_bit():
