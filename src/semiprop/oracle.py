@@ -28,10 +28,12 @@ The two LAPACK routines Crank-Nicolson needs, zgttrf and zgttrs, come from
 the LAPACK numpy itself links: they are looked up through the shared object
 of ``numpy.linalg._umath_linalg``, whose dependencies the dynamic linker
 searches, and called through ctypes.  No second BLAS is loaded and scipy is
-not needed.  They are bound at the first ``cn_evolve`` call or the first
-access to ``oracle.zgttrf`` / ``oracle.zgttrs``, which then stay module
-globals.  Neither importing this module nor running it loads
-``numpy.random``.
+not needed.  Only the names numpy 2 wheels export (scipy-openblas64,
+64-bit integers) are bound; a numpy linked to any other LAPACK fails the
+first Crank-Nicolson solve with ImportError.  They are bound at the first
+``cn_evolve`` call or the first access to ``oracle.zgttrf`` /
+``oracle.zgttrs``, which then stay module globals.  Neither importing this
+module nor running it loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -78,55 +80,48 @@ RESIDUAL_BAND_NODES = 1 << 15
 CHIRP_ROW_TOL = 1e-12
 
 
-# (prefix, suffix) of zgttrf and zgttrs as numpy's LAPACK may export them:
-# numpy 2 wheels (scipy-openblas), numpy 1 wheels (openblas64_), then a
-# system LAPACK or MKL.  A "_64_" suffix takes 64-bit integers, "_" 32-bit.
-_LAPACK_MANGLINGS = (("scipy_", "_64_"), ("", "_64_"), ("", "_"))
-_LAPACK_NAMES = ("zgttrf", "zgttrs")
-# ctypes integer type of the bound routines; None until _bind_lapack runs
-_lapack_integer = None
+# zgttrf and zgttrs under the names numpy's own wheels export them: numpy 2
+# wheels bundle the scipy-openblas64 build of OpenBLAS, which prefixes every
+# LAPACK routine with "scipy_", suffixes it with "64_" and takes 64-bit
+# integers.  A LAPACK exporting other names (another numpy build, a system
+# LAPACK, MKL) is refused rather than called with a guessed integer width.
+_LAPACK_SYMBOLS = {"zgttrf": "scipy_zgttrf_64_", "zgttrs": "scipy_zgttrs_64_"}
+_LAPACK_INTEGER = ctypes.c_int64
 
 
 def _bind_lapack() -> None:
     """Bind zgttrf and zgttrs from numpy's LAPACK as module globals, once.
 
-    The first mangling in _LAPACK_MANGLINGS under which the library that
-    holds ``numpy.linalg._umath_linalg`` (or one it loads) exports both
-    routines is used; none raises ImportError naming the library and every
-    symbol tried.  A name already bound (say, replaced by a test) is left
+    The routines are looked up in the library that holds
+    ``numpy.linalg._umath_linalg`` and the libraries it loads; if they are
+    not exported under _LAPACK_SYMBOLS, ImportError names the library and
+    both symbols.  A name already bound (say, replaced by a test) is left
     as it is.
     """
-    global _lapack_integer
-    if _lapack_integer is not None:
+    if all(name in globals() for name in _LAPACK_SYMBOLS):
         return
     from numpy.linalg import _umath_linalg
 
     library = ctypes.CDLL(_umath_linalg.__file__)
-    tried = []
-    for prefix, suffix in _LAPACK_MANGLINGS:
-        symbols = [prefix + name + suffix for name in _LAPACK_NAMES]
-        tried += symbols
-        try:
-            zgttrf, zgttrs = (getattr(library, symbol) for symbol in symbols)
-        except AttributeError:
-            continue
-        # every argument is a pointer, but for the length of TRANS that
-        # Fortran passes last by value
-        zgttrf.argtypes = [ctypes.c_void_p] * 7
-        zgttrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-        zgttrf.restype = zgttrs.restype = None
-        globals().setdefault("zgttrf", zgttrf)
-        globals().setdefault("zgttrs", zgttrs)
-        _lapack_integer = ctypes.c_int64 if suffix == "_64_" else ctypes.c_int32
-        return
-    raise ImportError(
-        f"{_umath_linalg.__file__} and the libraries it loads export none of "
-        + ", ".join(tried)
-    )
+    symbols = _LAPACK_SYMBOLS.values()
+    try:
+        zgttrf, zgttrs = (getattr(library, symbol) for symbol in symbols)
+    except AttributeError:
+        raise ImportError(
+            f"{_umath_linalg.__file__} and the libraries it loads do not export "
+            + " and ".join(symbols)
+        ) from None
+    # every argument is a pointer, but for the length of TRANS that
+    # Fortran passes last by value
+    zgttrf.argtypes = [ctypes.c_void_p] * 7
+    zgttrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+    zgttrf.restype = zgttrs.restype = None
+    globals().setdefault("zgttrf", zgttrf)
+    globals().setdefault("zgttrs", zgttrs)
 
 
 def __getattr__(name: str):
-    if name in _LAPACK_NAMES:
+    if name in _LAPACK_SYMBOLS:
         _bind_lapack()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -145,7 +140,7 @@ class _Tridiagonal:
 
     def __init__(self, n: int) -> None:
         _bind_lapack()
-        integer = _lapack_integer
+        integer = _LAPACK_INTEGER
         self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
         self.d, self.du2 = np.empty(n, complex), np.empty(n - 2, complex)
         self.ipiv = np.empty(n, np.dtype(integer))

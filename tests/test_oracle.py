@@ -333,23 +333,22 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
 
 def lapack_without_the_routines(monkeypatch):
     """Make the first binding look for zgttrf/zgttrs under names no LAPACK exports."""
-    manglings = (("no_such_", "_"), ("", "_no_such_64_"))
-    monkeypatch.setattr(oracle, "_LAPACK_MANGLINGS", manglings)
-    monkeypatch.setattr(oracle, "_lapack_integer", None)
-    for name in ("zgttrf", "zgttrs"):
+    symbols = {"zgttrf": "no_such_zgttrf_64_", "zgttrs": "no_such_zgttrs_64_"}
+    monkeypatch.setattr(oracle, "_LAPACK_SYMBOLS", symbols)
+    for name in symbols:
         monkeypatch.delitem(vars(oracle), name, raising=False)
-    return ("no_such_zgttrf_", "no_such_zgttrs_", "zgttrf_no_such_64_", "zgttrs_no_such_64_")
+    return list(symbols.values())
 
 
+# The next two tests keep the names they had when the routines came from
+# scipy's _flapack extension; they now test the binding to numpy's LAPACK.
 def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
-    # the routines come from numpy's LAPACK alone: with scipy's _flapack
-    # unimportable and numpy's LAPACK lacking them, the Crank-Nicolson
-    # check fails at its first solve and every other check still runs
+    # with numpy's LAPACK lacking the routines, the Crank-Nicolson check
+    # fails at its first solve and every other check still runs
     from semiprop import cli
 
-    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", None)
     lapack_without_the_routines(monkeypatch)
-    with pytest.raises(ImportError, match="export none of"):
+    with pytest.raises(ImportError, match="do not export no_such_zgttrf_64_"):
         cli.main(["oracle", "kernel-vs-grid", "--n_x", "256", "--dt", "1e-2",
                   "--out", str(tmp_path / "kernel")])
     assert "zgttrf" not in vars(oracle)
@@ -359,7 +358,7 @@ def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(monkeypatch
 
 def test_flapack_loader_names_the_directory_it_searched(monkeypatch):
     # the binding's failure names the library it opened, so the directory
-    # it searched, and every symbol it tried there
+    # it searched, and both symbols it looked for there
     from numpy.linalg import _umath_linalg
 
     symbols = lapack_without_the_routines(monkeypatch)
@@ -370,7 +369,16 @@ def test_flapack_loader_names_the_directory_it_searched(monkeypatch):
     assert os.path.dirname(_umath_linalg.__file__) in message
     for symbol in symbols:
         assert symbol in message
-    assert oracle._lapack_integer is None
+    assert "zgttrf" not in vars(oracle) and "zgttrs" not in vars(oracle)
+
+
+def test_only_one_missing_routine_is_refused_too(monkeypatch):
+    # zgttrf alone is not enough: nothing is bound unless both resolve
+    lapack_without_the_routines(monkeypatch)
+    monkeypatch.setitem(oracle._LAPACK_SYMBOLS, "zgttrf", "scipy_zgttrf_64_")
+    with pytest.raises(ImportError, match="do not export scipy_zgttrf_64_ and no_such_zgttrs_64_"):
+        oracle._bind_lapack()
+    assert "zgttrf" not in vars(oracle)
 
 
 def test_bound_routines_match_scipy_lapack_bit_for_bit():
