@@ -2,7 +2,7 @@
 
 Two operator normalizations coexist here and are deliberately never
 converted into each other.  The constraint sector (evolve_classical,
-friedmann_residual, quantum_transport_residual) carries
+friedmann_residual, relative_constraint, quantum_transport_residual) carries
 the 2*pi/(3a) gravitational kinetic factor and matter kinetic term
 p_phi^2/(2 a^3).  The split-action sector (complex_action_residuals,
 closure_check, scale_factor_equation_residual) separates the action into
@@ -45,6 +45,7 @@ __all__ = [
     "matched_a_dot",
     "evolve_classical",
     "friedmann_residual",
+    "relative_constraint",
     "klein_gordon_residual",
     "complex_action_residuals",
     "closure_check",
@@ -52,12 +53,10 @@ __all__ = [
     "quantum_transport_residual",
     "COLLAPSE_FRACTION",
     "FRIEDMANN_PRECHECK_TOL",
-    "CONSTRAINT_DRIFT_TOL",
 ]
 
 COLLAPSE_FRACTION = 1.0e-6
 FRIEDMANN_PRECHECK_TOL = 1.0e-10
-CONSTRAINT_DRIFT_TOL = 1.0e-8
 
 _PI = math.pi
 
@@ -141,8 +140,8 @@ def _constraint_terms(a, p_a, phi, p_phi, params: CosmoParams):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense classical history; the recorded fields default to None so
-    hand-built trajectories for negative controls stay cheap."""
+    """Dense classical history: the samples only.  Each residual series is
+    a function of the trajectory and the parameters."""
 
     t: np.ndarray
     a: np.ndarray
@@ -150,9 +149,6 @@ class Trajectory:
     phi: np.ndarray
     phi_dot: np.ndarray
     collapse_time: float | None = None
-    friedmann: np.ndarray | None = None
-    constraint_rel: np.ndarray | None = None
-    drift_flagged: bool = False
 
 
 def _friedmann_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
@@ -162,19 +158,6 @@ def _friedmann_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
         - (8.0 * _PI / 3.0) * (0.5 * phi_dot**2 + params.potential.v(phi))
         - params.lam / 3.0
     )
-
-
-def _constraint_rel_series(a, a_dot, phi, phi_dot, params) -> np.ndarray:
-    """|constraint in momentum variables| over the largest single term."""
-    p_a, p_phi = momenta(a, a_dot, phi_dot)
-    # term by term, summed in this order: a stack would hold all five series
-    total = np.zeros(np.shape(a))
-    scale = np.zeros(np.shape(a))
-    for term in _constraint_terms(a, p_a, phi, p_phi, params):
-        total += term
-        np.maximum(scale, np.abs(term), out=scale)
-    total = np.abs(total)
-    return np.where(scale > 0.0, total / np.where(scale > 0.0, scale, 1.0), 0.0)
 
 
 def matched_a_dot(
@@ -266,33 +249,38 @@ def evolve_classical(
         collapse_time = float(ts[-1])
         ts, ys = ts[:-1], ys[:-1]
     a, a_dot, phi, phi_dot = ys.T
-    fried = _friedmann_series(a, a_dot, phi, phi_dot, params)
-    rel = _constraint_rel_series(a, a_dot, phi, phi_dot, params)
     return Trajectory(
-        t=ts,
-        a=a,
-        a_dot=a_dot,
-        phi=phi,
-        phi_dot=phi_dot,
-        collapse_time=collapse_time,
-        friedmann=fried,
-        constraint_rel=rel,
-        drift_flagged=bool(np.max(rel) > CONSTRAINT_DRIFT_TOL),
+        t=ts, a=a, a_dot=a_dot, phi=phi, phi_dot=phi_dot, collapse_time=collapse_time
+    )
+
+
+def _samples(trajectory: Trajectory) -> tuple[np.ndarray, ...]:
+    """(a, adot, phi, phidot) as float arrays; an empty trajectory is refused."""
+    if np.size(trajectory.t) == 0:
+        raise ValueError("empty trajectory")
+    return tuple(
+        np.asarray(getattr(trajectory, name), dtype=float)
+        for name in ("a", "a_dot", "phi", "phi_dot")
     )
 
 
 def friedmann_residual(trajectory: Trajectory, params: CosmoParams) -> np.ndarray:
     """(adot/a)^2 + k/a^2 - (8 pi/3)(phidot^2/2 + V) - Lambda/3 per sample."""
-    t = np.asarray(trajectory.t, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty trajectory")
-    return _friedmann_series(
-        np.asarray(trajectory.a, dtype=float),
-        np.asarray(trajectory.a_dot, dtype=float),
-        np.asarray(trajectory.phi, dtype=float),
-        np.asarray(trajectory.phi_dot, dtype=float),
-        params,
-    )
+    return _friedmann_series(*_samples(trajectory), params)
+
+
+def relative_constraint(trajectory: Trajectory, params: CosmoParams) -> np.ndarray:
+    """|constraint in momentum variables| over its largest single term, per sample."""
+    a, a_dot, phi, phi_dot = _samples(trajectory)
+    p_a, p_phi = momenta(a, a_dot, phi_dot)
+    # term by term, summed in this order: a stack would hold all five series
+    total = np.zeros(np.shape(a))
+    scale = np.zeros(np.shape(a))
+    for term in _constraint_terms(a, p_a, phi, p_phi, params):
+        total += term
+        np.maximum(scale, np.abs(term), out=scale)
+    total = np.abs(total)
+    return np.where(scale > 0.0, total / np.where(scale > 0.0, scale, 1.0), 0.0)
 
 
 def klein_gordon_residual(trajectory: Trajectory, params: CosmoParams) -> np.ndarray:

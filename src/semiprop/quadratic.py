@@ -91,38 +91,7 @@ class PrefactorSolution:
     dR: np.ndarray
     f1: np.ndarray
     f0: np.ndarray
-    mass: float
-    potential: QuadraticPotential
-    step: float
     blow_up_time: float | None = None
-
-    def ode_residuals(self) -> dict[str, float]:
-        """Max-abs residuals of the three ODEs with stencil time derivatives.
-
-        Central differencing on the recorded series keeps this an
-        independent substitution check rather than an echo of the
-        right-hand sides the integrator used.
-        """
-        if len(self.t) < 3:
-            raise ValueError("need at least three samples to form residuals")
-        h = self.step
-        pot, t_mid = self.potential, self.t[1:-1]
-        g2, g1, g0 = (at_time(g, t_mid) for g in (pot.g2, pot.g1, pot.g0))
-        ddR = (self.dR[2:] - self.dR[:-2]) / (2.0 * h)
-        df1 = (self.f1[2:] - self.f1[:-2]) / (2.0 * h)
-        df0 = (self.f0[2:] - self.f0[:-2]) / (2.0 * h)
-        dR_mid, f1_mid = self.dR[1:-1], self.f1[1:-1]
-        m = self.mass
-        res_r = m * ddR - 2.0 * m * dR_mid**2 - g2
-        res_f1 = df1 + g1 - 2.0 * dR_mid * f1_mid
-        res_f0 = 2.0 * m * (df0 + g0) + f1_mid**2
-        dR_check = (self.R[2:] - self.R[:-2]) / (2.0 * h) - dR_mid
-        return {
-            "amplitude": float(np.max(np.abs(res_r))),
-            "linear": float(np.max(np.abs(res_f1))),
-            "constant": float(np.max(np.abs(res_f0))),
-            "dR_consistency": float(np.max(np.abs(dR_check))),
-        }
 
 
 def _prefactor_rates(call: bool) -> str:
@@ -222,9 +191,6 @@ def solve_prefactor_odes(
         dR=ys[:, 1],
         f1=ys[:, 2],
         f0=ys[:, 3],
-        mass=mass,
-        potential=potential,
-        step=step,
         blow_up_time=blow_up_time,
     )
 

@@ -12,6 +12,7 @@ from ..cosmo import (
     ClassicalState,
     CosmoParams,
     evolve_classical,
+    friedmann_residual,
     matched_a_dot,
     momenta,
 )
@@ -21,8 +22,9 @@ from . import _LOG_MAX, RunnerOutput
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
 
-def _trajectory_rows(traj, stride: int) -> _CsvRows:
-    columns = (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot, traj.friedmann)
+def _trajectory_rows(traj, friedmann, stride: int) -> _CsvRows:
+    """Every stride-th sample, with its Friedmann residual as the constraint column."""
+    columns = (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot, friedmann)
     return _CsvRows(*(column[::stride] for column in columns))
 
 
@@ -40,14 +42,16 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
     hubble = math.sqrt(lam / 3.0)
 
     def momentum_square_finite() -> bool:
-        # the constraint series squares p_a = -3 a adot / (4 pi) = -3 H a^2 / (4 pi),
+        # relative_constraint squares p_a = -3 a adot / (4 pi) = -3 H a^2 / (4 pi),
         # largest at a0 exp(H t_end); float * overflows to inf where ** would raise
         a_end = a0 * math.exp(hubble * t_end)
         p_a = 3.0 * hubble * a_end * a_end / (4.0 * math.pi)
         return math.isfinite(p_a * p_a)
 
-    # the run takes a^2 and a^3 of every sample, from a0 up to a0 exp(H t_end),
-    # and float ** raises where the power leaves the float range
+    # the series that cosmo defines on the trajectory take a^2, a^3 and p_a^2
+    # of every sample, from a0 up to a0 exp(H t_end); this keeps all of them
+    # finite, not just the Friedmann residual read here, and float ** raises
+    # where a power leaves the float range
     if not (a0 > 0 and a0 * a0 * a0 > 0
             and 3.0 * (math.log(a0) + hubble * t_end) < _LOG_MAX
             and momentum_square_finite()):
@@ -57,7 +61,8 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
             "must the square of p_a = -3 sqrt(lam / 3) a^2 / (4 pi)".format(a0, lam, t_end)
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
-    traj = _evolve(state, CosmoParams(lam=lam), params, ("lam", "t_end", "step"))
+    de_sitter = CosmoParams(lam=lam)
+    traj = _evolve(state, de_sitter, params, ("lam", "t_end", "step"))
     step, tolerance = params["step"], 1e-6
     # the growth check compares the last sample against the closed form at t_end
     t_last = step * rk4_step_count(t_end, step)
@@ -80,12 +85,13 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
             "'t_end'".format(lam, t_end, step, rk4_error, tolerance)
         )
     closed = a0 * math.exp(hubble * t_end)
+    friedmann = friedmann_residual(traj, de_sitter)
     records = [
         _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, tolerance),
-        _bound("friedmann-residual", float(np.max(np.abs(traj.friedmann))), 1e-8),
+        _bound("friedmann-residual", float(np.max(np.abs(friedmann))), 1e-8),
     ]
-    csv = {"trajectory": (TRAJECTORY_HEADER, _trajectory_rows(traj, params["csv_stride"]))}
-    return records, None, csv
+    rows = _trajectory_rows(traj, friedmann, params["csv_stride"])
+    return records, None, {"trajectory": (TRAJECTORY_HEADER, rows)}
 
 
 def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
@@ -130,5 +136,5 @@ def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
             "relative p_phi drift over the run (truncation transient)",
         ),
     ]
-    csv = {"trajectory": (TRAJECTORY_HEADER, _trajectory_rows(traj, params["csv_stride"]))}
-    return records, None, csv
+    rows = _trajectory_rows(traj, friedmann_residual(traj, vacuum), params["csv_stride"])
+    return records, None, {"trajectory": (TRAJECTORY_HEADER, rows)}

@@ -19,7 +19,7 @@ import pytest
 import semiprop
 from semiprop.cli import CHECKS, POSITIVE, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
-from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical
+from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedmann_residual
 from semiprop.lattice import SIGNATURES, LatticeConfig
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
 from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
@@ -343,6 +343,8 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["quadratic", "hj", "--family", "harmonic", "--omega", "1e-200"], ["omega"]),
         # the cube a^3 stays finite, the constraint's p_a^2 ~ a^4 H^2 does not
         (["cosmo", "de-sitter", "--lam", "1e5"], ["lam", "a0", "t_end"]),
+        # the field is drawn from [-amplitude, amplitude], whose width overflows
+        (["lattice", "hj-positivity", "--amplitude", "1e308"], ["amplitude"]),
     ],
 )
 def test_overflowing_inputs_exit_two_without_a_warning(argv, names, tmp_path, capsys):
@@ -427,6 +429,34 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     argv = ["lattice", "conformal-transport", "--config", str(cfg), "--out", str(out)]
     assert main(argv) == 2
     assert "parameter 'dims' element 1 must be at least 2" in capsys.readouterr().err
+
+
+def test_name_equals_value_flag_reads_like_name_then_value(tmp_path):
+    joined, spaced = tmp_path / "joined", tmp_path / "spaced"
+    assert main(["cosmo", "de-sitter", "--t_end=2", "--out", str(joined)]) == 0
+    assert main(["cosmo", "de-sitter", "--t_end", "2", "--out", str(spaced)]) == 0
+    trajectory = (joined / "trajectory.csv").read_bytes()
+    assert trajectory == (spaced / "trajectory.csv").read_bytes()
+    # the run took t_end = 2, not the default 1
+    assert trajectory.splitlines()[-1].startswith(b"2,")
+    reports = [read_report(out) for out in (joined, spaced)]
+    for rep in reports:
+        rep.pop("runtime_seconds")
+    assert reports[0] == reports[1]
+
+
+def test_a_stray_positional_argument_exits_two(tmp_path, capsys):
+    argv = ["cosmo", "de-sitter", "stray", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "unrecognized argument 'stray'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_trailing_flag_without_a_value_exits_two(tmp_path, capsys):
+    argv = ["cosmo", "de-sitter", "--out", str(tmp_path), "--t_end"]
+    assert main(argv) == 2
+    assert "parameter '--t_end' is missing a value" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_sweep_runs_each_line_into_its_own_directory(tmp_path):
@@ -643,9 +673,9 @@ def reference_site_rows(config, values):
     return [tuple(int(i) for i in idx) + (values[idx],) for idx in np.ndindex(config.dims)]
 
 
-def reference_trajectory_rows(traj, stride):
+def reference_trajectory_rows(traj, friedmann, stride):
     return [
-        (traj.t[i], traj.a[i], traj.a_dot[i], traj.phi[i], traj.phi_dot[i], traj.friedmann[i])
+        (traj.t[i], traj.a[i], traj.a_dot[i], traj.phi[i], traj.phi_dot[i], friedmann[i])
         for i in range(0, len(traj.t), stride)
     ]
 
@@ -684,8 +714,11 @@ def propagator_cases():
 
 
 def trajectory_case():
+    """A short de Sitter run and its Friedmann residual series."""
+    params = CosmoParams(lam=3.0)
     state = ClassicalState(a=1.0, a_dot=1.0, phi=0.0, phi_dot=0.0)
-    return evolve_classical(state, CosmoParams(lam=3.0), (0.0, 0.05), 1e-3)
+    traj = evolve_classical(state, params, (0.0, 0.05), 1e-3)
+    return traj, friedmann_residual(traj, params)
 
 
 def test_write_csv_matches_the_per_cell_reference(tmp_path):
@@ -712,10 +745,13 @@ def test_csv_row_builders_match_the_per_cell_rows(tmp_path):
     for factors, grid in propagator_cases():
         rows = _propagator_rows(factors, assemble_propagator(factors, grid))
         cases.append((rows, reference_propagator_rows(factors, grid)))
-    traj = trajectory_case()
+    traj, friedmann = trajectory_case()
     assert len(traj.t) % 7 != 0
     for stride in (1, 7, len(traj.t) + 3):
-        cases.append((_trajectory_rows(traj, stride), reference_trajectory_rows(traj, stride)))
+        cases.append((
+            _trajectory_rows(traj, friedmann, stride),
+            reference_trajectory_rows(traj, friedmann, stride),
+        ))
     for rows, reference in cases:
         assert len(rows) == len(reference)
         write_csv(path, ["h"], rows)
@@ -731,7 +767,7 @@ def test_csv_path_keeps_the_benchmark_tracer_contract():
     for header, rows in (
         (["i", "j", "k", "value"], _site_rows(config, values)),
         (PROPAGATOR_HEADER, _propagator_rows(factors, assemble_propagator(factors, grid))),
-        (TRAJECTORY_HEADER, _trajectory_rows(trajectory_case(), 7)),
+        (TRAJECTORY_HEADER, _trajectory_rows(*trajectory_case(), 7)),
     ):
         first = list(rows)
         assert first and len(rows) == len(first)

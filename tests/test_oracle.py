@@ -340,9 +340,7 @@ def lapack_without_the_routines(monkeypatch):
     return list(symbols.values())
 
 
-# The next two tests keep the names they had when the routines came from
-# scipy's _flapack extension; they now test the binding to numpy's LAPACK.
-def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(monkeypatch, tmp_path):
+def test_a_numpy_lapack_without_the_routines_fails_only_crank_nicolson(monkeypatch, tmp_path):
     # with numpy's LAPACK lacking the routines, the Crank-Nicolson check
     # fails at its first solve and every other check still runs
     from semiprop import cli
@@ -356,7 +354,7 @@ def test_a_scipy_without_flapack_fails_only_the_crank_nicolson_check(monkeypatch
     assert (tmp_path / "stiff" / "report.json").is_file()
 
 
-def test_flapack_loader_names_the_directory_it_searched(monkeypatch):
+def test_lapack_binding_names_the_library_it_searched(monkeypatch):
     # the binding's failure names the library it opened, so the directory
     # it searched, and both symbols it looked for there
     from numpy.linalg import _umath_linalg
