@@ -56,16 +56,14 @@ def _reals(**defaults: float) -> dict:
     return {name: (default, float, None) for name, default in defaults.items()}
 
 
-_QUADRATIC = {
-    "family": ("free", ("free", "harmonic"), None),
-    **_reals(mass=1.0, omega=1.0, x0=0.0),
-}
+_FAMILY = {"family": ("free", ("free", "harmonic"), None), **_reals(mass=1.0, omega=1.0)}
+_QUADRATIC = {**_FAMILY, **_reals(x0=0.0)}
 _DIMS = ([4, 4], [int], 2)
 _LATTICE = {"dims": _DIMS, **_reals(mass=1.0, spacing=1.0)}
 
 CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
     ("quadratic", "hj"): (_QUADRATIC, "_run_quadratic_hj"),
-    ("quadratic", "van-vleck"): (_QUADRATIC, "_run_quadratic_van_vleck"),
+    ("quadratic", "van-vleck"): (_FAMILY, "_run_quadratic_van_vleck"),
     ("quadratic", "prefactor-ode"): (
         {"family": ("driven", ("free", "harmonic", "driven"), None), **_reals(step=1e-4)},
         "_run_quadratic_prefactor",
@@ -280,7 +278,7 @@ def run_scenario(
     scenario: str, check: str, params: dict, out_dir: Path, seed: int
 ) -> Report:
     """Run one check on checked parameters, write report.json and CSV
-    payloads into ``out_dir``, and return the report."""
+    payloads into ``out_dir`` (ValueError if it cannot be made), and return the report."""
     _, name = CHECKS[(scenario, check)]
     module = importlib.import_module(
         "{}.runners.{}".format(__package__, scenario.replace("-", "_"))
@@ -295,7 +293,10 @@ def run_scenario(
         seed=seed,
         runtime_seconds=time.perf_counter() - started,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError("--out {} is not a directory: {}".format(out_dir, exc.strerror)) from None
     report.write_json(out_dir / "report.json")
     for stem, (header, rows) in csv_payload.items():
         write_csv(out_dir / (stem + ".csv"), header, rows)

@@ -16,22 +16,23 @@ RunnerOutput = tuple
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _refuse_below_roundoff(
-    scale: float, tolerance: float, params: dict, names: tuple, terms: str
-) -> None:
-    """Refuse a check that round-off alone could fail.
+def _roundoff(scale: float, terms: str) -> tuple[float, str]:
+    """The residual round-off alone leaves where ``terms`` of size ``scale``
+    cancel, machine epsilon times it, and that cause in words."""
+    cause = "round-off alone where {} reach {:.3g}, machine epsilon times that,"
+    return sys.float_info.epsilon * scale, cause.format(terms, scale)
 
-    ``scale`` is the size of the terms that cancel in a residual held to
-    the absolute ``tolerance``; evaluating a correct closed form leaves
-    about machine epsilon times it.  The message names the parameters in
-    ``names``, which set the scale, and states that floor.  A scale that is
-    not finite is refused too.
+
+def _refuse_predicted(error: float, cause: str, limit: float, params: dict, names: tuple) -> None:
+    """Refuse a check that a correct computation could fail.
+
+    ``error`` is what ``cause`` predicts a correct computation reads, and
+    ``limit`` is what it must stay below: the check's tolerance, or a share
+    of it.  The message names the parameters in ``names``, which set the
+    error.  An error that is not finite is refused too.
     """
-    floor = sys.float_info.epsilon * scale
-    if not floor < tolerance:
+    if not error < limit:
         given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
         raise ValueError(
-            "parameters {}: the {} reach {:.3g}, so round-off alone leaves a residual "
-            "of about {:.3g} (machine epsilon times that), not below the tolerance "
-            "{:g}".format(given, terms, scale, floor, tolerance)
+            "parameters {}: {} is about {:.3g}, not below {:g}".format(given, cause, error, limit)
         )

@@ -11,21 +11,23 @@ from ..core import fit_loglog_slope, rk4_step_count
 from ..cosmo import (
     ClassicalState,
     CosmoParams,
+    Trajectory,
     evolve_classical,
     friedmann_residual,
     matched_a_dot,
     momenta,
 )
 from ..report import _bound, _CsvRows, _diagnostic, _target
-from . import _LOG_MAX, RunnerOutput
+from . import _LOG_MAX, RunnerOutput, _refuse_predicted
 
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
 
-def _trajectory_rows(traj, friedmann, stride: int) -> _CsvRows:
-    """Every stride-th sample, with its Friedmann residual as the constraint column."""
-    columns = (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot, friedmann)
-    return _CsvRows(*(column[::stride] for column in columns))
+def _trajectory_rows(traj: Trajectory, cosmo: CosmoParams, stride: int) -> _CsvRows:
+    """Every stride-th sample, with its Friedmann residual as the constraint
+    column; the residual is elementwise, so it is taken on those samples only."""
+    samples = [column[::stride] for column in (traj.t, traj.a, traj.a_dot, traj.phi, traj.phi_dot)]
+    return _CsvRows(*samples, friedmann_residual(Trajectory(*samples), cosmo))
 
 
 def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tuple):
@@ -77,20 +79,17 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
         t_end * (hubble * hubble * hubble * hubble * hubble) * (step * step * step * step)
         * math.exp(hubble * t_end) / 120.0
     )
-    if not rk4_error < 0.5 * tolerance:
-        raise ValueError(
-            "parameters 'lam' = {!r}, 't_end' = {!r}, 'step' = {!r}: RK4's global error "
-            "t_end H^5 step^4 exp(H t_end) / 120, with H = sqrt(lam / 3), is about {:.3g}, "
-            "not below half the scale-factor-growth tolerance {:g}; lower 'step' or "
-            "'t_end'".format(lam, t_end, step, rk4_error, tolerance)
-        )
+    _refuse_predicted(
+        rk4_error, "RK4's global error t_end H^5 step^4 exp(H t_end) / 120, H = sqrt(lam / 3),",
+        0.5 * tolerance, params, ("lam", "t_end", "step"),
+    )
     closed = a0 * math.exp(hubble * t_end)
     friedmann = friedmann_residual(traj, de_sitter)
     records = [
         _bound("scale-factor-growth", abs(traj.a[-1] - closed) / a0, tolerance),
         _bound("friedmann-residual", float(np.max(np.abs(friedmann))), 1e-8),
     ]
-    rows = _trajectory_rows(traj, friedmann, params["csv_stride"])
+    rows = _trajectory_rows(traj, de_sitter, params["csv_stride"])
     return records, None, {"trajectory": (TRAJECTORY_HEADER, rows)}
 
 
@@ -136,5 +135,5 @@ def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
             "relative p_phi drift over the run (truncation transient)",
         ),
     ]
-    rows = _trajectory_rows(traj, friedmann_residual(traj, vacuum), params["csv_stride"])
+    rows = _trajectory_rows(traj, vacuum, params["csv_stride"])
     return records, None, {"trajectory": (TRAJECTORY_HEADER, rows)}

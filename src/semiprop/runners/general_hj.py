@@ -15,7 +15,7 @@ from ..general_hj import (
     imaginary_scaling_probe,
 )
 from ..report import _bound, _target
-from . import _LOG_MAX, RunnerOutput, _refuse_below_roundoff
+from . import _LOG_MAX, RunnerOutput, _refuse_predicted, _roundoff
 
 
 def _run_general_decoupling(params: dict, seed: int) -> RunnerOutput:
@@ -36,21 +36,23 @@ def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
         amplitude=params["amplitude"], slope=params["slope"],
         hbar=params["hbar"], mass=params["mass"],
     )
-    tolerance = 1e-10
+    hj_tolerance, decoupling_tolerance = 1e-10, 1e-12
     # (dS/dx)^2 / (2m) = -A e^(bx) and V = A e^(bx) cancel; each reaches
     # A e^(|b| X_EDGE) on the grid, whatever the mass
-    _refuse_below_roundoff(
-        2.0 * params["amplitude"] * math.exp(abs(params["slope"]) * X_EDGE), tolerance,
-        params, ("amplitude", "slope"), "two Hamilton-Jacobi terms together",
+    terms = 2.0 * params["amplitude"] * math.exp(abs(params["slope"]) * X_EDGE)
+    _refuse_predicted(
+        *_roundoff(terms, "two Hamilton-Jacobi terms together"), hj_tolerance,
+        params, ("amplitude", "slope"),
     )
     # 2m dR/dt and i hbar (b/4)^2 cancel; each is hbar b^2 / 16
-    _refuse_below_roundoff(
-        params["hbar"] * (params["slope"] * params["slope"]) / 8.0, 1e-12,
-        params, ("hbar", "slope"), "two decoupling terms together",
+    terms = params["hbar"] * (params["slope"] * params["slope"]) / 8.0
+    _refuse_predicted(
+        *_roundoff(terms, "two decoupling terms together"), decoupling_tolerance,
+        params, ("hbar", "slope"),
     )
     records = [
-        _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),
-        _bound("decoupling-residual", res["decoupling"], 1e-12),
+        _bound("hamilton-jacobi", res["hamilton_jacobi"], hj_tolerance),
+        _bound("decoupling-residual", res["decoupling"], decoupling_tolerance),
     ]
     return records, None, {}
 

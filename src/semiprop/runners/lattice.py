@@ -24,7 +24,7 @@ from ..lattice import (
     plane_wave_phase,
 )
 from ..report import _bound, _CsvRows, _diagnostic, _floor
-from . import RunnerOutput
+from . import RunnerOutput, _refuse_predicted
 
 
 def _lattice_config(params: dict) -> LatticeConfig:
@@ -79,8 +79,13 @@ def _run_lattice_transport(params: dict, seed: int) -> RunnerOutput:
 def _run_lattice_greens(params: dict, seed: int) -> RunnerOutput:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
+    tolerance = 1e-8
+    # before defect is first read, so the stencil never runs on a refused lattice
+    names = ("mass", "spacing") + (("use_regulator",) if params["use_regulator"] else ())
+    cause = "round-off alone in op @ G, machine epsilon times max |lambda + i epsilon| max |g|,"
+    _refuse_predicted(functional.roundoff, cause, tolerance, params, names)
     records = [
-        _bound("defining-property", functional.defect, 1e-8),
+        _bound("defining-property", functional.defect, tolerance),
         _bound("kernel-symmetry", functional.asymmetry, 1e-12),
     ]
     csv = {"lattice": (_lattice_header(config), _site_rows(config, np.real(functional.g)))}

@@ -18,17 +18,17 @@ from ..quadratic import (
     van_vleck_check,
 )
 from ..report import _bound, _CsvRows, _order_record, build_convergence_rows
-from . import RunnerOutput, _refuse_below_roundoff
+from . import RunnerOutput, _refuse_predicted, _roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
 
 def _quadratic_factors(grid: SpacetimeGrid, params: dict):
+    # van-vleck takes no x0: it differences the two-point action over x0 itself
+    x0 = params.get("x0", 0.0)
     if params["family"] == "free":
-        return free_particle_factors(grid, mass=params["mass"], x0=params["x0"])
-    return harmonic_factors(
-        grid, mass=params["mass"], omega=params["omega"], x0=params["x0"]
-    )
+        return free_particle_factors(grid, mass=params["mass"], x0=x0)
+    return harmonic_factors(grid, mass=params["mass"], omega=params["omega"], x0=x0)
 
 
 def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
@@ -49,9 +49,9 @@ def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
         )
         reach = abs(omega) * span / float(np.min(np.abs(np.sin(omega * grid.t))))
         names = ("mass", "omega", "x0")
-    _refuse_below_roundoff(
-        params["mass"] * reach * reach / 2.0, tolerance, params, names,
-        "Hamilton-Jacobi terms",
+    _refuse_predicted(
+        *_roundoff(params["mass"] * reach * reach / 2.0, "the Hamilton-Jacobi terms"),
+        tolerance, params, names,
     )
     records = [
         _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),

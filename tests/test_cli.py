@@ -20,10 +20,11 @@ import semiprop
 from semiprop.cli import CHECKS, POSITIVE, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedmann_residual
-from semiprop.lattice import SIGNATURES, LatticeConfig
+from semiprop.lattice import SIGNATURES, LatticeConfig, QuadraticFunctional
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
 from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
 from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
+from semiprop.runners import lattice as lattice_runners
 from semiprop.runners.lattice import _site_rows
 from semiprop.runners.quadratic import PROPAGATOR_HEADER, _propagator_rows
 
@@ -321,6 +322,8 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
          "omega = 1e-200 puts a valid time node on a caustic"),
         # the action is too small for its mixed finite difference
         (["quadratic", "van-vleck", "--mass", "1e-305"], "action at mass = 1e-305"),
+        # the check differences the two-point action over x0 itself
+        (["quadratic", "van-vleck", "--x0", "3"], "unknown parameter 'x0' for quadratic van-vleck"),
         # the last RK4 sample misses t_end, where the closed form is taken
         (["cosmo", "de-sitter", "--step", "3e-4"],
          "parameters 'step' = 0.0003 and 't_end' = 1.0: the steps end at t = 0.9998999999999999"),
@@ -381,6 +384,55 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
     for amplitude in (["--amplitude", "1e-150"], []):
         argv = ["lattice", "hj-positivity"] + amplitude + ["--out", str(tmp_path / "h")]
         assert main(argv) == 0, amplitude
+
+
+def test_greens_records_fail_on_a_planted_kernel_defect(tmp_path, monkeypatch):
+    # each defect goes into the kernel the runner certifies, not into the check
+    build = lattice_runners.lattice_greens_function
+
+    def one_site_moved(g):
+        g = g.copy()
+        g[1, 0] += 1e-10
+        return g
+
+    controls = [
+        # a uniform relative error breaks op @ G = I and keeps G symmetric
+        (lambda g: g * (1.0 + 1e-6), "defining-property", "kernel-symmetry"),
+        # G(1, 0) moved apart from G(0, 1) by far less than op @ G notices
+        (one_site_moved, "kernel-symmetry", "defining-property"),
+    ]
+    for index, (plant, failing, passing) in enumerate(controls):
+        def planted(config, use_regulator=False, plant=plant):
+            kernel = build(config, use_regulator)
+            return QuadraticFunctional(plant(kernel.g), config, kernel.regulator)
+
+        monkeypatch.setattr(lattice_runners, "lattice_greens_function", planted)
+        out = tmp_path / str(index)
+        assert main(["lattice", "greens", "--out", str(out)]) == 1, failing
+        report = read_report(out)
+        assert record(report, failing)["pass"] is False, failing
+        assert record(report, passing)["pass"] is True, failing
+
+
+def test_hj_positivity_is_not_refused_at_the_greens_round_off_floor(tmp_path):
+    # the floor refuses `lattice greens` here (1.2e-7 against 1e-8), but
+    # hj-positivity never reads the kernel's defect
+    argv = ["lattice", "hj-positivity", "--dims", "[4,4]", "--mass", "3e-5", "--draws", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+def test_an_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("lam=1.0\nlam=2.0\n")
+    for extra in ([], ["--sweep", str(sweep)]):
+        for out in (taken, taken / "sub"):
+            argv = ["lattice", "conformal-transport", "--out", str(out)] + extra
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "--out" in err and "Traceback" not in err, argv
+    assert taken.read_text() == ""
 
 
 def test_negative_omega_still_runs_the_harmonic_identities(tmp_path):
@@ -539,7 +591,6 @@ FUZZ_BASES = {
 # that makes a unit mass null
 COMBINED_CASES = [
     ("mass", ["lattice", "greens", "--dims", "[4,4]", "--mass", "3e-5"]),
-    ("mass", ["lattice", "hj-positivity", "--dims", "[4,4]", "--mass", "3e-5", "--draws", "2"]),
     ("mass", ["lattice", "greens", "--dims", "[4,4]", "--mass", "5e-5"]),
     ("mass", ["lattice", "greens", "--dims", "[32,32]", "--signature", "lorentzian",
               "--use_regulator", "true", "--mass", "1e-5"]),
@@ -714,11 +765,10 @@ def propagator_cases():
 
 
 def trajectory_case():
-    """A short de Sitter run and its Friedmann residual series."""
+    """A short de Sitter run and its parameters."""
     params = CosmoParams(lam=3.0)
     state = ClassicalState(a=1.0, a_dot=1.0, phi=0.0, phi_dot=0.0)
-    traj = evolve_classical(state, params, (0.0, 0.05), 1e-3)
-    return traj, friedmann_residual(traj, params)
+    return evolve_classical(state, params, (0.0, 0.05), 1e-3), params
 
 
 def test_write_csv_matches_the_per_cell_reference(tmp_path):
@@ -745,11 +795,13 @@ def test_csv_row_builders_match_the_per_cell_rows(tmp_path):
     for factors, grid in propagator_cases():
         rows = _propagator_rows(factors, assemble_propagator(factors, grid))
         cases.append((rows, reference_propagator_rows(factors, grid)))
-    traj, friedmann = trajectory_case()
+    traj, params = trajectory_case()
+    # the reference strides the residual of every sample
+    friedmann = friedmann_residual(traj, params)
     assert len(traj.t) % 7 != 0
     for stride in (1, 7, len(traj.t) + 3):
         cases.append((
-            _trajectory_rows(traj, friedmann, stride),
+            _trajectory_rows(traj, params, stride),
             reference_trajectory_rows(traj, friedmann, stride),
         ))
     for rows, reference in cases:

@@ -70,11 +70,11 @@ def test_field_validation():
 
 def test_kernel_symmetry_enforced():
     # every 2-site circulant is symmetric, so this needs 3 sites: G(0, 1) = g[2]
-    # and G(1, 0) = g[1]
+    # and G(1, 0) = g[1]; the kernel measures max |G - G^T| over max(1, max |g|),
+    # and `lattice greens` holds that to its kernel-symmetry tolerance
     ring = LatticeConfig(dims=(3,))
-    with pytest.raises(ValueError, match="not symmetric"):
-        QuadraticFunctional(g=np.array([1.0, 2.0, 0.0]), config=ring)
-    # a kernel within tolerance keeps its relative asymmetry
+    assert QuadraticFunctional(g=np.array([1.0, 2.0, 0.0]), config=ring).asymmetry == 1.0
+    assert QuadraticFunctional(g=np.array([0.5, 0.2, 0.0]), config=ring).asymmetry == 0.2
     g = np.array([4.0, 2.0, 2.0 + 2e-12])
     assert QuadraticFunctional(g=g, config=ring).asymmetry == (g[2] - g[1]) / 4.0
     # the kernel is its column, not the dense matrix
@@ -113,6 +113,20 @@ def test_defining_property_euclidean():
         assert np.max(np.abs(op @ kernel - np.eye(config.n_sites))) < 1e-8
         assert np.max(np.abs(kernel - kernel.T)) < 1e-12
         assert q.defect < 1e-8 and q.asymmetry < 1e-12
+
+
+def test_a_kernel_built_elsewhere_measures_its_own_defect():
+    # the column of the dense inverse of lattice_operator is G(x, 0) = g[x]; the
+    # stencil certifies it without the FFT that lattice_greens_function inverts by
+    for config in (
+        LatticeConfig(dims=(4, 4), spacing=0.5, mass=1.3),
+        LatticeConfig(dims=(4, 4), signature="lorentzian", mass=1.0),
+    ):
+        column = np.linalg.inv(lattice_operator(config))[:, 0].reshape(config.dims)
+        assert QuadraticFunctional(g=column, config=config).defect < 1e-8
+        # the same column off by one part in 10^6 is not a Green's function
+        wrong = QuadraticFunctional(g=column * (1.0 + 1e-6), config=config)
+        assert wrong.defect > 1e-8
 
 
 def test_heavy_mass_kernel_is_diagonal():
