@@ -26,6 +26,7 @@ import argparse
 import ast
 import importlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -278,7 +279,18 @@ def run_scenario(
     scenario: str, check: str, params: dict, out_dir: Path, seed: int
 ) -> Report:
     """Run one check on checked parameters, write report.json and CSV
-    payloads into ``out_dir`` (ValueError if it cannot be made), and return the report."""
+    payloads into ``out_dir`` (ValueError if it cannot be made), and return the report.
+
+    An ``out_dir`` whose nearest existing ancestor, itself included, is not
+    a directory is refused before the runner runs.
+    """
+    for path in (out_dir, *out_dir.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                raise ValueError(
+                    "--out {} is not a directory: {} exists and is not one".format(out_dir, path)
+                )
+            break
     _, name = CHECKS[(scenario, check)]
     module = importlib.import_module(
         "{}.runners.{}".format(__package__, scenario.replace("-", "_"))

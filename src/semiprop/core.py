@@ -5,10 +5,11 @@ The package certifies propagators of the form
     K(x, t) = exp( R(x, t) + i S(x, t) / hbar )
 
 on rectangular space-time grids.  This module supplies the substrate:
-grid and field containers, the exp-assembly of K from its factors,
-second-order finite-difference stencils, composite Simpson quadrature
-(plain and cumulative), a classical RK4 stepper, and small fitting
-helpers used by the convergence studies.
+grid and field containers, the exp-assembly of K from its factors
+(whole, or a band of time columns at a time), second-order
+finite-difference stencils, composite Simpson quadrature (plain and
+cumulative), a classical RK4 stepper, and small fitting helpers used by
+the convergence studies.
 
 Everything downstream treats these kernels as trusted instruments, so
 their error behavior is pinned by tests (quadratic exactness, h**2 and
@@ -34,6 +35,7 @@ __all__ = [
     "SpatialGrid",
     "ComplexField",
     "PropagatorFactors",
+    "LazyPropagator",
     "assemble_propagator",
     "finite_difference",
     "simpson_weights",
@@ -147,23 +149,33 @@ class ComplexField:
 
     @classmethod
     def from_callable(cls, grid: SpacetimeGrid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ComplexField":
-        X, T = grid.mesh()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.asarray(fn(X, T), dtype=complex)
-        values = np.broadcast_to(values, (grid.n_x, grid.n_t)).copy()
-        return cls(grid, values)
+        return cls(grid, _sample(fn, grid, 0, grid.n_t))
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The samples at time columns lo:hi, a slice of ``values``."""
+        return self.values[:, lo:hi]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-def _require_finite(values: np.ndarray, grid: SpacetimeGrid, what: str) -> None:
+def _sample(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: SpacetimeGrid, lo: int, hi: int) -> np.ndarray:
+    """fn(x, t) at every x node and the time columns lo:hi, as a new complex array."""
+    x, t = grid.x[:, None], grid.t[None, lo:hi]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.asarray(fn(x, t), dtype=complex)
+    return np.broadcast_to(values, (grid.n_x, hi - lo)).copy()
+
+
+def _require_finite(values: np.ndarray, grid: SpacetimeGrid, what: str, lo: int = 0) -> None:
+    """Refuse a non-finite sample, naming its node; ``values`` holds the
+    time columns from ``lo`` on."""
     bad = ~np.isfinite(values)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise ValueError(
-            f"non-finite {what} at node (i={i}, j={j}), "
-            f"x={grid.x[i]:.6g}, t={grid.t[j]:.6g}"
+            f"non-finite {what} at node (i={i}, j={j + lo}), "
+            f"x={grid.x[i]:.6g}, t={grid.t[j + lo]:.6g}"
         )
 
 
@@ -176,8 +188,10 @@ def _require_finite(values: np.ndarray, grid: SpacetimeGrid, what: str) -> None:
 class PropagatorFactors:
     """The two factors of K = exp(R + i S / hbar) plus physical constants.
 
-    R and S are closed-form callables f(x, t), sampled on a grid by
-    ``ComplexField.from_callable``.  Closed-form families additionally
+    R and S are closed-form callables f(x, t), sampled by broadcasting x
+    (n_x, 1) against t (1, m): ``assemble_propagator`` samples the whole
+    grid, a ``LazyPropagator`` a band of time columns at a time, which
+    needs them to act pointwise.  Closed-form families additionally
     carry ``two_point_action`` S(x, x0, t) and ``time_amplitude`` R(t),
     which the Van Vleck and kernel-propagation checks need (the
     x0-dependence is not recoverable from single-source samples).
@@ -200,30 +214,58 @@ class PropagatorFactors:
             )
 
 
+@dataclass(frozen=True)
+class LazyPropagator:
+    """K = exp(R + i S / hbar) on a grid, assembled only where it is read.
+
+    ``columns(lo, hi)`` samples both factors at the time columns lo:hi and
+    assembles K there, so a reader that takes K a band of columns at a time
+    never holds it whole.  For factors that act pointwise in (x, t), every
+    column has the bits ``assemble_propagator`` gives it, and a bad node is
+    reported as there, by its indices on the whole grid.
+    """
+
+    factors: PropagatorFactors
+    grid: SpacetimeGrid
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """K at the time columns lo:hi, a new (n_x, hi - lo) array.
+
+        Non-finite factor samples, non-finite exponents and exp overflow
+        are reported with the offending node, never clamped.
+        """
+        grid, hbar = self.grid, self.factors.hbar
+        r = _sample(self.factors.R, grid, lo, hi)
+        _require_finite(r, grid, "field value", lo)
+        s = _sample(self.factors.S, grid, lo, hi)
+        _require_finite(s, grid, "field value", lo)
+        # one buffer: the exponent r + 1j * s / hbar, then K in its place;
+        # an overflow is refused by node, so it is not warned of as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = 1j * s
+            k /= hbar
+            k += r
+            _require_finite(k, grid, "propagator exponent", lo)
+            np.exp(k, out=k)
+        bad = ~np.isfinite(k)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            exponent = r[i, j] + 1j * s[i, j] / hbar
+            raise ValueError(
+                f"exp overflow assembling propagator at node (i={i}, j={j + lo}), "
+                f"x={grid.x[i]:.6g}, t={grid.t[j + lo]:.6g}, Re exponent={exponent.real:.6g}"
+            )
+        return k
+
+
 def assemble_propagator(factors: PropagatorFactors, grid: SpacetimeGrid) -> ComplexField:
-    """Evaluate K = exp(R + i S / hbar) on the grid.
+    """Evaluate K = exp(R + i S / hbar) on the grid: every column of
+    ``LazyPropagator(factors, grid)`` at once.
 
     Both factors are sampled on ``grid``.  Non-finite exponents and exp
     overflow are reported with the offending node, never clamped.
     """
-    r = ComplexField.from_callable(grid, factors.R)
-    s = ComplexField.from_callable(grid, factors.S)
-    # one buffer: the exponent r + 1j * s / hbar, then K in its place
-    k = 1j * s.values
-    k /= factors.hbar
-    k += r.values
-    _require_finite(k, grid, what="propagator exponent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(k, out=k)
-    bad = ~np.isfinite(k)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        exponent = r.values[i, j] + 1j * s.values[i, j] / factors.hbar
-        raise ValueError(
-            f"exp overflow assembling propagator at node (i={i}, j={j}), "
-            f"x={grid.x[i]:.6g}, t={grid.t[j]:.6g}, Re exponent={exponent.real:.6g}"
-        )
-    return ComplexField(grid, k)
+    return ComplexField(grid, LazyPropagator(factors, grid).columns(0, grid.n_t))
 
 
 # ---------------------------------------------------------------------------

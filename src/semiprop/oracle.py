@@ -10,7 +10,9 @@ construction they certify:
   tridiagonal system is LU-factored once; a time-dependent one is
   refactored at every step.
 * ``schrodinger_residual``: direct stencil substitution of a gridded K
-  into the Schrodinger equation.
+  into the Schrodinger equation.  It reads K a band of time columns at a
+  time, so K may be a ``ComplexField`` or a view that assembles only the
+  columns asked for.
 * ``kernel_propagate``: treats closed-form factors as a two-point kernel
   and evolves a state by quadrature, with the overall constant fixed by
   matching the free-particle normalization (m/(2 pi i hbar t))^(1/2) at
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ComplexField,
     PropagatorFactors,
     SpatialGrid,
     _stencil,
@@ -74,8 +75,8 @@ MAX_CN_STEPS = 10**6
 # needs only O(n_x) memory; the cap bounds the grid the kernel is checked
 # on, not a dense n_x^2 kernel (none is built).
 MAX_KERNEL_NODES = 4096
-# Nodes per band of the streamed Schrodinger residual: 512 kB of complex K.
-RESIDUAL_BAND_NODES = 1 << 15
+# Nodes per band of the streamed Schrodinger residual: 128 kB of complex K.
+RESIDUAL_BAND_NODES = 1 << 13
 # The chirp split must reproduce every checked row of S to this share of max|S|.
 CHIRP_ROW_TOL = 1e-12
 
@@ -320,14 +321,16 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
 
 
-def schrodinger_residual(
-    K: ComplexField, pot, hbar: float = 1.0, mass: float = 1.0
-) -> float:
+def schrodinger_residual(K, pot, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Stencil substitution into i hbar dK/dt + (hbar^2/2m) d2K/dx2 - V K.
 
-    Returns max|residual| / max|K| over every node.  The potential is a
-    constant, a QuadraticPotential or a callable of (x, t); a callable is
-    sampled band by band, so it must act pointwise in (x, t).
+    Returns max|residual| / max|K| over every node.  K is read only
+    through ``K.grid`` and ``K.columns(lo, hi)``, the (n_x, hi - lo)
+    samples at time columns lo:hi: a ``ComplexField`` hands back slices of
+    its values, a ``core.LazyPropagator`` assembles just those columns.
+    The potential is a constant, a QuadraticPotential or a callable of
+    (x, t); a callable is sampled band by band, so it must act pointwise
+    in (x, t).
 
     The residual is formed in bands of whole time columns, about
     RESIDUAL_BAND_NODES nodes each, and only the two maxima are kept
@@ -344,8 +347,9 @@ def schrodinger_residual(
     for j0 in range(0, n_t, width):
         j1 = min(j0 + width, n_t)
         lo, hi = max(0, min(j0 - 1, n_t - 3)), min(n_t, max(j1 + 1, 3))
-        k_t = _stencil(K.values[:, lo:hi], grid.dt, 1, 1)[:, j0 - lo : j1 - lo]
-        k = K.values[:, j0:j1]
+        band = K.columns(lo, hi)
+        k_t = _stencil(band, grid.dt, 1, 1)[:, j0 - lo : j1 - lo]
+        k = band[:, j0 - lo : j1 - lo]
         k_xx = _stencil(k, grid.dx, 0, 2)
         v = np.broadcast_to(np.asarray(v_fn(x, t[:, j0:j1]), dtype=complex), k.shape)
         residual = 1j * hbar * k_t + kinetic * k_xx - v * k

@@ -5,6 +5,7 @@ Klein-Gordon leapfrog."""
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -40,6 +41,20 @@ def _site_rows(config: LatticeConfig, values: np.ndarray) -> _CsvRows:
     # np.indices flattened in C order enumerates the sites as np.ndindex does
     sites = np.indices(config.dims).reshape(len(config.dims), -1)
     return _CsvRows(*sites, np.asarray(values).ravel())
+
+
+def _uniform(rng: random.Random, low: float, high: float, config: LatticeConfig) -> np.ndarray:
+    """A field of shape ``config.dims`` drawn uniformly from [low, high).
+
+    Each site takes the next 8 bytes of ``rng.randbytes``, read as a
+    little-endian integer; its top 53 bits give u = (bits >> 11) 2^-53 in
+    [0, 1), exactly, and the site holds low + (high - low) u.  The stream is
+    the seed's Mersenne Twister, the same on every Python, and drawing it
+    loads nothing beyond the standard library's ``random``.
+    """
+    data = rng.randbytes(8 * config.n_sites)
+    bits = np.frombuffer(data, dtype="<u8") >> 11
+    return low + (high - low) * (bits * 2.0**-53).reshape(config.dims)
 
 
 def _lattice_header(config: LatticeConfig) -> list[str]:
@@ -127,13 +142,11 @@ def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
                 amplitude, config.spacing, config.mass, least
             )
         )
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = math.inf
     last = None
     for _ in range(params["draws"]):
-        last = LatticeField(
-            config, rng.uniform(-amplitude, amplitude, size=config.dims)
-        )
+        last = LatticeField(config, _uniform(rng, -amplitude, amplitude, config))
         worst = min(worst, functional_hj_residual(functional, last))
     records = [
         _floor(
@@ -165,12 +178,12 @@ def _run_lattice_imaginary(params: dict, seed: int) -> RunnerOutput:
         derivative=np.cos,
     )
     lam = params["lam"]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     last = None
     for _ in range(params["draws"]):
-        sigma = LatticeField(config, rng.uniform(-1.0, 1.0, size=config.dims))
-        phi = LatticeField(config, rng.uniform(-1.0, 1.0, size=config.dims))
+        sigma = LatticeField(config, _uniform(rng, -1.0, 1.0, config))
+        phi = LatticeField(config, _uniform(rng, -1.0, 1.0, config))
         last = conformal_imaginary_part_residual(
             sigma, phi, w, analytic_conformal_derivative(sigma, lam), lam
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import ComplexField, SpacetimeGrid, assemble_propagator
+from ..core import ComplexField, LazyPropagator, SpacetimeGrid, assemble_propagator
 from ..quadratic import (
     PREFACTOR_CASES,
     QuadraticPotential,
@@ -116,9 +116,13 @@ def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
             x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
         )
         factors = _quadratic_factors(grid, params)
-        propagator = assemble_propagator(factors, grid)
         if coarse is None:
+            # the coarse K also feeds the propagator table, so it is built whole
+            propagator = assemble_propagator(factors, grid)
             coarse = factors, propagator
+        else:
+            # the residual reads the finer K a band of columns at a time
+            propagator = LazyPropagator(factors, grid)
         if params["family"] == "free":
             pot = 0.0
         else:

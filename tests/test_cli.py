@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import semiprop
-from semiprop.cli import CHECKS, POSITIVE, main
+from semiprop.cli import CHECKS, POSITIVE, _merge_params, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedmann_residual
 from semiprop.lattice import SIGNATURES, LatticeConfig, QuadraticFunctional
@@ -26,7 +27,11 @@ from semiprop.report import _floor, _order_record, build_convergence_rows, write
 from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
 from semiprop.runners import lattice as lattice_runners
 from semiprop.runners.lattice import _site_rows
-from semiprop.runners.quadratic import PROPAGATOR_HEADER, _propagator_rows
+from semiprop.runners.quadratic import (
+    PROPAGATOR_HEADER,
+    _propagator_rows,
+    _run_quadratic_schrodinger,
+)
 
 
 def read_report(out_dir):
@@ -435,6 +440,40 @@ def test_an_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+def test_an_out_that_cannot_be_a_directory_is_refused_before_the_runner_runs(
+    tmp_path, monkeypatch, capsys
+):
+    # the nearest existing ancestor of --out decides, before the check runs,
+    # and a refused set, single or swept, leaves no directory behind
+    real, calls = lattice_runners._run_lattice_transport, []
+
+    def runner(params, seed):
+        calls.append(params["lam"])
+        return real(params, seed)
+
+    monkeypatch.setattr(lattice_runners, "_run_lattice_transport", runner)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("lam=1.0\nlam=2.0\n")
+    for extra in ([], ["--sweep", str(sweep)]):
+        for out in (taken, taken / "sub", taken / "sub" / "deeper"):
+            argv = ["lattice", "conformal-transport", "--out", str(out)] + extra
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "--out" in err and "{} exists and is not one".format(taken) in err, argv
+    assert calls == []
+    # a sweep whose second directory is taken by a file runs its first set only
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run-001").write_text("")
+    assert main(["lattice", "conformal-transport", "--sweep", str(sweep), "--out", str(out)]) == 2
+    assert calls == [1.0]
+    assert read_report(out / "run-000")["pass"] is True
+    assert (out / "run-001").read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sweep.txt", "taken"]
+
+
 def test_negative_omega_still_runs_the_harmonic_identities(tmp_path):
     argv = ["quadratic", "hj", "--family", "harmonic", "--omega", "-1"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -659,6 +698,29 @@ def test_seeded_runs_are_bit_identical(tmp_path):
     assert read_report(out_c)["seed"] == 4
 
 
+def test_lattice_draws_are_a_fixed_standard_library_stream():
+    # literals, so that each supported Python must reproduce the stream:
+    # random.Random(1), 8 little-endian bytes a site, their top 53 bits
+    square, line = LatticeConfig(dims=(2, 2)), LatticeConfig(dims=(4,))
+    unit = [[0.5692038708679295, 0.802265059400218], [0.06310682412324808, 0.11791870213464573]]
+    assert lattice_runners._uniform(random.Random(1), 0.0, 1.0, square).tolist() == unit
+    assert lattice_runners._uniform(random.Random(1), -2.0, 2.0, square).tolist() == [
+        [0.2768154834717178, 1.209060237600872], [-1.7475727035070077, -1.528325191461417]
+    ]
+    # a second draw continues the stream
+    rng = random.Random(1)
+    lattice_runners._uniform(rng, 0.0, 1.0, square)
+    assert lattice_runners._uniform(rng, 0.0, 1.0, line).tolist() == [
+        0.7609624426102812, 0.4722452390588566, 0.3796152227212658, 0.20995480888260598
+    ]
+
+
+@pytest.mark.parametrize("check", ["hj-positivity", "imaginary-part"])
+def test_draw_checks_pass_at_their_defaults_for_the_first_32_seeds(tmp_path, check, capsys):
+    argv = ["lattice", check, "--out", str(tmp_path), "--seed"]
+    assert [seed for seed in range(32) if main(argv + [str(seed)]) != 0] == []
+
+
 def test_negative_seed_is_refused_by_every_check(tmp_path, capsys):
     # checks that never draw refuse it too
     for check in (["lattice", "hj-positivity"], ["quadratic", "hj"]):
@@ -846,6 +908,21 @@ def test_propagator_table_is_written_without_holding_its_rows(tmp_path):
     reference = reference_propagator_rows(factors, grid)
     assert len(reference) == 129 * 65
     assert path.read_text() == reference_csv(PROPAGATOR_HEADER, reference)
+
+
+def test_schrodinger_order_never_holds_a_fine_level_propagator():
+    # whole, the 513 x 257 K and its two factor samples took the check past
+    # 7 MB traced; the finer levels are assembled a band of columns at a time
+    for family in ("free", "harmonic"):
+        params = _merge_params("quadratic", "schrodinger-order", {"family": family})
+        _run_quadratic_schrodinger(params, 0)  # the first call loads and caches
+        tracemalloc.start()
+        try:
+            _run_quadratic_schrodinger(params, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, (family, peak)
 
 
 # ------------------------------------------------------ module loading

@@ -21,6 +21,7 @@ from scipy.linalg import solve_banded
 from semiprop import oracle
 from semiprop.core import (
     ComplexField,
+    LazyPropagator,
     SpacetimeGrid,
     SpatialGrid,
     assemble_propagator,
@@ -308,14 +309,16 @@ print(json.dumps(states))
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # a fresh interpreter, since this one imported scipy.linalg above;
-    # LAPACK binds at the first Crank-Nicolson solve, numpy.random at the
-    # first lattice draw, and no check loads scipy or maps its libraries
+    # LAPACK binds at the first Crank-Nicolson solve, the lattice draws come
+    # from the standard library's random, and no check loads numpy.random
+    # or scipy, or maps scipy's libraries
     unwanted = ["scipy", "scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing"]
     commands = [
         "cosmo stiff",
         "quadratic prefactor-ode",
         "oracle kernel-vs-grid --n_x 256 --dt 1e-2",
         "lattice hj-positivity --draws 2",
+        "lattice imaginary-part --draws 2",
     ]
     result = run_fresh(LOAD_STATE_PROBE, tmp_path, json.dumps(commands), *unwanted)
     states = json.loads(result.stdout)
@@ -326,9 +329,8 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert states["cosmo stiff"] == dict(idle, exit=0)
     assert states["quadratic prefactor-ode"] == dict(idle, exit=0)
     assert states["oracle kernel-vs-grid --n_x 256 --dt 1e-2"] == dict(idle, exit=0, zgttrf=True)
-    assert states["lattice hj-positivity --draws 2"] == dict(
-        idle, exit=0, zgttrf=True, **{"numpy.random": True}
-    )
+    assert states["lattice hj-positivity --draws 2"] == dict(idle, exit=0, zgttrf=True)
+    assert states["lattice imaginary-part --draws 2"] == dict(idle, exit=0, zgttrf=True)
 
 
 def lapack_without_the_routines(monkeypatch):
@@ -493,10 +495,14 @@ def reference_residual(K, pot, hbar=1.0, mass=1.0):
     return float(np.max(np.abs(values)) / np.max(np.abs(K.values)))
 
 
-def assert_residual_matches_reference(monkeypatch, K, pot, band_columns, **constants):
+def assert_residual_matches_reference(monkeypatch, K, pot, band_columns, whole=None, **constants):
     """The banded residual equals the whole-grid one at the default band
-    and at bands of each of ``band_columns`` time columns."""
-    expected = reference_residual(K, pot, **constants)
+    and at bands of each of ``band_columns`` time columns.
+
+    ``whole`` is K as a ComplexField, for a K that assembles its columns
+    only when they are read.
+    """
+    expected = reference_residual(K if whole is None else whole, pot, **constants)
     assert schrodinger_residual(K, pot, **constants) == expected
     for columns in band_columns:
         monkeypatch.setattr(oracle, "RESIDUAL_BAND_NODES", columns * K.grid.n_x)
@@ -531,6 +537,48 @@ def test_propagator_and_banded_residual_match_the_whole_grid_forms(monkeypatch):
         assert np.array_equal(K.values, reference.values), (family, grid)
         narrow = (1, 2, 3, 8) if grid.n_x * grid.n_t < 40_000 else (64,)
         assert_residual_matches_reference(monkeypatch, K, pot, narrow)
+        # the lazy view, which assembles only the columns a band reads
+        view = LazyPropagator(factors, grid)
+        n_t = grid.n_t
+        for lo, hi in ((0, 1), (n_t // 2 - 1, n_t // 2 + 2), (n_t - 3, n_t)):
+            assert np.array_equal(view.columns(lo, hi), K.values[:, lo:hi]), (family, grid, lo)
+        assert_residual_matches_reference(monkeypatch, view, pot, narrow, whole=K)
+
+
+def planted(factors, grid, i, j, R=0.0, S=0.0, hbar=None):
+    """``factors`` with R and S moved by the given amounts at node (i, j) alone."""
+    def at_node(x, t):
+        return (x == grid.x[i]) & (t == grid.t[j])
+
+    return dataclasses.replace(
+        factors,
+        R=lambda x, t: factors.R(x, t) + np.where(at_node(x, t), R, 0.0),
+        S=lambda x, t: factors.S(x, t) + np.where(at_node(x, t), S, 0.0),
+        hbar=factors.hbar if hbar is None else hbar,
+    )
+
+
+def test_a_bad_node_at_a_fine_level_is_refused_as_on_the_whole_grid():
+    # the CLI's finest level, a node deep inside the fourteenth band: the
+    # streamed residual raises the whole-grid message, with global indices
+    grid = spacetime(513, 257)
+    pot = QuadraticPotential(g2=0.5).value
+    base = harmonic_factors(grid, mass=1.0, omega=1.0)
+    cases = [
+        (planted(base, grid, 300, 210, R=np.nan), "non-finite field value"),
+        (planted(base, grid, 300, 210, S=np.inf), "non-finite field value"),
+        # S / hbar overflows, so the exponent alone is not finite
+        (planted(base, grid, 300, 210, S=1e300, hbar=1e-10), "non-finite propagator exponent"),
+        (planted(base, grid, 300, 210, R=1e4), "exp overflow assembling propagator"),
+    ]
+    for factors, what in cases:
+        with pytest.raises(ValueError) as whole:
+            assemble_propagator(factors, grid)
+        message = str(whole.value)
+        assert message.startswith(what) and "(i=300, j=210)" in message, message
+        with pytest.raises(ValueError) as streamed:
+            schrodinger_residual(LazyPropagator(factors, grid), pot, hbar=factors.hbar)
+        assert str(streamed.value) == message
 
 
 def test_banded_residual_matches_on_a_gridded_potential(monkeypatch):
