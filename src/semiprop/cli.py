@@ -86,7 +86,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
         {
             "family": ("free", ("free", "harmonic"), None),
             "n_x": (512, int, None),
-            **_reals(dt=1e-3),
+            "dt": (1e-3, float, POSITIVE),
         },
         "_run_oracle_kernel",
     ),
@@ -94,8 +94,9 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
         {
             "lam": (3.0, float, POSITIVE),
             "t_end": (1.0, float, POSITIVE),
+            "a0": (1.0, float, POSITIVE),
             "csv_stride": (10, int, 1),
-            **_reals(a0=1.0, step=1e-3),
+            **_reals(step=1e-3),
         },
         "_run_cosmo_de_sitter",
     ),

@@ -42,14 +42,15 @@ __all__ = [
     "cumulative_simpson",
     "VectorField",
     "rk4_solve",
-    "rk4_step_count",
+    "step_count",
     "at_time",
     "fit_loglog_slope",
     "observed_orders",
 ]
 
-# Most steps one rk4_solve call may take; checked before anything is allocated.
-MAX_RK4_STEPS = 10**6
+# Most steps one RK4 or Crank-Nicolson run may take; checked before anything
+# is allocated.
+MAX_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def rk4_solve(
     and no fewer.  Returns (t, Y, stopped_at): sample times (n+1,), states
     (n+1, dim), and the index at which the field's stop expression held or
     the state turned non-finite (truncating the arrays), else None.  A
-    negative step integrates backward in time.  More than MAX_RK4_STEPS
+    negative step integrates backward in time.  More than MAX_STEPS
     steps are refused, naming the step, before anything is allocated.
 
     The steps run in a loop generated for the field and compiled once:
@@ -534,11 +535,7 @@ def rk4_solve(
         raise ValueError("step must be nonzero")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if n_steps > MAX_RK4_STEPS:
-        raise ValueError(
-            f"step {abs(step)!r} needs {n_steps:.3g} RK4 steps, more than the "
-            f"budget of {MAX_RK4_STEPS}"
-        )
+    _check_step_budget(abs(step), n_steps)
     y = tuple(map(float, y0))
     if len(y) != len(field.state):
         raise ValueError(f"y0 holds {len(y)} components for the state {field.state}")
@@ -560,18 +557,26 @@ def rk4_solve(
     return ts, ys, None
 
 
-def rk4_step_count(span: float, step: float) -> int:
-    """round(span / step), the RK4 steps that cover ``span``.
+def _check_step_budget(step: float, count: float) -> None:
+    """Refuse ``count`` steps of ``step`` past MAX_STEPS, naming the step."""
+    if not count <= MAX_STEPS + 0.5:
+        raise ValueError(
+            f"step {step!r} needs {count:.7g} steps, more than the budget of {MAX_STEPS}"
+        )
 
-    A quotient that is not finite or that rounds past MAX_RK4_STEPS is
-    refused, naming the step, before it is converted: round() of an
-    infinite float raises.
+
+def step_count(span: float, step: float) -> int:
+    """round(span / step), the steps that cover ``span``.
+
+    A quotient that is not finite, that rounds past MAX_STEPS or that
+    rounds to no step at all is refused, naming the step, before it is
+    converted: round() of an infinite float raises.
     """
     quotient = span / step
-    if not quotient <= MAX_RK4_STEPS + 0.5:
+    _check_step_budget(step, quotient)
+    if not round(quotient) >= 1:
         raise ValueError(
-            f"step {step!r} needs {quotient:.3g} RK4 steps, more than the "
-            f"budget of {MAX_RK4_STEPS}"
+            f"step {step!r} needs {quotient:.3g} steps to cover {span!r}, which round to none"
         )
     return int(round(quotient))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorField, rk4_solve, rk4_step_count
+from .core import VectorField, rk4_solve, step_count
 
 __all__ = [
     "ScalarPotential",
@@ -224,12 +224,7 @@ def evolve_classical(
             "initial data violates the Friedmann constraint: residual "
             f"{fried0:.3e} exceeds {FRIEDMANN_PRECHECK_TOL:.0e}"
         )
-    n_steps = rk4_step_count(hi - lo, step)
-    if n_steps < 1:
-        raise ValueError(
-            f"window ({lo}, {hi}) is shorter than one step: step = {step!r}"
-        )
-
+    n_steps = step_count(hi - lo, step)
     ts, ys, stopped = rk4_solve(
         FRIEDMANN_FLOW,
         (state0.a, state0.a_dot, state0.phi, state0.phi_dot),
@@ -273,13 +268,9 @@ def relative_constraint(trajectory: Trajectory, params: CosmoParams) -> np.ndarr
     """|constraint in momentum variables| over its largest single term, per sample."""
     a, a_dot, phi, phi_dot = _samples(trajectory)
     p_a, p_phi = momenta(a, a_dot, phi_dot)
-    # term by term, summed in this order: a stack would hold all five series
-    total = np.zeros(np.shape(a))
-    scale = np.zeros(np.shape(a))
-    for term in _constraint_terms(a, p_a, phi, p_phi, params):
-        total += term
-        np.maximum(scale, np.abs(term), out=scale)
-    total = np.abs(total)
+    terms = np.stack(list(_constraint_terms(a, p_a, phi, p_phi, params)))
+    total = np.abs(terms.sum(axis=0))
+    scale = np.max(np.abs(terms), axis=0)
     return np.where(scale > 0.0, total / np.where(scale > 0.0, scale, 1.0), 0.0)
 
 

@@ -79,8 +79,9 @@ class GeneralAnsatz:
     def __post_init__(self) -> None:
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        # the decoupling bracket takes 2m dR/dt
+        if not (self.mass > 0 and math.isfinite(2.0 * self.mass)):
+            raise ValueError(f"mass must be positive with 2 * mass finite, got {self.mass}")
         given = sum(d is not None for d in (self.dR_dt, self.dR_dx, self.d2R_dx2))
         if given not in (0, 3):
             raise ValueError(

@@ -51,6 +51,7 @@ import numpy as np
 from .core import (
     PropagatorFactors,
     SpatialGrid,
+    _check_step_budget,
     _stencil,
     simpson_weights,
 )
@@ -69,8 +70,6 @@ __all__ = [
 
 # Dirichlet walls are only trustworthy while the state stays this small there.
 BOUNDARY_AMPLITUDE_WARN = 1.0e-8
-# Most steps one cn_evolve call may take; checked before anything is allocated.
-MAX_CN_STEPS = 10**6
 # Largest oracle grid kernel_propagate accepts.  The chirp convolution
 # needs only O(n_x) memory; the cap bounds the grid the kernel is checked
 # on, not a dense n_x^2 kernel (none is built).
@@ -269,7 +268,7 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     ``state.psi`` is never written.  A static potential (a constant, or a
     QuadraticPotential without callable coefficients) gives the same
     matrix at every step, so it is factored once; any other potential is
-    refactored at every step.  More than MAX_CN_STEPS steps are refused,
+    refactored at every step.  More than core.MAX_STEPS steps are refused,
     naming dt, before anything is allocated.
     Boundary amplitude above BOUNDARY_AMPLITUDE_WARN at any step triggers
     a single warning with the worst value seen (Dirichlet walls reflect,
@@ -279,11 +278,7 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if n_steps > MAX_CN_STEPS:
-        raise ValueError(
-            f"dt {dt!r} needs {n_steps} Crank-Nicolson steps, more than the "
-            f"budget of {MAX_CN_STEPS}"
-        )
+    _check_step_budget(dt, n_steps)
     v_fn = as_potential(pot)
     grid, hbar, mass = state.grid, state.hbar, state.mass
     x = grid.x

@@ -39,7 +39,7 @@ from .core import (
     VectorField,
     at_time,
     rk4_solve,
-    rk4_step_count,
+    step_count,
 )
 
 __all__ = [
@@ -157,10 +157,10 @@ def solve_prefactor_odes(
 
     back = forth = None
     if t0 - lo > 0.5 * step:
-        n_back = max(1, rk4_step_count(t0 - lo, step))
+        n_back = step_count(t0 - lo, step)
         back = rk4_solve(flow, y_init, t0, -step, n_back, constants)
     if hi - t0 > 0.5 * step:
-        n_forth = max(1, rk4_step_count(hi - t0, step))
+        n_forth = step_count(hi - t0, step)
         forth = rk4_solve(flow, y_init, t0, step, n_forth, constants)
     if back is None and forth is None:
         raise ValueError(
@@ -486,7 +486,8 @@ def van_vleck_check(
 
     A real D_VV that is not positive at some node means the determinant
     has changed signature there; the node is reported and the check
-    refuses rather than continuing onto another square-root branch.
+    refuses rather than continuing onto another square-root branch.  An
+    action too large to difference, or too small, is refused too.
     """
     if factors.two_point_action is None or factors.time_amplitude is None:
         raise ValueError(
@@ -499,12 +500,17 @@ def van_vleck_check(
     h = grid.dx
     k = float(x0_grid[1] - x0_grid[0]) if x0_grid.size > 1 else grid.dx
     s2 = factors.two_point_action
-    mixed = (
-        s2(x + h, xa + k, t)
-        - s2(x + h, xa - k, t)
-        - s2(x - h, xa + k, t)
-        + s2(x - h, xa - k, t)
-    ) / (4.0 * h * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = (
+            s2(x + h, xa + k, t)
+            - s2(x + h, xa - k, t)
+            - s2(x - h, xa + k, t)
+            + s2(x - h, xa - k, t)
+        ) / (4.0 * h * k)
+    if not np.all(np.isfinite(mixed)):
+        raise ValueError(
+            f"two-point action at mass = {factors.mass!r} overflows its mixed difference"
+        )
     d_vv = np.asarray(-mixed, dtype=complex)
     d_vv = np.broadcast_to(d_vv, np.broadcast_shapes(mixed.shape, t.shape))
     scale = float(np.max(np.abs(d_vv)))

@@ -4,16 +4,22 @@ A runner takes the checked parameters and the seed and returns
 ``(records, convergence rows or None, {csv stem: (header, rows)})``.
 Runner modules import what they share from ``semiprop.report``, never from
 ``semiprop.cli``: under ``python -m semiprop.cli`` that would run a second
-copy of the CLI module.
+copy of the CLI module.  Every refusal a runner makes goes through ``_refuse``.
 """
 
 import math
 import sys
-
-# CSV payload: file stem -> (header, row iterable)
-RunnerOutput = tuple
+from typing import NoReturn
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _refuse(params: dict, names: tuple, reason: str) -> NoReturn:
+    """Raise ValueError("parameter 'x' = v: reason"), or "parameters 'x' = v,
+    'y' = w: reason" when ``names`` holds several, each value from ``params``."""
+    given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
+    plural = "s" if len(names) > 1 else ""
+    raise ValueError("parameter{} {}: {}".format(plural, given, reason)) from None
 
 
 def _roundoff(scale: float, terms: str) -> tuple[float, str]:
@@ -32,7 +38,4 @@ def _refuse_predicted(error: float, cause: str, limit: float, params: dict, name
     error.  An error that is not finite is refused too.
     """
     if not error < limit:
-        given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
-        raise ValueError(
-            "parameters {}: {} is about {:.3g}, not below {:g}".format(given, cause, error, limit)
-        )
+        _refuse(params, names, "{} is about {:.3g}, not below {:g}".format(cause, error, limit))

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..core import fit_loglog_slope, rk4_step_count
+from ..core import fit_loglog_slope, step_count
 from ..cosmo import (
     ClassicalState,
     CosmoParams,
@@ -18,7 +18,7 @@ from ..cosmo import (
     momenta,
 )
 from ..report import _bound, _CsvRows, _diagnostic, _target
-from . import _LOG_MAX, RunnerOutput, _refuse_predicted
+from . import _LOG_MAX, _refuse, _refuse_predicted
 
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
@@ -35,11 +35,10 @@ def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tupl
     try:
         return evolve_classical(state, cosmo, (0.0, params["t_end"]), params["step"])
     except ValueError as exc:
-        given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
-        raise ValueError("parameters {}: {}".format(given, exc)) from None
+        _refuse(params, names, str(exc))
 
 
-def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
+def _run_cosmo_de_sitter(params: dict, seed: int) -> tuple:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
     hubble = math.sqrt(lam / 3.0)
 
@@ -54,24 +53,25 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
     # of every sample, from a0 up to a0 exp(H t_end); this keeps all of them
     # finite, not just the Friedmann residual read here, and float ** raises
     # where a power leaves the float range
-    if not (a0 > 0 and a0 * a0 * a0 > 0
+    if not (a0 * a0 * a0 > 0
             and 3.0 * (math.log(a0) + hubble * t_end) < _LOG_MAX
             and momentum_square_finite()):
-        raise ValueError(
-            "parameter 'a0' = {!r} with 'lam' = {!r} and 't_end' = {!r}: the cubes of "
-            "a0 and of a0 exp(t_end sqrt(lam / 3)) must be finite and nonzero, and so "
-            "must the square of p_a = -3 sqrt(lam / 3) a^2 / (4 pi)".format(a0, lam, t_end)
+        _refuse(
+            params, ("a0", "lam", "t_end"),
+            "the cubes of a0 and of a0 exp(t_end sqrt(lam / 3)) must be finite and "
+            "nonzero, and so must the square of p_a = -3 sqrt(lam / 3) a^2 / (4 pi)",
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     de_sitter = CosmoParams(lam=lam)
     traj = _evolve(state, de_sitter, params, ("lam", "t_end", "step"))
     step, tolerance = params["step"], 1e-6
     # the growth check compares the last sample against the closed form at t_end
-    t_last = step * rk4_step_count(t_end, step)
+    t_last = step * step_count(t_end, step)
     if abs(t_last - t_end) > 1e-12 * t_end:
-        raise ValueError(
-            "parameters 'step' = {!r} and 't_end' = {!r}: the steps end at t = {!r}, "
-            "not at t_end; choose a step that divides t_end".format(step, t_end, t_last)
+        _refuse(
+            params, ("step", "t_end"),
+            "the steps end at t = {!r}, not at t_end; choose a step that divides "
+            "t_end".format(t_last),
         )
     # RK4's global error on a' = H a, relative to a0 as the growth check
     # measures it; float * overflows to inf where ** would raise
@@ -93,17 +93,14 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> RunnerOutput:
     return records, None, {"trajectory": (TRAJECTORY_HEADER, rows)}
 
 
-def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
+def _run_cosmo_stiff(params: dict, seed: int) -> tuple:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
     # the momentum drift divides by p_phi(0) = phi_dot0; the matched rate and
     # the Friedmann precheck take phi_dot0^2 and the rate's square, about
     # 4.2 phi_dot0^2, and float ** raises where they leave the float range
     if not (phi_dot0 != 0 and math.isfinite(8.0 * math.pi * phi_dot0 * phi_dot0)):
-        raise ValueError(
-            "parameter 'phi_dot0' must be nonzero with 8 pi phi_dot0^2 finite, "
-            "got {!r}".format(phi_dot0)
-        )
+        _refuse(params, ("phi_dot0",), "it must be nonzero with 8 pi phi_dot0^2 finite")
     state = ClassicalState(
         a=1.0,
         a_dot=matched_a_dot(1.0, 0.0, phi_dot0, vacuum),
@@ -112,15 +109,14 @@ def _run_cosmo_stiff(params: dict, seed: int) -> RunnerOutput:
     )
     traj = _evolve(state, vacuum, params, ("phi_dot0", "t_end", "step"))
     if traj.collapse_time is not None:
-        raise ValueError(
-            "parameter 'phi_dot0' = {!r} with step = {!r}: the RK4 run overflowed "
-            "or collapsed at t = {:.6g}; lower parameter 'step' or 'phi_dot0'".format(
-                phi_dot0, params["step"], traj.collapse_time
-            )
+        _refuse(
+            params, ("phi_dot0", "step"),
+            "the RK4 run overflowed or collapsed at t = {:.6g}; lower the step or "
+            "phi_dot0".format(traj.collapse_time),
         )
     late = traj.t >= params["fit_from"]
     if np.count_nonzero(late) < 3:
-        raise ValueError("parameter 'fit_from' leaves fewer than 3 samples to fit")
+        _refuse(params, ("fit_from",), "it leaves fewer than 3 samples to fit")
     slope = fit_loglog_slope(traj.t[late], traj.a[late])
     _, p_phi = momenta(traj.a, traj.a_dot, traj.phi_dot)
     drift = float(np.max(np.abs(p_phi - p_phi[0])) / abs(p_phi[0]))

@@ -15,10 +15,10 @@ from ..general_hj import (
     imaginary_scaling_probe,
 )
 from ..report import _bound, _target
-from . import _LOG_MAX, RunnerOutput, _refuse_predicted, _roundoff
+from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
 
 
-def _run_general_decoupling(params: dict, seed: int) -> RunnerOutput:
+def _run_general_decoupling(params: dict, seed: int) -> tuple:
     ansatz = cos_log_family(
         c2=params["c2"], c3=params["c3"], c4=params["c4"],
         hbar=params["hbar"], mass=params["mass"],
@@ -31,7 +31,7 @@ def _run_general_decoupling(params: dict, seed: int) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
+def _run_general_exponential(params: dict, seed: int) -> tuple:
     res = exponential_family_residuals(
         amplitude=params["amplitude"], slope=params["slope"],
         hbar=params["hbar"], mass=params["mass"],
@@ -57,14 +57,11 @@ def _run_general_exponential(params: dict, seed: int) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_general_hbar_slope(params: dict, seed: int) -> RunnerOutput:
+def _run_general_hbar_slope(params: dict, seed: int) -> tuple:
     curvature = params["curvature"]
     # R = -curvature x^2 on [-2, 2]; the action takes exp(-2R) and exp(2R)
     if not 8.0 * abs(curvature) < _LOG_MAX:
-        raise ValueError(
-            "parameter 'curvature' = {!r} overflows exp(8 |curvature|), the largest "
-            "of exp(-2R) and exp(2R) on [-2, 2]".format(curvature)
-        )
+        _refuse(params, ("curvature",), "exp(8 |curvature|), the largest exp(2|R|), overflows")
     grid = SpacetimeGrid(
         x_min=-2.0, x_max=2.0, n_x=81, t_min=0.0, t_max=1.0, n_t=5
     )

@@ -25,7 +25,7 @@ from ..lattice import (
     plane_wave_phase,
 )
 from ..report import _bound, _CsvRows, _diagnostic, _floor
-from . import RunnerOutput, _refuse_predicted
+from . import _refuse, _refuse_predicted, _roundoff
 
 
 def _lattice_config(params: dict) -> LatticeConfig:
@@ -61,22 +61,23 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
     return ["site_index_{}".format(i) for i in range(len(config.dims))] + ["value"]
 
 
-def _run_lattice_transport(params: dict, seed: int) -> RunnerOutput:
+def _run_lattice_transport(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     # the check takes exp(2 sigma) at every site
-    if not 2.0 * params["sigma_const"] <= EXP_OVERFLOW:
-        raise ValueError(
-            "parameter 'sigma_const' = {!r} overflows exp(2 sigma_const); it must "
-            "stay at or below {}".format(params["sigma_const"], EXP_OVERFLOW / 2.0)
+    if not abs(2.0 * params["sigma_const"]) <= EXP_OVERFLOW:
+        reason = "exp(2 sigma_const) needs |sigma_const| <= {}".format(EXP_OVERFLOW / 2.0)
+        _refuse(params, ("sigma_const",), reason)
+    site_sum = params["lam"] / 8.0 * config.n_sites * math.exp(2.0 * params["sigma_const"])
+    # the check sums (lam / 8) exp(2 sigma) over the sites, then scales by the
+    # cell volume; twice that leaves room for its bumped sums
+    if not math.isfinite(2.0 * site_sum * max(1.0, config.cell_volume)):
+        _refuse(
+            params, ("lam", "sigma_const", "dims", "spacing"),
+            "the curvature functional (lam / 8) sum exp(2 sigma) vol overflows",
         )
     sigma = LatticeField(config, np.full(config.dims, params["sigma_const"]))
     r_value, deviation = conformal_transport_check(sigma, params["lam"])
-    closed = (
-        params["lam"] / 8.0
-        * config.n_sites
-        * math.exp(2.0 * params["sigma_const"])
-        * config.cell_volume
-    )
+    closed = site_sum * config.cell_volume
     records = [
         _diagnostic("curvature-functional", r_value, "R[sigma] on this lattice"),
         _bound(
@@ -91,7 +92,7 @@ def _run_lattice_transport(params: dict, seed: int) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_greens(params: dict, seed: int) -> RunnerOutput:
+def _run_lattice_greens(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
     tolerance = 1e-8
@@ -107,40 +108,36 @@ def _run_lattice_greens(params: dict, seed: int) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
+def _run_lattice_positivity(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     amplitude = params["amplitude"]
-    # the field is drawn from [-amplitude, amplitude]
-    if not math.isfinite(2.0 * amplitude):
-        raise ValueError(
-            "parameter 'amplitude' must keep 2 * amplitude finite, got {!r}".format(amplitude)
-        )
     functional = lattice_greens_function(config)
     # the residual sums, over the sites, halves of (dS/dphi)^2, of one
     # gradient square per axis and of m^2 phi^2; |phi| <= amplitude bounds
     # each root by amplitude * reach, so refuse an amplitude whose squares
-    # and their sum (times the cell volume, when that exceeds 1) overflow
+    # and their sum (times the cell volume, when that exceeds 1) overflow.
+    # reach >= 1 (vol sum |g| = spacing^d / m^2), so the draw's width
+    # 2 amplitude stays finite too
     vol = config.cell_volume
     reach = max(vol * float(np.sum(np.abs(functional.g))), 2.0 / config.spacing, config.mass)
     terms = 0.5 * (2 + len(config.dims)) * config.n_sites * max(1.0, vol)
     limit = math.sqrt(sys.float_info.max / terms) / reach
+    names = ("amplitude", "spacing", "mass")
     if not amplitude < limit:
-        raise ValueError(
-            "parameter 'amplitude' = {!r} overflows the Hamilton-Jacobi residual "
-            "on this lattice (spacing {!r}, mass {!r}): it must stay below {:.3g}".format(
-                amplitude, config.spacing, config.mass, limit
-            )
+        _refuse(
+            params, names,
+            "the Hamilton-Jacobi residual on this lattice overflows; amplitude must "
+            "stay below {:.3g}".format(limit),
         )
     # the mass term alone, m^2 phi^2 vol / 2 at every site, keeps the
     # euclidean residual positive while it is a normal float at |phi| =
     # amplitude; below that the squares underflow and the residual reads 0
     least = math.sqrt(2.0 * sys.float_info.min / vol) / config.mass
     if not amplitude >= least:
-        raise ValueError(
-            "parameter 'amplitude' = {!r} underflows the Hamilton-Jacobi residual "
-            "on this lattice (spacing {!r}, mass {!r}): it must be at least {:.3g}".format(
-                amplitude, config.spacing, config.mass, least
-            )
+        _refuse(
+            params, names,
+            "the Hamilton-Jacobi residual on this lattice underflows; amplitude must "
+            "be at least {:.3g}".format(least),
         )
     rng = random.Random(seed)
     worst = math.inf
@@ -171,13 +168,20 @@ def _run_lattice_positivity(params: dict, seed: int) -> RunnerOutput:
     return records, None, csv
 
 
-def _run_lattice_imaginary(params: dict, seed: int) -> RunnerOutput:
+def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     w = PointwiseFunction(
         value=lambda p: 2.0 + np.sin(p),
         derivative=np.cos,
     )
-    lam = params["lam"]
+    lam, tolerance = params["lam"], 1e-12
+    # -4 (lam / 4) e^(2 sigma) e^(2 sigma) W and lam W e^(4 sigma) cancel; with
+    # sigma and phi drawn from [-1, 1] each stays below |lam| (2 + sin 1) e^4,
+    # and a correct residual reads up to about twice eps times that
+    terms = abs(lam) * (2.0 + math.sin(1.0)) * math.exp(4.0)
+    _refuse_predicted(
+        *_roundoff(terms, "the two imaginary-part terms"), 0.5 * tolerance, params, ("lam",)
+    )
     rng = random.Random(seed)
     worst = 0.0
     last = None
@@ -188,19 +192,24 @@ def _run_lattice_imaginary(params: dict, seed: int) -> RunnerOutput:
             sigma, phi, w, analytic_conformal_derivative(sigma, lam), lam
         )
         worst = max(worst, float(np.max(np.abs(last.values))))
-    records = [_bound("imaginary-part-residual", worst, 1e-12)]
+    records = [_bound("imaginary-part-residual", worst, tolerance)]
     csv = {"lattice": (_lattice_header(config), _site_rows(config, last.values))}
     return records, None, csv
 
 
-def _run_lattice_kg(params: dict, seed: int) -> RunnerOutput:
+def _run_lattice_kg(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
-    phi0, velocity, wave = lattice_plane_wave(config, params["mode"], params["dt"])
-    run = lattice_klein_gordon_check(
-        phi0, velocity, dt=params["dt"], n_steps=params["steps"], exact=wave
+    dt, tolerance = params["dt"], 1e-8
+    phi0, velocity, wave = lattice_plane_wave(config, params["mode"], dt)
+    # the stencil divides time differences of a unit wave by dt^2; a correct
+    # leapfrog reads up to about 1.25 eps / dt^2, so 0.6 of the tolerance
+    _refuse_predicted(
+        *_roundoff(1.0 / (dt * dt), "the stencil's time differences over dt^2"),
+        0.6 * tolerance, params, ("dt",),
     )
+    run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
     records = [
-        _bound("stencil-residual", run.residual, 1e-8),
+        _bound("stencil-residual", run.residual, tolerance),
         _bound("dispersion-tracking", run.tracking, 1e-8),
     ]
     csv = {"lattice": (_lattice_header(config), _site_rows(config, run.final))}

@@ -8,34 +8,21 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core import SpacetimeGrid, SpatialGrid
-from ..oracle import (
-    MAX_CN_STEPS,
-    cn_evolve,
-    gaussian_state,
-    kernel_propagate,
-    l2_difference,
-)
+from ..core import SpacetimeGrid, SpatialGrid, step_count
+from ..oracle import cn_evolve, gaussian_state, kernel_propagate, l2_difference
 from ..quadratic import QuadraticPotential, free_particle_factors, harmonic_factors
 from ..report import _bound, _diagnostic, _floor
-from . import RunnerOutput
+from . import _refuse
 
 
-def _run_oracle_kernel(params: dict, seed: int) -> RunnerOutput:
+def _run_oracle_kernel(params: dict, seed: int) -> tuple:
     family = params["family"]
     dt = params["dt"]
     target = 1.0 if family == "free" else math.pi / 2.0
-    # compared as a float first: round() of an infinite quotient raises
-    if dt > 0 and target / dt > MAX_CN_STEPS:
-        raise ValueError(
-            "parameter 'dt' = {!r} needs {:.3g} Crank-Nicolson steps, more than "
-            "the budget of {}".format(dt, target / dt, MAX_CN_STEPS)
-        )
-    if not dt > 0 or round(target / dt) < 1:
-        raise ValueError(
-            "parameter 'dt' leaves no Crank-Nicolson step, got {!r}".format(dt)
-        )
-    n_steps = round(target / dt)
+    try:
+        n_steps = step_count(target, dt)
+    except ValueError as exc:
+        _refuse(params, ("dt",), str(exc))
     # the step that lands Crank-Nicolson on the kernel's target time
     step = target / n_steps
     with warnings.catch_warnings(record=True) as caught:

@@ -18,7 +18,7 @@ from ..quadratic import (
     van_vleck_check,
 )
 from ..report import _bound, _CsvRows, _order_record, build_convergence_rows
-from . import RunnerOutput, _refuse_predicted, _roundoff
+from . import _refuse, _refuse_predicted, _roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
@@ -31,7 +31,7 @@ def _quadratic_factors(grid: SpacetimeGrid, params: dict):
     return harmonic_factors(grid, mass=params["mass"], omega=params["omega"], x0=x0)
 
 
-def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
+def _run_quadratic_hj(params: dict, seed: int) -> tuple:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
@@ -60,7 +60,7 @@ def _run_quadratic_hj(params: dict, seed: int) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_quadratic_van_vleck(params: dict, seed: int) -> RunnerOutput:
+def _run_quadratic_van_vleck(params: dict, seed: int) -> tuple:
     grid = SpacetimeGrid(
         x_min=-3.0, x_max=3.0, n_x=49, t_min=0.4, t_max=1.2, n_t=25
     )
@@ -70,7 +70,7 @@ def _run_quadratic_van_vleck(params: dict, seed: int) -> RunnerOutput:
     return records, None, {}
 
 
-def _run_quadratic_prefactor(params: dict, seed: int) -> RunnerOutput:
+def _run_quadratic_prefactor(params: dict, seed: int) -> tuple:
     family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
@@ -103,7 +103,7 @@ def _propagator_rows(factors, propagator: ComplexField) -> _CsvRows:
     )
 
 
-def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
+def _run_quadratic_schrodinger(params: dict, seed: int) -> tuple:
     # the oracle's residual; imported here, so that the other quadratic checks
     # leave the oracle module unloaded
     from ..oracle import schrodinger_residual
@@ -111,28 +111,34 @@ def _run_quadratic_schrodinger(params: dict, seed: int) -> RunnerOutput:
     levels = [(129, 65), (257, 129), (513, 257)]
     spacings, residuals = [], []
     coarse = None
-    for n_x, n_t in levels:
-        grid = SpacetimeGrid(
-            x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
-        )
-        factors = _quadratic_factors(grid, params)
-        if coarse is None:
-            # the coarse K also feeds the propagator table, so it is built whole
-            propagator = assemble_propagator(factors, grid)
-            coarse = factors, propagator
-        else:
-            # the residual reads the finer K a band of columns at a time
-            propagator = LazyPropagator(factors, grid)
-        if params["family"] == "free":
-            pot = 0.0
-        else:
-            m, om = params["mass"], params["omega"]
-            pot = QuadraticPotential(g2=0.5 * m * om**2).value
-        rel = schrodinger_residual(
-            propagator, pot, hbar=factors.hbar, mass=factors.mass
-        )
-        spacings.append(grid.dx)
-        residuals.append(rel)
+    names = ("mass", "x0") if params["family"] == "free" else ("mass", "omega", "x0")
+    try:
+        for n_x, n_t in levels:
+            grid = SpacetimeGrid(
+                x_min=-4.0, x_max=4.0, n_x=n_x, t_min=0.5, t_max=2.0, n_t=n_t
+            )
+            factors = _quadratic_factors(grid, params)
+            if coarse is None:
+                # the coarse K also feeds the propagator table, so it is built whole
+                propagator = assemble_propagator(factors, grid)
+                coarse = factors, propagator
+            else:
+                # the residual reads the finer K a band of columns at a time
+                propagator = LazyPropagator(factors, grid)
+            if params["family"] == "free":
+                pot = 0.0
+            else:
+                m, om = params["mass"], params["omega"]
+                pot = QuadraticPotential(g2=0.5 * m * om**2).value
+            rel = schrodinger_residual(
+                propagator, pot, hbar=factors.hbar, mass=factors.mass
+            )
+            spacings.append(grid.dx)
+            residuals.append(rel)
+    except ValueError as exc:
+        # each level is set by the family's parameters alone, a K that is not
+        # finite included
+        _refuse(params, names, str(exc))
     rows = build_convergence_rows(spacings, residuals)
     records = [_order_record("stencil-order", rows, 2.0, 0.3)]
     csv = {"propagator": (PROPAGATOR_HEADER, _propagator_rows(*coarse))}

@@ -156,7 +156,10 @@ def test_infinite_floor_value_fails(tmp_path, capsys):
             ["lattice", "hj-positivity", "--amplitude", "1e200", "--out", str(tmp_path)]
         )
     assert code == 2
-    assert "parameter 'amplitude' = 1e+200 overflows" in capsys.readouterr().err
+    assert (
+        "'amplitude' = 1e+200, 'spacing' = 1.0, 'mass' = 1.0: the Hamilton-Jacobi residual "
+        "on this lattice overflows" in capsys.readouterr().err
+    )
     assert not (tmp_path / "report.json").exists()
 
 
@@ -232,12 +235,12 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         # dt^2, a0^3 and phi_dot0^2 overflow; dt^2 and a0^3 underflow to 0
         (["lattice", "kg-wave", "--dt", "1e200"], "dt must be positive"),
         (["lattice", "kg-wave", "--dt", "1e-200"], "dt must be positive"),
-        (["cosmo", "de-sitter", "--a0", "1e200"], "parameter 'a0'"),
-        (["cosmo", "de-sitter", "--a0", "1e-200"], "parameter 'a0'"),
+        (["cosmo", "de-sitter", "--a0", "1e200"], "'a0' = 1e+200"),
+        (["cosmo", "de-sitter", "--a0", "1e-200"], "'a0' = 1e-200"),
         (["cosmo", "stiff", "--phi_dot0", "1e200"], "parameter 'phi_dot0'"),
         # the explicit RK4 stages overflow; the run stops early and is refused
-        (["cosmo", "stiff", "--phi_dot0", "1e80"], "parameter 'phi_dot0'"),
-        (["cosmo", "stiff", "--phi_dot0", "1e153"], "with step = 0.001"),
+        (["cosmo", "stiff", "--phi_dot0", "1e80"], "'phi_dot0' = 1e+80"),
+        (["cosmo", "stiff", "--phi_dot0", "1e153"], "'phi_dot0' = 1e+153, 'step' = 0.001"),
         (["general-hj", "decoupling", "--mass", "0"], "mass must be positive"),
         (["general-hj", "decoupling", "--c2", "1e200"], "c2 = (1e+200+0j)"),
         (["general-hj", "exponential", "--slope", "1e200"], "slope b = 1e+200"),
@@ -250,15 +253,18 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["lattice", "hj-positivity", "--amplitude", "-1"], "parameter 'amplitude'"),
         # the residual's squares underflow, so a correct field would read 0
         (["lattice", "hj-positivity", "--amplitude", "1e-200"],
-         "parameter 'amplitude' = 1e-200 underflows"),
+         "parameters 'amplitude' = 1e-200, 'spacing' = 1.0, 'mass' = 1.0: the "
+         "Hamilton-Jacobi residual on this lattice underflows"),
         (["lattice", "hj-positivity", "--amplitude", "5e-324"],
-         "parameter 'amplitude' = 5e-324 underflows"),
+         "parameters 'amplitude' = 5e-324, 'spacing' = 1.0, 'mass' = 1.0: the "
+         "Hamilton-Jacobi residual on this lattice underflows"),
         # the residual's squares overflow; the bound grows with the cell volume
         (["lattice", "hj-positivity", "--amplitude", "1e200"],
-         "parameter 'amplitude' = 1e+200 overflows"),
+         "parameters 'amplitude' = 1e+200, 'spacing' = 1.0, 'mass' = 1.0: the "
+         "Hamilton-Jacobi residual on this lattice overflows"),
         (["lattice", "hj-positivity", "--spacing", "1e100"],
-         "parameter 'amplitude' = 2.0 overflows the Hamilton-Jacobi residual on this "
-         "lattice (spacing 1e+100, mass 1.0)"),
+         "parameters 'amplitude' = 2.0, 'spacing' = 1e+100, 'mass' = 1.0: the "
+         "Hamilton-Jacobi residual on this lattice overflows"),
         (["quadratic", "hj", "--mass", "1e200"], "mass 1e+200 with x0 0.0 takes (dS/dx)^2"),
         (["quadratic", "hj", "--family", "harmonic", "--mass", "1e200"],
          "mass 1e+200 with x0 0.0 takes (dS/dx)^2"),
@@ -270,7 +276,7 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["quadratic", "hj", "--x0", "1" + "0" * 400], "parameter 'x0' is an integer"),
         # a step longer than the whole RK4 window
         (["cosmo", "de-sitter", "--step", "10"],
-         "window (0.0, 1.0) is shorter than one step: step = 10.0"),
+         "'step' = 10.0: step 10.0 needs 0.1 steps to cover 1.0, which round to none"),
         (["quadratic", "prefactor-ode", "--step", "10"],
          "window [0.0, 0.5] is shorter than one step on both sides of t0 = 0.0: step = 10.0"),
         # the closed forms overflow on the fixed [-2, 2] grid
@@ -285,7 +291,7 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["lattice", "greens", "--dims", "[4294967296,4294967296]"],
          "dims (4294967296, 4294967296) give 18446744073709551616 sites"),
         # the step alone breaks the run at the default phi_dot0
-        (["cosmo", "stiff", "--step", "10"], "parameter 'step'"),
+        (["cosmo", "stiff", "--step", "10"], "'step' = 10.0: the RK4 run overflowed"),
         (["general-hj", "exponential", "--slope", "1000"], "slope b = 1000.0"),
         # list elements are checked against their declared kind
         (["lattice", "kg-wave", "--mode", "['a']"], "parameter 'mode' element 0"),
@@ -305,7 +311,7 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["cosmo", "de-sitter", "--t_end", "1e-200"], "'t_end' = 1e-200, 'step' = 0.001"),
         (["cosmo", "stiff", "--t_end", "1e-200"], "'t_end' = 1e-200, 'step' = 0.001"),
         (["cosmo", "stiff", "--t_end", "1e200"],
-         "'t_end' = 1e+200, 'step' = 0.001: step 0.001 needs 1e+203 RK4 steps"),
+         "'t_end' = 1e+200, 'step' = 0.001: step 0.001 needs 1e+203 steps, more than the budget"),
         (["cosmo", "stiff", "--phi_dot0", "1e10"], "'phi_dot0' = 10000000000.0"),
         (["lattice", "conformal-transport", "--sigma_const", "1e200"],
          "parameter 'sigma_const'"),
@@ -331,9 +337,9 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["quadratic", "van-vleck", "--x0", "3"], "unknown parameter 'x0' for quadratic van-vleck"),
         # the last RK4 sample misses t_end, where the closed form is taken
         (["cosmo", "de-sitter", "--step", "3e-4"],
-         "parameters 'step' = 0.0003 and 't_end' = 1.0: the steps end at t = 0.9998999999999999"),
+         "parameters 'step' = 0.0003, 't_end' = 1.0: the steps end at t = 0.9998999999999999"),
         (["cosmo", "de-sitter", "--step", "7e-4", "--t_end", "2"],
-         "parameters 'step' = 0.0007 and 't_end' = 2.0"),
+         "parameters 'step' = 0.0007, 't_end' = 2.0"),
     ]:
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -376,6 +382,13 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
          36029, "'hbar'"),
         (["general-hj", "exponential", "--mass", "0.3", "--slope", "5", "--hbar"],
          ["1e{}".format(e) for e in range(-3, 10)], 1441, "'slope' = 5.0"),
+        # the imaginary-part terms reach |lam| (2 + sin 1) e^4, refused at half
+        # the tolerance from lam 14.5 on; a correct residual fails from about 25
+        *(
+            (["lattice", "imaginary-part", "--seed", str(seed), "--lam"],
+             ["1", "10", "14", "15", "25", "40", "1e2", "1e3", "1e4", "1e5", "1e6"], 14.5, "'lam'")
+            for seed in range(4)
+        ),
     ]
     for argv, values, refused_from, name in sweeps:
         for value in values:
@@ -385,6 +398,15 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
                 assert code == 0, (argv, value)
             else:
                 assert code == 2 and name in err and "round-off alone" in err, (argv, value)
+    # the leapfrog stencil's round-off grows as eps / dt^2: refused below dt
+    # 1.92e-4, where 0.6 of its 1e-8 tolerance is reached; it fails from about 8e-5
+    for dt in ["1e-6", "1e-5", "5e-5", "8e-5", "1e-4", "1.5e-4", "2e-4", "3e-4", "1e-3"]:
+        code = main(["lattice", "kg-wave", "--dt", dt, "--out", str(tmp_path / dt)])
+        err = capsys.readouterr().err
+        if float(dt) >= 2e-4:
+            assert code == 0, dt
+        else:
+            assert code == 2 and "'dt'" in err and "round-off alone" in err, dt
     # the smallest amplitudes whose squares stay normal floats still pass
     for amplitude in (["--amplitude", "1e-150"], []):
         argv = ["lattice", "hj-positivity"] + amplitude + ["--out", str(tmp_path / "h")]
@@ -573,7 +595,7 @@ def test_sweep_run_error_exits_two_and_the_other_runs_still_report(tmp_path, cap
     captured = capsys.readouterr()
     assert "[run-001] semiprop: parameter 'lam'" in captured.err
     assert "[run-003] semiprop: parameter 't_end' must be positive" in captured.err
-    assert "[run-004] semiprop: parameter 'a0'" in captured.err
+    assert "[run-004] semiprop: parameters 'a0' = 1e+200" in captured.err
     assert "Traceback" not in captured.err
     for run in ("run-000", "run-002"):
         assert "[{}] overall: PASS".format(run) in captured.out
@@ -609,7 +631,9 @@ def test_sweep_rejects_malformed_lines(tmp_path, capsys):
 # ------------------------------------------------- exit-contract fuzzing
 
 
-FUZZ_VALUES = ["0", "-1", "1e200", "1e-200", "1e-305", "5e-324", "1e400", "abc"]
+FUZZ_VALUES = [
+    "0", "-1", "1e200", "1e-200", "1e-305", "5e-324", "1e400", "1.7e308", "-1.7e308", "abc"
+]
 FUZZ_LISTS = ["[]", "[0]", "[1.5]", "['a']", "[None]", "[[1]]"]
 # Cheaper starting points than the defaults. No budget bounds the draws, so
 # they stay small; the quadratic bases are harmonic, where omega matters.
@@ -980,6 +1004,29 @@ def test_no_package_module_imports_the_cli():
             else:
                 continue
             if "semiprop.cli" in targets:
+                offenders.append("{}:{}".format(path.name, node.lineno))
+    assert not offenders
+
+
+def test_every_runner_refusal_goes_through_one_helper():
+    # a raise outside runners._refuse, or a message that names a parameter by
+    # hand ("parameter 'x'", "'x' = v", "with x = v"), is a second refusal path
+    runners = Path(semiprop.__file__).parent / "runners"
+    by_hand = re.compile(r"\bparameters? '|' = |\bwith \w+ = ")
+    offenders = []
+    for path in sorted(runners.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_refuse"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            text = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(node, ast.Raise) or (isinstance(text, str) and by_hand.search(text)):
                 offenders.append("{}:{}".format(path.name, node.lineno))
     assert not offenders
 

@@ -311,7 +311,7 @@ def test_evolve_window_validation():
     traj = evolve_classical(state, DE_SITTER, (0.5, 1.0), 1e-3)
     assert traj.t[0] == 0.5
     assert traj.a[0] == 1.0
-    with pytest.raises(ValueError, match="shorter than one step"):
+    with pytest.raises(ValueError, match="needs 0.001 steps to cover 1e-06, which round to none"):
         evolve_classical(state, DE_SITTER, (0.0, 1e-6), 1e-3)
     with pytest.raises(ValueError, match="increasing"):
         evolve_classical(state, DE_SITTER, (1.0, 0.0), 1e-3)

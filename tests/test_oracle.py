@@ -22,6 +22,7 @@ from semiprop import oracle
 from semiprop.core import (
     ComplexField,
     LazyPropagator,
+    MAX_STEPS,
     SpacetimeGrid,
     SpatialGrid,
     assemble_propagator,
@@ -34,7 +35,6 @@ from semiprop.general_hj import (
     exponential_family,
 )
 from semiprop.oracle import (
-    MAX_CN_STEPS,
     _chirp_split,
     _quadrature_weights,
     as_potential,
@@ -138,8 +138,8 @@ def test_cn_validates_steps():
         cn_evolve(state, 0.0, dt=-1e-3, n_steps=3)
     with pytest.raises(ValueError, match="n_steps"):
         cn_evolve(state, 0.0, dt=1e-3, n_steps=0)
-    with pytest.raises(ValueError, match="dt 1e-09 needs 1000001 Crank-Nicolson steps"):
-        cn_evolve(state, 0.0, dt=1e-9, n_steps=MAX_CN_STEPS + 1)
+    with pytest.raises(ValueError, match="step 1e-09 needs 1000001 steps, more than the budget"):
+        cn_evolve(state, 0.0, dt=1e-9, n_steps=MAX_STEPS + 1)
 
 
 def banded_reference(state, pot, dt, n_steps, cayley=True):
