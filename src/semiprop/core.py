@@ -7,9 +7,10 @@ The package certifies propagators of the form
 on rectangular space-time grids.  This module supplies the substrate:
 grid and field containers, the exp-assembly of K from its factors
 (whole, or a band of time columns at a time), second-order
-finite-difference stencils, composite Simpson quadrature (plain and
-cumulative), a classical RK4 stepper, and small fitting helpers used by
-the convergence studies.
+finite-difference stencils, the Hamilton-Jacobi, transport and decoupling
+equations over the derivative arrays that each family supplies, composite
+Simpson quadrature (plain and cumulative), a classical RK4 stepper, and
+small fitting helpers used by the convergence studies.
 
 Everything downstream treats these kernels as trusted instruments, so
 their error behavior is pinned by tests (quadratic exactness, h**2 and
@@ -38,6 +39,9 @@ __all__ = [
     "LazyPropagator",
     "assemble_propagator",
     "finite_difference",
+    "hamilton_jacobi",
+    "transport",
+    "decoupling",
     "simpson_weights",
     "cumulative_simpson",
     "VectorField",
@@ -309,6 +313,30 @@ def _stencil(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
     return np.moveaxis(out, 0, axis)
+
+
+# ---------------------------------------------------------------------------
+# the equations of K = exp(R + i S / hbar), order by order in hbar
+# ---------------------------------------------------------------------------
+
+
+def hamilton_jacobi(s_t, s_x, v, mass: float):
+    """dS/dt + (dS/dx)^2 / (2m) + V, the O(hbar^0) equation, for S."""
+    return s_t + s_x**2 / (2.0 * mass) + v
+
+
+def transport(s_xx, r_t, mass: float):
+    """d2S/dx2 + 2m dR/dt, the O(hbar) equation, for an R free of x."""
+    return s_xx + 2.0 * mass * r_t
+
+
+def decoupling(r_t, r_x, r_xx, mass: float, hbar: float) -> tuple[np.ndarray, float]:
+    """2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2], whose hbar term is the O(hbar^2)
+    equation, and its largest term max(|2m dR/dt|, hbar |d2R/dx2|, hbar |dR/dx|^2)."""
+    rate = 2.0 * mass * r_t
+    slope = float(np.max(np.abs(r_x)))
+    terms = float(np.max(np.abs(rate))), hbar * float(np.max(np.abs(r_xx))), hbar * (slope * slope)
+    return rate - 1j * hbar * (r_xx + r_x**2), max(terms)
 
 
 # ---------------------------------------------------------------------------

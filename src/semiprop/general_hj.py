@@ -11,10 +11,12 @@ whose general solution for S at each time is a double x-quadrature:
     S = f0 + int dx e^(-2R) ( f1 - int dx' e^(2R) [ 2 m dR/dt - i hbar (d2R/dx'2 + (dR/dx')^2) ] ).
 
 This module builds that S by nested Simpson quadrature, evaluates the
-decoupling residual 2 m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] whose zero
-set marks exponents with x-independent actions, and carries two exact families: a log-of-cosine
-exponent and an exponential-potential pair whose S satisfies the
-Hamilton-Jacobi equation identically.
+decoupling residual 2 m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] (``core.decoupling``
+over R's derivatives), whose zero set marks exponents with x-independent
+actions, and carries two exact families: a log-of-cosine exponent and an
+exponential-potential pair whose S satisfies the Hamilton-Jacobi equation
+identically.  Each family supplies only its derivatives; the equations are
+the ones in ``core``.
 
 For real R the bracketed hbar-term is the only imaginary source, so
 Im S is exactly linear in hbar; ``imaginary_scaling_probe`` measures
@@ -36,13 +38,16 @@ from .core import (
     _stencil,
     at_time,
     cumulative_simpson,
+    decoupling,
     fit_loglog_slope,
+    hamilton_jacobi,
 )
 
 __all__ = [
     "GeneralAnsatz",
     "build_S_from_R",
     "decoupling_residual",
+    "DecouplingField",
     "imaginary_scaling_probe",
     "ImaginaryScalingReport",
     "cos_log_family",
@@ -91,9 +96,9 @@ class GeneralAnsatz:
 
 def _bracket(
     ansatz: GeneralAnsatz, xs: np.ndarray, grid: SpacetimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """R on (xs, grid.t) and the bracket 2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2]
-    there.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """R on (xs, grid.t), the decoupling bracket 2m dR/dt - i hbar [d2R/dx2 +
+    (dR/dx)^2] there and the largest of its terms.
 
     xs spans [x_min, x_max] uniformly.  The derivatives are the ansatz's
     analytic ones when it carries them, otherwise second-order stencils.
@@ -116,8 +121,8 @@ def _bracket(
                 np.broadcast_to(np.asarray(d(X, T), dtype=complex), shape)
                 for d in (ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2)
             )
-        bracket = 2.0 * ansatz.mass * r_t - 1j * ansatz.hbar * (r_xx + r_x**2)
-    return r, bracket
+        bracket, largest = decoupling(r_t, r_x, r_xx, ansatz.mass, ansatz.hbar)
+    return r, bracket, largest
 
 
 def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
@@ -140,7 +145,7 @@ def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
     """
     xs = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_x - 1)
     hs = (grid.x_max - grid.x_min) / (2 * (grid.n_x - 1))
-    r, bracket = _bracket(ansatz, xs, grid)
+    r, bracket, _ = _bracket(ansatz, xs, grid)
     values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
     for j, t in enumerate(grid.t):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -155,14 +160,24 @@ def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
     return ComplexField(grid=grid, values=values)
 
 
-def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
+class DecouplingField(ComplexField):
+    """The decoupling residual on a grid, with ``largest``, the largest of its
+    terms |2m dR/dt|, hbar |d2R/dx2| and hbar |dR/dx|^2 there."""
+
+    def __init__(self, grid: SpacetimeGrid, values: np.ndarray, largest: float):
+        super().__init__(grid, values)
+        self.largest = largest
+
+
+def decoupling_residual(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> DecouplingField:
     """2m dR/dt - i hbar [d2R/dx2 + (dR/dx)^2] of ``ansatz`` nodewise.
 
     Zero exactly when the x-dependence of R decouples from the action
     quadrature (the inner integrand above vanishes).  With stencil
     derivatives the accuracy is O(h^2).
     """
-    return ComplexField(grid=grid, values=_bracket(ansatz, grid.x, grid)[1])
+    _, bracket, largest = _bracket(ansatz, grid.x, grid)
+    return DecouplingField(grid, bracket, largest)
 
 
 @dataclass(frozen=True)
@@ -302,10 +317,11 @@ def cos_log_family(
 
 def _exponential_parameters(
     amplitude: float, slope: float, hbar: float, mass: float
-) -> tuple[float, float]:
-    """(A, b) of V = A e^(b x), refused unless b != 0, A > 0, hbar > 0, m > 0,
-    the rate i hbar b^2 / (32 m) is finite and so is 2 m A e^(b x), the
-    Hamilton-Jacobi terms' size, on |x| <= X_EDGE."""
+) -> tuple[float, float, float]:
+    """(A, b, e^(|b| X_EDGE)) of V = A e^(b x), refused unless b != 0, A > 0,
+    hbar > 0, m > 0, the rate i hbar b^2 / (32 m) is finite and so are, on
+    |x| <= X_EDGE, (dS/dx)^2 = -2 m A e^(b x) and A e^(b x), the size of
+    (dS/dx)^2 / (2m) and of V."""
     a, b = float(amplitude), float(slope)
     if b == 0.0:
         raise ValueError("slope b must be nonzero")
@@ -325,12 +341,12 @@ def _exponential_parameters(
         growth = math.exp(abs(b) * X_EDGE)
     except OverflowError:
         growth = math.inf
-    if not math.isfinite(2.0 * mass * a * growth):
+    if not (math.isfinite(a * growth) and math.isfinite(2.0 * mass * a * growth)):
         raise ValueError(
             f"slope b = {b!r} with amplitude A = {a!r} and mass = {mass!r} "
-            f"overflows 2 m A e^(b x) at |x| = {X_EDGE}"
+            f"overflows A e^(b x) or 2 m A e^(b x) at |x| = {X_EDGE}"
         )
-    return a, b
+    return a, b, growth
 
 
 def exponential_family(
@@ -348,7 +364,7 @@ def exponential_family(
     Schrodinger equation with this V identically, and S alone solves the
     Hamilton-Jacobi equation since (dS/dx)^2 / (2m) = -A e^(b x).
     """
-    a, b = _exponential_parameters(amplitude, slope, hbar, mass)
+    a, b, _ = _exponential_parameters(amplitude, slope, hbar, mass)
     rate = 1j * hbar * b**2 / (32.0 * mass)
     s_coef = 2j * math.sqrt(2.0 * mass * a) / b
 
@@ -382,25 +398,30 @@ def exponential_family(
     return ansatz, s_fn, v_fn
 
 
+def _exponential_action_slope(x, amplitude: float, slope: float, mass: float):
+    """dS/dx = i sqrt(2 m A) e^(b x / 2) of the exponential pair."""
+    return 1j * math.sqrt(2.0 * mass * amplitude) * np.exp(slope * x / 2.0)
+
+
 def exponential_family_residuals(
     amplitude: float = 1.0,
     slope: float = 1.0,
     hbar: float = 1.0,
     mass: float = 1.0,
 ) -> dict[str, float]:
-    """Analytic-derivative residuals of the exponential-potential pair on
-    101 points of [-X_EDGE, X_EDGE].
+    """Residuals of the exponential-potential pair on 101 points of
+    [-X_EDGE, X_EDGE], from the family's analytic derivatives.
 
-    hamilton_jacobi: dS/dt + (dS/dx)^2/(2m) + V, exactly zero since
-    (dS/dx)^2 = (i sqrt(2mA))^2 e^(bx) = -2mA e^(bx).
-    decoupling: 2m dR/dt - i hbar [(b/4)^2] = i hbar b^2/16 - i hbar b^2/16.
+    hamilton_jacobi: dS/dt + (dS/dx)^2/(2m) + V with dS/dt = 0, exactly zero
+    since (dS/dx)^2 = (i sqrt(2mA))^2 e^(bx) = -2mA e^(bx).
+    decoupling: the decoupling residual of the family's ansatz, exactly zero
+    since 2m dR/dt = i hbar b^2/16 = i hbar (dR/dx)^2 and d2R/dx2 = 0.
     """
-    a, b = _exponential_parameters(amplitude, slope, hbar, mass)
-    x = np.linspace(-X_EDGE, X_EDGE, 101)
-    s_x = 1j * math.sqrt(2.0 * mass * a) * np.exp(b * x / 2.0)
-    hj = s_x**2 / (2.0 * mass) + a * np.exp(b * x)  # dS/dt = 0
-    dec = 2.0 * mass * (1j * hbar * b**2 / (32.0 * mass)) - 1j * hbar * (b / 4.0) ** 2
+    ansatz, _, v_fn = exponential_family(amplitude, slope, hbar, mass)
+    grid = SpacetimeGrid(x_min=-X_EDGE, x_max=X_EDGE, n_x=101, t_min=0.0, t_max=1.0, n_t=4)
+    s_x = _exponential_action_slope(grid.x, amplitude, slope, mass)
+    hj = hamilton_jacobi(0.0, s_x, v_fn(grid.x, 0.0), mass)
     return {
         "hamilton_jacobi": float(np.max(np.abs(hj))),
-        "decoupling": abs(dec),
+        "decoupling": decoupling_residual(ansatz, grid).max_abs(),
     }

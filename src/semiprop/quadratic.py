@@ -16,7 +16,10 @@ together with the consistency relation d2S/dx2 + 2 m dR/dt = 0, which the
 template satisfies identically.  This module integrates that system with
 RK4, carries the two closed-form families (free particle and harmonic
 oscillator) with their exact R and two-point S, identifies exp(R) with
-the Van Vleck determinant.
+the Van Vleck determinant.  Each family's identity residuals hand its
+analytic derivatives to ``core.hamilton_jacobi`` and ``core.transport``,
+after a bound on |dS/dx| / m, written once per family, refuses a grid where
+(dS/dx)^2 overflows.
 
 Caveat on the driven family: the tan/sec reference solutions used for
 verification fix f0 through f0' = -g0 - f1^2/(2m) above.  A variant
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +41,10 @@ from .core import (
     SpacetimeGrid,
     VectorField,
     at_time,
+    hamilton_jacobi,
     rk4_solve,
     step_count,
+    transport,
 )
 
 __all__ = [
@@ -287,21 +292,6 @@ def _source_point(x0: float) -> float:
     return x0
 
 
-def _check_slope_square(mass: float, reach: float, x0: float) -> None:
-    """Refuse, naming mass and x0, a grid where (dS/dx)^2 leaves the float range.
-
-    ``reach`` bounds |dS/dx| / mass over the grid; the Hamilton-Jacobi
-    residual squares dS/dx, so both reach^2 and (mass * reach)^2 must stay
-    finite.
-    """
-    slope = mass * reach
-    if not (math.isfinite(reach * reach) and math.isfinite(slope * slope)):
-        raise ValueError(
-            f"mass {mass!r} with x0 {x0!r} takes (dS/dx)^2 past the float range "
-            f"on this grid: |dS/dx| reaches {slope:.3g}"
-        )
-
-
 def free_particle_factors(
     grid: SpacetimeGrid,
     mass: float = 1.0,
@@ -390,6 +380,45 @@ def harmonic_factors(
 # ---------------------------------------------------------------------------
 
 
+def _free_reach(grid: SpacetimeGrid, x0: float) -> float:
+    """Bound on |dS/dx| / m = |x - x0| / t over the grid, for the free particle."""
+    return (float(np.max(np.abs(grid.x))) + abs(x0)) / float(np.min(grid.t))
+
+
+def _harmonic_reach(grid: SpacetimeGrid, omega: float, x0: float) -> float:
+    """Bound on |dS/dx| / m = |omega| |x cot - x0 csc| <= |omega| (|x| + |x0|) |csc|
+    over the grid, for the oscillator; refused where csc^2 = 1 / sin^2 overflows."""
+    smallest = float(np.min(np.abs(np.sin(omega * grid.t))))
+    if not smallest > sys.float_info.max ** -0.5:
+        raise ValueError(
+            f"omega = {omega!r} brings |sin(omega t)| down to {smallest:.3g} on a "
+            "valid time node, where csc^2 overflows"
+        )
+    return abs(omega) * (float(np.max(np.abs(grid.x))) + abs(x0)) / smallest
+
+
+def _identity_residuals(mass: float, reach: float, x0: float, derivatives: Callable) -> dict:
+    """Max |residual| of the Hamilton-Jacobi and consistency (transport)
+    equations, from ``derivatives()``: a family's (dS/dt, dS/dx, d2S/dx2,
+    dR/dt, V) on the grid.
+
+    ``reach`` bounds |dS/dx| / mass there.  The Hamilton-Jacobi residual
+    squares dS/dx, so where reach^2 or (mass * reach)^2 leaves the float
+    range the grid is refused first, naming mass and x0.
+    """
+    slope = mass * reach
+    if not (math.isfinite(reach * reach) and math.isfinite(slope * slope)):
+        raise ValueError(
+            f"mass {mass!r} with x0 {x0!r} takes (dS/dx)^2 past the float range "
+            f"on this grid: |dS/dx| reaches {slope:.3g}"
+        )
+    s_t, s_x, s_xx, r_t, v = derivatives()
+    return {
+        "hamilton_jacobi": float(np.max(np.abs(hamilton_jacobi(s_t, s_x, v, mass)))),
+        "consistency": float(np.max(np.abs(transport(s_xx, r_t, mass)))),
+    }
+
+
 def free_particle_identity_residuals(
     grid: SpacetimeGrid, mass: float = 1.0, x0: float = 0.0
 ) -> dict[str, float]:
@@ -405,21 +434,12 @@ def free_particle_identity_residuals(
             f"free-particle identities need t > 0; the grid starts at t_min={grid.t_min:.6g}"
         )
     x0 = _source_point(x0)
-    x = grid.x[:, None]
-    t = grid.t[None, :]
-    # |dS/dx| = m |x - x0| / t
-    reach = (float(np.max(np.abs(x))) + abs(x0)) / float(np.min(t))
-    _check_slope_square(mass, reach, x0)
-    s_t = -mass * (x - x0) ** 2 / (2.0 * t**2)
-    s_x = mass * (x - x0) / t
-    hj = s_t + s_x**2 / (2.0 * mass)
-    s_xx = mass / t
-    dr_dt = -0.5 / t
-    consistency = s_xx + 2.0 * mass * dr_dt
-    return {
-        "hamilton_jacobi": float(np.max(np.abs(hj))),
-        "consistency": float(np.max(np.abs(consistency))),
-    }
+
+    def derivatives():
+        x, t = grid.mesh()
+        return -mass * (x - x0) ** 2 / (2.0 * t**2), mass * (x - x0) / t, mass / t, -0.5 / t, 0.0
+
+    return _identity_residuals(mass, _free_reach(grid, x0), x0, derivatives)
 
 
 def harmonic_identity_residuals(
@@ -432,32 +452,16 @@ def harmonic_identity_residuals(
     if not math.isfinite(mass * omega * omega):
         raise ValueError(f"omega must keep mass * omega^2 finite, got {omega!r}")
     x0 = _source_point(x0)
-    x = grid.x[:, None]
-    t = grid.t[None, :]
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    # the residuals take csc^2 = 1 / sin^2, finite while |sin| > 1 / sqrt(float max)
-    smallest = float(np.min(np.abs(s)))
-    if not smallest > sys.float_info.max ** -0.5:
-        raise ValueError(
-            f"omega = {omega!r} brings |sin(omega t)| down to {smallest:.3g} on a "
-            "valid time node, where csc^2 overflows"
-        )
-    # |dS/dx| = m |omega| |x cot - x0 csc| <= m |omega| (|x| + |x0|) |csc|
-    reach = abs(omega) * (float(np.max(np.abs(x))) + abs(x0)) / smallest
-    _check_slope_square(mass, reach, x0)
-    csc = 1.0 / s
-    cot = c / s
-    s_t = (mass * omega**2 / 2.0) * (2.0 * x0 * x * csc * cot - (x0**2 + x**2) * csc**2)
-    s_x = mass * omega * (x * cot - x0 * csc)
-    v = 0.5 * mass * omega**2 * x**2
-    hj = s_t + s_x**2 / (2.0 * mass) + v
-    s_xx = mass * omega * cot
-    dr_dt = -0.5 * omega * cot
-    consistency = s_xx + 2.0 * mass * dr_dt
-    return {
-        "hamilton_jacobi": float(np.max(np.abs(hj))),
-        "consistency": float(np.max(np.abs(consistency))),
-    }
+
+    def derivatives():
+        x, t = grid.mesh()
+        s, c = np.sin(omega * t), np.cos(omega * t)
+        csc, cot = 1.0 / s, c / s
+        s_t = (mass * omega**2 / 2.0) * (2.0 * x0 * x * csc * cot - (x0**2 + x**2) * csc**2)
+        v = 0.5 * mass * omega**2 * x**2
+        return s_t, mass * omega * (x * cot - x0 * csc), mass * omega * cot, -0.5 * omega * cot, v
+
+    return _identity_residuals(mass, _harmonic_reach(grid, omega, x0), x0, derivatives)
 
 
 # ---------------------------------------------------------------------------

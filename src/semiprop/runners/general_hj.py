@@ -3,12 +3,11 @@ and the hbar scaling of Im S."""
 
 from __future__ import annotations
 
-import math
-
 from ..core import SpacetimeGrid
 from ..general_hj import (
     X_EDGE,
     GeneralAnsatz,
+    _exponential_parameters,
     cos_log_family,
     decoupling_residual,
     exponential_family_residuals,
@@ -19,37 +18,39 @@ from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
 
 
 def _run_general_decoupling(params: dict, seed: int) -> tuple:
-    ansatz = cos_log_family(
-        c2=params["c2"], c3=params["c3"], c4=params["c4"],
-        hbar=params["hbar"], mass=params["mass"],
-    )
+    ansatz = cos_log_family(**params)
     grid = SpacetimeGrid(
         x_min=-X_EDGE, x_max=X_EDGE, n_x=65, t_min=0.0, t_max=1.0, n_t=33
     )
     res = decoupling_residual(ansatz, grid)
-    records = [_bound("decoupling-residual", res.max_abs(), 1e-8)]
+    tolerance = 1e-8
+    # over 2,592 cases (c2, c3, mass, hbar from 1e-3 to 1e20) a correct residual
+    # read up to 3.57 epsilons times its largest term, so 4 of them must stay below
+    _refuse_predicted(
+        *_roundoff(res.largest, "the decoupling terms"), 0.25 * tolerance,
+        params, ("c2", "c3", "hbar"),
+    )
+    records = [_bound("decoupling-residual", res.max_abs(), tolerance)]
     return records, None, {}
 
 
 def _run_general_exponential(params: dict, seed: int) -> tuple:
-    res = exponential_family_residuals(
-        amplitude=params["amplitude"], slope=params["slope"],
-        hbar=params["hbar"], mass=params["mass"],
-    )
     hj_tolerance, decoupling_tolerance = 1e-10, 1e-12
+    a, b, growth = _exponential_parameters(**params)
     # (dS/dx)^2 / (2m) = -A e^(bx) and V = A e^(bx) cancel; each reaches
     # A e^(|b| X_EDGE) on the grid, whatever the mass
-    terms = 2.0 * params["amplitude"] * math.exp(abs(params["slope"]) * X_EDGE)
+    terms = 2.0 * a * growth
     _refuse_predicted(
         *_roundoff(terms, "two Hamilton-Jacobi terms together"), hj_tolerance,
         params, ("amplitude", "slope"),
     )
     # 2m dR/dt and i hbar (b/4)^2 cancel; each is hbar b^2 / 16
-    terms = params["hbar"] * (params["slope"] * params["slope"]) / 8.0
+    terms = params["hbar"] * (b * b) / 8.0
     _refuse_predicted(
         *_roundoff(terms, "two decoupling terms together"), decoupling_tolerance,
         params, ("hbar", "slope"),
     )
+    res = exponential_family_residuals(**params)
     records = [
         _bound("hamilton-jacobi", res["hamilton_jacobi"], hj_tolerance),
         _bound("decoupling-residual", res["decoupling"], decoupling_tolerance),

@@ -9,6 +9,8 @@ from ..core import ComplexField, LazyPropagator, SpacetimeGrid, assemble_propaga
 from ..quadratic import (
     PREFACTOR_CASES,
     QuadraticPotential,
+    _free_reach,
+    _harmonic_reach,
     free_particle_factors,
     free_particle_identity_residuals,
     harmonic_factors,
@@ -36,21 +38,18 @@ def _run_quadratic_hj(params: dict, seed: int) -> tuple:
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
     tolerance = 1e-8
-    # the largest Hamilton-Jacobi term is m reach^2 / 2, where reach bounds
-    # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
-    span = grid.x_max + abs(params["x0"])
+    mass, x0 = params["mass"], params["x0"]
     if params["family"] == "free":
-        res = free_particle_identity_residuals(grid, mass=params["mass"], x0=params["x0"])
-        reach, names = span / grid.t_min, ("mass", "x0")
+        res = free_particle_identity_residuals(grid, mass=mass, x0=x0)
+        reach, names = _free_reach(grid, x0), ("mass", "x0")
     else:
         omega = params["omega"]
-        res = harmonic_identity_residuals(
-            grid, mass=params["mass"], omega=omega, x0=params["x0"]
-        )
-        reach = abs(omega) * span / float(np.min(np.abs(np.sin(omega * grid.t))))
-        names = ("mass", "omega", "x0")
+        res = harmonic_identity_residuals(grid, mass=mass, omega=omega, x0=x0)
+        reach, names = _harmonic_reach(grid, omega, x0), ("mass", "omega", "x0")
+    # the largest Hamilton-Jacobi term is m reach^2 / 2, where reach bounds
+    # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
     _refuse_predicted(
-        *_roundoff(params["mass"] * reach * reach / 2.0, "the Hamilton-Jacobi terms"),
+        *_roundoff(mass * reach * reach / 2.0, "the Hamilton-Jacobi terms"),
         tolerance, params, names,
     )
     records = [

@@ -1,6 +1,7 @@
 """CLI dispatch, report files, determinism, and the convergence table."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -359,6 +360,12 @@ def test_parameter_errors_name_the_parameter(tmp_path, capsys):
         (["cosmo", "de-sitter", "--lam", "1e5"], ["lam", "a0", "t_end"]),
         # the field is drawn from [-amplitude, amplitude], whose width overflows
         (["lattice", "hj-positivity", "--amplitude", "1e308"], ["amplitude"]),
+        # A e^(|b| X_EDGE), the size of V and of (dS/dx)^2 / (2m), overflows
+        # while 2 m A e^(|b| X_EDGE) does not, since m < 1/2
+        (["general-hj", "exponential", "--amplitude", "1e200", "--slope", "300",
+          "--mass", "1e-200"], ["amplitude", "slope"]),
+        (["general-hj", "exponential", "--amplitude", "1e300", "--slope", "20",
+          "--mass", "1e-10"], ["amplitude", "slope"]),
     ],
 )
 def test_overflowing_inputs_exit_two_without_a_warning(argv, names, tmp_path, capsys):
@@ -382,6 +389,10 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
          36029, "'hbar'"),
         (["general-hj", "exponential", "--mass", "0.3", "--slope", "5", "--hbar"],
          ["1e{}".format(e) for e in range(-3, 10)], 1441, "'slope' = 5.0"),
+        # the cos-log decoupling residual reads up to 3.57 epsilons times its
+        # largest term, hbar c2^2 here, so it is refused from 4 eps hbar = 1e-8
+        (["general-hj", "decoupling", "--hbar"],
+         ["1", "1e6", "1e7", "3e7", "1e8", "1e20", "1e200"], 1.126e7, "'hbar'"),
         # the imaginary-part terms reach |lam| (2 + sin 1) e^4, refused at half
         # the tolerance from lam 14.5 on; a correct residual fails from about 25
         *(
@@ -439,6 +450,69 @@ def test_greens_records_fail_on_a_planted_kernel_defect(tmp_path, monkeypatch):
         report = read_report(out)
         assert record(report, failing)["pass"] is False, failing
         assert record(report, passing)["pass"] is True, failing
+
+
+def moved_by_1e_3(fn):
+    """``fn`` with its value moved by a relative 1e-3."""
+    return lambda *args: fn(*args) * (1.0 + 1e-3)
+
+
+def test_equation_records_fail_on_a_planted_derivative_defect(tmp_path, monkeypatch):
+    # each defect moves one derivative a family supplies by a relative 1e-3;
+    # the equations, the checks and their tolerances are untouched
+    from semiprop import general_hj, quadratic
+    from semiprop.runners import general_hj as general_runners
+
+    identities = quadratic._identity_residuals
+
+    def planted_identities(index):
+        # derivatives() gives (dS/dt, dS/dx, d2S/dx2, dR/dt, V)
+        def planted(mass, reach, x0, derivatives):
+            def moved():
+                terms = list(derivatives())
+                terms[index] = terms[index] * (1.0 + 1e-3)
+                return tuple(terms)
+
+            return identities(mass, reach, x0, moved)
+
+        return quadratic, "_identity_residuals", planted
+
+    def with_moved_rate(ansatz):
+        return dataclasses.replace(ansatz, dR_dt=moved_by_1e_3(ansatz.dR_dt))
+
+    cos_log, exponential = general_runners.cos_log_family, general_hj.exponential_family
+
+    def exponential_with_moved_rate(*args):
+        ansatz, s_fn, v_fn = exponential(*args)
+        return with_moved_rate(ansatz), s_fn, v_fn
+
+    slope = (general_hj, "_exponential_action_slope",
+             moved_by_1e_3(general_hj._exponential_action_slope))
+    controls = [
+        (["quadratic", "hj"], planted_identities(1), "hamilton-jacobi", "consistency"),
+        (["quadratic", "hj"], planted_identities(3), "consistency", "hamilton-jacobi"),
+        (["quadratic", "hj", "--family", "harmonic"], planted_identities(1),
+         "hamilton-jacobi", "consistency"),
+        (["quadratic", "hj", "--family", "harmonic"], planted_identities(3),
+         "consistency", "hamilton-jacobi"),
+        (["general-hj", "decoupling"],
+         (general_runners, "cos_log_family", lambda **params: with_moved_rate(cos_log(**params))),
+         "decoupling-residual", None),
+        (["general-hj", "exponential"], slope, "hamilton-jacobi", "decoupling-residual"),
+        (["general-hj", "exponential"],
+         (general_hj, "exponential_family", exponential_with_moved_rate),
+         "decoupling-residual", "hamilton-jacobi"),
+    ]
+    for index, (argv, (module, name, plant), failing, passing) in enumerate(controls):
+        out = tmp_path / str(index)
+        assert main(argv + ["--out", str(out)]) == 0, (argv, failing)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, plant)
+            assert main(argv + ["--out", str(out)]) == 1, (argv, failing)
+        report = read_report(out)
+        assert record(report, failing)["pass"] is False, (argv, failing)
+        if passing is not None:
+            assert record(report, passing)["pass"] is True, (argv, failing)
 
 
 def test_hj_positivity_is_not_refused_at_the_greens_round_off_floor(tmp_path):

@@ -27,7 +27,12 @@ from semiprop.general_hj import (
     exponential_family_residuals,
     imaginary_scaling_probe,
 )
-from semiprop.quadratic import free_particle_factors, harmonic_factors
+from semiprop.quadratic import (
+    free_particle_factors,
+    free_particle_identity_residuals,
+    harmonic_factors,
+    harmonic_identity_residuals,
+)
 
 from general_hj_reference import (
     cos_log_action,
@@ -401,6 +406,59 @@ def test_decoupling_residual_equals_the_reference(ansatz_name):
         ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2,
     )
     assert np.array_equal(res.values, reference.values)
+
+
+def reference_identity_residuals(grid, mass, omega=None, x0=0.0):
+    """The closed-form identity residuals with each family's equations
+    written out in full; omega None is the free particle."""
+    x = grid.x[:, None]
+    t = grid.t[None, :]
+    if omega is None:
+        s_t = -mass * (x - x0) ** 2 / (2.0 * t**2)
+        s_x = mass * (x - x0) / t
+        hj = s_t + s_x**2 / (2.0 * mass)
+        consistency = mass / t + 2.0 * mass * (-0.5 / t)
+    else:
+        s, c = np.sin(omega * t), np.cos(omega * t)
+        csc = 1.0 / s
+        cot = c / s
+        s_t = (mass * omega**2 / 2.0) * (2.0 * x0 * x * csc * cot - (x0**2 + x**2) * csc**2)
+        s_x = mass * omega * (x * cot - x0 * csc)
+        hj = s_t + s_x**2 / (2.0 * mass) + 0.5 * mass * omega**2 * x**2
+        consistency = mass * omega * cot + 2.0 * mass * (-0.5 * omega * cot)
+    return {
+        "hamilton_jacobi": float(np.max(np.abs(hj))),
+        "consistency": float(np.max(np.abs(consistency))),
+    }
+
+
+@pytest.mark.parametrize("omega", [None, 0.7, 1.0, -1.3])
+@pytest.mark.parametrize("mass, x0", [(1.0, 0.0), (0.3, 0.25), (1e3, -1.5), (1e-4, 2.0)])
+def test_identity_residuals_equal_the_written_out_formulas(mass, omega, x0):
+    grid = make_grid(n_x=65, n_t=33, x_min=-4.0, x_max=4.0, t_min=0.5, t_max=2.0)
+    if omega is None:
+        res = free_particle_identity_residuals(grid, mass=mass, x0=x0)
+    else:
+        res = harmonic_identity_residuals(grid, mass=mass, omega=omega, x0=x0)
+    assert res == reference_identity_residuals(grid, mass, omega, x0)
+
+
+@pytest.mark.parametrize(
+    "amplitude, slope, hbar, mass",
+    [(1.0, 1.0, 1.0, 1.0), (0.3, -5.0, 1e6, 0.3), (1e3, 20.0, 1e-3, 1e-4), (2.0, 0.1, 7.0, 1e5)],
+)
+def test_exponential_residuals_equal_the_written_out_products(amplitude, slope, hbar, mass):
+    # the wrapper evaluates the family's own dS/dx and ansatz; on the exact
+    # pair it reads what the written-out products read, bit for bit
+    x = np.linspace(-2.0, 2.0, 101)
+    s_x = 1j * math.sqrt(2.0 * mass * amplitude) * np.exp(slope * x / 2.0)
+    hj = s_x**2 / (2.0 * mass) + amplitude * np.exp(slope * x)
+    rate = 1j * hbar * slope**2 / (32.0 * mass)
+    decoupling = 2.0 * mass * rate - 1j * hbar * (slope / 4.0) ** 2
+    assert exponential_family_residuals(amplitude, slope, hbar, mass) == {
+        "hamilton_jacobi": float(np.max(np.abs(hj))),
+        "decoupling": abs(decoupling),
+    }
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ The three routes are independent implementations; the tests below play
 them against each other and against analytic evolution laws.
 """
 
+import ast
 import cmath
 import dataclasses
 import json
@@ -795,3 +796,14 @@ def test_consistency_loop_residual_converges(builder):
     rel_fine = consistency_rel(builder, 129, 65)
     assert rel_fine < 0.01
     assert rel_fine < rel_coarse / 2.5
+
+
+def test_the_oracles_difference_k_without_the_equations():
+    # the oracles certify the equations' families, so they must not reach
+    # core's Hamilton-Jacobi, transport or decoupling functions
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"hamilton_jacobi", "transport", "decoupling"}

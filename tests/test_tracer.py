@@ -1,9 +1,9 @@
 """The benchmark's layer tracer still finds every function it wraps.
 
 ``perfbench/layers.py`` binds the traced functions by module and name.
-Renaming or deleting one breaks ``perfbench/run.py --trace 1``; this test
-installs the tracer in a fresh interpreter and runs one small command per
-traced layer, so such a change fails here first.
+Renaming or deleting one breaks ``perfbench/run.py --trace 1``; these tests
+read that list of targets, and install the tracer in a fresh interpreter to
+run one small command per traced layer, so such a change fails here first.
 """
 
 import json
@@ -65,3 +65,16 @@ def test_tracer_installs_and_records_each_layer(tmp_path):
         "general_hj",
     ):
         assert name in result["spans"], name
+
+
+def test_every_traced_attribute_exists(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+
+    try:
+        targets = layers._targets()
+    finally:
+        sys.modules.pop("layers", None)
+    assert targets
+    for module, attr, name, _ in targets:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
