@@ -116,6 +116,100 @@ def test_report_key_order_and_checks_shape(tmp_path):
         }
 
 
+AT_MOST = "pass iff value <= tolerance"
+# (name, tolerance, diagnostic, detail, pass) of each record, in order; the
+# value is left out, since its last bits follow the CPU's vector libm
+RECORD_SHAPES = {
+    ("quadratic", "hj"): [
+        ("hamilton-jacobi", 1e-8, False, AT_MOST, True),
+        ("consistency", 1e-8, False, AT_MOST, True),
+    ],
+    ("quadratic", "van-vleck"): [("van-vleck-deviation", 1e-6, False, AT_MOST, True)],
+    ("quadratic", "prefactor-ode"): [
+        ("closed-form-deviation", 1e-8, False, AT_MOST, True),
+        ("observed-order", 0.5, False, "pass iff |value - 4| <= tolerance", True),
+    ],
+    ("quadratic", "schrodinger-order"): [
+        ("stencil-order", 0.3, False, "pass iff |value - 2| <= tolerance", True),
+    ],
+    ("general-hj", "decoupling"): [("decoupling-residual", 1e-8, False, AT_MOST, True)],
+    ("general-hj", "exponential"): [
+        ("hamilton-jacobi", 1e-10, False, AT_MOST, True),
+        ("decoupling-residual", 1e-12, False, AT_MOST, True),
+    ],
+    ("general-hj", "hbar-slope"): [
+        ("imaginary-slope", 0.01, False, "pass iff |value - 1| <= tolerance", True),
+    ],
+    ("oracle", "kernel-vs-grid"): [
+        ("kernel-vs-grid", 1e-3, False, AT_MOST, True),
+        (
+            "perturbed-kernel-separation", 1e-2, False,
+            "pass iff value > tolerance (a wrong kernel must stand out)", True,
+        ),
+    ],
+    ("oracle", "kernel-vs-grid", "harmonic"): [
+        (
+            "kernel-vs-grid", 1e-3, False,
+            "boundary amplitude reached 2.255e-06 (threshold 1e-08); "
+            "Dirichlet walls are interfering", True,
+        ),
+        (
+            "perturbed-kernel-separation", None, True,
+            "recorded; the 1e-2 floor applies to the free-particle span", True,
+        ),
+    ],
+    ("cosmo", "de-sitter"): [
+        ("scale-factor-growth", 1e-6, False, AT_MOST, True),
+        ("friedmann-residual", 1e-8, False, AT_MOST, True),
+    ],
+    ("cosmo", "stiff"): [
+        ("expansion-exponent", 1e-3, False, "pass iff |value - 1/3| <= tolerance", True),
+        (
+            "momentum-drift", None, True,
+            "relative p_phi drift over the run (truncation transient)", True,
+        ),
+    ],
+    ("lattice", "conformal-transport"): [
+        ("curvature-functional", None, True, "R[sigma] on this lattice", True),
+        # 1e-12 max(1, |closed form|), and the closed form is 16 on [4, 4]
+        ("closed-form-deviation", 1.6e-11, False, AT_MOST, True),
+        ("functional-derivative-deviation", 1e-6, False, AT_MOST, True),
+    ],
+    ("lattice", "greens"): [
+        ("defining-property", 1e-8, False, AT_MOST, True),
+        ("kernel-symmetry", 1e-12, False, AT_MOST, True),
+    ],
+    ("lattice", "hj-positivity"): [
+        (
+            "minimum-residual", 0.0, False,
+            "pass iff value > tolerance (euclidean residual is positive off phi = 0)", True,
+        ),
+        (
+            "lorentzian-on-shell-residual", None, True,
+            "recorded for comparison across refinements; no pass threshold", True,
+        ),
+    ],
+    ("lattice", "imaginary-part"): [("imaginary-part-residual", 1e-12, False, AT_MOST, True)],
+    ("lattice", "kg-wave"): [
+        ("stencil-residual", 1e-8, False, AT_MOST, True),
+        ("dispersion-tracking", 1e-8, False, AT_MOST, True),
+    ],
+}
+
+
+def test_every_check_emits_its_records_in_their_declared_shape(tmp_path, capsys):
+    assert {key[:2] for key in RECORD_SHAPES} == set(CHECKS)
+    for key, shapes in RECORD_SHAPES.items():
+        family = ["--family", key[2]] if len(key) == 3 else []
+        out = tmp_path / "-".join(key)
+        assert main([*key[:2], *family, "--out", str(out)]) == 0, key
+        checks = read_report(out)["checks"]
+        seen = [
+            (c["name"], c["tolerance"], c["diagnostic"], c["detail"], c["pass"]) for c in checks
+        ]
+        assert seen == shapes, key
+
+
 def test_convergence_block_present_for_refinement_checks(tmp_path):
     code = main(["quadratic", "prefactor-ode", "--out", str(tmp_path)])
     assert code == 0
