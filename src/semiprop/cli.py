@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .report import Report, write_csv
+from .report import Declared, Report, RunParams, above, at_most, diagnostic, judge, near, write_csv
 
 
 # ------------------------------------------------------------- registry
@@ -45,10 +45,11 @@ from .report import Report, write_csv
 #         reach; on a list, every element meets it.
 # A rule that a library constructor already checks, or one that couples
 # parameters, stays with the constructor or the runner.  So that importing
-# this module loads no scenario module, the last item of an entry names its
-# runner in semiprop.runners.<scenario>, imported when the check first runs,
-# and the text choices are literals (a test holds them equal to the
-# library's constants).
+# this module loads no scenario module, the second item of an entry names
+# its runner in semiprop.runners.<scenario>, imported when the check first
+# runs, and the text choices are literals (a test holds them equal to the
+# library's constants).  The last item declares, in order, every record the
+# check emits, with its rule and tolerance literal; the runner only measures.
 POSITIVE = "positive"
 
 
@@ -62,25 +63,34 @@ _QUADRATIC = {**_FAMILY, **_reals(x0=0.0)}
 _DIMS = ([4, 4], [int], 2)
 _LATTICE = {"dims": _DIMS, **_reals(mass=1.0, spacing=1.0)}
 
-CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
-    ("quadratic", "hj"): (_QUADRATIC, "_run_quadratic_hj"),
-    ("quadratic", "van-vleck"): (_FAMILY, "_run_quadratic_van_vleck"),
+CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
+    ("quadratic", "hj"): (
+        _QUADRATIC, "_run_quadratic_hj",
+        (at_most("hamilton-jacobi", 1e-8), at_most("consistency", 1e-8)),
+    ),
+    ("quadratic", "van-vleck"): (
+        _FAMILY, "_run_quadratic_van_vleck", (at_most("van-vleck-deviation", 1e-6),)
+    ),
     ("quadratic", "prefactor-ode"): (
         {"family": ("driven", ("free", "harmonic", "driven"), None), **_reals(step=1e-4)},
         "_run_quadratic_prefactor",
+        (at_most("closed-form-deviation", 1e-8), near("observed-order", 4.0, 0.5)),
     ),
-    ("quadratic", "schrodinger-order"): (_QUADRATIC, "_run_quadratic_schrodinger"),
+    ("quadratic", "schrodinger-order"): (
+        _QUADRATIC, "_run_quadratic_schrodinger", (near("stencil-order", 2.0, 0.3),)
+    ),
     ("general-hj", "decoupling"): (
-        _reals(c2=1.0, c3=0.0, c4=0.0, hbar=1.0, mass=1.0),
-        "_run_general_decoupling",
+        _reals(c2=1.0, c3=0.0, c4=0.0, hbar=1.0, mass=1.0), "_run_general_decoupling",
+        (at_most("decoupling-residual", 1e-8),),
     ),
     ("general-hj", "exponential"): (
-        _reals(amplitude=1.0, slope=1.0, hbar=1.0, mass=1.0),
-        "_run_general_exponential",
+        _reals(amplitude=1.0, slope=1.0, hbar=1.0, mass=1.0), "_run_general_exponential",
+        (at_most("hamilton-jacobi", 1e-10), at_most("decoupling-residual", 1e-12)),
     ),
     ("general-hj", "hbar-slope"): (
         {"hbars": ([0.5, 1.0, 2.0], [float], None), **_reals(curvature=0.25, mass=1.0)},
         "_run_general_hbar_slope",
+        (near("imaginary-slope", 1.0, 0.01),),
     ),
     ("oracle", "kernel-vs-grid"): (
         {
@@ -89,6 +99,19 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             "dt": (1e-3, float, POSITIVE),
         },
         "_run_oracle_kernel",
+        (
+            at_most("kernel-vs-grid", 1e-3),
+            above(
+                "perturbed-kernel-separation", 1e-2,
+                "pass iff value > tolerance (a wrong kernel must stand out)", family="free",
+            ),
+            # exp(0.01 x^2) barely moves mass on the narrower oscillator grid,
+            # so the separation floor is calibrated to the free-particle span
+            diagnostic(
+                "perturbed-kernel-separation",
+                "recorded; the 1e-2 floor applies to the free-particle span", family="harmonic",
+            ),
+        ),
     ),
     ("cosmo", "de-sitter"): (
         {
@@ -99,6 +122,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             **_reals(step=1e-3),
         },
         "_run_cosmo_de_sitter",
+        (at_most("scale-factor-growth", 1e-6), at_most("friedmann-residual", 1e-8)),
     ),
     ("cosmo", "stiff"): (
         {
@@ -108,13 +132,22 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             **_reals(phi_dot0=20.0, step=1e-3),
         },
         "_run_cosmo_stiff",
+        (
+            near("expansion-exponent", 1.0 / 3.0, 1e-3, "pass iff |value - 1/3| <= tolerance"),
+            diagnostic(
+                "momentum-drift", "relative p_phi drift over the run (truncation transient)"
+            ),
+        ),
     ),
     ("lattice", "conformal-transport"): (
-        {
-            "dims": _DIMS,
-            **_reals(lam=8.0, sigma_const=0.0, spacing=1.0),
-        },
+        {"dims": _DIMS, **_reals(lam=8.0, sigma_const=0.0, spacing=1.0)},
         "_run_lattice_transport",
+        (
+            diagnostic("curvature-functional", "R[sigma] on this lattice"),
+            # 1e-12 max(1, |closed form|)
+            at_most("closed-form-deviation", 1e-12, scaled=True),
+            at_most("functional-derivative-deviation", 1e-6),
+        ),
     ),
     ("lattice", "greens"): (
         {
@@ -123,6 +156,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             "use_regulator": (False, bool, None),
         },
         "_run_lattice_greens",
+        (at_most("defining-property", 1e-8), at_most("kernel-symmetry", 1e-12)),
     ),
     ("lattice", "hj-positivity"): (
         {
@@ -133,10 +167,20 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             "amplitude": (2.0, float, POSITIVE),
         },
         "_run_lattice_positivity",
+        (
+            above(
+                "minimum-residual", 0.0,
+                "pass iff value > tolerance (euclidean residual is positive off phi = 0)",
+            ),
+            diagnostic(
+                "lorentzian-on-shell-residual",
+                "recorded for comparison across refinements; no pass threshold",
+            ),
+        ),
     ),
     ("lattice", "imaginary-part"): (
-        {"dims": _DIMS, "draws": (100, int, 1), **_reals(lam=1.3)},
-        "_run_lattice_imaginary",
+        {"dims": _DIMS, "draws": (100, int, 1), **_reals(lam=1.3)}, "_run_lattice_imaginary",
+        (at_most("imaginary-part-residual", 1e-12),),
     ),
     ("lattice", "kg-wave"): (
         {
@@ -146,6 +190,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str]] = {
             **_reals(mass=0.7, dt=0.05),
         },
         "_run_lattice_kg",
+        (at_most("stencil-residual", 1e-8), at_most("dispersion-tracking", 1e-8)),
     ),
 }
 
@@ -199,7 +244,7 @@ def _checked(subject: str, value, kind, edge):
 
 def _merge_params(scenario: str, check: str, *sources: dict) -> dict:
     """The declared defaults, updated by each source in turn; every value is checked."""
-    declared, _ = CHECKS[(scenario, check)]
+    declared = CHECKS[(scenario, check)][0]
     merged = {name: default for name, (default, _, _) in declared.items()}
     for source in sources:
         for name, raw in source.items():
@@ -282,6 +327,8 @@ def run_scenario(
     """Run one check on checked parameters, write report.json and CSV
     payloads into ``out_dir`` (ValueError if it cannot be made), and return the report.
 
+    The runner gets the parameters as a ``RunParams``, which also carries
+    each record's tolerance; every record is judged here, on its measurement.
     An ``out_dir`` whose nearest existing ancestor, itself included, is not
     a directory is refused before the runner runs.
     """
@@ -292,16 +339,18 @@ def run_scenario(
                     "--out {} is not a directory: {} exists and is not one".format(out_dir, path)
                 )
             break
-    _, name = CHECKS[(scenario, check)]
+    _, name, declared = CHECKS[(scenario, check)]
+    declared = [d for d in declared if d.family in (None, params.get("family"))]
     module = importlib.import_module(
         "{}.runners.{}".format(__package__, scenario.replace("-", "_"))
     )
     runner = getattr(module, name)
     started = time.perf_counter()
-    records, convergence, csv_payload = runner(params, seed)
+    tolerances = {d.name: d.tolerance for d in declared}
+    values, convergence, csv_payload = runner(RunParams(params, tolerances), seed)
     report = Report(
         scenario=scenario,
-        checks=records,
+        checks=[judge(d, values[d.name]) for d in declared],
         convergence=convergence,
         seed=seed,
         runtime_seconds=time.perf_counter() - started,

@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,14 +62,8 @@ class CheckRecord:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "diagnostic": self.diagnostic,
-            "detail": self.detail,
-        }
+        keys = ("name", "value", "tolerance", "pass", "diagnostic", "detail")
+        return dict(zip(keys, astuple(self)))
 
 
 @dataclass
@@ -162,62 +156,87 @@ def build_convergence_rows(
     return rows
 
 
-# ------------------------------------------- record and row builders of the runners
+# ------------------------------------------------- declared records and the judge
+
+AT_MOST, ABOVE, NEAR, DIAGNOSTIC = "at most", "above", "near", "diagnostic"
 
 
-def _bound(name: str, value: float, tolerance: float, detail: str = "") -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        value=float(value),
-        tolerance=float(tolerance),
-        passed=bool(value <= tolerance),
-        detail=detail or "pass iff value <= tolerance",
-    )
+class Declared(NamedTuple):
+    """One record a check emits: its name, its rule, and the tolerance literal.
 
-
-def _floor(name: str, value: float, tolerance: float, detail: str) -> CheckRecord:
-    """Pass iff value is finite and above tolerance; NaN and inf fail."""
-    return CheckRecord(
-        name=name,
-        value=float(value),
-        tolerance=float(tolerance),
-        passed=bool(math.isfinite(value) and value > tolerance),
-        detail=detail,
-    )
-
-
-def _target(
-    name: str, value: float, target: float, tolerance: float, detail: str
-) -> CheckRecord:
-    """Pass iff |value - target| <= tolerance; a NaN value fails."""
-    return CheckRecord(
-        name=name,
-        value=float(value),
-        tolerance=float(tolerance),
-        passed=bool(abs(value - target) <= tolerance),
-        detail=detail,
-    )
-
-
-def _diagnostic(name: str, value: float, detail: str = "") -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        value=float(value),
-        tolerance=None,
-        passed=True,
-        diagnostic=True,
-        detail=detail or "recorded value, no pass semantics",
-    )
-
-
-def _order_record(name: str, rows: list[dict], order: float, tolerance: float) -> CheckRecord:
-    """Gate the last observed order of a convergence table at ``order``.
-
-    A table with no fitted order gives NaN, which fails.
+    A ``family`` limits the declaration to runs of that family.  A ``scaled``
+    tolerance is multiplied by max(1, |magnitude|), for the magnitude the
+    runner returns with its value.
     """
+
+    name: str
+    rule: str
+    tolerance: Optional[float]
+    detail: str
+    target: float = 0.0
+    family: Optional[str] = None
+    scaled: bool = False
+
+
+def at_most(name: str, tolerance: float, scaled: bool = False) -> Declared:
+    """Pass iff value <= tolerance; a NaN value fails."""
+    return Declared(name, AT_MOST, tolerance, "pass iff value <= tolerance", scaled=scaled)
+
+
+def above(name: str, tolerance: float, detail: str, family: Optional[str] = None) -> Declared:
+    """Pass iff value is finite and above tolerance; NaN and inf fail."""
+    return Declared(name, ABOVE, tolerance, detail, family=family)
+
+
+def near(name: str, target: float, tolerance: float, detail: str = "") -> Declared:
+    """Pass iff |value - target| <= tolerance; a NaN value fails."""
+    detail = detail or "pass iff |value - {:g}| <= tolerance".format(target)
+    return Declared(name, NEAR, tolerance, detail, target)
+
+
+def diagnostic(name: str, detail: str, family: Optional[str] = None) -> Declared:
+    """A recorded value with no pass semantics."""
+    return Declared(name, DIAGNOSTIC, None, detail, family=family)
+
+
+class Measured(NamedTuple):
+    """A runner's value together with what only its run knows: a ``detail``
+    that replaces the declared one, and the ``magnitude`` of a scaled tolerance."""
+
+    value: float
+    detail: str = ""
+    magnitude: float = 1.0
+
+
+class RunParams(dict):
+    """A runner's checked parameters, with ``tolerances``: the declared
+    tolerance of each of its records by name, for refusals set against one."""
+
+    def __init__(self, params: dict, tolerances: dict):
+        super().__init__(params)
+        self.tolerances = tolerances
+
+
+def judge(declared: Declared, measured) -> CheckRecord:
+    """The record of ``declared`` on ``measured``, a value or a ``Measured``."""
+    value, detail, magnitude = measured if isinstance(measured, Measured) else Measured(measured)
+    value, detail = float(value), detail or declared.detail
+    if declared.rule == DIAGNOSTIC:
+        return CheckRecord(declared.name, value, None, True, diagnostic=True, detail=detail)
+    tolerance = declared.tolerance * (max(1.0, abs(magnitude)) if declared.scaled else 1.0)
+    if declared.rule == AT_MOST:
+        passed = value <= tolerance
+    elif declared.rule == ABOVE:
+        passed = math.isfinite(value) and value > tolerance
+    else:
+        passed = abs(value - declared.target) <= tolerance
+    return CheckRecord(declared.name, value, tolerance, passed, detail=detail)
+
+
+def last_order(rows: list[dict]) -> float:
+    """The last observed order of a convergence table; NaN if it fits none."""
     fitted = [r["observed_order"] for r in rows if r["observed_order"] is not None]
-    value = fitted[-1] if fitted else float("nan")
-    return _target(name, value, order, tolerance, f"pass iff |value - {order:g}| <= tolerance")
+    return fitted[-1] if fitted else math.nan
 
 
 class _CsvRows:

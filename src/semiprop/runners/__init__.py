@@ -1,7 +1,9 @@
 """One runner module per scenario, imported by ``semiprop.cli`` when a check runs.
 
-A runner takes the checked parameters and the seed and returns
-``(records, convergence rows or None, {csv stem: (header, rows)})``.
+A runner takes the checked parameters (a ``report.RunParams``, which also
+carries each record's declared tolerance) and the seed, and only measures:
+it returns ``({record name: value}, convergence rows or None, {csv stem:
+(header, rows)})``, and ``cli.run_scenario`` judges each declared record.
 Runner modules import what they share from ``semiprop.report``, never from
 ``semiprop.cli``: under ``python -m semiprop.cli`` that would run a second
 copy of the CLI module.  Every refusal a runner makes goes through ``_refuse``.

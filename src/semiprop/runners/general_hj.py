@@ -13,49 +13,44 @@ from ..general_hj import (
     exponential_family_residuals,
     imaginary_scaling_probe,
 )
-from ..report import _bound, _target
+from ..report import Measured, RunParams
 from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
 
 
-def _run_general_decoupling(params: dict, seed: int) -> tuple:
+def _run_general_decoupling(params: RunParams, seed: int) -> tuple:
     ansatz = cos_log_family(**params)
     grid = SpacetimeGrid(
         x_min=-X_EDGE, x_max=X_EDGE, n_x=65, t_min=0.0, t_max=1.0, n_t=33
     )
     res = decoupling_residual(ansatz, grid)
-    tolerance = 1e-8
     # over 2,592 cases (c2, c3, mass, hbar from 1e-3 to 1e20) a correct residual
     # read up to 3.57 epsilons times its largest term, so 4 of them must stay below
     _refuse_predicted(
-        *_roundoff(res.largest, "the decoupling terms"), 0.25 * tolerance,
-        params, ("c2", "c3", "hbar"),
+        *_roundoff(res.largest, "the decoupling terms"),
+        0.25 * params.tolerances["decoupling-residual"], params, ("c2", "c3", "hbar"),
     )
-    records = [_bound("decoupling-residual", res.max_abs(), tolerance)]
-    return records, None, {}
+    return {"decoupling-residual": res.max_abs()}, None, {}
 
 
-def _run_general_exponential(params: dict, seed: int) -> tuple:
-    hj_tolerance, decoupling_tolerance = 1e-10, 1e-12
+def _run_general_exponential(params: RunParams, seed: int) -> tuple:
+    tolerances = params.tolerances
     a, b, growth = _exponential_parameters(**params)
     # (dS/dx)^2 / (2m) = -A e^(bx) and V = A e^(bx) cancel; each reaches
     # A e^(|b| X_EDGE) on the grid, whatever the mass
     terms = 2.0 * a * growth
     _refuse_predicted(
-        *_roundoff(terms, "two Hamilton-Jacobi terms together"), hj_tolerance,
+        *_roundoff(terms, "two Hamilton-Jacobi terms together"), tolerances["hamilton-jacobi"],
         params, ("amplitude", "slope"),
     )
     # 2m dR/dt and i hbar (b/4)^2 cancel; each is hbar b^2 / 16
     terms = params["hbar"] * (b * b) / 8.0
     _refuse_predicted(
-        *_roundoff(terms, "two decoupling terms together"), decoupling_tolerance,
+        *_roundoff(terms, "two decoupling terms together"), tolerances["decoupling-residual"],
         params, ("hbar", "slope"),
     )
     res = exponential_family_residuals(**params)
-    records = [
-        _bound("hamilton-jacobi", res["hamilton_jacobi"], hj_tolerance),
-        _bound("decoupling-residual", res["decoupling"], decoupling_tolerance),
-    ]
-    return records, None, {}
+    values = {"hamilton-jacobi": res["hamilton_jacobi"], "decoupling-residual": res["decoupling"]}
+    return values, None, {}
 
 
 def _run_general_hbar_slope(params: dict, seed: int) -> tuple:
@@ -71,8 +66,7 @@ def _run_general_hbar_slope(params: dict, seed: int) -> tuple:
     )
     report = imaginary_scaling_probe(ansatz, params["hbars"], grid)
     if report.vacuous:
-        slope, detail = float("nan"), "Im S vanished identically; slope undefined"
+        slope = Measured(float("nan"), "Im S vanished identically; slope undefined")
     else:
-        slope, detail = report.slope, "pass iff |value - 1| <= tolerance"
-    records = [_target("imaginary-slope", slope, 1.0, 0.01, detail)]
-    return records, None, {}
+        slope = report.slope
+    return {"imaginary-slope": slope}, None, {}

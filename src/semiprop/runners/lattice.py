@@ -24,7 +24,7 @@ from ..lattice import (
     lattice_plane_wave,
     plane_wave_phase,
 )
-from ..report import _bound, _CsvRows, _diagnostic, _floor
+from ..report import Measured, RunParams, _CsvRows
 from . import _refuse, _refuse_predicted, _roundoff
 
 
@@ -78,34 +78,24 @@ def _run_lattice_transport(params: dict, seed: int) -> tuple:
     sigma = LatticeField(config, np.full(config.dims, params["sigma_const"]))
     r_value, deviation = conformal_transport_check(sigma, params["lam"])
     closed = site_sum * config.cell_volume
-    records = [
-        _diagnostic("curvature-functional", r_value, "R[sigma] on this lattice"),
-        _bound(
-            "closed-form-deviation",
-            abs(r_value - closed),
-            1e-12 * max(1.0, abs(closed)),
-        ),
-        _bound("functional-derivative-deviation", deviation, 1e-6),
-    ]
+    values = {"curvature-functional": r_value, "functional-derivative-deviation": deviation}
+    values["closed-form-deviation"] = Measured(abs(r_value - closed), magnitude=closed)
     weights = params["lam"] / 8.0 * np.exp(2.0 * sigma.values) * config.cell_volume
     csv = {"lattice": (_lattice_header(config), _site_rows(config, weights))}
-    return records, None, csv
+    return values, None, csv
 
 
-def _run_lattice_greens(params: dict, seed: int) -> tuple:
+def _run_lattice_greens(params: RunParams, seed: int) -> tuple:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
-    tolerance = 1e-8
     # before defect is first read, so the stencil never runs on a refused lattice
     names = ("mass", "spacing") + (("use_regulator",) if params["use_regulator"] else ())
     cause = "round-off alone in op @ G, machine epsilon times max |lambda + i epsilon| max |g|,"
+    tolerance = params.tolerances["defining-property"]
     _refuse_predicted(functional.roundoff, cause, tolerance, params, names)
-    records = [
-        _bound("defining-property", functional.defect, tolerance),
-        _bound("kernel-symmetry", functional.asymmetry, 1e-12),
-    ]
+    values = {"defining-property": functional.defect, "kernel-symmetry": functional.asymmetry}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, np.real(functional.g)))}
-    return records, None, csv
+    return values, None, csv
 
 
 def _run_lattice_positivity(params: dict, seed: int) -> tuple:
@@ -145,36 +135,21 @@ def _run_lattice_positivity(params: dict, seed: int) -> tuple:
     for _ in range(params["draws"]):
         last = LatticeField(config, _uniform(rng, -amplitude, amplitude, config))
         worst = min(worst, functional_hj_residual(functional, last))
-    records = [
-        _floor(
-            "minimum-residual",
-            worst,
-            0.0,
-            "pass iff value > tolerance (euclidean residual is positive off phi = 0)",
-        )
-    ]
     lightcone = LatticeConfig(dims=(8, 8), signature="lorentzian", mass=1.0)
     _, phase = plane_wave_phase(lightcone, (1, -1))
     wave = LatticeField(lightcone, np.cos(phase))
     diag = functional_hj_residual(lattice_greens_function(lightcone), wave)
-    records.append(
-        _diagnostic(
-            "lorentzian-on-shell-residual",
-            diag,
-            "recorded for comparison across refinements; no pass threshold",
-        )
-    )
     csv = {"lattice": (_lattice_header(config), _site_rows(config, last.values))}
-    return records, None, csv
+    return {"minimum-residual": worst, "lorentzian-on-shell-residual": diag}, None, csv
 
 
-def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
+def _run_lattice_imaginary(params: RunParams, seed: int) -> tuple:
     config = _lattice_config(params)
     w = PointwiseFunction(
         value=lambda p: 2.0 + np.sin(p),
         derivative=np.cos,
     )
-    lam, tolerance = params["lam"], 1e-12
+    lam, tolerance = params["lam"], params.tolerances["imaginary-part-residual"]
     # -4 (lam / 4) e^(2 sigma) e^(2 sigma) W and lam W e^(4 sigma) cancel; with
     # sigma and phi drawn from [-1, 1] each stays below |lam| (2 + sin 1) e^4,
     # and a correct residual reads up to about twice eps times that
@@ -192,25 +167,21 @@ def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
             sigma, phi, w, analytic_conformal_derivative(sigma, lam), lam
         )
         worst = max(worst, float(np.max(np.abs(last.values))))
-    records = [_bound("imaginary-part-residual", worst, tolerance)]
     csv = {"lattice": (_lattice_header(config), _site_rows(config, last.values))}
-    return records, None, csv
+    return {"imaginary-part-residual": worst}, None, csv
 
 
-def _run_lattice_kg(params: dict, seed: int) -> tuple:
+def _run_lattice_kg(params: RunParams, seed: int) -> tuple:
     config = _lattice_config(params)
-    dt, tolerance = params["dt"], 1e-8
+    dt = params["dt"]
     phi0, velocity, wave = lattice_plane_wave(config, params["mode"], dt)
     # the stencil divides time differences of a unit wave by dt^2; a correct
     # leapfrog reads up to about 1.25 eps / dt^2, so 0.6 of the tolerance
     _refuse_predicted(
         *_roundoff(1.0 / (dt * dt), "the stencil's time differences over dt^2"),
-        0.6 * tolerance, params, ("dt",),
+        0.6 * params.tolerances["stencil-residual"], params, ("dt",),
     )
     run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
-    records = [
-        _bound("stencil-residual", run.residual, tolerance),
-        _bound("dispersion-tracking", run.tracking, 1e-8),
-    ]
+    values = {"stencil-residual": run.residual, "dispersion-tracking": run.tracking}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, run.final))}
-    return records, None, csv
+    return values, None, csv

@@ -19,7 +19,7 @@ from ..quadratic import (
     solve_prefactor_odes,
     van_vleck_check,
 )
-from ..report import _bound, _CsvRows, _order_record, build_convergence_rows
+from ..report import RunParams, _CsvRows, build_convergence_rows, last_order
 from . import _refuse, _refuse_predicted, _roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
@@ -33,11 +33,10 @@ def _quadratic_factors(grid: SpacetimeGrid, params: dict):
     return harmonic_factors(grid, mass=params["mass"], omega=params["omega"], x0=x0)
 
 
-def _run_quadratic_hj(params: dict, seed: int) -> tuple:
+def _run_quadratic_hj(params: RunParams, seed: int) -> tuple:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
-    tolerance = 1e-8
     mass, x0 = params["mass"], params["x0"]
     if params["family"] == "free":
         res = free_particle_identity_residuals(grid, mass=mass, x0=x0)
@@ -50,13 +49,10 @@ def _run_quadratic_hj(params: dict, seed: int) -> tuple:
     # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
     _refuse_predicted(
         *_roundoff(mass * reach * reach / 2.0, "the Hamilton-Jacobi terms"),
-        tolerance, params, names,
+        params.tolerances["hamilton-jacobi"], params, names,
     )
-    records = [
-        _bound("hamilton-jacobi", res["hamilton_jacobi"], tolerance),
-        _bound("consistency", res["consistency"], tolerance),
-    ]
-    return records, None, {}
+    values = {"hamilton-jacobi": res["hamilton_jacobi"], "consistency": res["consistency"]}
+    return values, None, {}
 
 
 def _run_quadratic_van_vleck(params: dict, seed: int) -> tuple:
@@ -65,15 +61,14 @@ def _run_quadratic_van_vleck(params: dict, seed: int) -> tuple:
     )
     factors = _quadratic_factors(grid, params)
     report = van_vleck_check(factors, grid, np.linspace(-1.0, 1.0, 9))
-    records = [_bound("van-vleck-deviation", report.deviation, 1e-6)]
-    return records, None, {}
+    return {"van-vleck-deviation": report.deviation}, None, {}
 
 
 def _run_quadratic_prefactor(params: dict, seed: int) -> tuple:
     family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
-    records = [_bound("closed-form-deviation", prefactor_error(family, sol), 1e-8)]
+    values = {"closed-form-deviation": prefactor_error(family, sol)}
     steps = [0.02, 0.01, 0.005, 0.0025]
     errors = [
         prefactor_error(
@@ -82,8 +77,8 @@ def _run_quadratic_prefactor(params: dict, seed: int) -> tuple:
         for h in steps
     ]
     rows = build_convergence_rows(steps, errors)
-    records.append(_order_record("observed-order", rows, 4.0, 0.5))
-    return records, rows, {}
+    values["observed-order"] = last_order(rows)
+    return values, rows, {}
 
 
 def _propagator_rows(factors, propagator: ComplexField) -> _CsvRows:
@@ -139,6 +134,5 @@ def _run_quadratic_schrodinger(params: dict, seed: int) -> tuple:
         # finite included
         _refuse(params, names, str(exc))
     rows = build_convergence_rows(spacings, residuals)
-    records = [_order_record("stencil-order", rows, 2.0, 0.3)]
     csv = {"propagator": (PROPAGATOR_HEADER, _propagator_rows(*coarse))}
-    return records, rows, csv
+    return {"stencil-order": last_order(rows)}, rows, csv

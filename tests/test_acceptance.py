@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from semiprop.cli import main
+from semiprop.cli import CHECKS, main
 from semiprop.core import (
     ComplexField,
     SpacetimeGrid,
@@ -418,6 +418,20 @@ def test_criterion_10_negative_controls():
     )
 
 
+# the gating records no criterion above mirrors
+OUTSIDE_THE_CRITERIA = {
+    ("quadratic", "hj"): {"hamilton-jacobi", "consistency"},
+    ("general-hj", "exponential"): {"decoupling-residual"},
+    ("lattice", "conformal-transport"): {
+        "closed-form-deviation",
+        "functional-derivative-deviation",
+    },
+    ("lattice", "greens"): {"kernel-symmetry"},
+    ("lattice", "hj-positivity"): {"minimum-residual"},
+    ("lattice", "kg-wave"): {"dispersion-tracking"},
+}
+
+
 def test_cli_tolerances_equal_the_criteria(tmp_path, capsys):
     mirrored = {
         ("quadratic", "schrodinger-order"): {"stencil-order": 0.3},  # criterion 01
@@ -449,3 +463,13 @@ def test_cli_tolerances_equal_the_criteria(tmp_path, capsys):
         recorded = {c["name"]: c["tolerance"] for c in report["checks"]}
         for name, tolerance in tolerances.items():
             assert recorded[name] == tolerance, (scenario, check, name)
+    # every gating record CHECKS declares is mirrored or named as outside
+    # the criteria, never both, and a mirrored one declares the same literal
+    for key, (_, _, declared) in CHECKS.items():
+        gating = {d.name: d.tolerance for d in declared if d.tolerance is not None}
+        outside = OUTSIDE_THE_CRITERIA.get(key, set())
+        assert set(gating) == set(mirrored.get(key, {})) | outside, key
+        assert not outside & set(mirrored.get(key, {})), key
+        for name, tolerance in mirrored.get(key, {}).items():
+            assert gating[name] == tolerance, (key, name)
+    assert set(OUTSIDE_THE_CRITERIA) <= set(CHECKS)

@@ -24,7 +24,7 @@ from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedmann_residual
 from semiprop.lattice import SIGNATURES, LatticeConfig, QuadraticFunctional
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
-from semiprop.report import _floor, _order_record, build_convergence_rows, write_csv
+from semiprop.report import above, build_convergence_rows, judge, last_order, near, write_csv
 from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
 from semiprop.runners import lattice as lattice_runners
 from semiprop.runners.lattice import _site_rows
@@ -243,7 +243,7 @@ def test_failing_tolerance_exits_one(tmp_path, monkeypatch):
 def test_infinite_floor_value_fails(tmp_path, capsys):
     # a floor check must not pass on inf or NaN
     for value in (math.inf, math.nan):
-        assert _floor("minimum-residual", value, 0.0, "").passed is False
+        assert judge(above("minimum-residual", 0.0, ""), value).passed is False
     # phi ~ 1e200 would square to inf: the runner refuses it before any draw
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -845,7 +845,7 @@ def edge_values(kind, edge):
 
 
 def fuzz_cases():
-    for (scenario, check), (declared, _) in CHECKS.items():
+    for (scenario, check), (declared, *_) in CHECKS.items():
         base = [scenario, check] + FUZZ_BASES.get((scenario, check), [])
         for name, (_, kind, edge) in declared.items():
             if isinstance(kind, list):
@@ -945,12 +945,12 @@ def test_convergence_rows_orders_and_plateau():
 
 def test_order_record_gates_the_last_fitted_order():
     rows = build_convergence_rows([0.1, 0.05, 0.025], [4e-2, 1e-2, 2.5e-3])
-    fitted = _order_record("stencil-order", rows, 2.0, 0.3)
+    fitted = judge(near("stencil-order", 2.0, 0.3), last_order(rows))
     assert fitted.passed and fitted.value == rows[-1]["observed_order"]
     assert fitted.detail == "pass iff |value - 2| <= tolerance"
     # an all-plateau table fits no order: the record is NaN and fails
     flat = build_convergence_rows([0.1, 0.05, 0.025], [3e-16, 2e-16, 3e-16])
-    plateau = _order_record("observed-order", flat, 4.0, 0.5)
+    plateau = judge(near("observed-order", 4.0, 0.5), last_order(flat))
     assert math.isnan(plateau.value) and not plateau.passed
     assert plateau.detail == "pass iff |value - 4| <= tolerance"
 
@@ -1196,6 +1196,29 @@ def test_every_runner_refusal_goes_through_one_helper():
             text = node.value if isinstance(node, ast.Constant) else None
             if isinstance(node, ast.Raise) or (isinstance(text, str) and by_hand.search(text)):
                 offenders.append("{}:{}".format(path.name, node.lineno))
+    assert not offenders
+
+
+def test_no_runner_builds_a_record():
+    # a runner only measures; cli.run_scenario judges every record CHECKS
+    # declares, so a runner that builds or declares one is a second path
+    builders = {
+        "CheckRecord", "judge", "at_most", "above", "near", "diagnostic",
+        "_bound", "_floor", "_target", "_diagnostic", "_order_record",
+    }
+    runners = Path(semiprop.__file__).parent / "runners"
+    offenders = []
+    for path in sorted(runners.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = node.func
+                name = called.id if isinstance(called, ast.Name) else getattr(called, "attr", "")
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in builders:
+                offenders.append("{}:{} {}".format(path.name, node.lineno, name))
     assert not offenders
 
 
