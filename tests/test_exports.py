@@ -6,15 +6,13 @@ these tests make it fail here first.
 """
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import semiprop
+
+import fresh
 
 MODULES = ["semiprop"] + [
     "semiprop." + info.name for info in pkgutil.iter_modules(semiprop.__path__)
@@ -29,11 +27,6 @@ def test_every_exported_name_resolves(name):
 
 
 def test_star_imports_succeed_in_a_fresh_interpreter():
-    path = [str(Path(semiprop.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     for name in MODULES:
-        done = subprocess.run(
-            [sys.executable, "-c", "from {} import *".format(name)],
-            capture_output=True, text=True, env=env,
-        )
+        done = fresh.run("from {} import *".format(name))
         assert done.returncode == 0, done.stderr

@@ -10,8 +10,6 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -48,6 +46,7 @@ from semiprop.oracle import (
 )
 from semiprop.quadratic import QuadraticPotential, free_particle_factors, harmonic_factors
 
+import fresh
 from general_hj_reference import cos_log_quadrature_inputs, recover_potential
 
 
@@ -271,16 +270,6 @@ def test_cn_buffers_leave_the_input_state_alone():
 # ---------------------------------------------------------------------------
 
 
-def run_fresh(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this checkout's semiprop."""
-    path = [str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-
-
 LOAD_STATE_PROBE = """
 import contextlib, io, json, os, sys
 import semiprop.cli as cli, semiprop.oracle as oracle
@@ -309,7 +298,7 @@ print(json.dumps(states))
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # a fresh interpreter, since this one imported scipy.linalg above;
+    # a fresh process, since this one imported scipy.linalg above;
     # LAPACK binds at the first Crank-Nicolson solve, the lattice draws come
     # from the standard library's random, and no check loads numpy.random
     # or scipy, or maps scipy's libraries
@@ -321,7 +310,8 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
         "lattice hj-positivity --draws 2",
         "lattice imaginary-part --draws 2",
     ]
-    result = run_fresh(LOAD_STATE_PROBE, tmp_path, json.dumps(commands), *unwanted)
+    result = fresh.run(LOAD_STATE_PROBE, tmp_path, json.dumps(commands), *unwanted)
+    assert result.returncode == 0, result.stderr
     states = json.loads(result.stdout)
     idle = {"numpy.random": False, "zgttrf": False, "unwanted": []}
     if "scipy maps" in states["import"]:  # absent where there is no /proc

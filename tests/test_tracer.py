@@ -2,17 +2,16 @@
 
 ``perfbench/layers.py`` binds the traced functions by module and name.
 Renaming or deleting one breaks ``perfbench/run.py --trace 1``; these tests
-read that list of targets, and install the tracer in a fresh interpreter to
-run one small command per traced layer, so such a change fails here first.
+read that list of targets, and install the tracer in a fresh process to run
+one small command per traced layer, so such a change fails here first.
 """
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import fresh
+
+PERFBENCH = fresh.ROOT / "perfbench"
 
 COMMANDS = [
     "oracle kernel-vs-grid --n_x 256 --dt 1e-2",
@@ -43,12 +42,7 @@ print(json.dumps({"exits": exits, "spans": sorted({s.name for s in tracer.spans}
 
 
 def test_tracer_installs_and_records_each_layer(tmp_path):
-    path = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(COMMANDS)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    done = fresh.run(SCRIPT, tmp_path, json.dumps(COMMANDS), path=[PERFBENCH])
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["exits"] == [0] * len(COMMANDS)
@@ -68,7 +62,7 @@ def test_tracer_installs_and_records_each_layer(tmp_path):
 
 
 def test_every_traced_attribute_exists(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
 
     try:
