@@ -148,13 +148,13 @@ class ComplexField:
                 f"field shape {values.shape} does not match grid "
                 f"({grid.n_x}, {grid.n_t})"
             )
-        _require_finite(values, grid, what="field value")
+        _require_finite(values, "field value", {"x": grid.x, "t": grid.t})
         self.grid = grid
         self.values = values
 
     @classmethod
     def from_callable(cls, grid: SpacetimeGrid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ComplexField":
-        return cls(grid, _sample(fn, grid, 0, grid.n_t))
+        return cls(grid, _sample(fn, grid.x, grid.t))
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """The samples at time columns lo:hi, a slice of ``values``."""
@@ -164,24 +164,24 @@ class ComplexField:
         return float(np.max(np.abs(self.values)))
 
 
-def _sample(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: SpacetimeGrid, lo: int, hi: int) -> np.ndarray:
-    """fn(x, t) at every x node and the time columns lo:hi, as a new complex array."""
-    x, t = grid.x[:, None], grid.t[None, lo:hi]
+def _sample(fn: Callable[..., np.ndarray], *axes: np.ndarray, dtype=complex) -> np.ndarray:
+    """fn on the open mesh np.ix_(*axes), broadcast to a new array on their product grid."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = np.asarray(fn(x, t), dtype=complex)
-    return np.broadcast_to(values, (grid.n_x, hi - lo)).copy()
+        values = np.asarray(fn(*np.ix_(*axes)), dtype=dtype)
+    return np.broadcast_to(values, tuple(axis.size for axis in axes)).copy()
 
 
-def _require_finite(values: np.ndarray, grid: SpacetimeGrid, what: str, lo: int = 0) -> None:
-    """Refuse a non-finite sample, naming its node; ``values`` holds the
-    time columns from ``lo`` on."""
+def _require_finite(values: np.ndarray, what: str, axes: Mapping, lo: int = 0) -> None:
+    """Refuse a non-finite sample, naming its node by index and by its
+    coordinate on each of ``axes``, one named axis per axis of ``values``;
+    ``values`` holds the nodes of the last axis from ``lo`` on."""
     bad = ~np.isfinite(values)
     if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise ValueError(
-            f"non-finite {what} at node (i={i}, j={j + lo}), "
-            f"x={grid.x[i]:.6g}, t={grid.t[j + lo]:.6g}"
-        )
+        node = [int(n) for n in np.argwhere(bad)[0]]
+        node[-1] += lo
+        indices = ", ".join(f"{letter}={n}" for letter, n in zip("ijkl", node))
+        where = ", ".join(f"{name}={axis[n]:.6g}" for (name, axis), n in zip(axes.items(), node))
+        raise ValueError(f"non-finite {what} at node ({indices}), {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +240,18 @@ class LazyPropagator:
         are reported with the offending node, never clamped.
         """
         grid, hbar = self.grid, self.factors.hbar
-        r = _sample(self.factors.R, grid, lo, hi)
-        _require_finite(r, grid, "field value", lo)
-        s = _sample(self.factors.S, grid, lo, hi)
-        _require_finite(s, grid, "field value", lo)
+        axes = {"x": grid.x, "t": grid.t}
+        r = _sample(self.factors.R, axes["x"], axes["t"][lo:hi])
+        _require_finite(r, "field value", axes, lo)
+        s = _sample(self.factors.S, axes["x"], axes["t"][lo:hi])
+        _require_finite(s, "field value", axes, lo)
         # one buffer: the exponent r + 1j * s / hbar, then K in its place;
         # an overflow is refused by node, so it is not warned of as well
         with np.errstate(over="ignore", invalid="ignore"):
             k = 1j * s
             k /= hbar
             k += r
-            _require_finite(k, grid, "propagator exponent", lo)
+            _require_finite(k, "propagator exponent", axes, lo)
             np.exp(k, out=k)
         bad = ~np.isfinite(k)
         if bad.any():
@@ -355,7 +356,8 @@ def simpson_weights(n_samples: int, h: float) -> np.ndarray:
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Antiderivative tabulated at the sample nodes, A[0] = 0.
+    """Antiderivative along axis 0 of an array of any rank, tabulated at the
+    sample nodes, A[0] = 0.
 
     Each subinterval is integrated with the quadratic through its three
     nearest samples, so the rule is exact for quadratics and fourth-order
@@ -365,14 +367,14 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     n = values.shape[0]
     if n < 3:
         raise ValueError(f"cumulative Simpson needs >= 3 samples, got {n}")
-    increments = np.empty(n - 1, dtype=values.dtype)
+    increments = np.empty((n - 1,) + values.shape[1:], dtype=values.dtype)
     # first interval: parabola through samples 0, 1, 2
     increments[0] = h * (5.0 * values[0] + 8.0 * values[1] - values[2]) / 12.0
     # interval k -> k+1: parabola through samples k-1, k, k+1
     increments[1:] = h * (-values[:-2] + 8.0 * values[1:-1] + 5.0 * values[2:]) / 12.0
-    out = np.empty(n, dtype=values.dtype)
+    out = np.empty(values.shape, dtype=values.dtype)
     out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    np.cumsum(increments, axis=0, out=out[1:])
     return out
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import VectorField, rk4_solve, step_count
+from .core import VectorField, _require_finite, _sample, _stencil, rk4_solve, step_count
 
 __all__ = [
     "ScalarPotential",
@@ -276,15 +277,23 @@ def relative_constraint(trajectory: Trajectory, params: CosmoParams) -> np.ndarr
 
 def klein_gordon_residual(trajectory: Trajectory, params: CosmoParams) -> np.ndarray:
     """phiddot + 3 (adot/a) phidot + V'(phi) with phiddot by stencil."""
-    t = np.asarray(trajectory.t, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least three samples for the stencil")
-    phi_dot = np.asarray(trajectory.phi_dot, dtype=float)
-    phi_ddot = np.gradient(phi_dot, t, edge_order=2)
-    a = np.asarray(trajectory.a, dtype=float)
-    a_dot = np.asarray(trajectory.a_dot, dtype=float)
-    dv = params.potential.dv(np.asarray(trajectory.phi, dtype=float))
-    return phi_ddot + 3.0 * (a_dot / a) * phi_dot + dv
+    a, a_dot, phi, phi_dot = _samples(trajectory)
+    phi_ddot = _stencil(phi_dot, _spacing(trajectory.t, "t"), 0, 1)
+    return phi_ddot + 3.0 * (a_dot / a) * phi_dot + params.potential.dv(phi)
+
+
+def _spacing(axis, name: str) -> float:
+    """The step of an axis of at least 3 finite samples increasing in uniform
+    steps, which the stencils assume; each step may differ from the mean by
+    the samples' rounding, 16 epsilons of the largest |sample|."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size < 3 or not np.all(np.isfinite(axis)):
+        raise ValueError(f"{name} axis must hold at least 3 samples, all finite")
+    h = (axis[-1] - axis[0]) / (axis.size - 1)
+    steps, slack = np.diff(axis), 16.0 * np.finfo(float).eps * np.max(np.abs(axis))
+    if not (np.all(steps > 0) and np.all(np.abs(steps - h) <= slack)):
+        raise ValueError(f"{name} axis must be increasing in uniform steps")
+    return float(h)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +303,8 @@ def klein_gordon_residual(trajectory: Trajectory, params: CosmoParams) -> np.nda
 
 @dataclass(frozen=True)
 class ActionGrids:
-    """Strictly increasing sample axes; the a axis must stay positive."""
+    """Sample axes of at least 4 nodes, each increasing in uniform steps;
+    the a axis must stay positive."""
 
     a: np.ndarray
     phi: np.ndarray
@@ -303,41 +313,34 @@ class ActionGrids:
     def __post_init__(self) -> None:
         for name in ("a", "phi", "t"):
             axis = np.asarray(getattr(self, name), dtype=float)
-            if axis.ndim != 1 or axis.size < 4:
+            if axis.size < 4:
                 raise ValueError(f"{name} axis needs at least 4 samples")
-            if not np.all(np.isfinite(axis)):
-                raise ValueError(f"{name} axis contains non-finite samples")
-            if not np.all(np.diff(axis) > 0):
-                raise ValueError(f"{name} axis must be strictly increasing")
+            _spacing(axis, name)
             object.__setattr__(self, name, axis)
         if not np.all(self.a > 0):
             raise ValueError("scale-factor axis must be positive")
 
+    @property
+    def steps(self) -> tuple[float, float, float]:
+        """The steps of the a, phi and t axes."""
+        return _spacing(self.a, "a"), _spacing(self.phi, "phi"), _spacing(self.t, "t")
+
 
 @dataclass(frozen=True)
 class ComplexActionFields:
-    """S_a(a, t), S_phi(phi, t), S_g(a, t): callables of the two axes,
-    or arrays already sampled on the matching product grid."""
+    """S_a(a, t), S_phi(phi, t), S_g(a, t): real callables of their two axes,
+    each called once on the open mesh of those axes, so they act pointwise."""
 
-    s_a: object
-    s_phi: object
-    s_g: object
+    s_a: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    s_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    s_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _sampled(field, axes: tuple[np.ndarray, ...], name: str) -> np.ndarray:
-    """A field on the product grid of ``axes``: a callable is evaluated on
-    the mesh, an array is shape-checked; either must be finite."""
-    shape = tuple(axis.size for axis in axes)
-    if callable(field):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.broadcast_to(np.asarray(field(*mesh), dtype=float), shape).copy()
-    else:
-        vals = np.asarray(field, dtype=float)
-        if vals.shape != shape:
-            raise ValueError(f"{name} has shape {vals.shape}, grid expects {shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return vals
+def _sampled(field: Callable, axes: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """``field`` on the product grid of ``axes``, refused by node where not finite."""
+    values = _sample(field, *axes.values(), dtype=float)
+    _require_finite(values, name, axes)
+    return values
 
 
 def _split_samples(
@@ -345,9 +348,9 @@ def _split_samples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_a on a x t, S_phi on phi x t and S_g on a x t."""
     return (
-        _sampled(fields.s_a, (grids.a, grids.t), "S_a"),
-        _sampled(fields.s_phi, (grids.phi, grids.t), "S_phi"),
-        _sampled(fields.s_g, (grids.a, grids.t), "S_g"),
+        _sampled(fields.s_a, {"a": grids.a, "t": grids.t}, "S_a"),
+        _sampled(fields.s_phi, {"phi": grids.phi, "t": grids.t}, "S_phi"),
+        _sampled(fields.s_g, {"a": grids.a, "t": grids.t}, "S_g"),
     )
 
 
@@ -365,17 +368,17 @@ def complex_action_residuals(
     Derivatives are second-order stencils, so polynomial hand cases are
     exact to round-off.
     """
-    a, phi, t = grids.a, grids.phi, grids.t
+    h_a, h_p, h_t = grids.steps
     s_a, s_p, s_g = _split_samples(fields, grids)
-    sa_t = np.gradient(s_a, t, axis=1, edge_order=2)
-    sa_a = np.gradient(s_a, a, axis=0, edge_order=2)
-    sp_t = np.gradient(s_p, t, axis=1, edge_order=2)
-    sp_p = np.gradient(s_p, phi, axis=0, edge_order=2)
-    sg_t = np.gradient(s_g, t, axis=1, edge_order=2)
-    sg_a = np.gradient(s_g, a, axis=0, edge_order=2)
+    sa_t = _stencil(s_a, h_t, 1, 1)
+    sa_a = _stencil(s_a, h_a, 0, 1)
+    sp_t = _stencil(s_p, h_t, 1, 1)
+    sp_p = _stencil(s_p, h_p, 0, 1)
+    sg_t = _stencil(s_g, h_t, 1, 1)
+    sg_a = _stencil(s_g, h_a, 0, 1)
 
-    a_col = a[:, None, None]
-    v_row = params.potential.v(phi)[None, :, None]
+    a_col = grids.a[:, None, None]
+    v_row = params.potential.v(grids.phi)[None, :, None]
     res_a = (
         sp_t[None, :, :]
         + sp_p[None, :, :] ** 2 / (16.0 * _PI * a_col**3)
@@ -392,13 +395,11 @@ def complex_action_residuals(
 
 def closure_check(fields: ComplexActionFields, grids: ActionGrids) -> np.ndarray:
     """(d2S_g/da2)^2 - S_g/(4a) - (dS_a/dt + dS_phi/dt) on the product grid."""
-    a, t = grids.a, grids.t
+    h_a, _, h_t = grids.steps
     s_a, s_p, s_g = _split_samples(fields, grids)
-    sg_aa = np.gradient(
-        np.gradient(s_g, a, axis=0, edge_order=2), a, axis=0, edge_order=2
-    )
-    sa_t = np.gradient(s_a, t, axis=1, edge_order=2)
-    sp_t = np.gradient(s_p, t, axis=1, edge_order=2)
+    sg_aa = _stencil(s_g, h_a, 0, 2)
+    sa_t = _stencil(s_a, h_t, 1, 1)
+    sp_t = _stencil(s_p, h_t, 1, 1)
     a_col = grids.a[:, None, None]
     return (
         sg_aa[:, None, :] ** 2
@@ -418,14 +419,10 @@ def scale_factor_equation_residual(
     supplied by the caller because this sector's matter normalization
     differs from the momentum map of the constraint sector.
     """
-    t = np.asarray(trajectory.t, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least three samples for the stencil")
-    a = np.asarray(trajectory.a, dtype=float)
-    a_dot = np.asarray(trajectory.a_dot, dtype=float)
-    a_ddot = np.gradient(a_dot, t, edge_order=2)
+    a, a_dot, phi, _ = _samples(trajectory)
+    a_ddot = _stencil(a_dot, _spacing(trajectory.t, "t"), 0, 1)
     p_phi = np.broadcast_to(np.asarray(p_phi_series, dtype=float), a.shape)
-    v = params.potential.v(np.asarray(trajectory.phi, dtype=float))
+    v = params.potential.v(phi)
     return (
         2.0 * a * a_ddot
         + a_dot**2
@@ -446,17 +443,18 @@ def quantum_transport_residual(
     for caller-supplied R(a, phi, t) and S(a, phi, t).  Evaluation only;
     no solutions are constructed here.
     """
-    a, phi, t = grids.a, grids.phi, grids.t
-    r = _sampled(R, (a, phi, t), "R")
-    s = _sampled(S, (a, phi, t), "S")
-    r_t = np.gradient(r, t, axis=2, edge_order=2)
-    r_a = np.gradient(r, a, axis=0, edge_order=2)
-    r_p = np.gradient(r, phi, axis=1, edge_order=2)
-    s_a = np.gradient(s, a, axis=0, edge_order=2)
-    s_p = np.gradient(s, phi, axis=1, edge_order=2)
-    s_aa = np.gradient(s_a, a, axis=0, edge_order=2)
-    s_pp = np.gradient(s_p, phi, axis=1, edge_order=2)
-    a_col = a[:, None, None]
+    h_a, h_p, h_t = grids.steps
+    axes = {"a": grids.a, "phi": grids.phi, "t": grids.t}
+    r = _sampled(R, axes, "R")
+    s = _sampled(S, axes, "S")
+    r_t = _stencil(r, h_t, 2, 1)
+    r_a = _stencil(r, h_a, 0, 1)
+    r_p = _stencil(r, h_p, 1, 1)
+    s_a = _stencil(s, h_a, 0, 1)
+    s_p = _stencil(s, h_p, 1, 1)
+    s_aa = _stencil(s, h_a, 0, 2)
+    s_pp = _stencil(s, h_p, 1, 2)
+    a_col = grids.a[:, None, None]
     return (
         r_t
         + (4.0 * _PI / (3.0 * a_col)) * s_a * r_a

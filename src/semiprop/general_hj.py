@@ -35,6 +35,8 @@ import numpy as np
 from .core import (
     ComplexField,
     SpacetimeGrid,
+    _require_finite,
+    _sample,
     _stencil,
     at_time,
     cumulative_simpson,
@@ -103,14 +105,9 @@ def _bracket(
     xs spans [x_min, x_max] uniformly.  The derivatives are the ansatz's
     analytic ones when it carries them, otherwise second-order stencils.
     """
-    shape = (xs.size, grid.n_t)
-    X, T = xs[:, None], grid.t[None, :]
+    r = _sample(ansatz.R, xs, grid.t)
+    _require_finite(r, "R", {"x": xs, "t": grid.t})
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.broadcast_to(np.asarray(ansatz.R(X, T), dtype=complex), shape).copy()
-        bad = ~np.isfinite(r)
-        if bad.any():
-            j, i = np.argwhere(bad.T)[0]
-            raise ValueError(f"R is not finite at x={xs[i]:.6g}, t={grid.t[j]:.6g}")
         if ansatz.dR_dt is None:
             h = (grid.x_max - grid.x_min) / (xs.size - 1)
             r_t = _stencil(r, grid.dt, 1, 1)
@@ -118,20 +115,10 @@ def _bracket(
             r_xx = _stencil(r, h, 0, 2)
         else:
             r_t, r_x, r_xx = (
-                np.broadcast_to(np.asarray(d(X, T), dtype=complex), shape)
-                for d in (ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2)
+                _sample(d, xs, grid.t) for d in (ansatz.dR_dt, ansatz.dR_dx, ansatz.d2R_dx2)
             )
         bracket, largest = decoupling(r_t, r_x, r_xx, ansatz.mass, ansatz.hbar)
     return r, bracket, largest
-
-
-def _audit_exp(values: np.ndarray, xs: np.ndarray, t: float, sign: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"overflow in exp({sign}2R) at x={xs[k]:.6g}, t={t:.6g}"
-        )
 
 
 def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
@@ -146,18 +133,18 @@ def build_S_from_R(ansatz: GeneralAnsatz, grid: SpacetimeGrid) -> ComplexField:
     xs = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_x - 1)
     hs = (grid.x_max - grid.x_min) / (2 * (grid.n_x - 1))
     r, bracket, _ = _bracket(ansatz, xs, grid)
-    values = np.zeros((grid.n_x, grid.n_t), dtype=complex)
-    for j, t in enumerate(grid.t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_plus = np.exp(2.0 * r[:, j])
-            e_minus = np.exp(-2.0 * r[:, j])
-        _audit_exp(e_plus, xs, t, "+")
-        _audit_exp(e_minus, xs, t, "-")
-        a_tab = cumulative_simpson(e_plus * bracket[:, j], hs)
-        outer = e_minus * (complex(at_time(ansatz.f1, t)) - a_tab)
-        s_tab = cumulative_simpson(outer, hs)
-        values[:, j] = complex(at_time(ansatz.f0, t)) + s_tab[::2]
-    return ComplexField(grid=grid, values=values)
+    axes = {"x": xs, "t": grid.t}
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_plus = np.exp(2.0 * r)
+        e_minus = np.exp(-2.0 * r)
+    _require_finite(e_plus, "exp(2R)", axes)
+    _require_finite(e_minus, "exp(-2R)", axes)
+    # f0 and f1 are called on one time at a time: on an array of times a
+    # callable may round differently, through numpy's vector loops
+    f0, f1 = (np.array([complex(at_time(f, t)) for t in grid.t]) for f in (ansatz.f0, ansatz.f1))
+    a_tab = cumulative_simpson(e_plus * bracket, hs)
+    s_tab = cumulative_simpson(e_minus * (f1 - a_tab), hs)
+    return ComplexField(grid=grid, values=f0 + s_tab[::2])
 
 
 class DecouplingField(ComplexField):
@@ -204,23 +191,16 @@ def imaginary_scaling_probe(
         raise ValueError(f"hbars must hold at least three distinct values, got {hbars!r}")
     if any(h <= 0 for h in values):
         raise ValueError(f"hbars must all be positive, got {hbars!r}")
-    X, T = grid.mesh()
-    r_vals = np.asarray(ansatz.R(X, T), dtype=complex)
+    r_vals = _sample(ansatz.R, grid.x, grid.t)
     if np.max(np.abs(r_vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(r_vals.real))):
         raise ValueError("imaginary_scaling_probe requires a real R")
     norms = []
     for hb in values:
         s_field = build_S_from_R(replace(ansatz, hbar=hb), grid)
         norms.append(float(np.max(np.abs(s_field.values.imag))))
-    scale = max(norms)
-    if scale < 1e-13:
-        return ImaginaryScalingReport(
-            samples=tuple(zip(values, norms)), slope=None, vacuous=True
-        )
-    slope = fit_loglog_slope(values, norms)
-    return ImaginaryScalingReport(
-        samples=tuple(zip(values, norms)), slope=slope, vacuous=False
-    )
+    vacuous = max(norms) < 1e-13
+    slope = None if vacuous else fit_loglog_slope(values, norms)
+    return ImaginaryScalingReport(samples=tuple(zip(values, norms)), slope=slope, vacuous=vacuous)
 
 
 # ---------------------------------------------------------------------------

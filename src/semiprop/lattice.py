@@ -520,7 +520,7 @@ def plane_wave_phase(
         )
     h = config.spacing
     k = np.array([2.0 * np.pi * (int(j) % n) / (n * h) for j, n in zip(mode, config.dims)])
-    grids = np.meshgrid(*[h * np.arange(n) for n in config.dims], indexing="ij")
+    grids = np.ix_(*[h * np.arange(n) for n in config.dims])
     return k, sum(k_mu * x_mu for k_mu, x_mu in zip(k, grids))
 
 

@@ -13,7 +13,7 @@ from ..general_hj import (
     exponential_family_residuals,
     imaginary_scaling_probe,
 )
-from ..report import Measured, RunParams
+from ..report import RunParams
 from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
 
 
@@ -66,7 +66,5 @@ def _run_general_hbar_slope(params: dict, seed: int) -> tuple:
     )
     report = imaginary_scaling_probe(ansatz, params["hbars"], grid)
     if report.vacuous:
-        slope = Measured(float("nan"), "Im S vanished identically; slope undefined")
-    else:
-        slope = report.slope
-    return {"imaginary-slope": slope}, None, {}
+        _refuse(params, ("curvature",), "Im S vanishes identically; its slope in hbar is undefined")
+    return {"imaginary-slope": report.slope}, None, {}

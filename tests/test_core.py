@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import linecache
 import math
 import traceback
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,19 @@ def test_stencil_refinement_factor_on_sine():
     assert 3.5 <= factor <= 4.5, f"refinement factor {factor:.3f} outside [3.5, 4.5]"
 
 
+def test_no_module_takes_a_second_stencil_or_sampler():
+    # core._stencil and core._sample are the package's one stencil and one sampler
+    package = Path(core.__file__).parent
+    offenders = [
+        "{}:{}".format(path.name, node.lineno)
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"gradient", "meshgrid"}
+        and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+    ]
+    assert not offenders
+
+
 def test_stencil_rejects_unknown_axis_and_order():
     grid = make_grid(n_x=8, n_t=8)
     field = ComplexField.from_callable(grid, lambda x, t: x + t)
@@ -210,6 +225,11 @@ def test_cumulative_simpson_exact_on_quadratic():
     h = xs[1] - xs[0]
     anti = cumulative_simpson(3.0 * xs**2, h)
     assert np.max(np.abs(anti - xs**3)) <= 1.0e-12
+    # along axis 0 of a 2-d array, each column integrates as it does alone
+    columns = np.stack([3.0 * xs**2, np.exp(xs), xs], axis=1)
+    whole = cumulative_simpson(columns, h)
+    for j in range(columns.shape[1]):
+        assert np.array_equal(whole[:, j], cumulative_simpson(columns[:, j], h))
 
 
 def test_cumulative_simpson_order_on_smooth_data():

@@ -435,33 +435,14 @@ def test_split_action_hand_case_a_with_curvature():
     assert np.max(np.abs(res_a - expect)) < 1e-12
 
 
-def test_split_action_accepts_gridded_arrays():
-    grids = small_grids()
-    aa, tt = np.meshgrid(grids.a, grids.t, indexing="ij")
-    pp = np.zeros((grids.phi.size, grids.t.size))
-    fields = ComplexActionFields(s_a=aa * 1.0, s_phi=pp, s_g=aa * tt)
-    _, res_b = complex_action_residuals(fields, VACUUM, grids)
-    expect_b = grids.a[:, None] + 16.0 * grids.t[None, :]
-    assert np.max(np.abs(res_b - expect_b)) < 1e-12
-
-
 def test_split_action_field_validation():
     grids = small_grids()
-    bad_shape = ComplexActionFields(
-        s_a=np.zeros((3, 3)),
-        s_phi=lambda p, t: 0.0 * p,
-        s_g=lambda a, t: 0.0 * a,
-    )
-    with pytest.raises(ValueError, match="expects"):
-        complex_action_residuals(bad_shape, VACUUM, grids)
-    nan_field = np.zeros((grids.a.size, grids.t.size))
-    nan_field[2, 3] = np.nan
     bad_vals = ComplexActionFields(
         s_a=lambda a, t: 0.0 * a,
         s_phi=lambda p, t: 0.0 * p,
-        s_g=nan_field,
+        s_g=lambda a, t: np.where((a == grids.a[2]) & (t == grids.t[3]), np.nan, 0.0),
     )
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"non-finite S_g at node \(i=2, j=3\), a=1, t=0\.6$"):
         complex_action_residuals(bad_vals, VACUUM, grids)
 
 
@@ -550,6 +531,21 @@ def test_grids_validation():
             phi=np.linspace(0.0, 1.0, 5),
             t=np.linspace(0.0, 1.0, 5),
         )
+    # the stencils take one step per axis
+    with pytest.raises(ValueError, match="a axis must be increasing in uniform steps"):
+        ActionGrids(
+            a=np.geomspace(1.0, 2.0, 5),
+            phi=np.linspace(0.0, 1.0, 5),
+            t=np.linspace(0.0, 1.0, 5),
+        )
+    ts = np.geomspace(1.0, 2.0, 21)
+    uneven = Trajectory(
+        t=ts, a=ts, a_dot=np.ones_like(ts), phi=np.zeros_like(ts), phi_dot=np.zeros_like(ts)
+    )
+    with pytest.raises(ValueError, match="t axis must be increasing in uniform steps"):
+        klein_gordon_residual(uneven, VACUUM)
+    with pytest.raises(ValueError, match="t axis must be increasing in uniform steps"):
+        scale_factor_equation_residual(uneven, 0.0, VACUUM)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +619,3 @@ def test_transport_static_amplitude_with_flat_action():
         VACUUM,
     )
     assert np.max(np.abs(res)) < 1e-14
-
-
-def test_transport_gridded_input():
-    grids = small_grids()
-    aa, pp, tt = np.meshgrid(grids.a, grids.phi, grids.t, indexing="ij")
-    res = quantum_transport_residual(aa * tt, aa**2, grids, VACUUM)
-    a = grids.a[:, None, None]
-    t = grids.t[None, None, :]
-    expect = a + (8.0 * math.pi / 3.0) * t + 4.0 * math.pi / (3.0 * a)
-    assert np.max(np.abs(res - expect)) < 1e-12
-    with pytest.raises(ValueError, match="expects"):
-        quantum_transport_residual(np.zeros((2, 2, 2)), aa**2, grids, VACUUM)

@@ -790,10 +790,11 @@ def test_consistency_loop_residual_converges(builder):
 
 def test_the_oracles_difference_k_without_the_equations():
     # the oracles certify the equations' families, so they must not reach
-    # core's Hamilton-Jacobi, transport or decoupling functions
+    # core's Hamilton-Jacobi, transport or decoupling functions, nor sample
+    # and refuse fields through the code that builds the K they certify
     tree = ast.parse(Path(oracle.__file__).read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert not names & {"hamilton_jacobi", "transport", "decoupling"}
+    assert not names & {"hamilton_jacobi", "transport", "decoupling", "_sample", "_require_finite"}
