@@ -171,17 +171,31 @@ def _sample(fn: Callable[..., np.ndarray], *axes: np.ndarray, dtype=complex) -> 
     return np.broadcast_to(values, tuple(axis.size for axis in axes)).copy()
 
 
-def _require_finite(values: np.ndarray, what: str, axes: Mapping, lo: int = 0) -> None:
-    """Refuse a non-finite sample, naming its node by index and by its
-    coordinate on each of ``axes``, one named axis per axis of ``values``;
-    ``values`` holds the nodes of the last axis from ``lo`` on."""
-    bad = ~np.isfinite(values)
+def _require_finite(values: np.ndarray, what: str, axes: Mapping | None = None, lo: int = 0) -> None:
+    """Refuse the first non-finite sample: ``non-finite {what} at node (i=0, j=20), ...``."""
+    _refuse_node(~np.isfinite(values), f"non-finite {what}", axes, lo)
+
+
+def _refuse_node(bad: np.ndarray, what: str, axes: Mapping | None = None, lo: int = 0,
+                 detail: Callable[[tuple], str] | None = None) -> None:
+    """Raise ValueError("{what} at node (i=.., j=.., ...), x=.., t=..[, detail]") at
+    the first node, in C order, where the boolean array ``bad`` holds: by index
+    on each axis (i to z; a lattice has at most 12 axes), by coordinate on each
+    of ``axes`` (names of 1-d arrays, in axis order; lattice sites pass none).
+    ``bad`` holds the last axis from ``lo`` on.  ``detail(index into bad)`` is
+    called only at the refused node, so the normal path formats no message."""
     if bad.any():
-        node = [int(n) for n in np.argwhere(bad)[0]]
-        node[-1] += lo
-        indices = ", ".join(f"{letter}={n}" for letter, n in zip("ijkl", node))
-        where = ", ".join(f"{name}={axis[n]:.6g}" for (name, axis), n in zip(axes.items(), node))
-        raise ValueError(f"non-finite {what} at node ({indices}), {where}")
+        local = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        node = [int(n) for n in local]
+        if lo:
+            node[-1] += lo
+        indices = ", ".join(f"{'ijklmnopqrstuvwxyz'[a]}={n}" for a, n in enumerate(node))
+        message = f"{what} at node ({indices})"
+        for (name, axis), n in zip((axes or {}).items(), node):
+            message += f", {name}={axis[n]:.6g}"
+        if detail is not None:
+            message += ", " + detail(local)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +267,8 @@ class LazyPropagator:
             k += r
             _require_finite(k, "propagator exponent", axes, lo)
             np.exp(k, out=k)
-        bad = ~np.isfinite(k)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            exponent = r[i, j] + 1j * s[i, j] / hbar
-            raise ValueError(
-                f"exp overflow assembling propagator at node (i={i}, j={j + lo}), "
-                f"x={grid.x[i]:.6g}, t={grid.t[j + lo]:.6g}, Re exponent={exponent.real:.6g}"
-            )
+        _refuse_node(~np.isfinite(k), "exp overflow assembling propagator", axes, lo,
+                     lambda n: f"Re exponent={(r[n] + 1j * s[n] / hbar).real:.6g}")
         return k
 
 

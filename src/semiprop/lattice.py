@@ -18,6 +18,10 @@ G(x, y) = g[(x - y) mod dims], built by one inverse FFT of the closed-form
 spectrum and certified by the periodic stencil.  Lattices are capped at 4096
 sites and leapfrog runs at 10**7 site updates.  These are verification
 probes, not production field solvers.
+
+Every refused site is named by index through ``core._refuse_node``.  The exps
+keep no headroom below the float range, so a sum or residual built from them
+is refused where it overflows.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .core import _refuse_node, _require_finite
 
 __all__ = [
     "LatticeConfig",
@@ -55,9 +61,6 @@ MAX_SITES = 4096
 # (steps + 1) x sites per leapfrog run: a time budget, as it keeps 3 slices
 MAX_SITE_UPDATES = 10**7
 SIGNATURES = ("euclidean", "lorentzian")
-
-# exp(x) overflows float64 just above x = 709
-EXP_OVERFLOW = 700.0
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,7 @@ class LatticeField:
                     values.shape, self.config.dims
                 )
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite samples")
+        _require_finite(values, "field value")
         object.__setattr__(self, "values", values)
 
     @property
@@ -287,10 +289,10 @@ def lattice_greens_function(
 
     eigenvalues = _spectrum(config, _operator_signs(config))
     scale = max(float(np.max(np.abs(eigenvalues))), 1.0)
-    null = np.argwhere(np.abs(eigenvalues) <= 1e-10 * scale)
-    if len(null) and not use_regulator:
+    null = np.abs(eigenvalues) <= 1e-10 * scale
+    if not use_regulator:
         # a euclidean spectrum is smallest on the constant mode, where it is m^2
-        if config.signature == "euclidean":
+        if config.signature == "euclidean" and null.any():
             raise ValueError(
                 "euclidean operator is singular: its constant mode, eigenvalue "
                 "mass^2, is null at mass = {:.3g} with spacing = {!r}: mass^2 is {:.3g} "
@@ -298,12 +300,9 @@ def lattice_greens_function(
                     config.mass, config.spacing, config.mass**2 / scale, scale
                 )
             )
-        mode = tuple(int(i) for i in null[0])
-        raise ValueError(
-            "lorentzian operator is singular: null mode near wavenumber index {} "
-            "(eigenvalue {:.3e}); pass use_regulator=True for the i*epsilon "
-            "prescription".format(mode, eigenvalues[mode])
-        )
+        _refuse_node(null, "lorentzian operator is singular: null mode", detail=lambda n: (
+            "eigenvalue {:.3e}; pass use_regulator=True for the i*epsilon "
+            "prescription".format(eigenvalues[n])))
     g = np.fft.ifftn(1.0 / (eigenvalues + 1j * regulator))
     if not use_regulator:
         g = g.real
@@ -488,21 +487,22 @@ def lattice_klein_gordon_check(
         tracking = max(
             float(np.abs(previous - exact(0.0)).max()), float(np.abs(current - exact(dt)).max())
         )
-    for step in range(1, n_steps):
-        force = _laplacian(current, config.spacing, unit) - mass_sq * current
-        twice = 2.0 * current
-        upcoming = (twice - previous) + dt_sq * force
-        stencil = ((upcoming - twice) + previous) / dt_sq
-        defect = float(np.abs(stencil - force).max())
-        # a non-finite slice makes the defect non-finite, so only then is it scanned
-        if not math.isfinite(defect) and not np.all(np.isfinite(upcoming)):
-            raise FloatingPointError(
-                "leapfrog blew up at step {} (t = {:.6g})".format(step + 1, (step + 1) * dt)
-            )
-        residual = max(residual, defect)
-        if exact is not None:
-            tracking = max(tracking, float(np.abs(upcoming - exact((step + 1) * dt)).max()))
-        previous, current = current, upcoming
+    # a blow-up is refused by site below, so its overflow is not warned of as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps):
+            force = _laplacian(current, config.spacing, unit) - mass_sq * current
+            twice = 2.0 * current
+            upcoming = (twice - previous) + dt_sq * force
+            stencil = ((upcoming - twice) + previous) / dt_sq
+            defect = float(np.abs(stencil - force).max())
+            # a non-finite slice makes the defect non-finite, so only then is it scanned
+            if not math.isfinite(defect):
+                _refuse_node(~np.isfinite(upcoming), "leapfrog blew up at step {} (t = {:.6g}): "
+                             "non-finite field value".format(step + 1, (step + 1) * dt))
+            residual = max(residual, defect)
+            if exact is not None:
+                tracking = max(tracking, float(np.abs(upcoming - exact((step + 1) * dt)).max()))
+            previous, current = current, upcoming
     return KleinGordonRun(final=current, residual=residual, tracking=tracking)
 
 
@@ -572,14 +572,12 @@ def constant_function(c: float) -> PointwiseFunction:
 
 
 def _checked_exp(exponent: np.ndarray, what: str) -> np.ndarray:
-    if np.max(exponent) > EXP_OVERFLOW:
-        idx = np.unravel_index(int(np.argmax(exponent)), exponent.shape)
-        raise ValueError(
-            "{} overflows at site {}: exponent = {:.6g}".format(
-                what, tuple(int(i) for i in idx), float(exponent[idx])
-            )
-        )
-    return np.exp(exponent)
+    """exp(exponent), refusing the first site where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        value = np.exp(exponent)
+    _refuse_node(~np.isfinite(value), what + " overflows",
+                 detail=lambda n: "exponent = {:.6g}".format(exponent[n]))
+    return value
 
 
 def conformal_transport_check(sigma: LatticeField, lam: float) -> Tuple[float, float]:
@@ -601,7 +599,13 @@ def conformal_transport_check(sigma: LatticeField, lam: float) -> Tuple[float, f
     config = sigma.config
     vol = config.cell_volume
     weights = _checked_exp(2.0 * sigma.values, "exp(2 sigma)")
-    r_value = float(lam / 8.0 * np.sum(weights) * vol)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(weights))
+    # the bumped sums below stay within a factor 1 + 3e-6 of the sum; twice the
+    # sum, bare and scaled by lam / 8 and the cell volume, leaves room for them
+    if not math.isfinite(2.0 * max(total, abs(lam) / 8.0 * total * max(1.0, vol))):
+        raise ValueError("the curvature functional (lam / 8) sum exp(2 sigma) vol overflows")
+    r_value = float(lam / 8.0 * total * vol)
 
     analytic = lam / 4.0 * weights.reshape(-1)
     flat = sigma.flat.astype(float)
@@ -646,13 +650,8 @@ def conformal_real_part_residual(
         raise ValueError("conformal residuals need real fields")
     config = phi.config
     f_values = np.asarray(f.value(sigma.values), dtype=float)
-    if np.min(f_values) <= 0.0:
-        idx = np.unravel_index(int(np.argmin(f_values)), config.dims)
-        raise ValueError(
-            "f(sigma) must be positive; value {:.6g} at site {}".format(
-                float(np.min(f_values)), tuple(int(i) for i in idx)
-            )
-        )
+    _refuse_node(f_values <= 0.0, "f(sigma) must be positive: nonpositive value",
+                 detail=lambda n: "f(sigma) = {:.6g}".format(f_values[n]))
     w_values = np.asarray(w.value(phi.values), dtype=float)
     w_prime = np.asarray(w.derivative(phi.values), dtype=float)
     if np.max(np.abs(w_values)) == 0.0:
@@ -661,14 +660,17 @@ def conformal_real_part_residual(
             stacklevel=2,
         )
     e4 = _checked_exp(4.0 * sigma.values, "exp(4 sigma)")
-    residual = (
-        _forward_gradient_square(phi.values, config)
-        + f_values * config.mass**2 * phi.values**2
-        + 4.0 * e4 * w_values**2
-        + e4 / f_values * w_prime**2
-        - _forward_gradient_square(sigma.values, config)
-        - lam**2 / 16.0 * e4
-    )
+    # a term past the float range is refused by site below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = (
+            _forward_gradient_square(phi.values, config)
+            + f_values * config.mass**2 * phi.values**2
+            + 4.0 * e4 * w_values**2
+            + e4 / f_values * w_prime**2
+            - _forward_gradient_square(sigma.values, config)
+            - lam**2 / 16.0 * e4
+        )
+    _require_finite(residual, "real-part residual")
     return LatticeField(config, residual)
 
 
@@ -691,13 +693,7 @@ def conformal_imaginary_part_residual(
         raise ValueError("phi and sigma live on different lattices")
     config = sigma.config
     w_values = np.asarray(w.value(phi.values), dtype=float)
-    if np.min(np.abs(w_values)) == 0.0:
-        idx = np.unravel_index(int(np.argmin(np.abs(w_values))), config.dims)
-        raise ValueError(
-            "W vanishes at site {}; the imaginary-part equation divides by W".format(
-                tuple(int(i) for i in idx)
-            )
-        )
+    _refuse_node(w_values == 0.0, "W vanishes (the imaginary-part equation divides by W)")
     derivative = np.asarray(dr_dsigma, dtype=float)
     if derivative.shape != config.dims:
         raise ValueError(
@@ -705,5 +701,7 @@ def conformal_imaginary_part_residual(
         )
     e2 = _checked_exp(2.0 * sigma.values, "exp(2 sigma)")
     e4 = _checked_exp(4.0 * sigma.values, "exp(4 sigma)")
-    residual = -4.0 * derivative * e2 * w_values + lam * w_values * e4
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = -4.0 * derivative * e2 * w_values + lam * w_values * e4
+    _require_finite(residual, "imaginary-part residual")
     return LatticeField(config, residual)

@@ -248,13 +248,6 @@ def as_potential(pot) -> "callable":
     return lambda x, t: value + 0.0 * np.asarray(x) * np.asarray(t)
 
 
-def _is_static(pot) -> bool:
-    """True for a constant, or a QuadraticPotential with no callable coefficient."""
-    if isinstance(pot, QuadraticPotential):
-        return not any(callable(g) for g in (pot.g2, pot.g1, pot.g0))
-    return not callable(pot)
-
-
 def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     """Crank-Nicolson evolution over n_steps of size dt.
 
@@ -293,7 +286,7 @@ def cn_evolve(state: WaveState, pot, dt: float, n_steps: int) -> WaveState:
     rhs = system.rhs
     t = state.t
     worst_boundary = 0.0
-    static = _is_static(pot)
+    static = pot.static if isinstance(pot, QuadraticPotential) else not callable(pot)
     off = 1j * lam * kin_off
     for step in range(n_steps):
         if step == 0 or not static:

@@ -40,6 +40,7 @@ from .core import (
     PropagatorFactors,
     SpacetimeGrid,
     VectorField,
+    _refuse_node,
     at_time,
     hamilton_jacobi,
     rk4_solve,
@@ -76,6 +77,11 @@ class QuadraticPotential:
     g2: object = 0.0
     g1: object = 0.0
     g0: object = 0.0
+
+    @property
+    def static(self) -> bool:
+        """True when no coefficient is callable, so V does not depend on t."""
+        return not any(map(callable, (self.g2, self.g1, self.g0)))
 
     def value(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -152,7 +158,7 @@ def solve_prefactor_odes(
         raise ValueError(f"reference time {t0} lies outside the window [{lo}, {hi}]")
     y_init = [float(v) for v in init]
     coefficients = {"g2": potential.g2, "g1": potential.g1, "g0": potential.g0}
-    call = any(map(callable, coefficients.values()))
+    call = not potential.static
     flow = PREFACTOR_FLOWS[call]
     constants = {
         name: g if callable(g) else (lambda t, c=float(g): c) if call else float(g)
@@ -351,11 +357,9 @@ def harmonic_factors(
             f"omega = {omega!r} puts a caustic at t={tc:.6g} inside the grid's "
             f"time span [{grid.t_min:.6g}, {grid.t_max:.6g}]"
         )
-    if np.any(np.abs(np.sin(omega * grid.t)) < 1.0e-12):
-        raise ValueError(
-            f"omega = {omega!r} puts a valid time node on a caustic: "
-            "|sin(omega t)| < 1e-12 there"
-        )
+    sines = np.abs(np.sin(omega * grid.t))
+    _refuse_node(sines < 1.0e-12, f"omega = {omega!r} puts a valid time node on a caustic",
+                 {"t": grid.t}, detail=lambda n: f"|sin(omega t)| = {sines[n]:.3g} < 1e-12")
 
     def time_amplitude(t):
         sin_c = np.sin(omega * np.asarray(t, dtype=float)).astype(complex)
@@ -519,15 +523,9 @@ def van_vleck_check(
     d_vv = np.broadcast_to(d_vv, np.broadcast_shapes(mixed.shape, t.shape))
     scale = float(np.max(np.abs(d_vv)))
     if np.max(np.abs(d_vv.imag)) <= 1.0e-9 * max(scale, 1.0e-300):
-        bad = d_vv.real <= 0.0
-        if np.any(bad):
-            i, j, n = (int(v[0]) for v in np.nonzero(bad))
-            t_flat = np.broadcast_to(t, d_vv.shape)
-            raise ValueError(
-                "Van Vleck signature breakdown: D_VV = "
-                f"{d_vv.real[i, j, n]:.6g} <= 0 at x={grid.x[i]:.6g}, "
-                f"x0={x0_grid[j]:.6g}, t={t_flat[i, j, n]:.6g}"
-            )
+        _refuse_node(d_vv.real <= 0.0, "Van Vleck signature breakdown",
+                     {"x": grid.x, "x0": x0_grid, "t": grid.t},
+                     detail=lambda n: f"D_VV = {d_vv.real[n]:.6g} <= 0")
     if np.any(np.abs(d_vv) < 1.0e-300):
         # the mixed difference of an action that scales with the mass rounds to 0
         raise ValueError(

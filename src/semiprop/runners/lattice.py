@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from ..lattice import (
-    EXP_OVERFLOW,
     LatticeConfig,
     LatticeField,
     PointwiseFunction,
@@ -25,7 +24,7 @@ from ..lattice import (
     plane_wave_phase,
 )
 from ..report import Measured, RunParams, _CsvRows
-from . import _refuse, _refuse_predicted, _roundoff
+from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
 
 
 def _lattice_config(params: dict) -> LatticeConfig:
@@ -64,13 +63,15 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
 def _run_lattice_transport(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     # the check takes exp(2 sigma) at every site
-    if not abs(2.0 * params["sigma_const"]) <= EXP_OVERFLOW:
-        reason = "exp(2 sigma_const) needs |sigma_const| <= {}".format(EXP_OVERFLOW / 2.0)
+    if not abs(2.0 * params["sigma_const"]) < _LOG_MAX:
+        reason = "exp(2 sigma_const) needs |sigma_const| below {:.6g}".format(_LOG_MAX / 2.0)
         _refuse(params, ("sigma_const",), reason)
-    site_sum = params["lam"] / 8.0 * config.n_sites * math.exp(2.0 * params["sigma_const"])
-    # the check sums (lam / 8) exp(2 sigma) over the sites, then scales by the
-    # cell volume; twice that leaves room for its bumped sums
-    if not math.isfinite(2.0 * site_sum * max(1.0, config.cell_volume)):
+    weight = math.exp(2.0 * params["sigma_const"])
+    site_sum = params["lam"] / 8.0 * config.n_sites * weight
+    # the check sums exp(2 sigma) over the sites, then scales the sum by lam / 8
+    # and the cell volume; twice each leaves room for its bumped sums
+    if not (math.isfinite(2.0 * config.n_sites * weight)
+            and math.isfinite(2.0 * site_sum * max(1.0, config.cell_volume))):
         _refuse(
             params, ("lam", "sigma_const", "dims", "spacing"),
             "the curvature functional (lam / 8) sum exp(2 sigma) vol overflows",

@@ -283,6 +283,10 @@ OVERFLOWS = [
     (["cosmo", "de-sitter", "--lam", "1e5"], ["lam", "a0", "t_end"]),
     # the field is drawn from [-amplitude, amplitude], whose width overflows
     (["lattice", "hj-positivity", "--amplitude", "1e308"], ["amplitude"]),
+    # each exp(2 sigma_const) fits the float range, their sum over the sites
+    # does not, though (lam / 8) times it would
+    (["lattice", "conformal-transport", "--lam", "0.5", "--sigma_const", "354"],
+     ["lam", "sigma_const"]),
     # A e^(|b| X_EDGE), the size of V and of (dS/dx)^2 / (2m), overflows
     # while 2 m A e^(|b| X_EDGE) does not, since m < 1/2
     (["general-hj", "exponential", "--amplitude", "1e200", "--slope", "300",

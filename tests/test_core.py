@@ -179,6 +179,31 @@ def test_no_module_takes_a_second_stencil_or_sampler():
     assert not offenders
 
 
+def test_no_module_searches_for_a_bad_node_outside_core():
+    # core._refuse_node is the package's one search for the first bad node
+    package = Path(core.__file__).parent
+    offenders = [
+        "{}:{}".format(path.relative_to(package), node.lineno)
+        for path in sorted(package.rglob("*.py")) if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"argwhere", "nonzero", "unravel_index"}
+        and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+    ]
+    assert not offenders
+
+
+def test_refuse_node_names_every_index_and_details_only_a_refused_node():
+    core._refuse_node(np.zeros((2, 3), dtype=bool), "never", detail=lambda node: 1 / 0)
+    # twelve axes, the most a lattice under MAX_SITES has: i to t; lo shifts
+    # the last index only
+    bad = np.zeros((1,) * 11 + (3,), dtype=bool)
+    bad[..., 2] = True
+    indices = ", ".join(f"{name}=0" for name in "ijklmnopqrs") + ", t=7"
+    with pytest.raises(ValueError) as refused:
+        core._refuse_node(bad, "odd", lo=5, detail=lambda node: f"local {node[-1]}")
+    assert str(refused.value) == f"odd at node ({indices}), local 2"
+
+
 def test_stencil_rejects_unknown_axis_and_order():
     grid = make_grid(n_x=8, n_t=8)
     field = ComplexField.from_callable(grid, lambda x, t: x + t)

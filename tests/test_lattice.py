@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ def test_field_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         LatticeField(PAIR, bad)
+    # every index of a site is named, past the four letters i, j, k, l
+    five_d = LatticeConfig(dims=(2, 2, 2, 2, 3))
+    bad = np.zeros(five_d.dims)
+    bad[1, 0, 1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^non-finite field value at node \(i=1, j=0, k=1, l=1, m=2\)$"):
+        LatticeField(five_d, bad)
 
 
 def test_kernel_symmetry_enforced():
@@ -154,7 +161,7 @@ def test_lorentzian_null_mode_refused_then_regulated():
     # m^2 = 2 puts lambda_t = 0, lambda_x = 2 exactly on shell; j = (0, 1) is
     # the first such mode in index order
     config = LatticeConfig(dims=(4, 4), signature="lorentzian", mass=np.sqrt(2.0))
-    with pytest.raises(ValueError, match=r"null mode near wavenumber index \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"null mode at node \(i=0, j=1\)"):
         lattice_greens_function(config)
     q = lattice_greens_function(config, use_regulator=True)
     assert np.iscomplexobj(q.g)
@@ -317,6 +324,21 @@ def test_klein_gordon_plane_wave_two_dimensional():
     )
     assert run.residual < 1e-8
     assert run.tracking < 1e-8
+
+
+def test_klein_gordon_blow_up_refused_by_site_without_warnings():
+    # a huge velocity at site 3 overflows the second slice's Laplacian; the
+    # refusal names the step and the site, and the loop warns of nothing
+    config = LatticeConfig(dims=(8,), mass=0.7)
+    velocity = np.zeros(8)
+    velocity[3] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"leapfrog blew up at step 2 \(t = 1.8\): "
+                           r"non-finite field value at node \(i=3\)"):
+            lattice_klein_gordon_check(
+                zero_field(config), LatticeField(config, velocity), dt=0.9, n_steps=50
+            )
 
 
 def _history_klein_gordon(phi0, velocity, dt, n_steps, exact):
@@ -511,8 +533,27 @@ def test_transport_zero_lambda_and_overflow():
     assert deviation < 1e-12
     blown = np.zeros((4, 4))
     blown[2, 1] = 400.0
-    with pytest.raises(ValueError, match=r"overflows at site \(2, 1\)"):
+    with pytest.raises(ValueError, match=r"exp\(2 sigma\) overflows at node \(i=2, j=1\), exponent = 800"):
         conformal_transport_check(LatticeField(GRID_4X4, blown), lam=1.0)
+
+
+def test_transport_and_residuals_refuse_an_overflowing_sum_without_warnings():
+    # exp(2 * 354) and exp(4 * 177) fit the float range; the sum over 16 sites
+    # and the terms 16 exp(4 sigma) and 10 exp(4 sigma) do not
+    high = LatticeField(GRID_4X4, np.full((4, 4), 354.0))
+    half = LatticeField(GRID_4X4, np.full((4, 4), 177.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"curvature functional .* overflows"):
+            conformal_transport_check(high, lam=1.0)
+        with pytest.raises(ValueError, match=r"^non-finite real-part residual at node \(i=0, j=0\)$"):
+            conformal_real_part_residual(
+                zero_field(GRID_4X4), half, constant_function(2.0), constant_function(1.0), lam=0.0
+            )
+        with pytest.raises(ValueError, match=r"^non-finite imaginary-part residual at node \(i=0, j=0\)$"):
+            conformal_imaginary_part_residual(
+                half, zero_field(GRID_4X4), constant_function(10.0), np.zeros((4, 4)), lam=1.0
+            )
 
 
 # ------------------------------------------ conformal residual fields
@@ -630,7 +671,8 @@ def test_imaginary_part_refuses_vanishing_w():
     identity = PointwiseFunction(value=lambda p: p, derivative=np.ones_like)
     phi = np.ones((4, 4))
     phi[1, 3] = 0.0
-    with pytest.raises(ValueError, match=r"W vanishes at site \(1, 3\)"):
+    with pytest.raises(ValueError, match=r"W vanishes \(the imaginary-part equation divides by W\) "
+                       r"at node \(i=1, j=3\)"):
         conformal_imaginary_part_residual(
             zero_field(GRID_4X4), LatticeField(GRID_4X4, phi), identity, 0.0, lam=1.0
         )

@@ -797,4 +797,5 @@ def test_the_oracles_difference_k_without_the_equations():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert not names & {"hamilton_jacobi", "transport", "decoupling", "_sample", "_require_finite"}
+    forbidden = {"hamilton_jacobi", "transport", "decoupling", "_sample", "_require_finite", "_refuse_node"}
+    assert not names & forbidden
