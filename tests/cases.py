@@ -329,6 +329,42 @@ ROUND_OFF_FLOORS = [
      ["1e-6", "1e-5", "5e-5", "8e-5", "1e-4", "1.5e-4", "2e-4", "3e-4", "1e-3"], (0.0, 2e-4),
      "'dt'"),
 ]
+# (argv, its whole exit-2 stderr) of one refusal per predicted-error floor:
+# each states the floor's cause, its size and the share of the tolerance it
+# reaches, and names the parameters that set it
+FLOOR_MESSAGES = [
+    (["quadratic", "hj", "--mass", "1e7"],
+     "parameters 'mass' = 10000000.0, 'x0' = 0.0: round-off alone where the "
+     "Hamilton-Jacobi terms reach 3.2e+08, machine epsilon times that, is about "
+     "7.11e-08, not below 1e-08"),
+    (["general-hj", "decoupling", "--hbar", "1e8"],
+     "parameters 'c2' = 1.0, 'c3' = 0.0, 'hbar' = 100000000.0: round-off alone where "
+     "the decoupling terms reach 1e+08, machine epsilon times that, is about "
+     "2.22e-08, not below 2.5e-09"),
+    (["general-hj", "exponential", "--slope", "8"],
+     "parameters 'amplitude' = 1.0, 'slope' = 8.0: round-off alone where two "
+     "Hamilton-Jacobi terms together reach 1.78e+07, machine epsilon times that, is "
+     "about 3.95e-09, not below 1e-10"),
+    (["general-hj", "exponential", "--hbar", "1e6"],
+     "parameters 'hbar' = 1000000.0, 'slope' = 1.0: round-off alone where two "
+     "decoupling terms together reach 1.25e+05, machine epsilon times that, is about "
+     "2.78e-11, not below 1e-12"),
+    (["cosmo", "de-sitter", "--step", "0.1"],
+     "parameters 'lam' = 3.0, 't_end' = 1.0, 'step' = 0.1: RK4's global error t_end "
+     "H^5 step^4 exp(H t_end) / 120, H = sqrt(lam / 3), is about 2.27e-06, not below "
+     "5e-07"),
+    (["lattice", "greens", "--dims", "[4,4]", "--mass", "3e-5"],
+     "parameters 'mass' = 3e-05, 'spacing' = 1.0: round-off alone in op @ G, machine "
+     "epsilon times max |lambda + i epsilon| max |g|, is about 1.23e-07, not below "
+     "1e-08"),
+    (["lattice", "imaginary-part", "--lam", "25"],
+     "parameter 'lam' = 25.0: round-off alone where the two imaginary-part terms "
+     "reach 3.88e+03, machine epsilon times that, is about 8.61e-13, not below 5e-13"),
+    (["lattice", "kg-wave", "--dt", "1e-5"],
+     "parameter 'dt' = 1e-05: round-off alone where the stencil's time differences "
+     "over dt^2 reach 1e+10, machine epsilon times that, is about 2.22e-06, not "
+     "below 6e-09"),
+]
 # the smallest amplitudes whose squares stay normal floats still pass
 ROUND_OFF_PASSES = [
     ["lattice", "hj-positivity", "--amplitude", "1e-150"],

@@ -36,6 +36,7 @@ import fresh
 from cases import (
     CONTROLS,
     FUZZ_BASES,
+    FLOOR_MESSAGES,
     FUZZ_EXIT_ONE,
     OVERFLOWS,
     PARAMETER_ERRORS,
@@ -309,6 +310,17 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
                 assert code == 0, (argv, value)
     for argv in ROUND_OFF_PASSES:
         assert main(argv + ["--out", str(tmp_path / "passes")]) == 0, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message", FLOOR_MESSAGES, ids=[" ".join(argv) for argv, _ in FLOOR_MESSAGES]
+)
+def test_each_floor_refusal_keeps_its_message(argv, message, tmp_path, capsys):
+    # the whole message, byte for byte, and no report.json behind it
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "semiprop: {}\n".format(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
