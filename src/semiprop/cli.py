@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .report import Declared, Report, RunParams, above, at_most, diagnostic, judge, near, write_csv
+from .report import Declared, Report, _refuse, above, at_most, diagnostic, judge, near, write_csv
 
 
 # ------------------------------------------------------------- registry
@@ -49,7 +49,9 @@ from .report import Declared, Report, RunParams, above, at_most, diagnostic, jud
 # its runner in semiprop.runners.<scenario>, imported when the check first
 # runs, and the text choices are literals (a test holds them equal to the
 # library's constants).  The last item declares, in order, every record the
-# check emits, with its rule and tolerance literal; the runner only measures.
+# check emits, with its rule, its tolerance literal and, where a correct run
+# can read near it, the share of it below which the runner's predicted error
+# must stay; the runner only measures.
 POSITIVE = "positive"
 
 
@@ -66,7 +68,7 @@ _LATTICE = {"dims": _DIMS, **_reals(mass=1.0, spacing=1.0)}
 CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
     ("quadratic", "hj"): (
         _QUADRATIC, "_run_quadratic_hj",
-        (at_most("hamilton-jacobi", 1e-8), at_most("consistency", 1e-8)),
+        (at_most("hamilton-jacobi", 1e-8, floor=1), at_most("consistency", 1e-8)),
     ),
     ("quadratic", "van-vleck"): (
         _FAMILY, "_run_quadratic_van_vleck", (at_most("van-vleck-deviation", 1e-6),)
@@ -81,11 +83,12 @@ CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
     ),
     ("general-hj", "decoupling"): (
         _reals(c2=1.0, c3=0.0, c4=0.0, hbar=1.0, mass=1.0), "_run_general_decoupling",
-        (at_most("decoupling-residual", 1e-8),),
+        (at_most("decoupling-residual", 1e-8, floor=0.25),),
     ),
     ("general-hj", "exponential"): (
         _reals(amplitude=1.0, slope=1.0, hbar=1.0, mass=1.0), "_run_general_exponential",
-        (at_most("hamilton-jacobi", 1e-10), at_most("decoupling-residual", 1e-12)),
+        (at_most("hamilton-jacobi", 1e-10, floor=1),
+         at_most("decoupling-residual", 1e-12, floor=1)),
     ),
     ("general-hj", "hbar-slope"): (
         {"hbars": ([0.5, 1.0, 2.0], [float], None), **_reals(curvature=0.25, mass=1.0)},
@@ -122,7 +125,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
             **_reals(step=1e-3),
         },
         "_run_cosmo_de_sitter",
-        (at_most("scale-factor-growth", 1e-6), at_most("friedmann-residual", 1e-8)),
+        (at_most("scale-factor-growth", 1e-6, floor=0.5), at_most("friedmann-residual", 1e-8)),
     ),
     ("cosmo", "stiff"): (
         {
@@ -156,7 +159,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
             "use_regulator": (False, bool, None),
         },
         "_run_lattice_greens",
-        (at_most("defining-property", 1e-8), at_most("kernel-symmetry", 1e-12)),
+        (at_most("defining-property", 1e-8, floor=1), at_most("kernel-symmetry", 1e-12)),
     ),
     ("lattice", "hj-positivity"): (
         {
@@ -180,7 +183,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
     ),
     ("lattice", "imaginary-part"): (
         {"dims": _DIMS, "draws": (100, int, 1), **_reals(lam=1.3)}, "_run_lattice_imaginary",
-        (at_most("imaginary-part-residual", 1e-12),),
+        (at_most("imaginary-part-residual", 1e-12, floor=0.5),),
     ),
     ("lattice", "kg-wave"): (
         {
@@ -190,7 +193,7 @@ CHECKS: dict[tuple[str, str], tuple[dict, str, tuple[Declared, ...]]] = {
             **_reals(mass=0.7, dt=0.05),
         },
         "_run_lattice_kg",
-        (at_most("stencil-residual", 1e-8), at_most("dispersion-tracking", 1e-8)),
+        (at_most("stencil-residual", 1e-8, floor=0.6), at_most("dispersion-tracking", 1e-8)),
     ),
 }
 
@@ -327,10 +330,11 @@ def run_scenario(
     """Run one check on checked parameters, write report.json and CSV
     payloads into ``out_dir`` (ValueError if it cannot be made), and return the report.
 
-    The runner gets the parameters as a ``RunParams``, which also carries
-    each record's tolerance; every record is judged here, on its measurement.
-    An ``out_dir`` whose nearest existing ancestor, itself included, is not
-    a directory is refused before the runner runs.
+    The runner only measures.  Once it returns, before any record is judged
+    or any file written, a run is refused where a record's predicted error is
+    not below the ``floor`` share of its tolerance that it declares.  An
+    ``out_dir`` whose nearest existing ancestor, itself included, is not a
+    directory is refused before the runner runs.
     """
     for path in (out_dir, *out_dir.parents):
         if os.path.exists(path):
@@ -346,8 +350,14 @@ def run_scenario(
     )
     runner = getattr(module, name)
     started = time.perf_counter()
-    tolerances = {d.name: d.tolerance for d in declared}
-    values, convergence, csv_payload = runner(RunParams(params, tolerances), seed)
+    values, convergence, csv_payload = runner(params, seed)
+    for d in declared:
+        if d.floor is not None:
+            error, cause, names = values[d.name].floor
+            limit = d.floor * d.tolerance
+            if not error < limit:
+                reason = "{} is about {:.3g}, not below {:g}".format(cause, error, limit)
+                _refuse(params, names, reason)
     report = Report(
         scenario=scenario,
         checks=[judge(d, values[d.name]) for d in declared],

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -166,7 +167,8 @@ class Declared(NamedTuple):
 
     A ``family`` limits the declaration to runs of that family.  A ``scaled``
     tolerance is multiplied by max(1, |magnitude|), for the magnitude the
-    runner returns with its value.
+    runner returns with its value.  The run is refused where the ``Floor``
+    it returns is not below the ``floor`` share of the tolerance.
     """
 
     name: str
@@ -176,11 +178,15 @@ class Declared(NamedTuple):
     target: float = 0.0
     family: Optional[str] = None
     scaled: bool = False
+    floor: Optional[float] = None
 
 
-def at_most(name: str, tolerance: float, scaled: bool = False) -> Declared:
+def at_most(
+    name: str, tolerance: float, scaled: bool = False, floor: Optional[float] = None
+) -> Declared:
     """Pass iff value <= tolerance; a NaN value fails."""
-    return Declared(name, AT_MOST, tolerance, "pass iff value <= tolerance", scaled=scaled)
+    detail = "pass iff value <= tolerance"
+    return Declared(name, AT_MOST, tolerance, detail, scaled=scaled, floor=floor)
 
 
 def above(name: str, tolerance: float, detail: str, family: Optional[str] = None) -> Declared:
@@ -199,27 +205,44 @@ def diagnostic(name: str, detail: str, family: Optional[str] = None) -> Declared
     return Declared(name, DIAGNOSTIC, None, detail, family=family)
 
 
+class Floor(NamedTuple):
+    """The ``error`` a correct computation is predicted to read, its ``cause``
+    in words, and the ``names`` of the parameters that set it."""
+
+    error: float
+    cause: str
+    names: tuple
+
+
+def roundoff(scale: float, terms: str, names: tuple) -> Floor:
+    """The floor round-off alone leaves where ``terms`` of size ``scale``
+    cancel: machine epsilon times it."""
+    cause = "round-off alone where {} reach {:.3g}, machine epsilon times that,"
+    return Floor(sys.float_info.epsilon * scale, cause.format(terms, scale), names)
+
+
 class Measured(NamedTuple):
     """A runner's value together with what only its run knows: a ``detail``
-    that replaces the declared one, and the ``magnitude`` of a scaled tolerance."""
+    that replaces the declared one, the ``magnitude`` of a scaled tolerance,
+    and the ``Floor`` of a record that declares one."""
 
     value: float
     detail: str = ""
     magnitude: float = 1.0
+    floor: Optional[Floor] = None
 
 
-class RunParams(dict):
-    """A runner's checked parameters, with ``tolerances``: the declared
-    tolerance of each of its records by name, for refusals set against one."""
-
-    def __init__(self, params: dict, tolerances: dict):
-        super().__init__(params)
-        self.tolerances = tolerances
+def _refuse(params: dict, names: tuple, reason: str) -> NoReturn:
+    """Raise ValueError("parameter 'x' = v: reason"), or "parameters 'x' = v,
+    'y' = w: reason" when ``names`` holds several, each value from ``params``."""
+    given = ", ".join("'{}' = {!r}".format(name, params[name]) for name in names)
+    plural = "s" if len(names) > 1 else ""
+    raise ValueError("parameter{} {}: {}".format(plural, given, reason)) from None
 
 
 def judge(declared: Declared, measured) -> CheckRecord:
     """The record of ``declared`` on ``measured``, a value or a ``Measured``."""
-    value, detail, magnitude = measured if isinstance(measured, Measured) else Measured(measured)
+    value, detail, magnitude, _ = measured if isinstance(measured, Measured) else Measured(measured)
     value, detail = float(value), detail or declared.detail
     if declared.rule == DIAGNOSTIC:
         return CheckRecord(declared.name, value, None, True, diagnostic=True, detail=detail)

@@ -17,8 +17,8 @@ from ..cosmo import (
     matched_a_dot,
     momenta,
 )
-from ..report import RunParams, _CsvRows
-from . import _LOG_MAX, _refuse, _refuse_predicted
+from ..report import Floor, Measured, _CsvRows, _refuse
+from . import _LOG_MAX
 
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
@@ -38,7 +38,7 @@ def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tupl
         _refuse(params, names, str(exc))
 
 
-def _run_cosmo_de_sitter(params: RunParams, seed: int) -> tuple:
+def _run_cosmo_de_sitter(params: dict, seed: int) -> tuple:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
     hubble = math.sqrt(lam / 3.0)
 
@@ -79,13 +79,11 @@ def _run_cosmo_de_sitter(params: RunParams, seed: int) -> tuple:
         t_end * (hubble * hubble * hubble * hubble * hubble) * (step * step * step * step)
         * math.exp(hubble * t_end) / 120.0
     )
-    _refuse_predicted(
-        rk4_error, "RK4's global error t_end H^5 step^4 exp(H t_end) / 120, H = sqrt(lam / 3),",
-        0.5 * params.tolerances["scale-factor-growth"], params, ("lam", "t_end", "step"),
-    )
+    cause = "RK4's global error t_end H^5 step^4 exp(H t_end) / 120, H = sqrt(lam / 3),"
+    floor = Floor(rk4_error, cause, ("lam", "t_end", "step"))
     growth = abs(traj.a[-1] - a0 * math.exp(hubble * t_end)) / a0
     friedmann = float(np.max(np.abs(friedmann_residual(traj, de_sitter))))
-    values = {"scale-factor-growth": growth, "friedmann-residual": friedmann}
+    values = {"scale-factor-growth": Measured(growth, floor=floor), "friedmann-residual": friedmann}
     rows = _trajectory_rows(traj, de_sitter, params["csv_stride"])
     return values, None, {"trajectory": (TRAJECTORY_HEADER, rows)}
 

@@ -13,11 +13,11 @@ from ..general_hj import (
     exponential_family_residuals,
     imaginary_scaling_probe,
 )
-from ..report import RunParams
-from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
+from ..report import Measured, _refuse, roundoff
+from . import _LOG_MAX
 
 
-def _run_general_decoupling(params: RunParams, seed: int) -> tuple:
+def _run_general_decoupling(params: dict, seed: int) -> tuple:
     ansatz = cos_log_family(**params)
     grid = SpacetimeGrid(
         x_min=-X_EDGE, x_max=X_EDGE, n_x=65, t_min=0.0, t_max=1.0, n_t=33
@@ -25,31 +25,23 @@ def _run_general_decoupling(params: RunParams, seed: int) -> tuple:
     res = decoupling_residual(ansatz, grid)
     # over 2,592 cases (c2, c3, mass, hbar from 1e-3 to 1e20) a correct residual
     # read up to 3.57 epsilons times its largest term, so 4 of them must stay below
-    _refuse_predicted(
-        *_roundoff(res.largest, "the decoupling terms"),
-        0.25 * params.tolerances["decoupling-residual"], params, ("c2", "c3", "hbar"),
-    )
-    return {"decoupling-residual": res.max_abs()}, None, {}
+    floor = roundoff(res.largest, "the decoupling terms", ("c2", "c3", "hbar"))
+    return {"decoupling-residual": Measured(res.max_abs(), floor=floor)}, None, {}
 
 
-def _run_general_exponential(params: RunParams, seed: int) -> tuple:
-    tolerances = params.tolerances
+def _run_general_exponential(params: dict, seed: int) -> tuple:
     a, b, growth = _exponential_parameters(**params)
+    res = exponential_family_residuals(**params)
     # (dS/dx)^2 / (2m) = -A e^(bx) and V = A e^(bx) cancel; each reaches
     # A e^(|b| X_EDGE) on the grid, whatever the mass
-    terms = 2.0 * a * growth
-    _refuse_predicted(
-        *_roundoff(terms, "two Hamilton-Jacobi terms together"), tolerances["hamilton-jacobi"],
-        params, ("amplitude", "slope"),
-    )
+    hj = roundoff(2.0 * a * growth, "two Hamilton-Jacobi terms together", ("amplitude", "slope"))
     # 2m dR/dt and i hbar (b/4)^2 cancel; each is hbar b^2 / 16
     terms = params["hbar"] * (b * b) / 8.0
-    _refuse_predicted(
-        *_roundoff(terms, "two decoupling terms together"), tolerances["decoupling-residual"],
-        params, ("hbar", "slope"),
-    )
-    res = exponential_family_residuals(**params)
-    values = {"hamilton-jacobi": res["hamilton_jacobi"], "decoupling-residual": res["decoupling"]}
+    decoupling = roundoff(terms, "two decoupling terms together", ("hbar", "slope"))
+    values = {
+        "hamilton-jacobi": Measured(res["hamilton_jacobi"], floor=hj),
+        "decoupling-residual": Measured(res["decoupling"], floor=decoupling),
+    }
     return values, None, {}
 
 

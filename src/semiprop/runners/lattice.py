@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from ..lattice import (
+    MAX_SITE_UPDATES,
     LatticeConfig,
     LatticeField,
     PointwiseFunction,
@@ -23,8 +24,8 @@ from ..lattice import (
     lattice_plane_wave,
     plane_wave_phase,
 )
-from ..report import Measured, RunParams, _CsvRows
-from . import _LOG_MAX, _refuse, _refuse_predicted, _roundoff
+from ..report import Floor, Measured, _CsvRows, _refuse, roundoff
+from . import _LOG_MAX
 
 
 def _lattice_config(params: dict) -> LatticeConfig:
@@ -60,6 +61,15 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
     return ["site_index_{}".format(i) for i in range(len(config.dims))] + ["value"]
 
 
+def _budget_draws(params: dict, config: LatticeConfig) -> None:
+    """Refuse, before the first draw, draws that update more sites than the
+    leapfrog's budget, ``lattice.MAX_SITE_UPDATES``."""
+    updates = params["draws"] * config.n_sites
+    if updates > MAX_SITE_UPDATES:
+        reason = "the draws on {} sites need {} site updates, more than the budget of {}"
+        _refuse(params, ("draws", "dims"), reason.format(config.n_sites, updates, MAX_SITE_UPDATES))
+
+
 def _run_lattice_transport(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     # the check takes exp(2 sigma) at every site
@@ -86,21 +96,20 @@ def _run_lattice_transport(params: dict, seed: int) -> tuple:
     return values, None, csv
 
 
-def _run_lattice_greens(params: RunParams, seed: int) -> tuple:
+def _run_lattice_greens(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
-    # before defect is first read, so the stencil never runs on a refused lattice
     names = ("mass", "spacing") + (("use_regulator",) if params["use_regulator"] else ())
     cause = "round-off alone in op @ G, machine epsilon times max |lambda + i epsilon| max |g|,"
-    tolerance = params.tolerances["defining-property"]
-    _refuse_predicted(functional.roundoff, cause, tolerance, params, names)
-    values = {"defining-property": functional.defect, "kernel-symmetry": functional.asymmetry}
+    defect = Measured(functional.defect, floor=Floor(functional.roundoff, cause, names))
+    values = {"defining-property": defect, "kernel-symmetry": functional.asymmetry}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, np.real(functional.g)))}
     return values, None, csv
 
 
 def _run_lattice_positivity(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
+    _budget_draws(params, config)
     amplitude = params["amplitude"]
     functional = lattice_greens_function(config)
     # the residual sums, over the sites, halves of (dS/dphi)^2, of one
@@ -144,20 +153,17 @@ def _run_lattice_positivity(params: dict, seed: int) -> tuple:
     return {"minimum-residual": worst, "lorentzian-on-shell-residual": diag}, None, csv
 
 
-def _run_lattice_imaginary(params: RunParams, seed: int) -> tuple:
+def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
-    w = PointwiseFunction(
-        value=lambda p: 2.0 + np.sin(p),
-        derivative=np.cos,
-    )
-    lam, tolerance = params["lam"], params.tolerances["imaginary-part-residual"]
+    _budget_draws(params, config)
+    w = PointwiseFunction(value=lambda p: 2.0 + np.sin(p), derivative=np.cos)
+    lam = params["lam"]
     # -4 (lam / 4) e^(2 sigma) e^(2 sigma) W and lam W e^(4 sigma) cancel; with
     # sigma and phi drawn from [-1, 1] each stays below |lam| (2 + sin 1) e^4,
     # and a correct residual reads up to about twice eps times that
     terms = abs(lam) * (2.0 + math.sin(1.0)) * math.exp(4.0)
-    _refuse_predicted(
-        *_roundoff(terms, "the two imaginary-part terms"), 0.5 * tolerance, params, ("lam",)
-    )
+    if not math.isfinite(terms):
+        _refuse(params, ("lam",), "the imaginary-part terms, up to |lam| (2 + sin 1) e^4, overflow")
     rng = random.Random(seed)
     worst = 0.0
     last = None
@@ -169,20 +175,19 @@ def _run_lattice_imaginary(params: RunParams, seed: int) -> tuple:
         )
         worst = max(worst, float(np.max(np.abs(last.values))))
     csv = {"lattice": (_lattice_header(config), _site_rows(config, last.values))}
-    return {"imaginary-part-residual": worst}, None, csv
+    floor = roundoff(terms, "the two imaginary-part terms", ("lam",))
+    return {"imaginary-part-residual": Measured(worst, floor=floor)}, None, csv
 
 
-def _run_lattice_kg(params: RunParams, seed: int) -> tuple:
+def _run_lattice_kg(params: dict, seed: int) -> tuple:
     config = _lattice_config(params)
     dt = params["dt"]
     phi0, velocity, wave = lattice_plane_wave(config, params["mode"], dt)
+    run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
     # the stencil divides time differences of a unit wave by dt^2; a correct
     # leapfrog reads up to about 1.25 eps / dt^2, so 0.6 of the tolerance
-    _refuse_predicted(
-        *_roundoff(1.0 / (dt * dt), "the stencil's time differences over dt^2"),
-        0.6 * params.tolerances["stencil-residual"], params, ("dt",),
-    )
-    run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
-    values = {"stencil-residual": run.residual, "dispersion-tracking": run.tracking}
+    floor = roundoff(1.0 / (dt * dt), "the stencil's time differences over dt^2", ("dt",))
+    stencil = Measured(run.residual, floor=floor)
+    values = {"stencil-residual": stencil, "dispersion-tracking": run.tracking}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, run.final))}
     return values, None, csv

@@ -11,8 +11,7 @@ import numpy as np
 from ..core import SpacetimeGrid, SpatialGrid, step_count
 from ..oracle import cn_evolve, gaussian_state, kernel_propagate, l2_difference
 from ..quadratic import QuadraticPotential, free_particle_factors, harmonic_factors
-from ..report import Measured
-from . import _refuse
+from ..report import Measured, _refuse
 
 
 def _run_oracle_kernel(params: dict, seed: int) -> tuple:

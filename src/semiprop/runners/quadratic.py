@@ -19,8 +19,7 @@ from ..quadratic import (
     solve_prefactor_odes,
     van_vleck_check,
 )
-from ..report import RunParams, _CsvRows, build_convergence_rows, last_order
-from . import _refuse, _refuse_predicted, _roundoff
+from ..report import Measured, _CsvRows, _refuse, build_convergence_rows, last_order, roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
@@ -33,7 +32,7 @@ def _quadratic_factors(grid: SpacetimeGrid, params: dict):
     return harmonic_factors(grid, mass=params["mass"], omega=params["omega"], x0=x0)
 
 
-def _run_quadratic_hj(params: RunParams, seed: int) -> tuple:
+def _run_quadratic_hj(params: dict, seed: int) -> tuple:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
@@ -47,11 +46,9 @@ def _run_quadratic_hj(params: RunParams, seed: int) -> tuple:
         reach, names = _harmonic_reach(grid, omega, x0), ("mass", "omega", "x0")
     # the largest Hamilton-Jacobi term is m reach^2 / 2, where reach bounds
     # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
-    _refuse_predicted(
-        *_roundoff(mass * reach * reach / 2.0, "the Hamilton-Jacobi terms"),
-        params.tolerances["hamilton-jacobi"], params, names,
-    )
-    values = {"hamilton-jacobi": res["hamilton_jacobi"], "consistency": res["consistency"]}
+    floor = roundoff(mass * reach * reach / 2.0, "the Hamilton-Jacobi terms", names)
+    hj = Measured(res["hamilton_jacobi"], floor=floor)
+    values = {"hamilton-jacobi": hj, "consistency": res["consistency"]}
     return values, None, {}
 
 

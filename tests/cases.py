@@ -25,8 +25,8 @@ FUZZ_VALUES = [
 ]
 FUZZ_LISTS = ["[]", "[0]", "[1.5]", "['a']", "[None]", "[[1]]"]
 # The argv each check's fuzz starts from, cheaper than the defaults where
-# that matters; an empty base is the defaults. No budget bounds the draws,
-# so they stay small; the quadratic bases are harmonic, where omega matters.
+# that matters; an empty base is the defaults. The draw checks take 2 draws,
+# to keep the fuzz fast; the quadratic bases are harmonic, where omega matters.
 FUZZ_BASES = {
     ("quadratic", "hj"): ["--family", "harmonic"],
     ("quadratic", "van-vleck"): ["--family", "harmonic"],
@@ -137,6 +137,13 @@ PARAMETER_ERRORS = [
     # dt 0.5 leaves Crank-Nicolson 2 steps
     (["oracle", "kernel-vs-grid", "--n_x", "4097", "--dt", "0.5"], "n_x 4097 needs"),
     (["lattice", "kg-wave", "--steps", "312500"], "steps 312500 on 32 sites need"),
+    # the draws share the leapfrog's budget of site updates, refused before the first
+    (["lattice", "hj-positivity", "--draws", "1000000000"],
+     "parameters 'draws' = 1000000000, 'dims' = [4, 4]: the draws on 16 sites need "
+     "16000000000 site updates, more than the budget of 10000000"),
+    (["lattice", "imaginary-part", "--draws", "625001"],
+     "parameters 'draws' = 625001, 'dims' = [4, 4]: the draws on 16 sites need "
+     "10000016 site updates, more than the budget of 10000000"),
     # refused by the Crank-Nicolson step budget; 1e-320 overflows 1/dt to inf
     (["oracle", "kernel-vs-grid", "--dt", "1e-200"], "parameter 'dt'"),
     (["oracle", "kernel-vs-grid", "--dt", "1e-320"], "parameter 'dt'"),
@@ -293,6 +300,11 @@ OVERFLOWS = [
       "--mass", "1e-200"], ["amplitude", "slope"]),
     (["general-hj", "exponential", "--amplitude", "1e300", "--slope", "20",
       "--mass", "1e-10"], ["amplitude", "slope"]),
+    # the imaginary-part terms reach |lam| (2 + sin 1) e^4, past the float range
+    # from |lam| 1.1588e306: refused before the first draw there, and held to
+    # their round-off floor just below it
+    *((["lattice", "imaginary-part", "--draws", "2", "--lam", lam], ["lam"])
+      for lam in ("1.7e308", "-1.7e308", "1.16e306", "-1.16e306", "1.15e306")),
 
 ]
 

@@ -1,6 +1,7 @@
 """CLI dispatch, report files, determinism, and the convergence table."""
 
 import ast
+import importlib
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,12 +19,15 @@ import numpy as np
 import pytest
 
 import semiprop
+from semiprop import cli
 from semiprop.cli import CHECKS, _merge_params, main
 from semiprop.core import SpacetimeGrid, assemble_propagator
 from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedmann_residual
 from semiprop.lattice import SIGNATURES, LatticeConfig
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
-from semiprop.report import above, build_convergence_rows, judge, last_order, near, write_csv
+from semiprop.report import (
+    Measured, _refuse, above, build_convergence_rows, judge, last_order, near, write_csv,
+)
 from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
 from semiprop.runners import lattice as lattice_runners
 from semiprop.runners.lattice import _site_rows
@@ -879,26 +884,80 @@ def test_no_package_module_imports_the_cli():
 
 
 def test_every_runner_refusal_goes_through_one_helper():
-    # a raise outside runners._refuse, or a message that names a parameter by
-    # hand ("parameter 'x'", "'x' = v", "with x = v"), is a second refusal path
-    runners = Path(semiprop.__file__).parent / "runners"
+    # a raise in a runner, a runner-side _refuse, or a message that names a
+    # parameter by hand ("parameter 'x'", "'x' = v", "with x = v") is a second
+    # refusal path; report._refuse is the one helper, and run_scenario's floor
+    # refusals go through it too
+    package = Path(semiprop.__file__).parent
     by_hand = re.compile(r"\bparameters? '|' = |\bwith \w+ = ")
+
+    def hand_made(node):
+        text = node.value if isinstance(node, ast.Constant) else None
+        return isinstance(text, str) and bool(by_hand.search(text))
+
+    offenders = []
+    for path in sorted((package / "runners").glob("*.py")):
+        module = importlib.import_module("semiprop.runners." + path.stem)
+        if getattr(module, "_refuse", _refuse) is not _refuse:
+            offenders.append("{} binds another _refuse".format(path.name))
+        for node in ast.walk(ast.parse(path.read_text())):
+            helper = isinstance(node, ast.FunctionDef) and node.name == "_refuse"
+            if isinstance(node, ast.Raise) or helper or hand_made(node):
+                offenders.append("{}:{}".format(path.name, node.lineno))
+    source = textwrap.dedent(inspect.getsource(cli.run_scenario))
+    offenders += [
+        "run_scenario:{}".format(node.lineno)
+        for node in ast.walk(ast.parse(source)) if hand_made(node)
+    ]
+    assert "_refuse(params, names, reason)" in source
+    assert not offenders
+
+
+def test_no_runner_reads_a_tolerance():
+    # run_scenario holds each declared floor to its share of the tolerance,
+    # so no runner names a tolerance or the per-runner floor refusal
+    forbidden = {"tolerance", "tolerances", "RunParams", "_refuse_predicted"}
+    runners = Path(semiprop.__file__).parent / "runners"
     offenders = []
     for path in sorted(runners.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = {
-            id(inner)
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "_refuse"
-            for inner in ast.walk(node)
-        }
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            text = node.value if isinstance(node, ast.Constant) else None
-            if isinstance(node, ast.Raise) or (isinstance(text, str) and by_hand.search(text)):
-                offenders.append("{}:{}".format(path.name, node.lineno))
+        for node in ast.walk(ast.parse(path.read_text())):
+            fields = ("id", "attr", "name", "asname", "arg")
+            words = [getattr(node, field, None) for field in fields]
+            if isinstance(node, ast.Constant):
+                words.append(node.value)
+            hit = forbidden.intersection(word for word in words if isinstance(word, str))
+            if hit:
+                offenders.append("{}:{} {}".format(path.name, node.lineno, sorted(hit)))
     assert not offenders
+
+
+FAMILY_VARIANTS = [
+    (scenario, check, family)
+    for (scenario, check), (declared, *_) in CHECKS.items()
+    for family in (declared["family"][1] if "family" in declared else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, check, family", FAMILY_VARIANTS,
+    ids=[" ".join(filter(None, variant)) for variant in FAMILY_VARIANTS],
+)
+def test_the_records_that_return_a_floor_are_the_records_that_declare_one(
+    scenario, check, family
+):
+    _, name, records = CHECKS[(scenario, check)]
+    params = _merge_params(scenario, check, {"family": family} if family else {})
+    module = importlib.import_module("semiprop.runners." + scenario.replace("-", "_"))
+    values, _, _ = getattr(module, name)(params, 0)
+    returned = {
+        key for key, value in values.items()
+        if isinstance(value, Measured) and value.floor is not None
+    }
+    for key in returned:
+        error, cause, names = values[key].floor
+        assert isinstance(error, float) and cause and set(names) <= set(params), key
+    floored = {d.name for d in records if d.floor is not None and d.family in (None, family)}
+    assert returned == floored
 
 
 def test_no_runner_builds_a_record():
