@@ -330,9 +330,9 @@ def run_scenario(
     """Run one check on checked parameters, write report.json and CSV
     payloads into ``out_dir`` (ValueError if it cannot be made), and return the report.
 
-    The runner only measures.  Once it returns, before any record is judged
-    or any file written, a run is refused where a record's predicted error is
-    not below the ``floor`` share of its tolerance that it declares.  An
+    The runner only measures.  Its third argument, ``hold(record, floor)``,
+    refuses the run unless the ``report.Floor`` predicted for a record is below
+    the share of its tolerance it declares; each such record is held once.  An
     ``out_dir`` whose nearest existing ancestor, itself included, is not a
     directory is refused before the runner runs.
     """
@@ -349,15 +349,19 @@ def run_scenario(
         "{}.runners.{}".format(__package__, scenario.replace("-", "_"))
     )
     runner = getattr(module, name)
+    limits = {d.name: d.floor * d.tolerance for d in declared if d.floor is not None}
+
+    def hold(record: str, floor: tuple) -> None:
+        limit = limits.pop(record)
+        error, cause, names = floor
+        if not error < limit:
+            reason = "{} is about {:.3g}, not below {:g}".format(cause, error, limit)
+            _refuse(params, names, reason)
+
     started = time.perf_counter()
-    values, convergence, csv_payload = runner(params, seed)
-    for d in declared:
-        if d.floor is not None:
-            error, cause, names = values[d.name].floor
-            limit = d.floor * d.tolerance
-            if not error < limit:
-                reason = "{} is about {:.3g}, not below {:g}".format(cause, error, limit)
-                _refuse(params, names, reason)
+    values, convergence, csv_payload = runner(params, seed, hold)
+    if limits:
+        raise RuntimeError("the runner never held the floor of {}".format(", ".join(limits)))
     report = Report(
         scenario=scenario,
         checks=[judge(d, values[d.name]) for d in declared],

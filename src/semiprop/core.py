@@ -606,10 +606,12 @@ def _check_step_budget(step: float, count: float) -> None:
 def step_count(span: float, step: float) -> int:
     """round(span / step), the steps that cover ``span``.
 
-    A quotient that is not finite, that rounds past MAX_STEPS or that
-    rounds to no step at all is refused, naming the step, before it is
+    A step that is not positive, or a quotient that is not finite, rounds past
+    MAX_STEPS or rounds to no step, is refused, naming the step, before it is
     converted: round() of an infinite float raises.
     """
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     quotient = span / step
     _check_step_budget(step, quotient)
     if not round(quotient) >= 1:

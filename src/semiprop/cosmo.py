@@ -106,7 +106,7 @@ class CosmoParams:
 
 @dataclass(frozen=True)
 class _State:
-    """Both state forms: every entry finite, the scale factor a > 0."""
+    """A state of the scale factor and the field: every entry finite, a > 0."""
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in vars(self).values()):
@@ -215,8 +215,6 @@ def evolve_classical(
     lo, hi = float(t_window[0]), float(t_window[1])
     if not hi > lo:
         raise ValueError(f"need an increasing window, got ({lo}, {hi})")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
     fried0 = float(
         _friedmann_series(state0.a, state0.a_dot, state0.phi, state0.phi_dot, params)
     )

@@ -148,8 +148,6 @@ def solve_prefactor_odes(
     lo, hi = map(float, t_window)
     if not hi > lo:
         raise ValueError(f"need an increasing window, got [{lo}, {hi}]")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
     if t0 is None:

@@ -167,8 +167,8 @@ class Declared(NamedTuple):
 
     A ``family`` limits the declaration to runs of that family.  A ``scaled``
     tolerance is multiplied by max(1, |magnitude|), for the magnitude the
-    runner returns with its value.  The run is refused where the ``Floor``
-    it returns is not below the ``floor`` share of the tolerance.
+    runner returns with its value.  A run is refused unless the ``Floor`` its
+    runner holds the record to is below the ``floor`` share of the tolerance.
     """
 
     name: str
@@ -223,13 +223,11 @@ def roundoff(scale: float, terms: str, names: tuple) -> Floor:
 
 class Measured(NamedTuple):
     """A runner's value together with what only its run knows: a ``detail``
-    that replaces the declared one, the ``magnitude`` of a scaled tolerance,
-    and the ``Floor`` of a record that declares one."""
+    that replaces the declared one and the ``magnitude`` of a scaled tolerance."""
 
     value: float
     detail: str = ""
     magnitude: float = 1.0
-    floor: Optional[Floor] = None
 
 
 def _refuse(params: dict, names: tuple, reason: str) -> NoReturn:
@@ -242,7 +240,7 @@ def _refuse(params: dict, names: tuple, reason: str) -> NoReturn:
 
 def judge(declared: Declared, measured) -> CheckRecord:
     """The record of ``declared`` on ``measured``, a value or a ``Measured``."""
-    value, detail, magnitude, _ = measured if isinstance(measured, Measured) else Measured(measured)
+    value, detail, magnitude = measured if isinstance(measured, Measured) else Measured(measured)
     value, detail = float(value), detail or declared.detail
     if declared.rule == DIAGNOSTIC:
         return CheckRecord(declared.name, value, None, True, diagnostic=True, detail=detail)

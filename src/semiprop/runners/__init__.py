@@ -1,17 +1,24 @@
 """One runner module per scenario, imported by ``semiprop.cli`` when a check runs.
 
-A runner takes the checked parameters, a plain dict, and the seed, and only
-measures: it returns ``({record name: value}, convergence rows or None,
-{csv stem: (header, rows)})``.  ``cli.run_scenario`` judges each declared
-record, once it has refused a run where the ``report.Floor`` that a record's
-``report.Measured`` carries reaches its declared share of the tolerance.
-Runner modules import what they share from ``semiprop.report``, never from
-``semiprop.cli``: under ``python -m semiprop.cli`` that would run a second
-copy of the CLI module.  Every refusal a runner makes goes through
-``report._refuse``.
+A runner takes the checked parameters (a dict), the seed and ``hold(record,
+floor)``, and only measures: it holds each floored record to the
+``report.Floor`` it predicts before the work that floor bounds, and returns
+``({record: value}, convergence rows or None, {csv stem: (header, rows)})``.
+Runners import ``semiprop.report``, never ``semiprop.cli`` (``python -m
+semiprop.cli`` would load it twice), and refuse only through ``_refuse``.
 """
 
 import math
 import sys
 
+from ..report import _refuse
+
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _refusing(params: dict, names: tuple, fn, *args):
+    """fn(*args), refusing a ValueError it raises through ``_refuse``, naming ``names``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        _refuse(params, names, str(exc))

@@ -17,8 +17,8 @@ from ..cosmo import (
     matched_a_dot,
     momenta,
 )
-from ..report import Floor, Measured, _CsvRows, _refuse
-from . import _LOG_MAX
+from ..report import Floor, _CsvRows, _refuse
+from . import _LOG_MAX, _refusing
 
 TRAJECTORY_HEADER = ["t", "a", "adot", "phi", "phidot", "constraint_residual"]
 
@@ -30,15 +30,7 @@ def _trajectory_rows(traj: Trajectory, cosmo: CosmoParams, stride: int) -> _CsvR
     return _CsvRows(*samples, friedmann_residual(Trajectory(*samples), cosmo))
 
 
-def _evolve(state: ClassicalState, cosmo: CosmoParams, params: dict, names: tuple):
-    """evolve_classical over (0, t_end); a refused run names the parameters in ``names``."""
-    try:
-        return evolve_classical(state, cosmo, (0.0, params["t_end"]), params["step"])
-    except ValueError as exc:
-        _refuse(params, names, str(exc))
-
-
-def _run_cosmo_de_sitter(params: dict, seed: int) -> tuple:
+def _run_cosmo_de_sitter(params: dict, seed: int, hold) -> tuple:
     lam, t_end, a0 = params["lam"], params["t_end"], params["a0"]
     hubble = math.sqrt(lam / 3.0)
 
@@ -63,10 +55,9 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> tuple:
         )
     state = ClassicalState(a=a0, a_dot=hubble * a0, phi=0.0, phi_dot=0.0)
     de_sitter = CosmoParams(lam=lam)
-    traj = _evolve(state, de_sitter, params, ("lam", "t_end", "step"))
-    step = params["step"]
+    step, names = params["step"], ("lam", "t_end", "step")
     # the growth check compares the last sample against the closed form at t_end
-    t_last = step * step_count(t_end, step)
+    t_last = step * _refusing(params, names, step_count, t_end, step)
     if abs(t_last - t_end) > 1e-12 * t_end:
         _refuse(
             params, ("step", "t_end"),
@@ -80,15 +71,16 @@ def _run_cosmo_de_sitter(params: dict, seed: int) -> tuple:
         * math.exp(hubble * t_end) / 120.0
     )
     cause = "RK4's global error t_end H^5 step^4 exp(H t_end) / 120, H = sqrt(lam / 3),"
-    floor = Floor(rk4_error, cause, ("lam", "t_end", "step"))
+    hold("scale-factor-growth", Floor(rk4_error, cause, names))
+    traj = _refusing(params, names, evolve_classical, state, de_sitter, (0.0, t_end), step)
     growth = abs(traj.a[-1] - a0 * math.exp(hubble * t_end)) / a0
     friedmann = float(np.max(np.abs(friedmann_residual(traj, de_sitter))))
-    values = {"scale-factor-growth": Measured(growth, floor=floor), "friedmann-residual": friedmann}
+    values = {"scale-factor-growth": growth, "friedmann-residual": friedmann}
     rows = _trajectory_rows(traj, de_sitter, params["csv_stride"])
     return values, None, {"trajectory": (TRAJECTORY_HEADER, rows)}
 
 
-def _run_cosmo_stiff(params: dict, seed: int) -> tuple:
+def _run_cosmo_stiff(params: dict, seed: int, hold) -> tuple:
     vacuum = CosmoParams()
     phi_dot0 = params["phi_dot0"]
     # the momentum drift divides by p_phi(0) = phi_dot0; the matched rate and
@@ -102,7 +94,8 @@ def _run_cosmo_stiff(params: dict, seed: int) -> tuple:
         phi=0.0,
         phi_dot=phi_dot0,
     )
-    traj = _evolve(state, vacuum, params, ("phi_dot0", "t_end", "step"))
+    window, names = (0.0, params["t_end"]), ("phi_dot0", "t_end", "step")
+    traj = _refusing(params, names, evolve_classical, state, vacuum, window, params["step"])
     if traj.collapse_time is not None:
         _refuse(
             params, ("phi_dot0", "step"),

@@ -62,15 +62,17 @@ def _lattice_header(config: LatticeConfig) -> list[str]:
 
 
 def _budget_draws(params: dict, config: LatticeConfig) -> None:
-    """Refuse, before the first draw, draws that update more sites than the
-    leapfrog's budget, ``lattice.MAX_SITE_UPDATES``."""
-    updates = params["draws"] * config.n_sites
+    """Refuse, before the first draw, draws past ``lattice.MAX_SITE_UPDATES``
+    site updates; a draw's fixed cost, that of about 1024 sites, is its least charge."""
+    charge = max(config.n_sites, 1024)
+    updates = params["draws"] * charge
     if updates > MAX_SITE_UPDATES:
-        reason = "the draws on {} sites need {} site updates, more than the budget of {}"
-        _refuse(params, ("draws", "dims"), reason.format(config.n_sites, updates, MAX_SITE_UPDATES))
+        reason = ("the draws on {} sites, at {} site updates each, need {}, more than the "
+                  "budget of {}").format(config.n_sites, charge, updates, MAX_SITE_UPDATES)
+        _refuse(params, ("draws", "dims"), reason)
 
 
-def _run_lattice_transport(params: dict, seed: int) -> tuple:
+def _run_lattice_transport(params: dict, seed: int, hold) -> tuple:
     config = _lattice_config(params)
     # the check takes exp(2 sigma) at every site
     if not abs(2.0 * params["sigma_const"]) < _LOG_MAX:
@@ -96,18 +98,18 @@ def _run_lattice_transport(params: dict, seed: int) -> tuple:
     return values, None, csv
 
 
-def _run_lattice_greens(params: dict, seed: int) -> tuple:
+def _run_lattice_greens(params: dict, seed: int, hold) -> tuple:
     config = _lattice_config(params)
     functional = lattice_greens_function(config, use_regulator=params["use_regulator"])
     names = ("mass", "spacing") + (("use_regulator",) if params["use_regulator"] else ())
     cause = "round-off alone in op @ G, machine epsilon times max |lambda + i epsilon| max |g|,"
-    defect = Measured(functional.defect, floor=Floor(functional.roundoff, cause, names))
-    values = {"defining-property": defect, "kernel-symmetry": functional.asymmetry}
+    hold("defining-property", Floor(functional.roundoff, cause, names))
+    values = {"defining-property": functional.defect, "kernel-symmetry": functional.asymmetry}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, np.real(functional.g)))}
     return values, None, csv
 
 
-def _run_lattice_positivity(params: dict, seed: int) -> tuple:
+def _run_lattice_positivity(params: dict, seed: int, hold) -> tuple:
     config = _lattice_config(params)
     _budget_draws(params, config)
     amplitude = params["amplitude"]
@@ -153,17 +155,17 @@ def _run_lattice_positivity(params: dict, seed: int) -> tuple:
     return {"minimum-residual": worst, "lorentzian-on-shell-residual": diag}, None, csv
 
 
-def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
+def _run_lattice_imaginary(params: dict, seed: int, hold) -> tuple:
     config = _lattice_config(params)
     _budget_draws(params, config)
     w = PointwiseFunction(value=lambda p: 2.0 + np.sin(p), derivative=np.cos)
     lam = params["lam"]
     # -4 (lam / 4) e^(2 sigma) e^(2 sigma) W and lam W e^(4 sigma) cancel; with
     # sigma and phi drawn from [-1, 1] each stays below |lam| (2 + sin 1) e^4,
-    # and a correct residual reads up to about twice eps times that
+    # and a correct residual reads up to about twice eps times that; held
+    # before the first draw, this also refuses terms past the float range
     terms = abs(lam) * (2.0 + math.sin(1.0)) * math.exp(4.0)
-    if not math.isfinite(terms):
-        _refuse(params, ("lam",), "the imaginary-part terms, up to |lam| (2 + sin 1) e^4, overflow")
+    hold("imaginary-part-residual", roundoff(terms, "the two imaginary-part terms", ("lam",)))
     rng = random.Random(seed)
     worst = 0.0
     last = None
@@ -175,19 +177,18 @@ def _run_lattice_imaginary(params: dict, seed: int) -> tuple:
         )
         worst = max(worst, float(np.max(np.abs(last.values))))
     csv = {"lattice": (_lattice_header(config), _site_rows(config, last.values))}
-    floor = roundoff(terms, "the two imaginary-part terms", ("lam",))
-    return {"imaginary-part-residual": Measured(worst, floor=floor)}, None, csv
+    return {"imaginary-part-residual": worst}, None, csv
 
 
-def _run_lattice_kg(params: dict, seed: int) -> tuple:
+def _run_lattice_kg(params: dict, seed: int, hold) -> tuple:
     config = _lattice_config(params)
     dt = params["dt"]
     phi0, velocity, wave = lattice_plane_wave(config, params["mode"], dt)
-    run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
     # the stencil divides time differences of a unit wave by dt^2; a correct
     # leapfrog reads up to about 1.25 eps / dt^2, so 0.6 of the tolerance
-    floor = roundoff(1.0 / (dt * dt), "the stencil's time differences over dt^2", ("dt",))
-    stencil = Measured(run.residual, floor=floor)
-    values = {"stencil-residual": stencil, "dispersion-tracking": run.tracking}
+    cause = "the stencil's time differences over dt^2"
+    hold("stencil-residual", roundoff(1.0 / (dt * dt), cause, ("dt",)))
+    run = lattice_klein_gordon_check(phi0, velocity, dt=dt, n_steps=params["steps"], exact=wave)
+    values = {"stencil-residual": run.residual, "dispersion-tracking": run.tracking}
     csv = {"lattice": (_lattice_header(config), _site_rows(config, run.final))}
     return values, None, csv

@@ -11,17 +11,15 @@ import numpy as np
 from ..core import SpacetimeGrid, SpatialGrid, step_count
 from ..oracle import cn_evolve, gaussian_state, kernel_propagate, l2_difference
 from ..quadratic import QuadraticPotential, free_particle_factors, harmonic_factors
-from ..report import Measured, _refuse
+from ..report import Measured
+from . import _refusing
 
 
-def _run_oracle_kernel(params: dict, seed: int) -> tuple:
+def _run_oracle_kernel(params: dict, seed: int, hold) -> tuple:
     family = params["family"]
     dt = params["dt"]
     target = 1.0 if family == "free" else math.pi / 2.0
-    try:
-        n_steps = step_count(target, dt)
-    except ValueError as exc:
-        _refuse(params, ("dt",), str(exc))
+    n_steps = _refusing(params, ("dt",), step_count, target, dt)
     # the step that lands Crank-Nicolson on the kernel's target time
     step = target / n_steps
     with warnings.catch_warnings(record=True) as caught:

@@ -19,7 +19,7 @@ from ..quadratic import (
     solve_prefactor_odes,
     van_vleck_check,
 )
-from ..report import Measured, _CsvRows, _refuse, build_convergence_rows, last_order, roundoff
+from ..report import _CsvRows, _refuse, build_convergence_rows, last_order, roundoff
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
@@ -32,7 +32,7 @@ def _quadratic_factors(grid: SpacetimeGrid, params: dict):
     return harmonic_factors(grid, mass=params["mass"], omega=params["omega"], x0=x0)
 
 
-def _run_quadratic_hj(params: dict, seed: int) -> tuple:
+def _run_quadratic_hj(params: dict, seed: int, hold) -> tuple:
     grid = SpacetimeGrid(
         x_min=-4.0, x_max=4.0, n_x=257, t_min=0.5, t_max=2.0, n_t=129
     )
@@ -47,12 +47,11 @@ def _run_quadratic_hj(params: dict, seed: int) -> tuple:
     # the largest Hamilton-Jacobi term is m reach^2 / 2, where reach bounds
     # |dS/dx| / m on the grid; on this grid it also bounds the consistency terms
     floor = roundoff(mass * reach * reach / 2.0, "the Hamilton-Jacobi terms", names)
-    hj = Measured(res["hamilton_jacobi"], floor=floor)
-    values = {"hamilton-jacobi": hj, "consistency": res["consistency"]}
-    return values, None, {}
+    hold("hamilton-jacobi", floor)
+    return {"hamilton-jacobi": res["hamilton_jacobi"], "consistency": res["consistency"]}, None, {}
 
 
-def _run_quadratic_van_vleck(params: dict, seed: int) -> tuple:
+def _run_quadratic_van_vleck(params: dict, seed: int, hold) -> tuple:
     grid = SpacetimeGrid(
         x_min=-3.0, x_max=3.0, n_x=49, t_min=0.4, t_max=1.2, n_t=25
     )
@@ -61,7 +60,7 @@ def _run_quadratic_van_vleck(params: dict, seed: int) -> tuple:
     return {"van-vleck-deviation": report.deviation}, None, {}
 
 
-def _run_quadratic_prefactor(params: dict, seed: int) -> tuple:
+def _run_quadratic_prefactor(params: dict, seed: int, hold) -> tuple:
     family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
     sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
@@ -94,7 +93,7 @@ def _propagator_rows(factors, propagator: ComplexField) -> _CsvRows:
     )
 
 
-def _run_quadratic_schrodinger(params: dict, seed: int) -> tuple:
+def _run_quadratic_schrodinger(params: dict, seed: int, hold) -> tuple:
     # the oracle's residual; imported here, so that the other quadratic checks
     # leave the oracle module unloaded
     from ..oracle import schrodinger_residual

@@ -137,13 +137,14 @@ PARAMETER_ERRORS = [
     # dt 0.5 leaves Crank-Nicolson 2 steps
     (["oracle", "kernel-vs-grid", "--n_x", "4097", "--dt", "0.5"], "n_x 4097 needs"),
     (["lattice", "kg-wave", "--steps", "312500"], "steps 312500 on 32 sites need"),
-    # the draws share the leapfrog's budget of site updates, refused before the first
-    (["lattice", "hj-positivity", "--draws", "1000000000"],
-     "parameters 'draws' = 1000000000, 'dims' = [4, 4]: the draws on 16 sites need "
-     "16000000000 site updates, more than the budget of 10000000"),
-    (["lattice", "imaginary-part", "--draws", "625001"],
-     "parameters 'draws' = 625001, 'dims' = [4, 4]: the draws on 16 sites need "
-     "10000016 site updates, more than the budget of 10000000"),
+    # the draws share the leapfrog's budget of site updates, refused before the
+    # first; a draw on fewer than 1024 sites is charged 1024
+    (["lattice", "hj-positivity", "--draws", "9766"],
+     "parameters 'draws' = 9766, 'dims' = [4, 4]: the draws on 16 sites, at 1024 site "
+     "updates each, need 10000384, more than the budget of 10000000"),
+    (["lattice", "imaginary-part", "--dims", "[64,64]", "--draws", "2442"],
+     "parameters 'draws' = 2442, 'dims' = [64, 64]: the draws on 4096 sites, at 4096 site "
+     "updates each, need 10002432, more than the budget of 10000000"),
     # refused by the Crank-Nicolson step budget; 1e-320 overflows 1/dt to inf
     (["oracle", "kernel-vs-grid", "--dt", "1e-200"], "parameter 'dt'"),
     (["oracle", "kernel-vs-grid", "--dt", "1e-320"], "parameter 'dt'"),
@@ -216,6 +217,10 @@ PARAMETER_ERRORS = [
     # cos^2, which d2R/dx2 divides by, overflows before cos does
     (["general-hj", "decoupling", "--c2", "300"], "c2 = (300+0j)"),
     (["general-hj", "decoupling", "--c2", "200", "--c3", "0.3"], "c2 = (200+0j)"),
+    # every decoupling term vanishes, so the residual reads 0 whatever R is
+    (["general-hj", "decoupling", "--c2", "0"],
+     "parameters 'c2' = 0.0, 'hbar' = 1.0: every decoupling term, a multiple of hbar c2^2, is 0"),
+    (["general-hj", "decoupling", "--c2", "1e-200"], "'c2' = 1e-200, 'hbar' = 1.0: every"),
     (["lattice", "greens", "--dims", "[65,65]"], "dims (65, 65) give 4225 sites"),
     # site counts past 2**64, which a numpy int64 product wraps to 4 and 0
     (["lattice", "greens", "--dims", "[4611686018427387905,4]"],
@@ -301,8 +306,8 @@ OVERFLOWS = [
     (["general-hj", "exponential", "--amplitude", "1e300", "--slope", "20",
       "--mass", "1e-10"], ["amplitude", "slope"]),
     # the imaginary-part terms reach |lam| (2 + sin 1) e^4, past the float range
-    # from |lam| 1.1588e306: refused before the first draw there, and held to
-    # their round-off floor just below it
+    # from |lam| 1.1588e306; their round-off floor, held before the first draw,
+    # refuses them there and just below it
     *((["lattice", "imaginary-part", "--draws", "2", "--lam", lam], ["lam"])
       for lam in ("1.7e308", "-1.7e308", "1.16e306", "-1.16e306", "1.15e306")),
 
@@ -429,6 +434,21 @@ def _quadratic_derivative(index):
             return tuple(terms)
 
         return identities(mass, reach, x0, moved)
+
+    return quadratic, "_identity_residuals", planted
+
+
+def _x0_sign_flipped():
+    """``quadratic._identity_residuals`` with 2 x0 d2S/dx2 added to dS/dx: on
+    the free particle, m (x + x0) / t in place of m (x - x0) / t."""
+    identities = quadratic._identity_residuals
+
+    def planted(mass, reach, x0, derivatives):
+        def flipped():
+            s_t, s_x, s_xx, *rest = derivatives()
+            return (s_t, s_x + 2.0 * x0 * s_xx, s_xx, *rest)
+
+        return identities(mass, reach, x0, flipped)
 
     return quadratic, "_identity_residuals", planted
 

@@ -26,8 +26,9 @@ from semiprop.cosmo import ClassicalState, CosmoParams, evolve_classical, friedm
 from semiprop.lattice import SIGNATURES, LatticeConfig
 from semiprop.quadratic import PREFACTOR_CASES, free_particle_factors, harmonic_factors
 from semiprop.report import (
-    Measured, _refuse, above, build_convergence_rows, judge, last_order, near, write_csv,
+    Floor, _refuse, above, build_convergence_rows, judge, last_order, near, write_csv,
 )
+from semiprop.runners import cosmo as cosmo_runners
 from semiprop.runners.cosmo import TRAJECTORY_HEADER, _trajectory_rows
 from semiprop.runners import lattice as lattice_runners
 from semiprop.runners.lattice import _site_rows
@@ -49,6 +50,7 @@ from cases import (
     ROUND_OFF_PASSES,
     VACUOUS_PASSES,
     WITHOUT_CONTROL,
+    _x0_sign_flipped,
     control_triple,
     fuzz_cases,
     gating_triples,
@@ -317,15 +319,48 @@ def test_round_off_floors_refuse_instead_of_failing(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "passes")]) == 0, argv
 
 
+@pytest.fixture
+def floored_work_unreachable(monkeypatch):
+    """The work that a floor set by the parameters alone bounds, made to raise:
+    the imaginary-part draws, the leapfrog and de Sitter's RK4 run."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused run reached the work its floor bounds")
+
+    for module, name in (
+        (lattice_runners, "conformal_imaginary_part_residual"),
+        (lattice_runners, "lattice_klein_gordon_check"),
+        (cosmo_runners, "evolve_classical"),
+    ):
+        monkeypatch.setattr(module, name, unreachable)
+
+
 @pytest.mark.parametrize(
     "argv, message", FLOOR_MESSAGES, ids=[" ".join(argv) for argv, _ in FLOOR_MESSAGES]
 )
-def test_each_floor_refusal_keeps_its_message(argv, message, tmp_path, capsys):
-    # the whole message, byte for byte, and no report.json behind it
+def test_each_floor_refusal_keeps_its_message(
+    argv, message, tmp_path, capsys, floored_work_unreachable
+):
+    # the whole message, byte for byte, no report.json behind it, and no
+    # work done past a floor that the parameters alone set
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "semiprop: {}\n".format(message)
     assert not out.exists()
+
+
+LONG_REFUSED_RUNS = [
+    ["lattice", "imaginary-part", "--lam", "1e6", "--draws", "50000"],
+    ["lattice", "kg-wave", "--dims", "[32]", "--dt", "1e-5", "--steps", "300000"],
+    ["lattice", "kg-wave", "--dims", "[2]", "--dt", "1e-6", "--steps", "3000000"],
+    ["cosmo", "de-sitter", "--t_end", "100", "--step", "1e-4"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_REFUSED_RUNS, ids=" ".join)
+def test_a_long_refused_run_stops_before_its_work(argv, tmp_path, floored_work_unreachable):
+    # each of these ran for seconds to minutes before its floor refused it
+    assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -364,6 +399,24 @@ def test_a_planted_defect_is_caught_or_refused_where_its_record_is_vacuous(
     assert main(argv + ["--out", str(tmp_path)]) in (1, 2), argv
 
 
+def test_a_flipped_x0_sign_fails_hamilton_jacobi_away_from_x0_zero(tmp_path, monkeypatch):
+    # m (x + x0) / t for the free particle's dS/dx reads 22.4 here
+    monkeypatch.setattr(*_x0_sign_flipped())
+    assert main(["quadratic", "hj", "--x0", "0.7", "--out", str(tmp_path)]) == 1
+    report = read_report(tmp_path)
+    assert record(report, "hamilton-jacobi")["pass"] is False
+    assert record(report, "consistency")["pass"] is True
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the default x0 = 0 cannot tell x - x0 from x + x0 (ROADMAP item 20)",
+)
+def test_a_flipped_x0_sign_fails_hamilton_jacobi_at_the_defaults(tmp_path, monkeypatch):
+    monkeypatch.setattr(*_x0_sign_flipped())
+    assert main(["quadratic", "hj", "--out", str(tmp_path)]) == 1
+
+
 def test_hj_positivity_is_not_refused_at_the_greens_round_off_floor(tmp_path):
     # the floor refuses `lattice greens` here (1.2e-7 against 1e-8), but
     # hj-positivity never reads the kernel's defect
@@ -392,9 +445,9 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_the_runner_runs(
     # and a refused set, single or swept, leaves no directory behind
     real, calls = lattice_runners._run_lattice_transport, []
 
-    def runner(params, seed):
+    def runner(params, seed, hold):
         calls.append(params["lam"])
-        return real(params, seed)
+        return real(params, seed, hold)
 
     monkeypatch.setattr(lattice_runners, "_run_lattice_transport", runner)
     taken = tmp_path / "taken"
@@ -817,10 +870,10 @@ def test_schrodinger_order_never_holds_a_fine_level_propagator():
     # 7 MB traced; the finer levels are assembled a band of columns at a time
     for family in ("free", "harmonic"):
         params = _merge_params("quadratic", "schrodinger-order", {"family": family})
-        _run_quadratic_schrodinger(params, 0)  # the first call loads and caches
+        _run_quadratic_schrodinger(params, 0, None)  # the first call loads and caches
         tracemalloc.start()
         try:
-            _run_quadratic_schrodinger(params, 0)
+            _run_quadratic_schrodinger(params, 0, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -914,8 +967,8 @@ def test_every_runner_refusal_goes_through_one_helper():
 
 
 def test_no_runner_reads_a_tolerance():
-    # run_scenario holds each declared floor to its share of the tolerance,
-    # so no runner names a tolerance or the per-runner floor refusal
+    # the hold that run_scenario passes a runner compares each floor with its
+    # share of the tolerance, so no runner names a tolerance or a floor refusal
     forbidden = {"tolerance", "tolerances", "RunParams", "_refuse_predicted"}
     runners = Path(semiprop.__file__).parent / "runners"
     offenders = []
@@ -945,19 +998,37 @@ FAMILY_VARIANTS = [
 def test_the_records_that_return_a_floor_are_the_records_that_declare_one(
     scenario, check, family
 ):
+    # the runner hands each record that declares floor= to hold, once, with a
+    # Floor set by parameters of the check; no other record is held
     _, name, records = CHECKS[(scenario, check)]
     params = _merge_params(scenario, check, {"family": family} if family else {})
     module = importlib.import_module("semiprop.runners." + scenario.replace("-", "_"))
-    values, _, _ = getattr(module, name)(params, 0)
-    returned = {
-        key for key, value in values.items()
-        if isinstance(value, Measured) and value.floor is not None
-    }
-    for key in returned:
-        error, cause, names = values[key].floor
-        assert isinstance(error, float) and cause and set(names) <= set(params), key
-    floored = {d.name for d in records if d.floor is not None and d.family in (None, family)}
-    assert returned == floored
+    held = []
+
+    def hold(record, floor):
+        error, cause, names = floor
+        assert isinstance(error, float) and cause and set(names) <= set(params), record
+        held.append(record)
+
+    getattr(module, name)(params, 0, hold)
+    floored = [d.name for d in records if d.floor is not None and d.family in (None, family)]
+    assert sorted(held) == sorted(floored)
+
+
+def test_a_floor_held_twice_or_never_fails_loudly(tmp_path, monkeypatch):
+    runner = lattice_runners._run_lattice_kg
+
+    def twice(params, seed, hold):
+        hold("stencil-residual", Floor(0.0, "nothing", ("dt",)))
+        return runner(params, seed, hold)
+
+    def never(params, seed, hold):
+        return runner(params, seed, lambda record, floor: None)
+
+    for planted, error in ((twice, KeyError), (never, RuntimeError)):
+        monkeypatch.setattr(lattice_runners, "_run_lattice_kg", planted)
+        with pytest.raises(error):
+            main(["lattice", "kg-wave", "--out", str(tmp_path)])
 
 
 def test_no_runner_builds_a_record():
