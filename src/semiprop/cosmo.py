@@ -2,10 +2,10 @@
 
 Two operator normalizations coexist here and are deliberately never
 converted into each other.  The constraint sector (evolve_classical,
-friedmann_residual, relative_constraint, quantum_transport_residual) carries
-the 2*pi/(3a) gravitational kinetic factor and matter kinetic term
-p_phi^2/(2 a^3).  The split-action sector (complex_action_residuals,
-closure_check, scale_factor_equation_residual) separates the action into
+friedmann_residual, relative_constraint) carries the 2*pi/(3a)
+gravitational kinetic factor and matter kinetic term p_phi^2/(2 a^3).
+The split-action sector (complex_action_residuals,
+scale_factor_equation_residual) separates the action into
 S_a(a, t) + S_phi(phi, t) + i S_g(a, t), uses a plain d^2/da^2 kinetic
 normalization, and scales matter by 1/(16 pi a^3).  Each identity is
 checked in its own convention.
@@ -17,10 +17,6 @@ reproduce the Friedmann equation (adot/a)^2 + k/a^2 = (8 pi/3)(phidot^2/2
 
 The matter potential is the mass term V = m^2 phi^2 / 2 (ScalarPotential).
 FRIEDMANN_FLOW writes it into its rates, so its RK4 loop reads only numbers.
-
-The closure residual squares a second derivative of S_g.  That is odd
-dimensionally, but the expression is checked literally; this module never
-repairs it.
 """
 
 from __future__ import annotations
@@ -49,9 +45,7 @@ __all__ = [
     "relative_constraint",
     "klein_gordon_residual",
     "complex_action_residuals",
-    "closure_check",
     "scale_factor_equation_residual",
-    "quantum_transport_residual",
     "COLLAPSE_FRACTION",
     "FRIEDMANN_PRECHECK_TOL",
 ]
@@ -391,22 +385,6 @@ def complex_action_residuals(
     return res_a, res_b
 
 
-def closure_check(fields: ComplexActionFields, grids: ActionGrids) -> np.ndarray:
-    """(d2S_g/da2)^2 - S_g/(4a) - (dS_a/dt + dS_phi/dt) on the product grid."""
-    h_a, _, h_t = grids.steps
-    s_a, s_p, s_g = _split_samples(fields, grids)
-    sg_aa = _stencil(s_g, h_a, 0, 2)
-    sa_t = _stencil(s_a, h_t, 1, 1)
-    sp_t = _stencil(s_p, h_t, 1, 1)
-    a_col = grids.a[:, None, None]
-    return (
-        sg_aa[:, None, :] ** 2
-        - s_g[:, None, :] / (4.0 * a_col)
-        - sa_t[:, None, :]
-        - sp_t[None, :, :]
-    )
-
-
 def scale_factor_equation_residual(
     trajectory: Trajectory, p_phi_series, params: CosmoParams
 ) -> np.ndarray:
@@ -427,36 +405,4 @@ def scale_factor_equation_residual(
         + params.k
         - params.lam * a**2
         - (p_phi**2 / (16.0 * _PI * a**3) + 8.0 * _PI * a**3 * v)
-    )
-
-
-def quantum_transport_residual(
-    R, S, grids: ActionGrids, params: CosmoParams
-) -> np.ndarray:
-    """Residual of the amplitude transport equation in the constraint sector:
-
-        dR/dt + (4 pi/(3a))(dS/da)(dR/da) + (1/a^3)(dS/dphi)(dR/dphi)
-        + (2 pi/(3a)) d2S/da2 + (1/(2 a^3)) d2S/dphi2
-
-    for caller-supplied R(a, phi, t) and S(a, phi, t).  Evaluation only;
-    no solutions are constructed here.
-    """
-    h_a, h_p, h_t = grids.steps
-    axes = {"a": grids.a, "phi": grids.phi, "t": grids.t}
-    r = _sampled(R, axes, "R")
-    s = _sampled(S, axes, "S")
-    r_t = _stencil(r, h_t, 2, 1)
-    r_a = _stencil(r, h_a, 0, 1)
-    r_p = _stencil(r, h_p, 1, 1)
-    s_a = _stencil(s, h_a, 0, 1)
-    s_p = _stencil(s, h_p, 1, 1)
-    s_aa = _stencil(s, h_a, 0, 2)
-    s_pp = _stencil(s, h_p, 1, 2)
-    a_col = grids.a[:, None, None]
-    return (
-        r_t
-        + (4.0 * _PI / (3.0 * a_col)) * s_a * r_a
-        + s_p * r_p / a_col**3
-        + (2.0 * _PI / (3.0 * a_col)) * s_aa
-        + s_pp / (2.0 * a_col**3)
     )

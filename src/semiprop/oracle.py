@@ -206,16 +206,6 @@ class WaveState:
         total = dx * (dens.sum() - 0.5 * (dens[0] + dens[-1]))
         return float(np.sqrt(total))
 
-    def center(self) -> float:
-        dens = np.abs(self.psi) ** 2
-        return float(np.sum(self.grid.x * dens) / np.sum(dens))
-
-    def density_width(self) -> float:
-        dens = np.abs(self.psi) ** 2
-        mean = np.sum(self.grid.x * dens) / np.sum(dens)
-        var = np.sum((self.grid.x - mean) ** 2 * dens) / np.sum(dens)
-        return float(np.sqrt(var))
-
 
 def gaussian_state(
     grid: SpatialGrid,

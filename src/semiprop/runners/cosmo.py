@@ -57,7 +57,7 @@ def _run_cosmo_de_sitter(params: dict, seed: int, hold) -> tuple:
     de_sitter = CosmoParams(lam=lam)
     step, names = params["step"], ("lam", "t_end", "step")
     # the growth check compares the last sample against the closed form at t_end
-    t_last = step * _refusing(params, names, step_count, t_end, step)
+    t_last = step * _refusing(params, ("t_end", "step"), step_count, t_end, step)
     if abs(t_last - t_end) > 1e-12 * t_end:
         _refuse(
             params, ("step", "t_end"),
@@ -95,6 +95,8 @@ def _run_cosmo_stiff(params: dict, seed: int, hold) -> tuple:
         phi_dot=phi_dot0,
     )
     window, names = (0.0, params["t_end"]), ("phi_dot0", "t_end", "step")
+    # a step refusal names only what the step count depends on
+    _refusing(params, ("t_end", "step"), step_count, params["t_end"], params["step"])
     traj = _refusing(params, names, evolve_classical, state, vacuum, window, params["step"])
     if traj.collapse_time is not None:
         _refuse(

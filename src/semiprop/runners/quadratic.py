@@ -20,6 +20,7 @@ from ..quadratic import (
     van_vleck_check,
 )
 from ..report import _CsvRows, _refuse, build_convergence_rows, last_order, roundoff
+from . import _refusing
 
 PROPAGATOR_HEADER = ["x", "t", "re_K", "im_K", "re_R", "im_R", "re_S", "im_S"]
 
@@ -63,7 +64,8 @@ def _run_quadratic_van_vleck(params: dict, seed: int, hold) -> tuple:
 def _run_quadratic_prefactor(params: dict, seed: int, hold) -> tuple:
     family = params["family"]
     pot, init, window, t0 = PREFACTOR_CASES[family]
-    sol = solve_prefactor_odes(pot, init, window, params["step"], t0=t0)
+    # every refusal of the user's step names it; the window and t0 are fixed
+    sol = _refusing(params, ("step",), solve_prefactor_odes, pot, init, window, params["step"], t0)
     values = {"closed-form-deviation": prefactor_error(family, sol)}
     steps = [0.02, 0.01, 0.005, 0.0025]
     errors = [

@@ -124,7 +124,13 @@ PARAMETER_ERRORS = [
     (["general-hj", "exponential", "--hbar", "-1"], "hbar must be positive"),
     # refused by the RK4 step budget before any history is allocated
     (["cosmo", "stiff", "--t_end", "1e9", "--step", "1.0"], "step 1.0 needs"),
-    (["quadratic", "prefactor-ode", "--step", "1e-9"], "step 1e-09 needs"),
+    (["quadratic", "prefactor-ode", "--step", "1e-9"],
+     "parameter 'step' = 1e-09: step 1e-09 needs"),
+    # a step refusal names the step, and t_end where t_end sets the step count
+    (["quadratic", "prefactor-ode", "--step", "0"],
+     "parameter 'step' = 0.0: step must be positive"),
+    (["cosmo", "stiff", "--step", "0"],
+     "parameters 't_end' = 35.0, 'step' = 0.0: step must be positive"),
     (
         ["lattice", "kg-wave", "--dims", "[16,16]", "--mode", "[3,1]",
          "--dt", "0.9", "--steps", "2000"],
@@ -209,9 +215,11 @@ PARAMETER_ERRORS = [
     (["quadratic", "hj", "--x0", "1" + "0" * 400], "parameter 'x0' is an integer"),
     # a step longer than the whole RK4 window
     (["cosmo", "de-sitter", "--step", "10"],
-     "'step' = 10.0: step 10.0 needs 0.1 steps to cover 1.0, which round to none"),
+     "parameters 't_end' = 1.0, 'step' = 10.0: step 10.0 needs 0.1 steps to cover 1.0, "
+     "which round to none"),
     (["quadratic", "prefactor-ode", "--step", "10"],
-     "window [0.0, 0.5] is shorter than one step on both sides of t0 = 0.0: step = 10.0"),
+     "parameter 'step' = 10.0: window [0.0, 0.5] is shorter than one step on both sides "
+     "of t0 = 0.0: step = 10.0"),
     # the closed forms overflow on the fixed [-2, 2] grid
     (["general-hj", "decoupling", "--c2", "1000"], "c2 = (1000+0j)"),
     # cos^2, which d2R/dx2 divides by, overflows before cos does

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from semiprop.core import fit_loglog_slope
+from semiprop.core import _stencil, fit_loglog_slope
 from semiprop.cosmo import (
     ActionGrids,
     ClassicalState,
@@ -18,9 +18,11 @@ from semiprop.cosmo import (
     CosmoParams,
     ScalarPotential,
     Trajectory,
+    _PI,
     _constraint_terms,
+    _sampled,
+    _split_samples,
     _State,
-    closure_check,
     complex_action_residuals,
     evolve_classical,
     friedmann_residual,
@@ -28,7 +30,6 @@ from semiprop.cosmo import (
     matched_a_dot,
     momenta,
     quadratic_potential,
-    quantum_transport_residual,
     relative_constraint,
     scale_factor_equation_residual,
 )
@@ -481,6 +482,26 @@ def test_matter_sector_blind_to_gravitational_fields():
 # ---------------------------------------------------------------------------
 
 
+# The closure residual squares a second derivative of S_g.  That is odd
+# dimensionally, but the expression is checked literally, never repaired.
+
+
+def closure_check(fields: ComplexActionFields, grids: ActionGrids) -> np.ndarray:
+    """(d2S_g/da2)^2 - S_g/(4a) - (dS_a/dt + dS_phi/dt) on the product grid."""
+    h_a, _, h_t = grids.steps
+    s_a, s_p, s_g = _split_samples(fields, grids)
+    sg_aa = _stencil(s_g, h_a, 0, 2)
+    sa_t = _stencil(s_a, h_t, 1, 1)
+    sp_t = _stencil(s_p, h_t, 1, 1)
+    a_col = grids.a[:, None, None]
+    return (
+        sg_aa[:, None, :] ** 2
+        - s_g[:, None, :] / (4.0 * a_col)
+        - sa_t[:, None, :]
+        - sp_t[None, :, :]
+    )
+
+
 def test_closure_static_fields_vanish():
     fields = ComplexActionFields(
         s_a=lambda a, t: a**3 + 0.0 * t,
@@ -594,6 +615,38 @@ def test_entropy_probe_refusals():
 # ---------------------------------------------------------------------------
 # amplitude transport residual
 # ---------------------------------------------------------------------------
+
+
+def quantum_transport_residual(
+    R, S, grids: ActionGrids, params: CosmoParams
+) -> np.ndarray:
+    """Residual of the amplitude transport equation in the constraint sector:
+
+        dR/dt + (4 pi/(3a))(dS/da)(dR/da) + (1/a^3)(dS/dphi)(dR/dphi)
+        + (2 pi/(3a)) d2S/da2 + (1/(2 a^3)) d2S/dphi2
+
+    for caller-supplied R(a, phi, t) and S(a, phi, t).  Evaluation only;
+    no solutions are constructed here.
+    """
+    h_a, h_p, h_t = grids.steps
+    axes = {"a": grids.a, "phi": grids.phi, "t": grids.t}
+    r = _sampled(R, axes, "R")
+    s = _sampled(S, axes, "S")
+    r_t = _stencil(r, h_t, 2, 1)
+    r_a = _stencil(r, h_a, 0, 1)
+    r_p = _stencil(r, h_p, 1, 1)
+    s_a = _stencil(s, h_a, 0, 1)
+    s_p = _stencil(s, h_p, 1, 1)
+    s_aa = _stencil(s, h_a, 0, 2)
+    s_pp = _stencil(s, h_p, 1, 2)
+    a_col = grids.a[:, None, None]
+    return (
+        r_t
+        + (4.0 * _PI / (3.0 * a_col)) * s_a * r_a
+        + s_p * r_p / a_col**3
+        + (2.0 * _PI / (3.0 * a_col)) * s_aa
+        + s_pp / (2.0 * a_col**3)
+    )
 
 
 def test_transport_hand_case():

@@ -76,6 +76,21 @@ def free_gaussian_analytic(
     return WaveState(grid=grid, psi=psi, t=t, hbar=hbar, mass=mass)
 
 
+# the mean and the width of a state's density
+
+
+def center(state: WaveState) -> float:
+    dens = np.abs(state.psi) ** 2
+    return float(np.sum(state.grid.x * dens) / np.sum(dens))
+
+
+def density_width(state: WaveState) -> float:
+    dens = np.abs(state.psi) ** 2
+    mean = np.sum(state.grid.x * dens) / np.sum(dens)
+    var = np.sum((state.grid.x - mean) ** 2 * dens) / np.sum(dens)
+    return float(np.sqrt(var))
+
+
 def spacetime(n_x, n_t, x_max=4.0, t_min=0.5, t_max=2.0):
     return SpacetimeGrid(
         x_min=-x_max, x_max=x_max, n_x=n_x, t_min=t_min, t_max=t_max, n_t=n_t
@@ -105,7 +120,7 @@ def test_cn_free_gaussian_spreading_law():
     state = gaussian_state(grid, sigma0=1.0)
     out = cn_evolve(state, 0.0, dt=1e-3, n_steps=1000)
     target = math.sqrt(1.25)  # sigma0 sqrt(1 + (hbar t / 2 m sigma0^2)^2) at t=1
-    assert abs(out.density_width() - target) < 1e-3
+    assert abs(density_width(out) - target) < 1e-3
     assert abs(out.t - 1.0) < 1e-10
 
 
@@ -120,7 +135,7 @@ def test_cn_coherent_state_center_tracks_cosine():
     n = 1571  # quarter period at dt ~ 1e-3
     for _ in range(4):
         state = cn_evolve(state, pot.value, dt=quarter / n, n_steps=n)
-        assert abs(state.center() - math.cos(state.t)) < 1e-3
+        assert abs(center(state) - math.cos(state.t)) < 1e-3
     assert abs(state.t - 2.0 * math.pi) < 1e-10
 
 
